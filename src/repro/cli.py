@@ -572,11 +572,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.experiments import goldens
 
     if args.update_golden:
-        from repro.obs.golden import load_digests, stored_schema
+        from repro.obs.golden import (
+            RECOVERY_DIGEST_FILE,
+            load_digests,
+            stored_schema,
+        )
         from repro.obs.records import SCHEMA_VERSION
 
         names = args.golden.split(",") if args.golden else None
-        before = load_digests(goldens.DEFAULT_GOLDEN_DIR)
+        before = {**load_digests(goldens.DEFAULT_GOLDEN_DIR),
+                  **load_digests(goldens.DEFAULT_GOLDEN_DIR,
+                                 RECOVERY_DIGEST_FILE)}
         schema_before = stored_schema(goldens.DEFAULT_GOLDEN_DIR)
         digests = goldens.update_goldens(names=names)
         if schema_before != SCHEMA_VERSION:

@@ -26,11 +26,23 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
-from repro.obs.golden import load_stream, save_golden, trace_digest
+from repro.core.units import MBPS
+from repro.net.node import Host
+from repro.net.packet import Packet, PacketKind
+from repro.obs.golden import (
+    RECOVERY_DIGEST_FILE,
+    load_stream,
+    save_digest,
+    save_golden,
+    trace_digest,
+)
 from repro.obs.records import TraceRecord
 from repro.obs.sinks import MemorySink
 from repro.obs.tracer import Observability, Tracer
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
 from repro.workloads import INTERNET_SCENARIOS
+from repro.workloads.scenarios import PathScenario
 
 
 @dataclass(frozen=True)
@@ -52,21 +64,84 @@ GOLDEN_RUNS: Dict[str, GoldenRun] = {
     "bbr+suss": GoldenRun("google-tokyo/wired", "bbr+suss", 400_000, 1),
 }
 
+
+
+def _recovery_path(name: str, mbit: float, rtt: float, buffer_bdp: float,
+                   loss_rate: float = 0.0) -> PathScenario:
+    """A constant-rate lab path for one way of entering loss recovery."""
+    return PathScenario(name=f"recovery/{name}", server="recovery",
+                        link_type=name, client_location="lab", rtt=rtt,
+                        btl_bw=mbit * MBPS, bw_variation=0.0, jitter=0.0,
+                        loss_rate=loss_rate, buffer_bdp=buffer_bdp)
+
+
+#: The three ways a flow ends up in SACK recovery: a slow-start overshoot
+#: into a 1xBDP drop-tail buffer (on a path short enough that CUBIC's
+#: HyStart does not save it either), scattered random loss, and
+#: reordering (spurious recovery with nothing actually lost).
+RECOVERY_PATHS: Dict[str, PathScenario] = {
+    "droptail": _recovery_path("droptail", 10, 0.020, buffer_bdp=1.0),
+    "netem-loss": _recovery_path("netem-loss", 20, 0.050, buffer_bdp=4.0,
+                                 loss_rate=0.02),
+    "reorder": _recovery_path("reorder", 20, 0.050, buffer_bdp=4.0),
+}
+
+#: Per-packet extra delay bound at the reordering client: 4 ms is ~7
+#: serialisation times at 20 Mbit/s, enough for three duplicate ACKs.
+REORDER_SPREAD = 0.004
+
+RECOVERY_CCS = ("reno", "bbr", "cubic", "cubic+suss")
+
+#: name -> recovery run.  The clean-path goldens above never enter loss
+#: recovery; these pin it event by event.  Only digests are committed
+#: (the streams are 10-20x longer than the clean ones).
+RECOVERY_RUNS: Dict[str, GoldenRun] = {
+    f"{path}/{cc}": GoldenRun(path, cc, 2_000_000, 1)
+    for path in RECOVERY_PATHS for cc in RECOVERY_CCS
+}
+
 #: default on-disk location of the committed golden data
 DEFAULT_GOLDEN_DIR = (Path(__file__).resolve().parents[3]
                       / "tests" / "golden")
+
+
+def _reorder_deliveries(sim: Simulator, host: Host, rng: RngRegistry) -> None:
+    """Hold each DATA packet arriving at ``host`` for a seeded random
+    extra delay, so later packets overtake earlier ones.  (Link jitter
+    cannot do this: links clamp arrivals to FIFO order.)"""
+    stream = rng.stream(f"reorder:{host.name}")
+    deliver = host.receive
+
+    def receive(packet: Packet) -> None:
+        if packet.kind is PacketKind.DATA:
+            sim.schedule(stream.uniform(0.0, REORDER_SPREAD), deliver, packet)
+        else:
+            deliver(packet)
+
+    host.receive = receive
 
 
 def capture_records(name: str) -> List[TraceRecord]:
     """Execute one golden run under an in-memory sink; return its records."""
     from repro.experiments.runner import run_single_flow
 
-    run = GOLDEN_RUNS[name]
     sink = MemorySink()
     obs = Observability(tracer=Tracer(sink))
-    scenario = INTERNET_SCENARIOS[run.scenario]
-    result = run_single_flow(scenario, run.cc, run.size_bytes,
-                             seed=run.seed, obs=obs)
+    if name in RECOVERY_RUNS:
+        run = RECOVERY_RUNS[name]
+        scenario = RECOVERY_PATHS[run.scenario]
+        sim = Simulator(obs=obs)
+        rng = RngRegistry(run.seed)
+        net = scenario.build(sim, rng)
+        if run.scenario == "reorder":
+            _reorder_deliveries(sim, net.clients[0], rng)
+        result = run_single_flow(scenario, run.cc, run.size_bytes,
+                                 seed=run.seed, net=net, sim=sim)
+    else:
+        run = GOLDEN_RUNS[name]
+        scenario = INTERNET_SCENARIOS[run.scenario]
+        result = run_single_flow(scenario, run.cc, run.size_bytes,
+                                 seed=run.seed, obs=obs)
     obs.close()
     if not result.completed:
         raise RuntimeError(f"golden run {name!r} did not complete")
@@ -85,15 +160,24 @@ def capture_digest(name: str) -> str:
 
 def update_goldens(golden_dir: Optional[Path] = None,
                    names: Optional[Iterable[str]] = None) -> Dict[str, str]:
-    """(Re)record golden data for ``names`` (default: all runs)."""
+    """(Re)record golden data for ``names`` (default: all runs).
+
+    Clean-path runs are stored as digest + stream, recovery runs as a
+    digest only (``recovery_digests.json``).
+    """
     directory = Path(golden_dir) if golden_dir is not None \
         else DEFAULT_GOLDEN_DIR
+    known = sorted(GOLDEN_RUNS) + sorted(RECOVERY_RUNS)
     digests: Dict[str, str] = {}
-    for name in (list(names) if names is not None else sorted(GOLDEN_RUNS)):
-        if name not in GOLDEN_RUNS:
-            known = ", ".join(sorted(GOLDEN_RUNS))
-            raise KeyError(f"unknown golden run {name!r}; known: {known}")
-        digests[name] = save_golden(directory, name, capture_lines(name))
+    for name in (list(names) if names is not None else known):
+        if name in GOLDEN_RUNS:
+            digests[name] = save_golden(directory, name, capture_lines(name))
+        elif name in RECOVERY_RUNS:
+            digests[name] = save_digest(directory, name, capture_lines(name),
+                                        RECOVERY_DIGEST_FILE)
+        else:
+            raise KeyError(f"unknown golden run {name!r}; "
+                           f"known: {', '.join(known)}")
     return digests
 
 

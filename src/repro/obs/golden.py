@@ -30,6 +30,9 @@ from repro.obs.records import SCHEMA_VERSION, TraceRecord
 #: digest index filename inside a golden directory
 DIGEST_FILE = "digests.json"
 
+#: digest-only index (no stored streams) of the loss-recovery runs
+RECOVERY_DIGEST_FILE = "recovery_digests.json"
+
 #: reserved key in the digest index recording the record-schema version
 #: the store was captured under (absent = v1, the pre-provenance schema)
 SCHEMA_KEY = "_schema"
@@ -93,16 +96,18 @@ def stream_path(golden_dir: Path, name: str) -> Path:
     return Path(golden_dir) / f"{safe}.jsonl.gz"
 
 
-def load_digests(golden_dir: Path) -> Dict[str, Dict[str, object]]:
+def load_digests(golden_dir: Path, index_file: str = DIGEST_FILE
+                 ) -> Dict[str, Dict[str, object]]:
     """The digest index (stream entries only), or {} when missing."""
-    index = load_index(golden_dir)
+    index = load_index(golden_dir, index_file)
     return {name: entry for name, entry in index.items()
             if name != SCHEMA_KEY}
 
 
-def load_index(golden_dir: Path) -> Dict[str, object]:
+def load_index(golden_dir: Path, index_file: str = DIGEST_FILE
+               ) -> Dict[str, object]:
     """The raw digest index including the schema marker, or {}."""
-    path = Path(golden_dir) / DIGEST_FILE
+    path = Path(golden_dir) / index_file
     if not path.is_file():
         return {}
     with open(path, encoding="utf-8") as fh:
@@ -129,15 +134,28 @@ def save_golden(golden_dir: Path, name: str, lines: List[str]) -> str:
     """
     golden_dir = Path(golden_dir)
     golden_dir.mkdir(parents=True, exist_ok=True)
-    digest = digest_lines(lines)
     payload = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
     with open(stream_path(golden_dir, name), "wb") as raw:
         with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as fh:
             fh.write(payload)
-    index = load_index(golden_dir)
+    return save_digest(golden_dir, name, lines)
+
+
+def save_digest(golden_dir: Path, name: str, lines: List[str],
+                index_file: str = DIGEST_FILE) -> str:
+    """Record one stream's digest and record count in ``index_file``.
+
+    On its own this pins a run without committing its stream (the
+    recovery runs are too long to live in git); a mismatch is then
+    localised by diffing against a fresh reference run instead.
+    """
+    golden_dir = Path(golden_dir)
+    golden_dir.mkdir(parents=True, exist_ok=True)
+    digest = digest_lines(lines)
+    index = load_index(golden_dir, index_file)
     index[name] = {"digest": digest, "records": len(lines)}
     index[SCHEMA_KEY] = SCHEMA_VERSION
-    with open(golden_dir / DIGEST_FILE, "w", encoding="utf-8") as fh:
+    with open(golden_dir / index_file, "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return digest

@@ -6,11 +6,13 @@ import pytest
 
 from repro.experiments import goldens
 from repro.obs.golden import (
+    RECOVERY_DIGEST_FILE,
     Divergence,
     digest_lines,
     first_divergence,
     load_digests,
     load_stream,
+    save_digest,
     save_golden,
     stored_schema,
     stream_path,
@@ -80,6 +82,15 @@ class TestGoldenStore:
     def test_load_digests_missing_dir(self, tmp_path):
         assert load_digests(tmp_path / "nope") == {}
 
+    def test_digest_only_entry_stores_no_stream(self, tmp_path):
+        lines = ['{"t":1}', '{"t":2}']
+        digest = save_digest(tmp_path, "droptail/reno", lines,
+                             RECOVERY_DIGEST_FILE)
+        assert load_digests(tmp_path, RECOVERY_DIGEST_FILE) == {
+            "droptail/reno": {"digest": digest_lines(lines), "records": 2}}
+        assert digest == digest_lines(lines)
+        assert [p.name for p in tmp_path.iterdir()] == [RECOVERY_DIGEST_FILE]
+
     def test_gzip_mtime_pinned(self, tmp_path):
         save_golden(tmp_path, "run", ['{"t":1}'])
         raw = stream_path(tmp_path, "run").read_bytes()
@@ -98,6 +109,14 @@ class TestCapture:
     def test_run_to_run_digest_stability(self):
         name = "cubic"
         assert goldens.capture_digest(name) == goldens.capture_digest(name)
+
+    def test_update_goldens_routes_recovery_runs_to_digest_index(
+            self, tmp_path):
+        digests = goldens.update_goldens(golden_dir=tmp_path,
+                                         names=["droptail/cubic"])
+        index = load_digests(tmp_path, RECOVERY_DIGEST_FILE)
+        assert index["droptail/cubic"]["digest"] == digests["droptail/cubic"]
+        assert load_digests(tmp_path) == {}
 
     def test_update_goldens_writes_store(self, tmp_path):
         digests = goldens.update_goldens(golden_dir=tmp_path,
@@ -170,4 +189,28 @@ def test_golden_trace_regression(name):
             f"(expected {expected[:12]}…, got {actual[:12]}…)\n"
             f"{diff.describe() if diff else 'streams equal, digest bug?'}\n"
             "If intentional: python -m repro trace --update-golden")
+    assert len(actual_lines) == index[name]["records"]
+
+
+@pytest.mark.parametrize("name", sorted(goldens.RECOVERY_RUNS))
+def test_recovery_trace_regression(name):
+    """Loss-recovery dynamics are pinned event by event (digest only).
+
+    The committed digests were captured before the sender's scoreboard
+    and the receiver's reassembly buffer became incremental; they hold
+    any later change to the same packets at the same times.
+    """
+    index = load_digests(goldens.DEFAULT_GOLDEN_DIR, RECOVERY_DIGEST_FILE)
+    assert name in index, (
+        f"no committed recovery digest for {name!r}; run "
+        "`python -m repro trace --update-golden`")
+    actual_lines = goldens.capture_lines(name)
+    assert any('"kind":"tcp.recovery"' in line for line in actual_lines), (
+        f"{name!r} never entered loss recovery; it pins nothing")
+    actual = digest_lines(actual_lines)
+    expected = index[name]["digest"]
+    assert actual == expected, (
+        f"recovery trace {name!r} changed "
+        f"(expected {expected[:12]}…, got {actual[:12]}…)\n"
+        "If intentional: python -m repro trace --update-golden")
     assert len(actual_lines) == index[name]["records"]
