@@ -39,6 +39,8 @@ RULES: Dict[str, str] = {
     "SAN003": "packet conservation violated (sent != delivered + dropped + in-flight)",
     "SAN004": "cwnd fell below 1 MSS or became non-finite",
     "SAN005": "pacing rate is non-finite or not positive",
+    "SAN006": "SACK scoreboard / reassembly buffer out of order, miscounted, "
+              "or retransmit cursor past the highest SACKed byte",
     "UNIT001": "add/subtract/compare mixes values of different physical dimensions "
                "(e.g. seconds with bytes)",
     "UNIT002": "multiply/divide produces a dimensionally malformed quantity "
@@ -117,6 +119,19 @@ algorithm in the reproduction may do either.""",
     "SAN005": """\
 Runtime sanitizer: a pacing rate became non-finite or non-positive
 (Eq. 11 rates are strictly positive by construction).""",
+    "SAN006": """\
+Runtime sanitizer: loss-recovery bookkeeping drifted from what a rebuild
+from scratch would give.  The sender's SACK scoreboard and the
+receiver's reassembly buffer (repro.tcp.intervals.IntervalSet) are
+updated in place per packet; on every ACK and every buffered segment the
+sanitizer re-derives what must hold: intervals ascending, non-empty,
+with a gap between neighbours, strictly above the cumulative point
+(snd_una / rcv_nxt); the running byte counter equal to the recomputed
+sum (bytes_in_flight reads it on every send decision); and the sender's
+retransmit cursor at or below the highest SACKed byte -- a cursor
+beyond it would skip holes that were never retransmitted and leave them
+to the RTO.  A finding means an IntervalSet splice or a cursor update is
+wrong, not the run's inputs.""",
     "UNIT001": """\
 An add, subtract or comparison mixes two different physical dimensions
 — e.g. `rtt + size_bytes`, `dt_at <= capacity_bytes`.  Both operand

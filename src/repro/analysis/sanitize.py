@@ -21,6 +21,12 @@ invariants on every event:
     cwnd never falls below 1 MSS and stays finite.
 ``SAN005``
     The pacing rate, when set, is finite and positive.
+``SAN006``
+    Loss-recovery bookkeeping: the sender's SACK scoreboard and the
+    receiver's reassembly buffer stay sorted, disjoint, non-touching and
+    strictly above the cumulative point, their running byte counter
+    equals the recomputed sum, and the sender's retransmit cursor never
+    passes the highest SACKed byte.
 
 This module deliberately has **no imports from other repro layers** so
 the engine (the bottom of the layer DAG) can use it without inverting
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 #: environment variable that switches the sanitizer on for new Simulators
 ENV_VAR = "REPRO_SANITIZE"
@@ -159,3 +165,41 @@ class SimSanitizer:
             raise SanitizeError(
                 f"SAN005: flow {flow_id}: pacing rate {rate!r} must be "
                 f"finite and positive")
+
+    # -- SAN006: loss-recovery interval bookkeeping ----------------------
+    def check_intervals(self, flow_id: int, what: str,
+                        starts: Sequence[int], ends: Sequence[int],
+                        total: int, floor: int) -> None:
+        """An incrementally maintained interval set must equal what a
+        rebuild from scratch would give: ascending, non-empty intervals
+        with a gap between neighbours, all strictly above ``floor`` (the
+        cumulative ACK point), and ``total`` their summed length."""
+        if len(starts) != len(ends):
+            raise SanitizeError(
+                f"SAN006: flow {flow_id}: {what} holds {len(starts)} "
+                f"starts but {len(ends)} ends")
+        previous_end = floor
+        for start, end in zip(starts, ends):
+            if start <= previous_end or end <= start:
+                raise SanitizeError(
+                    f"SAN006: flow {flow_id}: {what} interval "
+                    f"[{start}, {end}) is empty, out of order, or not "
+                    f"strictly above {previous_end} (the cumulative point "
+                    f"or the previous interval's end)")
+            previous_end = end
+        recomputed = sum(ends) - sum(starts)
+        if total != recomputed:
+            raise SanitizeError(
+                f"SAN006: flow {flow_id}: {what} running byte count "
+                f"{total} != recomputed {recomputed}")
+
+    def check_retx_cursor(self, flow_id: int, cursor: int,
+                          highest: int) -> None:
+        """The hole walk only covers gaps *below* SACKed data, so its
+        resume point never passes ``highest`` (the highest SACKed byte,
+        or snd_una once that overtakes it)."""
+        if cursor > highest:
+            raise SanitizeError(
+                f"SAN006: flow {flow_id}: retransmit cursor {cursor} is "
+                f"beyond the highest SACKed byte {highest}; holes below "
+                f"it would never be retransmitted")

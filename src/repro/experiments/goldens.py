@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.units import MBPS
+from repro.core.units import MBPS, Bytes, Seconds
 from repro.net.node import Host
 from repro.net.packet import Packet, PacketKind
 from repro.obs.golden import (
@@ -51,7 +51,7 @@ class GoldenRun:
 
     scenario: str
     cc: str
-    size_bytes: int
+    size_bytes: Bytes
     seed: int
 
 
@@ -65,8 +65,8 @@ GOLDEN_RUNS: Dict[str, GoldenRun] = {
 }
 
 
-
-def _recovery_path(name: str, mbit: float, rtt: float, buffer_bdp: float,
+def _recovery_path(name: str, mbit: float, rtt: Seconds,
+                   buffer_bdp: float,
                    loss_rate: float = 0.0) -> PathScenario:
     """A constant-rate lab path for one way of entering loss recovery."""
     return PathScenario(name=f"recovery/{name}", server="recovery",
@@ -105,7 +105,7 @@ DEFAULT_GOLDEN_DIR = (Path(__file__).resolve().parents[3]
                       / "tests" / "golden")
 
 
-def _reorder_deliveries(sim: Simulator, host: Host, rng: RngRegistry) -> None:
+def reorder_deliveries(sim: Simulator, host: Host, rng: RngRegistry) -> None:
     """Hold each DATA packet arriving at ``host`` for a seeded random
     extra delay, so later packets overtake earlier ones.  (Link jitter
     cannot do this: links clamp arrivals to FIFO order.)"""
@@ -134,7 +134,7 @@ def capture_records(name: str) -> List[TraceRecord]:
         rng = RngRegistry(run.seed)
         net = scenario.build(sim, rng)
         if run.scenario == "reorder":
-            _reorder_deliveries(sim, net.clients[0], rng)
+            reorder_deliveries(sim, net.clients[0], rng)
         result = run_single_flow(scenario, run.cc, run.size_bytes,
                                  seed=run.seed, net=net, sim=sim)
     else:

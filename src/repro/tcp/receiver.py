@@ -16,6 +16,7 @@ from repro.net.node import Host
 from repro.net.packet import Packet, PacketKind, POOL
 from repro.obs import records as obsrec
 from repro.sim.engine import Simulator
+from repro.tcp.intervals import Interval, IntervalSet
 
 #: Maximum delayed-ACK hold time (Linux quickack aside, 40 ms is typical).
 DELAYED_ACK_TIMEOUT = 0.040
@@ -23,6 +24,9 @@ DELAYED_ACK_TIMEOUT = 0.040
 
 class TcpReceiver:
     """Receiving endpoint of a simulated TCP connection."""
+
+    #: maximum SACK blocks carried per ACK (TCP option space limit)
+    MAX_SACK_BLOCKS = 4
 
     def __init__(self, sim: Simulator, host: Host, peer: str, flow_id: int,
                  delayed_ack: bool = False,
@@ -35,8 +39,11 @@ class TcpReceiver:
         self.telemetry = telemetry
 
         self.rcv_nxt = 0
-        #: disjoint, sorted [start, end) intervals received above rcv_nxt
-        self.ooo: List[Tuple[int, int]] = []
+        #: out-of-order data held above rcv_nxt
+        self.reassembly = IntervalSet()
+        #: the buffered interval the latest out-of-order segment landed in
+        self._last_block: Optional[Interval] = None
+        self._ece_latched = False
         self.bytes_delivered = 0  # in-order bytes handed "to the application"
         self.acks_sent = 0
         self.duplicate_segments = 0
@@ -49,6 +56,11 @@ class TcpReceiver:
                                                  flow=flow_id))
 
         host.attach(flow_id, self)
+
+    @property
+    def ooo(self) -> List[Interval]:
+        """The reassembly buffer as a sorted ``(start, end)`` list (a copy)."""
+        return list(self.reassembly)
 
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet) -> None:
@@ -77,33 +89,39 @@ class TcpReceiver:
                 self._emit_ack(echo, force=True)
         else:
             # Out of order: buffer and send an immediate duplicate ACK.
-            self._insert_interval(packet.seq, packet.end_seq)
             # RFC 2018: the first SACK block must describe the interval
             # containing the segment that triggered this ACK, so the sender
             # learns every hole as the in-flight data keeps arriving.
-            for interval in self.ooo:
-                if interval[0] <= packet.seq < interval[1]:
-                    self._last_block = interval
-                    break
+            self._last_block = self._insert_interval(packet.seq,
+                                                     packet.end_seq)
             self._emit_ack(echo, force=True)
 
     # ------------------------------------------------------------------
     def _advance(self, end_seq: int) -> None:
         self.rcv_nxt = max(self.rcv_nxt, end_seq)
-        # Swallow any buffered intervals now contiguous with rcv_nxt.
-        while self.ooo and self.ooo[0][0] <= self.rcv_nxt:
-            start, end = self.ooo.pop(0)
-            self.rcv_nxt = max(self.rcv_nxt, end)
+        buffered = self.reassembly
+        if buffered.starts:
+            # Swallow any buffered intervals now contiguous with rcv_nxt.
+            reached = buffered.containing(self.rcv_nxt)
+            if reached is not None:
+                self.rcv_nxt = reached[1]
+            buffered.trim_below(self.rcv_nxt)
+            self._sanitize_reassembly()
 
-    def _insert_interval(self, start: int, end: int) -> None:
-        intervals = sorted(self.ooo + [(start, end)])
-        merged: List[Tuple[int, int]] = []
-        for s, e in intervals:
-            if merged and s <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-            else:
-                merged.append((s, e))
-        self.ooo = merged
+    def _insert_interval(self, start: int, end: int) -> Interval:
+        """Buffer ``[start, end)``; returns the interval it now lies in."""
+        merged = self.reassembly.add(start, end)
+        self._sanitize_reassembly()
+        return merged
+
+    def _sanitize_reassembly(self) -> None:
+        """Feed the runtime sanitizer the reassembly-buffer invariants."""
+        san = self.sim.sanitizer
+        if san is not None:
+            buffered = self.reassembly
+            san.check_intervals(self.flow_id, "reassembly buffer",
+                                buffered.starts, buffered.ends,
+                                buffered.total, self.rcv_nxt)
 
     def _note_progress(self) -> None:
         delivered = self.rcv_nxt
@@ -132,22 +150,18 @@ class TcpReceiver:
         if self._unacked_segments > 0:
             self._emit_ack(self._pending_ack_echo, force=True)
 
-    #: maximum SACK blocks carried per ACK (TCP option space limit)
-    MAX_SACK_BLOCKS = 4
-    _last_block: Optional[Tuple[int, int]] = None
-    _ece_latched: bool = False
-
-    def _sack_blocks(self) -> Optional[Tuple[Tuple[int, int], ...]]:
-        if not self.ooo:
+    def _sack_blocks(self) -> Optional[Tuple[Interval, ...]]:
+        buffered = self.reassembly
+        if not buffered.starts:
             return None
-        blocks: List[Tuple[int, int]] = []
+        blocks: List[Interval] = []
         recent = self._last_block
-        if recent is not None and recent in self.ooo:
+        if recent is not None and recent in buffered:
             blocks.append(recent)
-        for interval in self.ooo:
+        for interval in buffered:
             if len(blocks) >= self.MAX_SACK_BLOCKS:
                 break
-            if interval not in blocks:
+            if interval != recent:
                 blocks.append(interval)
         return tuple(blocks)
 

