@@ -3,76 +3,23 @@
 Unlike the figure/table benchmarks (which run once and print the paper's
 rows), these measure raw simulator performance with proper repetition —
 useful for catching performance regressions in the event loop or the TCP
-hot path.
+hot path.  The workload bodies are the ones the ``repro validate --perf``
+gate times (:mod:`repro.validate.baseline`), so both read the same code.
 """
 
-from repro.net import bdp_bytes, build_path
-from repro.sim import Simulator
-from repro.tcp import open_transfer
-
-MSS = 1448
-
-
-def run_download(cc: str, size: int):
-    """Self-contained single-flow download on a 100 Mbit/s, 100 ms path."""
-    sim = Simulator()
-    rate, rtt = 12_500_000, 0.1
-    net = build_path(sim, rate, rtt, bdp_bytes(rate, rtt))
-    transfer = open_transfer(sim, net.servers[0], net.clients[0],
-                             flow_id=1, size_bytes=size, cc=cc)
-    sim.run(until=300.0)
-    return transfer
-
-
-def run_events(backend=None):
-    """Chained-tick workload: pure schedule-and-fire cost."""
-    sim = Simulator() if backend is None else Simulator(backend=backend)
-    count = [0]
-
-    def tick():
-        count[0] += 1
-        if count[0] < 10_000:
-            sim.schedule(0.001, tick)
-
-    sim.schedule(0.0, tick)
-    sim.run()
-    return count[0]
+from repro.validate.baseline import bench_download, bench_engine_events
 
 
 def test_engine_event_throughput(benchmark):
-    """Schedule-and-fire cost of the event loop (default backend)."""
-    assert benchmark(run_events) == 10_000
-
-
-def test_engine_event_throughput_classic(benchmark):
-    """The classic EventHandle engine, for speedup comparison."""
-    assert benchmark(lambda: run_events("classic")) == 10_000
-
-
-def test_engine_event_throughput_fast(benchmark):
-    """The array-backed fast engine, pinned explicitly."""
-    assert benchmark(lambda: run_events("fast")) == 10_000
+    """Schedule-and-fire cost of the event loop."""
+    assert benchmark(bench_engine_events) == 10_000
 
 
 def test_transfer_packet_throughput(benchmark):
     """End-to-end cost per simulated data packet (2 MB CUBIC download)."""
-
-    def run_transfer():
-        transfer = run_download("cubic", 1400 * MSS)
-        assert transfer.completed
-        return transfer.sender.data_packets_sent
-
-    packets = benchmark(run_transfer)
-    assert packets >= 1400
+    assert benchmark(bench_download, "cubic") >= 1400
 
 
 def test_suss_transfer_throughput(benchmark):
     """Same download with SUSS enabled (accelerated rounds + pacing timers)."""
-
-    def run_transfer():
-        transfer = run_download("cubic+suss", 1400 * MSS)
-        assert transfer.completed
-        return transfer.sender.data_packets_sent
-
-    packets = benchmark(run_transfer)
-    assert packets >= 1400
+    assert benchmark(bench_download, "cubic+suss") >= 1400

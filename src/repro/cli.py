@@ -1006,10 +1006,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if baseline and baseline.get("metrics"):
         print(f"perf trajectory (vs {args.perf_baseline}):")
         for name, entry in sorted(baseline["metrics"].items()):
-            direction = entry.get("direction", "lower")
-            print(f"  {name:<28} recorded {entry['value']:<10g} "
-                  f"±{entry.get('tolerance', 0.0):.0%} ({direction} is "
-                  f"better)")
+            print(f"  {name:<28} recorded {entry['value']:<10g} s "
+                  f"±{entry.get('tolerance', 0.0):.0%} (lower is better)")
         if execution is not None:
             status = execution.get("status") or {}
             res = status.get("resources") or {}

@@ -17,14 +17,13 @@ transient dispatch frames hold the last references, so code that retains
 a packet (telemetry, test stubs, trace tooling) transparently keeps it —
 the pool never aliases a live object.  Acquired packets always draw a
 fresh ``packet_id`` from the same global counter as direct construction,
-so the id stream is identical with pooling on, off (``REPRO_PACKET_POOL=0``),
-or partially effective; golden traces cannot tell the difference.
+so the id stream is identical however many acquisitions the free list
+serves; golden traces cannot tell the difference.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -144,22 +143,20 @@ class PacketPool:
     when the refcount proves no one else still holds them.
     """
 
-    __slots__ = ("_free", "enabled", "allocated", "reused", "retained")
+    __slots__ = ("_free", "allocated", "reused", "retained")
 
-    def __init__(self, prealloc: int = 0, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self, prealloc: int = 0) -> None:
         self.allocated = 0  # constructions the pool performed
         self.reused = 0     # acquisitions served from the free list
         self.retained = 0   # releases vetoed by the refcount guard
         self._free: List[Packet] = []
-        if enabled:
-            for _ in range(prealloc):
-                # packet_id=0 keeps preallocation from consuming ids: the
-                # global id stream must not depend on pool configuration.
-                blank = Packet(flow_id=-1, src="", dst="",
-                               kind=PacketKind.DATA, packet_id=0,
-                               _pool_state=2)
-                self._free.append(blank)
+        for _ in range(prealloc):
+            # packet_id=0 keeps preallocation from consuming ids: the
+            # global id stream must not depend on pool configuration.
+            blank = Packet(flow_id=-1, src="", dst="",
+                           kind=PacketKind.DATA, packet_id=0,
+                           _pool_state=2)
+            self._free.append(blank)
 
     def __len__(self) -> int:
         return len(self._free)
@@ -194,8 +191,7 @@ class PacketPool:
         self.allocated += 1
         return Packet(flow_id=flow_id, src=src, dst=dst, kind=PacketKind.DATA,
                       seq=seq, payload=payload, sent_time=sent_time,
-                      retransmit=retransmit, ect=ect, cwr=cwr,
-                      _pool_state=1 if self.enabled else 0)
+                      retransmit=retransmit, ect=ect, cwr=cwr, _pool_state=1)
 
     def acquire_ack(self, flow_id: int, src: str, dst: str, ack_seq: int,
                     sent_time: Seconds, ts_echo: Optional[Seconds],
@@ -227,8 +223,7 @@ class PacketPool:
         self.allocated += 1
         return Packet(flow_id=flow_id, src=src, dst=dst, kind=PacketKind.ACK,
                       ack_seq=ack_seq, sent_time=sent_time, ts_echo=ts_echo,
-                      sack=sack, ece=ece,
-                      _pool_state=1 if self.enabled else 0)
+                      sack=sack, ece=ece, _pool_state=1)
 
     # ------------------------------------------------------------------
     def release(self, packet: Packet, refs_ok: int = RELEASE_FLOOR) -> bool:
@@ -249,13 +244,6 @@ class PacketPool:
         return True
 
 
-def _pool_from_env() -> PacketPool:
-    flag = os.environ.get("REPRO_PACKET_POOL", "").strip().lower()
-    enabled = flag not in ("0", "off", "false", "no")
-    return PacketPool(prealloc=64 if enabled else 0, enabled=enabled)
-
-
 #: Process-wide packet pool used by the TCP endpoints and released by
-#: ``Host.receive``.  Disable with ``REPRO_PACKET_POOL=0`` (packets are
-#: then constructed directly, bit-for-bit identically).
-POOL = _pool_from_env()
+#: ``Host.receive``.
+POOL = PacketPool(prealloc=64)

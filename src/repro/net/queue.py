@@ -22,7 +22,7 @@ class DropTailQueue:
     """Byte-capacity FIFO queue that drops arriving packets when full."""
 
     __slots__ = ("capacity_bytes", "name", "on_drop", "_q", "_bytes",
-                 "drops", "enqueued", "bytes_peak", "_phantom")
+                 "drops", "enqueued", "bytes_peak")
 
     def __init__(self, capacity_bytes: Bytes, name: str = "queue",
                  on_drop: Optional[DropCallback] = None) -> None:
@@ -37,10 +37,6 @@ class DropTailQueue:
         self.enqueued = 0
         #: high-water mark of queued bytes over the queue's lifetime
         self.bytes_peak = 0
-        #: (release_time, size) holds from a batching link: bytes of
-        #: packets already handed to the serialiser that still occupy the
-        #: buffer until their serialisation *starts* (see Link batch mode).
-        self._phantom: Deque[tuple] = deque()
 
     def __len__(self) -> int:
         return len(self._q)
@@ -75,25 +71,6 @@ class DropTailQueue:
         packet = self._q.popleft()
         self._bytes -= packet.size
         return packet
-
-    # -- batch-serialisation occupancy holds ---------------------------
-    # A batching link pops a whole busy period's packets in one event but
-    # must not make the buffer look emptier than the per-packet schedule
-    # would: each packet's bytes stay counted (a "phantom") until the
-    # instant its serialisation would have started — exactly when the
-    # classic per-packet path pops it.  ``settle`` is called before every
-    # occupancy-sensitive operation (push) with the current time.
-
-    def hold(self, release_time: Seconds, size: Bytes) -> None:
-        """Re-count ``size`` bytes as buffered until ``release_time``."""
-        self._phantom.append((release_time, size))
-        self._bytes += size
-
-    def settle(self, now: Seconds) -> None:
-        """Release phantom bytes whose serialisation has started by ``now``."""
-        phantom = self._phantom
-        while phantom and phantom[0][0] <= now:
-            self._bytes -= phantom.popleft()[1]
 
 
 class CoDelQueue(DropTailQueue):

@@ -63,7 +63,7 @@ SPAN_BUCKETS = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0,
 class ProcessCounters:
     """Cumulative work counters for this process.
 
-    Producers (engine backends, flowsim driver) add one delta per run,
+    Producers (the event engine, flowsim driver) add one delta per run,
     not per event, so reading them is always cheap and enabling
     telemetry costs the hot paths nothing.
     """

@@ -1,8 +1,6 @@
 """Discrete-event simulation core: event loop, timers, seeded RNG streams."""
 
 from repro.sim.engine import (
-    BACKENDS,
-    EventHandle,
     EventRef,
     SimulationError,
     Simulator,
@@ -13,15 +11,11 @@ from repro.sim.engine import (
     event_parent_eid,
     event_time,
 )
-from repro.sim.fastengine import FastSimulator
 from repro.sim.process import Process, spawn
 from repro.sim.rng import RngRegistry, derive_seed
 
 __all__ = [
-    "BACKENDS",
-    "EventHandle",
     "EventRef",
-    "FastSimulator",
     "SimulationError",
     "Simulator",
     "event_cancelled",

@@ -1,34 +1,70 @@
 """Discrete-event simulation engine.
 
-The engine is a classic calendar queue built on a binary heap.  Everything
-else in the repository (links, routers, TCP endpoints, experiment harnesses)
-schedules work through a :class:`Simulator` instance, which guarantees:
-
-Backends
---------
-``Simulator(...)`` is a backend factory: ``Simulator(backend="fast")``
-(the default, also selectable with ``REPRO_ENGINE=fast|classic``) returns
-a :class:`repro.sim.fastengine.FastSimulator` — an array/closure-backed
-core that is ~3× faster per event and produces a bit-for-bit identical
-event stream (eids, provenance, FIFO ties, error messages).  This module
-implements the ``"classic"`` backend, which doubles as the readable
-reference semantics and the differential-testing oracle
-(``tests/test_engine_equivalence.py``).  Because the fast backend returns
-plain-list records instead of :class:`EventHandle` objects, portable code
-uses :meth:`Simulator.cancel_event` / :meth:`Simulator.event_pending` and
-the module-level ``event_*`` accessors rather than handle attributes.
+Everything else in the repository (links, routers, TCP endpoints,
+experiment harnesses) schedules work through a :class:`Simulator`
+instance, which guarantees:
 
 * events fire in non-decreasing time order;
 * events scheduled for the same instant fire in scheduling order (FIFO),
   which makes runs fully deterministic for a fixed seed;
 * cancelled events are skipped without disturbing the ordering of the rest.
 
+There is one engine and no switch that selects another.  The readable
+object-per-event heap loop it replaced lives on as
+``tests/reference_engine.py``, the differential oracle: the shipped
+engine must match it event for event — clock, eids, provenance, FIFO
+ties, error messages — on random schedule/cancel programs and digest
+for digest on a seed × scenario × CC matrix
+(``tests/test_engine_equivalence.py``).
+
+Layout
+------
+* **Plain-list event records** ``[when, eid, status, callback, args,
+  parent_eid, origin_eid]`` (:data:`EventRef`) serve as both the heap
+  entry and the handle returned to callers.  ``heapq`` compares lists in
+  C: ``when`` first, then the unique monotonic ``eid`` — the FIFO
+  tie-break — and never reaches the non-comparable elements.  A list
+  subclass with ``cancel()``/``pending`` methods was measured ~2× slower
+  per event than plain lists (generic ``type.__call__`` construction),
+  which is why cancellation lives on the simulator
+  (:meth:`Simulator.cancel_event` / :meth:`Simulator.event_pending`) and
+  the ``event_*`` functions below read the record's fields.
+* **Closure core.** The hot operations (``schedule``, ``schedule_at``,
+  ``cancel_event``, the run loop, …) are built by
+  :meth:`Simulator._install` as closures over shared nonlocal cells
+  (clock, eid source, provenance pair).  Cell access compiles to
+  ``LOAD_DEREF``/``STORE_DEREF`` — faster than ``self`` attribute access
+  — and assigning the closures as *instance* attributes skips
+  bound-method creation on every call.  :meth:`Simulator.run` itself is
+  an ordinary method (called once per run, not per event) that delegates
+  to the installed loop.
+* **Single-slot fast path.** The common schedule-one-fire-one pattern
+  (link serialisation, RTO re-arm) never touches the heap: one record
+  is parked in a ``slot`` cell; the pop side compares ``heap[0] <
+  slot`` (a C list comparison, FIFO-safe because eids are unique) to
+  pick the true minimum.
+* **Derived counters.** ``pending_events`` / ``events_processed`` are
+  derived from the eid high-water mark, heap length, and two
+  cancellation counters, so the per-event loop maintains *no* counters
+  at all.  Both remain O(1) reads.
+* **Specialised loops.** ``run()`` with no sanitizer, no profiler and no
+  ``max_events`` uses a minimal dispatch loop; any instrumented run
+  uses a generic loop with the reference engine's exact check ordering.
+  Setting :attr:`Simulator.sanitizer` or :attr:`Simulator.obs`
+  re-installs the closures so the specialisation stays correct.
+
+An explicit preallocated free-list for event records was evaluated and
+rejected: records double as caller-visible handles, so recycling a fired
+record while a caller still holds it would alias two events onto one
+handle (``event_pending`` would lie).  CPython's small-list free-list
+already makes the allocation ~40 ns; correctness wins.
+
 Causal provenance
 -----------------
 Every scheduled event is assigned a monotonically increasing *event id*
 (``eid``, starting at 1; 0 is the root context outside any event) and
 remembers the eid of the event during whose execution it was scheduled
-(:attr:`EventHandle.parent_eid`).  In addition each event inherits,
+(:func:`event_parent_eid`).  In addition each event inherits,
 through :meth:`Simulator.schedule`, the eid of its nearest ancestor
 event that emitted at least one trace record (its *origin*): the
 observability layer stamps ``(current_eid, origin)`` onto every
@@ -45,10 +81,8 @@ event for event, eids included).
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import os
-from typing import Any, Callable, List, Optional, Tuple, Union
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional
 
 from repro.analysis.sanitize import SimSanitizer, from_env
 from repro.core.units import Seconds
@@ -63,34 +97,12 @@ from repro.obs.tracer import from_env as obs_from_env
 #: accounting).
 _FROM_ENV: Any = object()
 
-#: Valid engine backends: ``"fast"`` (array/closure core, the default —
-#: see :mod:`repro.sim.fastengine`) and ``"classic"`` (this module's
-#: object-per-event reference implementation).  Both produce bit-for-bit
-#: identical event streams; ``tests/test_engine_equivalence.py`` holds
-#: them to that.
-BACKENDS = ("fast", "classic")
-
-_DEFAULT_BACKEND = "fast"
-
-
-def _resolve_sanitizer(value: Optional[SimSanitizer]) -> Optional[SimSanitizer]:
-    """Apply the ``_FROM_ENV`` sentinel convention for ``sanitizer=``."""
-    return from_env() if value is _FROM_ENV else value
-
-
-def _resolve_obs(value: Optional[Observability]) -> Optional[Observability]:
-    """Apply the ``_FROM_ENV`` sentinel convention for ``obs=``."""
-    return obs_from_env() if value is _FROM_ENV else value
-
-
-def _resolve_backend(backend: Optional[str]) -> str:
-    """Pick the engine backend: explicit argument > ``REPRO_ENGINE`` > default."""
-    if backend is None:
-        backend = os.environ.get("REPRO_ENGINE", "").strip().lower() or _DEFAULT_BACKEND
-    if backend not in BACKENDS:
-        raise SimulationError(
-            f"unknown engine backend {backend!r}: expected one of {BACKENDS}")
-    return backend
+#: A scheduled event — the heap entry and the handle ``schedule``
+#: returns: ``[when, eid, status, callback, args, parent_eid,
+#: origin_eid]``; status 0 pending / 1 fired / 2 cancelled.  A record
+#: stays valid after the event fires; cancelling a fired event is a
+#: harmless no-op so callers do not need to track firing themselves.
+EventRef = list
 
 
 class SimulationError(ValueError):
@@ -101,59 +113,20 @@ class SimulationError(ValueError):
     """
 
 
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; supports cancellation.
+def _raise_bad_delay(delay: Any) -> None:
+    if delay != delay:  # NaN: would poison the heap ordering silently
+        raise SimulationError(
+            f"invalid delay {delay!r}: NaN is not a schedulable delay")
+    raise SimulationError(f"cannot schedule into the past (delay={delay})")
 
-    A handle stays valid after the event fires; cancelling a fired event is
-    a harmless no-op so callers do not need to track firing themselves.
 
-    ``eid`` is the event's engine-assigned identity (monotonic, unique
-    within one Simulator); ``parent_eid`` is the eid of the event whose
-    callback scheduled this one (0 when scheduled from outside any
-    event, e.g. simulation setup); ``origin_eid`` is the eid of the
-    nearest ancestor event that emitted a trace record — the causal
-    parent the observability layer stamps onto records.
-    """
-
-    __slots__ = ("time", "callback", "args", "eid", "parent_eid",
-                 "origin_eid", "_cancelled", "_fired", "_sim")
-
-    def __init__(self, time: Seconds, callback: Callable[..., None],
-                 args: Tuple[Any, ...],
-                 sim: Optional["Simulator"] = None,
-                 eid: int = 0, parent_eid: int = 0, origin_eid: int = 0):
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.eid = eid
-        self.parent_eid = parent_eid
-        self.origin_eid = origin_eid
-        self._cancelled = False
-        self._fired = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Safe to call more than once."""
-        if not self._cancelled and not self._fired and self._sim is not None:
-            self._sim._pending -= 1
-        self._cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is still waiting to fire."""
-        return not self._cancelled and not self._fired
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")
-        return f"<EventHandle t={self.time:.6f} {state} {getattr(self.callback, '__name__', self.callback)}>"
+def _raise_bad_when(when: Any, now: float) -> None:
+    if when != when:
+        raise SimulationError(
+            f"invalid target time {when!r}: NaN is not a schedulable time")
+    raise SimulationError(
+        f"cannot schedule into the past (when={when}, now={now})"
+    )
 
 
 class Simulator:
@@ -166,171 +139,368 @@ class Simulator:
         sim.run()
 
     The clock starts at ``0.0`` and only advances when :meth:`run` (or
-    :meth:`run_until` / :meth:`step`) processes events.
+    :meth:`run_until` / ``step``) processes events.  ``schedule`` /
+    ``schedule_at`` return an :data:`EventRef`; cancel or poll it with
+    ``cancel_event`` (idempotent) / ``event_pending``.  ``step()`` fires
+    the next pending event (False when the queue is empty) and
+    ``clear()`` drops all pending events, leaving the clock where it is.
     """
 
-    def __new__(cls, sanitizer: Optional[SimSanitizer] = _FROM_ENV,
-                obs: Optional[Observability] = _FROM_ENV,
-                backend: Optional[str] = None) -> "Simulator":
-        # Backend dispatch happens here (not in a factory function) so the
-        # whole codebase keeps constructing ``Simulator(...)`` unchanged.
-        # Subclasses (including FastSimulator itself) bypass the dispatch.
-        if cls is Simulator and _resolve_backend(backend) == "fast":
-            from repro.sim.fastengine import FastSimulator
-            return object.__new__(FastSimulator)
-        return object.__new__(cls)
-
     def __init__(self, sanitizer: Optional[SimSanitizer] = _FROM_ENV,
-                 obs: Optional[Observability] = _FROM_ENV,
-                 backend: Optional[str] = None) -> None:
-        if backend not in (None, "classic"):
-            # ``Simulator(backend="fast")`` never lands here (``__new__``
-            # redirects to FastSimulator); anything else is a typo.
-            _resolve_backend(backend)
-            raise SimulationError(
-                f"classic Simulator constructed with backend={backend!r}")
-        self._now: Seconds = 0.0
-        self._heap: List[Tuple[float, int, EventHandle]] = []
-        # eid 0 is reserved for the root context (outside any event), so
-        # event ids start at 1.  The counter doubles as the same-instant
-        # FIFO tie-break, which keeps eids in scheduling order.
-        self._counter = itertools.count(1)
-        self._running = False
-        self._processed = 0
-        self._pending = 0
-        #: eid of the event whose callback is currently executing (0
-        #: outside any event).  ``_sched_origin`` is the causal origin
-        #: newly scheduled events inherit: the current event's nearest
-        #: record-emitting ancestor until this event emits its first
-        #: record, the event's own eid afterwards (Observability.emit
-        #: performs that promotion and stamps records' ``parent_eid``
-        #: from this pair — the engine's per-event cost is exactly these
-        #: two assignments).
-        self.current_eid = 0
-        self._sched_origin = 0
-        #: runtime invariant checker; defaults to one created from the
-        #: ``REPRO_SANITIZE`` environment variable (None when disabled).
-        #: Pass ``sanitizer=None`` to opt out explicitly.  Other layers
-        #: (net, tcp) consult this attribute for their hooks.
-        self.sanitizer: Optional[SimSanitizer] = _resolve_sanitizer(sanitizer)
-        #: observability bundle (tracer/metrics/profiler); defaults to one
-        #: created from ``REPRO_TRACE`` / ``REPRO_PROFILE`` (None when
-        #: neither is set).  Other layers (net, tcp, cc, core) consult
-        #: this attribute for their emit hooks; with ``obs=None`` every
-        #: hook site is a single pointer test.
-        self.obs: Optional[Observability] = _resolve_obs(obs)
-        if self.obs is not None:
+                 obs: Optional[Observability] = _FROM_ENV) -> None:
+        self._heap: List[EventRef] = []
+        self._sanitizer = from_env() if sanitizer is _FROM_ENV else sanitizer
+        self._obs = obs_from_env() if obs is _FROM_ENV else obs
+        if self._obs is not None:
             # Bind this engine as the bundle's provenance source so every
             # record it emits carries (eid, parent_eid).  The attribute is
             # duck-typed — obs stays a dependency-free leaf layer.
-            self.obs.provenance = self
+            self._obs.provenance = self
+        self._install(now=0.0, eid_src=0, cancelled_q=0, cancelled_total=0,
+                      cur_eid=0, cur_origin=0, slot=None)
 
     # ------------------------------------------------------------------
-    # clock
+    # closure factory
     # ------------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """Which engine backend this instance is (``"classic"`` here)."""
-        return "classic"
+    def _install(self, now: Seconds, eid_src: int, cancelled_q: int,
+                 cancelled_total: int, cur_eid: int, cur_origin: int,
+                 slot: Optional[EventRef]) -> None:
+        """(Re)build the hot closures around the given engine state.
 
-    @property
-    def now(self) -> Seconds:
-        """Current simulation time in seconds."""
-        return self._now
-
-    @property
-    def events_processed(self) -> int:
-        """Number of events that have fired so far (cancelled ones excluded)."""
-        return self._processed
-
-    @property
-    def pending_events(self) -> int:
-        """Number of events still queued (cancelled entries excluded).
-
-        O(1): a live counter maintained by schedule/cancel/fire, not a
-        heap scan — monitoring code may poll this in hot loops.
+        Called at construction and whenever :attr:`sanitizer` / :attr:`obs`
+        change, because the closures specialise on whether those hooks are
+        present.  All mutable engine state lives in the nonlocal cells
+        below; ``_snapshot`` reads it back out for the next install.
+        ``eid_src`` starts at 0 because eid 0 is the root context; it
+        doubles as the same-instant FIFO tie-break.  ``cur_eid`` /
+        ``cur_origin`` are the provenance pair: the executing event's eid
+        and the origin newly scheduled events inherit (the executing
+        event's nearest record-emitting ancestor until it emits its first
+        record, its own eid afterwards — ``Observability.emit`` performs
+        that promotion through the ``_sched_origin`` property).
         """
-        return self._pending
+        heap = self._heap
+        san = self._sanitizer
+        obs = self._obs
+        running = False
 
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
-    def schedule(self, delay: Seconds, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay != delay:  # NaN: would poison the heap ordering silently
-            raise SimulationError(
-                f"invalid delay {delay!r}: NaN is not a schedulable delay")
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        # -------------------------------------------------- scheduling
+        if san is None:
+            def schedule(delay: Seconds, callback: Callable[..., None],
+                         *args: Any) -> EventRef:
+                nonlocal eid_src, slot
+                if not delay >= 0.0:  # False for NaN and negatives alike
+                    _raise_bad_delay(delay)
+                eid_src = eid = eid_src + 1
+                rec = [now + delay, eid, 0, callback, args, cur_eid, cur_origin]
+                if slot is None:
+                    slot = rec
+                else:
+                    heappush(heap, rec)
+                return rec
 
-    def schedule_at(self, when: Seconds, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute simulation time ``when``."""
-        if when != when:  # NaN compares false against everything below
-            raise SimulationError(
-                f"invalid target time {when!r}: NaN is not a schedulable time")
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule into the past (when={when}, now={self._now})"
-            )
-        if self.sanitizer is not None:
-            # After the engine's own argument checks, so callers always see
-            # SimulationError for NaN/past; the sanitizer adds the inf check.
-            self.sanitizer.check_schedule(self._now, when)
-        eid = next(self._counter)
-        handle = EventHandle(when, callback, args, self, eid,
-                             self.current_eid, self._sched_origin)
-        heapq.heappush(self._heap, (when, eid, handle))
-        self._pending += 1
-        return handle
+            def schedule_at(when: Seconds, callback: Callable[..., None],
+                            *args: Any) -> EventRef:
+                nonlocal eid_src, slot
+                if not when >= now:  # False for NaN and the past alike
+                    _raise_bad_when(when, now)
+                eid_src = eid = eid_src + 1
+                rec = [when, eid, 0, callback, args, cur_eid, cur_origin]
+                if slot is None:
+                    slot = rec
+                else:
+                    heappush(heap, rec)
+                return rec
+        else:
+            # The sanitizer runs after the engine's own argument checks, so
+            # callers always see SimulationError for NaN/past; it adds the
+            # inf check.
+            def schedule(delay: Seconds, callback: Callable[..., None],
+                         *args: Any) -> EventRef:
+                nonlocal eid_src, slot
+                if not delay >= 0.0:
+                    _raise_bad_delay(delay)
+                when = now + delay
+                san.check_schedule(now, when)
+                eid_src = eid = eid_src + 1
+                rec = [when, eid, 0, callback, args, cur_eid, cur_origin]
+                if slot is None:
+                    slot = rec
+                else:
+                    heappush(heap, rec)
+                return rec
 
-    # ------------------------------------------------------------------
-    # backend-portable handle operations
-    # ------------------------------------------------------------------
-    # The fast backend returns plain-list records from ``schedule`` instead
-    # of EventHandle objects, so code that must work on either backend
-    # cancels/polls through the simulator rather than the handle.  These
-    # are the classic implementations; FastSimulator installs closures of
-    # the same names.
+            def schedule_at(when: Seconds, callback: Callable[..., None],
+                            *args: Any) -> EventRef:
+                nonlocal eid_src, slot
+                if not when >= now:
+                    _raise_bad_when(when, now)
+                san.check_schedule(now, when)
+                eid_src = eid = eid_src + 1
+                rec = [when, eid, 0, callback, args, cur_eid, cur_origin]
+                if slot is None:
+                    slot = rec
+                else:
+                    heappush(heap, rec)
+                return rec
 
-    def cancel_event(self, handle: EventHandle) -> None:
-        """Backend-portable :meth:`EventHandle.cancel`.  Idempotent."""
-        handle.cancel()
+        # -------------------------------------------------- cancellation
+        def cancel_event(rec: EventRef) -> None:
+            nonlocal cancelled_q, cancelled_total
+            if rec[2] == 0:
+                rec[2] = 2
+                cancelled_q += 1
+                cancelled_total += 1
 
-    def event_pending(self, handle: EventHandle) -> bool:
-        """Backend-portable :attr:`EventHandle.pending`."""
-        return handle.pending
+        def event_pending(rec: EventRef) -> bool:
+            return rec[2] == 0
+
+        # -------------------------------------------------- execution
+        def _run_generic(until: Optional[Seconds],
+                         max_events: Optional[int]) -> None:
+            """Reference-ordered loop for sanitized/profiled/bounded runs."""
+            nonlocal now, slot, cur_eid, cur_origin, cancelled_q, running
+            profiler = obs.profiler if obs is not None else None
+            fired = 0
+            try:
+                while True:
+                    s = slot
+                    if s is not None:
+                        if heap and heap[0] < s:
+                            rec = heap[0]
+                            from_heap = True
+                        else:
+                            rec = s
+                            from_heap = False
+                    elif heap:
+                        rec = heap[0]
+                        from_heap = True
+                    else:
+                        break
+                    if rec[2]:
+                        # Cancelled entries are discarded before the
+                        # ``until`` check, exactly like the reference loop.
+                        if from_heap:
+                            heappop(heap)
+                        else:
+                            slot = None
+                        cancelled_q -= 1
+                        continue
+                    when = rec[0]
+                    if until is not None and when > until:
+                        break
+                    if max_events is not None and fired >= max_events:
+                        break
+                    if from_heap:
+                        heappop(heap)
+                    else:
+                        slot = None
+                    if san is not None:
+                        san.note_fire(when)
+                    now = when
+                    rec[2] = 1
+                    cur_eid = rec[1]
+                    cur_origin = rec[6]
+                    if profiler is None:
+                        rec[3](*rec[4])
+                    else:
+                        profiler.fire(rec[3], rec[4])
+                    fired += 1
+            finally:
+                running = False
+                cur_eid = 0
+                cur_origin = 0
+            if until is not None and now < until:
+                now = until
+
+        if san is None:
+            def run(until: Optional[Seconds], max_events: Optional[int]) -> None:
+                nonlocal now, slot, cur_eid, cur_origin, cancelled_q, running
+                if running:
+                    raise SimulationError("Simulator.run is not reentrant")
+                running = True
+                if max_events is not None or (
+                        obs is not None and obs.profiler is not None):
+                    _run_generic(until, max_events)
+                    return
+                if until is not None:
+                    try:
+                        while True:
+                            s = slot
+                            if s is not None:
+                                if heap and heap[0] < s:
+                                    rec = heap[0]
+                                    from_heap = True
+                                else:
+                                    rec = s
+                                    from_heap = False
+                            elif heap:
+                                rec = heap[0]
+                                from_heap = True
+                            else:
+                                break
+                            if rec[2]:
+                                if from_heap:
+                                    heappop(heap)
+                                else:
+                                    slot = None
+                                cancelled_q -= 1
+                                continue
+                            if rec[0] > until:
+                                break
+                            if from_heap:
+                                heappop(heap)
+                            else:
+                                slot = None
+                            now = rec[0]
+                            rec[2] = 1
+                            cur_eid = rec[1]
+                            cur_origin = rec[6]
+                            rec[3](*rec[4])
+                    finally:
+                        running = False
+                        cur_eid = 0
+                        cur_origin = 0
+                    if now < until:
+                        now = until
+                    return
+                # Hot path: drain to empty with direct dispatch.
+                try:
+                    while True:
+                        s = slot
+                        if s is not None:
+                            if heap and heap[0] < s:
+                                rec = heappop(heap)
+                            else:
+                                rec = s
+                                slot = None
+                        elif heap:
+                            rec = heappop(heap)
+                        else:
+                            break
+                        if rec[2]:
+                            cancelled_q -= 1
+                            continue
+                        now = rec[0]
+                        rec[2] = 1
+                        cur_eid = rec[1]
+                        cur_origin = rec[6]
+                        rec[3](*rec[4])
+                finally:
+                    running = False
+                    cur_eid = 0
+                    cur_origin = 0
+        else:
+            def run(until: Optional[Seconds], max_events: Optional[int]) -> None:
+                nonlocal running
+                if running:
+                    raise SimulationError("Simulator.run is not reentrant")
+                running = True
+                _run_generic(until, max_events)
+
+        def step() -> bool:
+            nonlocal now, slot, cur_eid, cur_origin, cancelled_q
+            profiler = obs.profiler if obs is not None else None
+            while True:
+                s = slot
+                if s is not None:
+                    if heap and heap[0] < s:
+                        rec = heappop(heap)
+                    else:
+                        rec = s
+                        slot = None
+                elif heap:
+                    rec = heappop(heap)
+                else:
+                    return False
+                if rec[2]:
+                    cancelled_q -= 1
+                    continue
+                when = rec[0]
+                if san is not None:
+                    san.note_fire(when)
+                now = when
+                rec[2] = 1
+                cur_eid = rec[1]
+                cur_origin = rec[6]
+                try:
+                    if profiler is None:
+                        rec[3](*rec[4])
+                    else:
+                        profiler.fire(rec[3], rec[4])
+                finally:
+                    cur_eid = 0
+                    cur_origin = 0
+                return True
+
+        def clear() -> None:
+            nonlocal slot, cancelled_q, cancelled_total
+            # Mark dropped records cancelled so handles report the truth
+            # and a later cancel_event() cannot skew the counters.
+            newly = 0
+            for rec in heap:
+                if rec[2] == 0:
+                    rec[2] = 2
+                    newly += 1
+            if slot is not None:
+                if slot[2] == 0:
+                    slot[2] = 2
+                    newly += 1
+                slot = None
+            heap.clear()
+            cancelled_total += newly
+            cancelled_q = 0
+
+        # -------------------------------------------------- state bridge
+        def _snapshot() -> tuple:
+            if running:
+                raise SimulationError(
+                    "cannot reconfigure the engine while run() is active")
+            return (now, eid_src, cancelled_q, cancelled_total,
+                    cur_eid, cur_origin, slot)
+
+        def _get_now() -> Seconds:
+            return now
+
+        def _get_cur_eid() -> int:
+            return cur_eid
+
+        def _get_origin() -> int:
+            return cur_origin
+
+        def _set_origin(value: int) -> None:
+            nonlocal cur_origin
+            cur_origin = value
+
+        def _get_pending() -> int:
+            return len(heap) + (slot is not None) - cancelled_q
+
+        def _get_processed() -> int:
+            return (eid_src - cancelled_total
+                    - (len(heap) + (slot is not None) - cancelled_q))
+
+        # Closures are assigned as *instance* attributes: calls skip both
+        # the descriptor protocol and bound-method creation.
+        self.schedule = schedule
+        self.schedule_at = schedule_at
+        self.cancel_event = cancel_event
+        self.event_pending = event_pending
+        self._run = run
+        self.step = step
+        self.clear = clear
+        self._snapshot = _snapshot
+        self._get_now = _get_now
+        self._get_cur_eid = _get_cur_eid
+        self._get_origin = _get_origin
+        self._set_origin = _set_origin
+        self._get_pending = _get_pending
+        self._get_processed = _get_processed
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next pending event.  Returns False if the queue is empty."""
-        profiler = self.obs.profiler if self.obs is not None else None
-        while self._heap:
-            when, _, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            if self.sanitizer is not None:
-                self.sanitizer.note_fire(when)
-            self._now = when
-            handle._fired = True
-            self._pending -= 1
-            self._processed += 1
-            self.current_eid = handle.eid
-            self._sched_origin = handle.origin_eid
-            try:
-                if profiler is None:
-                    handle.callback(*handle.args)
-                else:
-                    profiler.fire(handle.callback, handle.args)
-            finally:
-                self.current_eid = 0
-                self._sched_origin = 0
-            return True
-        return False
-
-    def run(self, until: Optional[Seconds] = None, max_events: Optional[int] = None) -> None:
+    def run(self, until: Optional[Seconds] = None,
+            max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
 
         ``until`` is an absolute simulation time; events at exactly ``until``
@@ -338,99 +508,125 @@ class Simulator:
         advanced to ``until`` even if no event fired there, so repeated
         ``run(until=...)`` calls behave like a progressing wall clock.
         """
-        if self._running:
-            raise SimulationError("Simulator.run is not reentrant")
-        self._running = True
-        fired = 0
-        # Resolved once per run: profiling/sanitizing are decided before
-        # the loop and the heap access is bound to locals, so the
-        # default hot path keeps its direct callback dispatch.
-        profiler = self.obs.profiler if self.obs is not None else None
-        sanitizer = self.sanitizer
-        heap = self._heap
-        heappop = heapq.heappop
+        if until != until:  # NaN: ``when > until`` would never stop the loop
+            raise SimulationError(
+                f"invalid run bound until={until!r}: NaN is not a time")
+        before = self._get_processed()
         try:
-            while heap:
-                when, _, handle = heap[0]
-                if handle._cancelled:
-                    heappop(heap)
-                    continue
-                if until is not None and when > until:
-                    break
-                if max_events is not None and fired >= max_events:
-                    break
-                heappop(heap)
-                if sanitizer is not None:
-                    sanitizer.note_fire(when)
-                self._now = when
-                handle._fired = True
-                self._pending -= 1
-                self._processed += 1
-                self.current_eid = handle.eid
-                self._sched_origin = handle.origin_eid
-                if profiler is None:
-                    handle.callback(*handle.args)
-                else:
-                    profiler.fire(handle.callback, handle.args)
-                fired += 1
+            self._run(until, max_events)
         finally:
-            self._running = False
-            self.current_eid = 0
-            self._sched_origin = 0
             # One process-counter add per run(), not per event: run-level
             # telemetry sees engine throughput at zero hot-loop cost.
-            add_engine_events(fired)
-        if until is not None and self._now < until:
-            self._now = until
+            add_engine_events(self._get_processed() - before)
 
     def run_until(self, when: Seconds) -> None:
         """Alias for ``run(until=when)``."""
         self.run(until=when)
 
-    def clear(self) -> None:
-        """Drop all pending events (the clock is left where it is)."""
-        for _, _, handle in self._heap:
-            # Mark dropped events cancelled so their handles report the
-            # truth and a later cancel() cannot skew the pending counter.
-            handle._cancelled = True
-        self._heap.clear()
-        self._pending = 0
+    # ------------------------------------------------------------------
+    # read-only views of the closure cells
+    # ------------------------------------------------------------------
+    @property
+    def now(self) -> Seconds:
+        """Current simulation time in seconds."""
+        return self._get_now()
+
+    @property
+    def events_processed(self) -> int:
+        """Number of events that have fired so far (cancelled ones excluded)."""
+        return self._get_processed()
+
+    @property
+    def pending_events(self) -> int:
+        """Number of events still queued (cancelled entries excluded).
+
+        O(1), not a heap scan — monitoring code may poll this in hot loops.
+        """
+        return self._get_pending()
+
+    @property
+    def current_eid(self) -> int:
+        """eid of the currently executing event (0 outside any event)."""
+        return self._get_cur_eid()
+
+    @property
+    def _sched_origin(self) -> int:
+        # Property (not a plain attribute) so Observability.emit's
+        # promotion write lands in the closure cell the schedule/run
+        # closures actually read.
+        return self._get_origin()
+
+    @_sched_origin.setter
+    def _sched_origin(self, value: int) -> None:
+        self._set_origin(value)
+
+    # ------------------------------------------------------------------
+    # hook reconfiguration (re-specialises the closures)
+    # ------------------------------------------------------------------
+    @property
+    def sanitizer(self) -> Optional[SimSanitizer]:
+        """Runtime invariant checker; assigning re-installs the hot path.
+
+        Defaults to one created from ``REPRO_SANITIZE`` (None when
+        disabled).  Other layers (net, tcp) consult this attribute for
+        their hooks.
+        """
+        return self._sanitizer
+
+    @sanitizer.setter
+    def sanitizer(self, value: Optional[SimSanitizer]) -> None:
+        state = self._snapshot()
+        self._sanitizer = value
+        self._install(*state)
+
+    @property
+    def obs(self) -> Optional[Observability]:
+        """Observability bundle; assigning re-installs the hot path.
+
+        Defaults to one created from ``REPRO_TRACE`` / ``REPRO_PROFILE``
+        (None when neither is set).  Other layers (net, tcp, cc, core)
+        consult this attribute for their emit hooks; with ``obs=None``
+        every hook site is a single pointer test.
+        """
+        return self._obs
+
+    @obs.setter
+    def obs(self, value: Optional[Observability]) -> None:
+        state = self._snapshot()
+        self._obs = value
+        if value is not None:
+            value.provenance = self
+        self._install(*state)
 
 
 # ----------------------------------------------------------------------
-# backend-portable handle introspection
+# event record introspection
 # ----------------------------------------------------------------------
-#: A scheduled-event reference: a classic :class:`EventHandle` or a fast
-#: backend plain-list record (``[when, eid, status, callback, args,
-#: parent_eid, origin_eid]``; status 0 pending / 1 fired / 2 cancelled).
-EventRef = Union[EventHandle, list]
-
-
 def event_time(handle: EventRef) -> Seconds:
-    """Scheduled fire time of an event from either backend."""
-    return handle[0] if type(handle) is list else handle.time
+    """Scheduled fire time of an event."""
+    return handle[0]
 
 
 def event_eid(handle: EventRef) -> int:
-    """Engine-assigned event id of an event from either backend."""
-    return handle[1] if type(handle) is list else handle.eid
+    """Engine-assigned event id (monotonic, unique within one Simulator)."""
+    return handle[1]
 
 
 def event_parent_eid(handle: EventRef) -> int:
     """eid of the event whose callback scheduled this one (0 = root)."""
-    return handle[5] if type(handle) is list else handle.parent_eid
+    return handle[5]
 
 
 def event_origin_eid(handle: EventRef) -> int:
     """eid of the nearest record-emitting ancestor event (0 = root)."""
-    return handle[6] if type(handle) is list else handle.origin_eid
+    return handle[6]
 
 
 def event_fired(handle: EventRef) -> bool:
     """True once the event's callback has run."""
-    return handle[2] == 1 if type(handle) is list else handle.fired
+    return handle[2] == 1
 
 
 def event_cancelled(handle: EventRef) -> bool:
     """True once the event has been cancelled."""
-    return handle[2] == 2 if type(handle) is list else handle.cancelled
+    return handle[2] == 2

@@ -145,15 +145,17 @@ def detect_drift(claim_id: str, recorded: Sequence[float],
 
 
 # ----------------------------------------------------------------------
-# Perf gate: inline re-measurement of benchmarks/bench_core_speed.py.
+# Perf gate: the core-speed workloads, defined once here and imported by
+# benchmarks/bench_core_speed.py.
 
 _MSS = 1448
 
 
-def _bench_engine_events(backend: Optional[str] = None) -> None:
+def bench_engine_events() -> int:
+    """Chained-tick workload: pure schedule-and-fire cost (10 000 events)."""
     from repro.sim import Simulator
 
-    sim = Simulator() if backend is None else Simulator(backend=backend)
+    sim = Simulator()
     count = [0]
 
     def tick() -> None:
@@ -164,9 +166,11 @@ def _bench_engine_events(backend: Optional[str] = None) -> None:
     sim.schedule(0.0, tick)
     sim.run()
     assert count[0] == 10_000
+    return count[0]
 
 
-def _bench_download(cc: str) -> None:
+def bench_download(cc: str) -> int:
+    """A 2 MB download on a 100 Mbit/s, 100 ms path; data packets sent."""
     from repro.net import bdp_bytes, build_path
     from repro.sim import Simulator
     from repro.tcp import open_transfer
@@ -178,6 +182,7 @@ def _bench_download(cc: str) -> None:
                              flow_id=1, size_bytes=1400 * _MSS, cc=cc)
     sim.run(until=300.0)
     assert transfer.completed
+    return transfer.sender.data_packets_sent
 
 
 def _bench_flowsim_fleet() -> None:
@@ -191,44 +196,20 @@ def _bench_flowsim_fleet() -> None:
 
 
 _PERF_WORKLOADS = {
-    "engine_event_throughput": _bench_engine_events,
-    "transfer_packet_throughput": lambda: _bench_download("cubic"),
-    "suss_transfer_throughput": lambda: _bench_download("cubic+suss"),
+    "engine_event_throughput": bench_engine_events,
+    "transfer_packet_throughput": lambda: bench_download("cubic"),
+    "suss_transfer_throughput": lambda: bench_download("cubic+suss"),
     # 2x100k modelled flows; the baseline entry keeps the analytical
     # tier honest about its >= 1e5 flows/sec promise.
     "flowsim_fleet_throughput": _bench_flowsim_fleet,
 }
 
 
-def measure_engine_speedup(repeats: int = 3) -> float:
-    """Ratio of classic to fast event-loop time on the engine workload.
-
-    Both backends run the identical chained-tick workload best-of-N;
-    the ratio is the fast engine's speedup (> 1 means fast is faster).
-    Interleaving the repeats would not help: min-of-N already takes the
-    least-disturbed run from each side.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    best: Dict[str, float] = {}
-    for backend in ("classic", "fast"):
-        best[backend] = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            _bench_engine_events(backend)
-            best[backend] = min(best[backend],
-                                time.perf_counter() - start)
-    return best["classic"] / best["fast"]
-
-
 def measure_core_speed(repeats: int = 3) -> Dict[str, float]:
     """Best-of-``repeats`` wall-clock seconds per ``bench_core_speed`` metric.
 
     Minimum-of-N is the standard noise reducer for micro-benchmarks: the
-    fastest run is the one least disturbed by the machine.  The
-    ``classic_vs_fast_speedup`` entry is a ratio (higher is better), not
-    a duration; :func:`check_perf` reads the entry's ``direction`` field
-    to gate it from the right side.
+    fastest run is the one least disturbed by the machine.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -240,7 +221,6 @@ def measure_core_speed(repeats: int = 3) -> Dict[str, float]:
             workload()
             best = min(best, time.perf_counter() - start)
         out[name] = best
-    out["classic_vs_fast_speedup"] = measure_engine_speedup(repeats)
     return out
 
 
@@ -258,10 +238,8 @@ def check_perf(baseline: Dict[str, Any], measured: Dict[str, float], *,
 
     ``scale`` multiplies each tolerance (CI runners are noisier than the
     machine that recorded the baseline).  Only regressions fail — a
-    better run is a reason to re-record, not an error.  Entries default
-    to durations (lower is better); an entry with ``"direction":
-    "higher"`` (e.g. ``classic_vs_fast_speedup``) fails when the
-    measurement falls *below* ``value / (1 + tolerance)`` instead.
+    better run is a reason to re-record, not an error.  Every entry is a
+    duration in seconds (lower is better).
     """
     if scale <= 0.0:
         raise ValueError("scale must be positive")
@@ -269,33 +247,23 @@ def check_perf(baseline: Dict[str, Any], measured: Dict[str, float], *,
     for name in sorted(baseline["metrics"]):
         entry = baseline["metrics"][name]
         value, tolerance = entry["value"], entry["tolerance"] * scale
-        higher_is_better = entry.get("direction") == "higher"
-        unit = "x" if higher_is_better else "s"
         if name not in measured:
             verdicts.append(PerfVerdict(
                 metric=name, baseline=value, measured=float("nan"),
                 tolerance=tolerance, verdict=FAIL,
-                reason="metric missing from measurement", unit=unit))
+                reason="metric missing from measurement"))
             continue
         got = measured[name]
-        if higher_is_better:
-            limit = value / (1.0 + tolerance)
-            ok = got >= limit
-            fail_reason = (f"{got / value - 1.0:+.0%} below baseline, "
-                           f"floor {limit:.2f}x")
-        else:
-            limit = value * (1.0 + tolerance)
-            ok = got <= limit
-            fail_reason = (f"{got / value - 1.0:+.0%} slower than baseline, "
-                           f"limit {limit:.4f} s")
-        if ok:
+        limit = value * (1.0 + tolerance)
+        if got <= limit:
             verdicts.append(PerfVerdict(
                 metric=name, baseline=value, measured=got,
                 tolerance=tolerance, verdict=PASS,
-                reason=f"within {tolerance:.0%} of baseline", unit=unit))
+                reason=f"within {tolerance:.0%} of baseline"))
         else:
             verdicts.append(PerfVerdict(
                 metric=name, baseline=value, measured=got,
-                tolerance=tolerance, verdict=FAIL, reason=fail_reason,
-                unit=unit))
+                tolerance=tolerance, verdict=FAIL,
+                reason=(f"{got / value - 1.0:+.0%} slower than baseline, "
+                        f"limit {limit:.4f} s")))
     return verdicts

@@ -100,8 +100,7 @@ class PerfVerdict:
     tolerance: float
     verdict: str
     reason: str
-    #: display unit — "s" for durations, "x" for ratio metrics
-    #: (e.g. classic_vs_fast_speedup)
+    #: display unit — every gated metric is a duration today
     unit: str = "s"
 
     def to_dict(self) -> Dict[str, Any]:

@@ -1,46 +1,44 @@
-"""Differential equivalence: the fast engine must be bit-identical to classic.
+"""Differential equivalence: the shipped engine against its reference oracle.
 
-The fast backend (:mod:`repro.sim.fastengine`) restructures the event core
-for speed but promises *byte-identical* behaviour: same clock values, same
-eids and provenance, same golden-trace digests.  This suite is the proof:
+``repro.sim.engine.Simulator`` (array records, closure core, slot fast
+path) promises the exact behaviour of the readable heap loop it replaced,
+which survives as ``tests/reference_engine.py``.  This suite is the proof:
 
-* a seed x scenario x CC matrix runs every configuration under both
-  backends and compares full-trace SHA-256 digests (eids included);
-* hypothesis property tests mirror random schedule/cancel programs on
-  both engines and check heap invariants (non-decreasing fire order,
-  FIFO at equal times, cancel-then-pop skips);
+* a seed x scenario x CC matrix runs every configuration on both engines
+  and compares full-trace SHA-256 digests (eids included);
+* hypothesis property tests mirror random programs on both engines —
+  nested ``schedule`` / ``schedule_at``, ``cancel_event`` and ``clear()``
+  from inside callbacks, ``run(until)`` / ``run(max_events)`` / ``step()``
+  interleaved, raising callbacks — comparing clock, eid, pending and
+  processed after every step, and check heap invariants (non-decreasing
+  fire order, FIFO at equal times, cancel-then-pop skips);
 * the packet pool is shown never to alias a live packet and to reuse in
   deterministic LIFO order;
 * sanitizer rules and ``repro explain`` causal chains behave identically
-  under the fast backend;
-* batched link serialisation — which *does* change the event stream and
-  is therefore opt-in — is checked for semantic equivalence instead
-  (arrivals, FCTs, drop/loss counts), including a congested buffer where
-  the phantom-hold accounting must reproduce classic drop decisions.
+  on both engines.
 """
 
+import itertools
 import math
-import random as _random
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sanitize import SanitizeError, SimSanitizer, from_env
 from repro.experiments import goldens
 from repro.experiments.runner import run_single_flow
 from repro.net.link import Link
-from repro.net.netem import LossModel
 from repro.net.node import Host
 from repro.net.packet import POOL, Packet, PacketKind, PacketPool
 from repro.net.queue import DropTailQueue
 from repro.obs.causal import CausalIndex, explain_event
-from repro.obs.sinks import DigestSink
+from repro.obs.sinks import DigestSink, MemorySink
 from repro.obs.tracer import Observability, Tracer
-from repro.sim import Simulator
-from repro.sim.fastengine import FastSimulator
+from repro.sim import RngRegistry, Simulator
 from repro.tcp import open_transfer
 from repro.workloads import INTERNET_SCENARIOS
+from tests.reference_engine import ENGINES
 
 SEEDS = (1, 2, 3)
 #: clean short-RTT wired path; jittery varying-bandwidth wifi; long-RTT 4g
@@ -49,18 +47,28 @@ CCS = ("reno", "cubic", "cubic+suss")
 SIZE_BYTES = 150_000
 
 
-def _capture(backend, scenario, cc, seed, monkeypatch):
-    """One fixed-seed download under ``backend``; digest + run facts."""
-    monkeypatch.setenv("REPRO_ENGINE", backend)
-    # Batched serialisation changes the event stream by design and is
-    # excluded from byte-identity; pin it off regardless of environment.
-    monkeypatch.setenv("REPRO_LINK_BATCH", "0")
-    sink = DigestSink()
+def _download(backend, scenario, cc, size, seed, sink, sanitizer=None):
+    """One fixed-seed download on ``backend`` tracing into ``sink``.
+
+    The reference engine reads no environment, so both sides are handed
+    their hooks explicitly; the topology goes in through
+    ``run_single_flow``'s ``net=`` / ``sim=`` pair.
+    """
     obs = Observability(tracer=Tracer(sink))
-    result = run_single_flow(INTERNET_SCENARIOS[scenario], cc, SIZE_BYTES,
-                             seed=seed, obs=obs)
+    sim = ENGINES[backend](sanitizer=sanitizer, obs=obs)
+    net = scenario.build(sim, RngRegistry(seed))
+    result = run_single_flow(scenario, cc, size, seed=seed, net=net, sim=sim)
     obs.close()
-    assert result.completed, f"{scenario}/{cc}/seed={seed} did not finish"
+    assert result.completed, f"{scenario.name}/{cc}/seed={seed} did not finish"
+    return result
+
+
+def _capture(backend, scenario, cc, seed):
+    """Digest + run facts of one matrix cell (sanitized when the suite
+    runs under ``REPRO_SANITIZE=1``, so the hook order is compared too)."""
+    sink = DigestSink()
+    result = _download(backend, INTERNET_SCENARIOS[scenario], cc, SIZE_BYTES,
+                       seed, sink, sanitizer=from_env())
     return {
         "digest": sink.digest(),
         "records": sink.records,
@@ -77,9 +85,9 @@ class TestDifferentialMatrix:
     @pytest.mark.parametrize("cc", CCS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_classic_and_fast_traces_are_byte_identical(
-            self, scenario, cc, seed, monkeypatch):
-        classic = _capture("classic", scenario, cc, seed, monkeypatch)
-        fast = _capture("fast", scenario, cc, seed, monkeypatch)
+            self, scenario, cc, seed):
+        classic = _capture("classic", scenario, cc, seed)
+        fast = _capture("fast", scenario, cc, seed)
         # The digest covers every record's time, eid, peid, and payload —
         # equality here is byte-identity of the full JSONL trace.
         assert fast == classic
@@ -90,15 +98,16 @@ class TestDifferentialMatrix:
 
 
 class TestExplainChainEquivalence:
-    """``repro explain`` causal chains are backend-independent."""
+    """``repro explain`` causal chains are engine-independent."""
 
-    def test_explain_chain_identical_on_committed_golden(self, monkeypatch):
-        name = "cubic+suss"
+    def test_explain_chain_identical_on_committed_golden(self):
+        run = goldens.GOLDEN_RUNS["cubic+suss"]
         chains = {}
-        monkeypatch.setenv("REPRO_LINK_BATCH", "0")
-        for backend in ("classic", "fast"):
-            monkeypatch.setenv("REPRO_ENGINE", backend)
-            index = CausalIndex(goldens.capture_records(name))
+        for backend in ENGINES:
+            sink = MemorySink()
+            _download(backend, INTERNET_SCENARIOS[run.scenario], run.cc,
+                      run.size_bytes, run.seed, sink)
+            index = CausalIndex(sink.records)
             # A mid-trace event with a real ancestry, not a root emission.
             eid = max(index._by_eid)
             mid = sorted(index._by_eid)[len(index._by_eid) // 2]
@@ -108,18 +117,16 @@ class TestExplainChainEquivalence:
         assert chains["fast"][0]["found"]
         assert chains["fast"][0]["complete"]
 
-    def test_fast_capture_matches_committed_digest(self, monkeypatch):
-        """The committed goldens were captured pre-rewrite; the fast
-        backend must still reproduce them bit-for-bit."""
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        monkeypatch.setenv("REPRO_LINK_BATCH", "0")
+    def test_fast_capture_matches_committed_digest(self):
+        """The committed goldens were captured on the heap-loop engine;
+        the shipped one must still reproduce them bit-for-bit."""
         from repro.obs.golden import load_digests
         index = load_digests(goldens.DEFAULT_GOLDEN_DIR)
         assert goldens.capture_digest("cubic") == index["cubic"]["digest"]
 
 
 # ----------------------------------------------------------------------
-# hypothesis: random schedule/cancel programs mirrored on both engines
+# hypothesis: random programs mirrored on both engines
 # ----------------------------------------------------------------------
 _ops = st.lists(
     st.one_of(
@@ -130,16 +137,98 @@ _ops = st.lists(
     ),
     min_size=1, max_size=40)
 
+#: delays drawn partly from a small grid so same-instant FIFO ties are common
+_delay = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                   st.floats(min_value=0.0, max_value=5.0,
+                             allow_nan=False, allow_infinity=False))
+#: what a fired callback does: nothing, raise, cancel some earlier handle,
+#: ``clear()``, or schedule further callbacks (relative or absolute)
+_action = st.recursive(
+    st.one_of(st.just(("noop",)), st.just(("raise",)), st.just(("clear",)),
+              st.tuples(st.just("cancel"), st.integers(0, 40))),
+    lambda inner: st.one_of(
+        st.tuples(st.just("sched"), _delay, inner),
+        st.tuples(st.just("sched_at"), _delay, inner),
+        st.tuples(st.just("both"), inner, inner)),
+    max_leaves=6)
+_program = st.lists(
+    st.one_of(
+        st.tuples(st.just("sched"), _delay, _action),
+        st.tuples(st.just("sched_at"), _delay, _action),
+        st.tuples(st.just("cancel"), st.integers(0, 40)),
+        st.just(("clear",)),
+        st.just(("step",)),
+        st.just(("run",)),
+        st.tuples(st.just("run_until"), _delay),
+        st.tuples(st.just("run_max"), st.integers(0, 5)),
+    ),
+    min_size=1, max_size=25)
+
+
+class _Boom(Exception):
+    """Raised by a fuzzed callback; the driver catches it and carries on."""
+
+
+def _execute(engine, program, sanitizer):
+    """Interpret ``program`` on a fresh ``engine``; return everything
+    observable: each firing, and the full engine + handle state after
+    every top-level step."""
+    sim = engine(sanitizer=sanitizer, obs=None)
+    log, handles, tags = [], [], itertools.count()
+
+    def perform(action):
+        kind = action[0]
+        if kind == "sched":
+            handles.append(
+                sim.schedule(action[1], fire, next(tags), action[2]))
+        elif kind == "sched_at":
+            handles.append(sim.schedule_at(
+                sim.now + action[1], fire, next(tags), action[2]))
+        elif kind == "both":
+            perform(action[1])
+            perform(action[2])
+        elif kind == "cancel" and handles:
+            sim.cancel_event(handles[action[1] % len(handles)])
+        elif kind == "clear":
+            sim.clear()
+        elif kind == "raise":
+            raise _Boom
+
+    def fire(tag, action):
+        log.append(("fire", tag, sim.now, sim.current_eid,
+                    sim.pending_events, sim.events_processed))
+        perform(action)
+
+    for op in program:
+        try:
+            if op[0] == "step":
+                log.append(("stepped", sim.step()))
+            elif op[0] == "run":
+                sim.run()
+            elif op[0] == "run_until":
+                sim.run(until=sim.now + op[1])
+            elif op[0] == "run_max":
+                sim.run(max_events=op[1])
+            else:
+                perform(op)
+        except _Boom:
+            log.append("boom")
+        log.append((sim.now, sim.current_eid, sim.pending_events,
+                    sim.events_processed,
+                    [h[:3] + h[5:] for h in handles],
+                    [sim.event_pending(h) for h in handles]))
+    return log
+
 
 class TestHeapProperties:
     @settings(max_examples=60, deadline=None)
     @given(program=_ops)
     def test_random_programs_fire_identically(self, program):
-        """Classic and fast engines fire the same callbacks in the same
-        order at the same clock values for any schedule/cancel program."""
+        """Both engines fire the same callbacks in the same order at the
+        same clock values for any schedule/cancel program."""
         logs = []
-        for backend in ("classic", "fast"):
-            sim = Simulator(sanitizer=None, obs=None, backend=backend)
+        for engine in ENGINES.values():
+            sim = engine(sanitizer=None, obs=None)
             log = []
             handles = []
             for i, (op, arg) in enumerate(program):
@@ -155,14 +244,29 @@ class TestHeapProperties:
             logs.append(log)
         assert logs[0] == logs[1]
 
+    @pytest.mark.parametrize("sanitized", [False, True])
+    @settings(max_examples=400, deadline=None)
+    @given(program=_program)
+    def test_fuzzed_programs_leave_identical_state(self, sanitized, program):
+        """Nested scheduling, cancel and ``clear()`` from inside callbacks,
+        ``run(until)`` / ``run(max_events)`` / ``step()`` interleaved, and
+        callbacks that raise: clock, eids, provenance, handle status and
+        both counters agree after every step.  The sanitized leg drives
+        the generic loop (``note_fire`` / ``check_schedule`` hook order)
+        instead of the specialised ones."""
+        logs = [_execute(engine, program,
+                         SimSanitizer() if sanitized else None)
+                for engine in ENGINES.values()]
+        assert logs[0] == logs[1]
+
     @settings(max_examples=40, deadline=None)
     @given(times=st.lists(st.floats(min_value=0.0, max_value=5.0,
                                     allow_nan=False, allow_infinity=False),
                           min_size=1, max_size=30))
     def test_fire_order_is_non_decreasing_and_fifo(self, times):
         """Fire times never decrease; equal times fire in schedule order."""
-        for backend in ("classic", "fast"):
-            sim = Simulator(sanitizer=None, obs=None, backend=backend)
+        for backend, engine in ENGINES.items():
+            sim = engine(sanitizer=None, obs=None)
             fired = []
             for i, t in enumerate(times):
                 sim.schedule(t, lambda t=t, i=i: fired.append((t, i)))
@@ -175,11 +279,11 @@ class TestHeapProperties:
                           min_size=2, max_size=30),
            data=st.data())
     def test_cancelled_events_are_skipped(self, times, data):
-        """Cancel-then-pop: cancelled events never fire, on either backend."""
+        """Cancel-then-pop: cancelled events never fire, on either engine."""
         doomed = data.draw(st.sets(
             st.integers(min_value=0, max_value=len(times) - 1), min_size=1))
-        for backend in ("classic", "fast"):
-            sim = Simulator(sanitizer=None, obs=None, backend=backend)
+        for backend, engine in ENGINES.items():
+            sim = engine(sanitizer=None, obs=None)
             fired = []
             handles = [sim.schedule(t, fired.append, i)
                        for i, t in enumerate(times)]
@@ -252,13 +356,6 @@ class TestPoolProperties:
                 del p
         assert pool.reused + pool.allocated == n
 
-    def test_disabled_pool_constructs_directly(self):
-        pool = PacketPool(enabled=False)
-        p = _acquire(pool, 0)
-        assert p._pool_state == 0
-        assert pool.release(p) is False  # never recycled
-        assert len(pool) == 0
-
     def test_prealloc_does_not_consume_packet_ids(self):
         before = Packet(flow_id=1, src="a", dst="b",
                         kind=PacketKind.DATA).packet_id
@@ -268,17 +365,19 @@ class TestPoolProperties:
         assert after == before + 1
 
     def test_id_stream_is_pool_independent(self):
-        """The same acquisitions draw the same ids pooled or not — the
-        invariant that keeps golden traces pool-blind."""
-        pooled, direct = PacketPool(prealloc=4), PacketPool(enabled=False)
-        gap = [_acquire(p, i).packet_id
-               for i, p in enumerate((pooled, direct, pooled, direct))]
+        """Recycled acquisitions and direct ``Packet(...)`` constructions
+        draw from one id stream — the invariant that keeps golden traces
+        pool-blind."""
+        pool = PacketPool(prealloc=4)
+        gap = [_acquire(pool, i).packet_id if i % 2 == 0 else
+               Packet(flow_id=1, src="a", dst="b",
+                      kind=PacketKind.DATA).packet_id
+               for i in range(4)]
+        assert pool.reused == 2
         assert gap == list(range(gap[0], gap[0] + 4))
 
     def test_process_pool_recycles_in_a_real_transfer(self):
         """End-to-end: Host.receive feeds delivered packets back to POOL."""
-        if not POOL.enabled:
-            pytest.skip("REPRO_PACKET_POOL disabled in this environment")
         reused_before = POOL.reused
         sim = Simulator(sanitizer=None, obs=None)
         a, b = Host("a"), Host("b")
@@ -292,118 +391,33 @@ class TestPoolProperties:
 
 
 # ----------------------------------------------------------------------
-# sanitizer + error paths under the fast backend
+# sanitizer + error paths on the shipped engine
 # ----------------------------------------------------------------------
 class TestSanitizedFastBackend:
     def test_san001_fires_through_fast_schedule(self):
-        from repro.analysis.sanitize import SanitizeError, SimSanitizer
-        sim = Simulator(sanitizer=SimSanitizer(), backend="fast")
-        assert isinstance(sim, FastSimulator)
+        sim = Simulator(sanitizer=SimSanitizer())
         with pytest.raises(SanitizeError, match="SAN001"):
             sim.schedule_at(math.inf, lambda: None)
 
-    def test_sanitized_transfer_identical_across_backends(self, monkeypatch):
+    def test_sanitized_transfer_identical_across_backends(self):
         """SAN002-005 hooks run on every event; a clean sanitized run
-        must pass and trace identically on both backends."""
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        must pass and trace identically on both engines."""
         runs = {}
-        for backend in ("classic", "fast"):
-            monkeypatch.setenv("REPRO_ENGINE", backend)
+        for backend in ENGINES:
             sink = DigestSink()
-            obs = Observability(tracer=Tracer(sink))
-            result = run_single_flow(INTERNET_SCENARIOS["google-tokyo/wired"],
-                                     "cubic+suss", 120_000, seed=5, obs=obs)
-            obs.close()
-            runs[backend] = (sink.digest(), result.fct, result.completed)
+            result = _download(backend,
+                               INTERNET_SCENARIOS["google-tokyo/wired"],
+                               "cubic+suss", 120_000, 5, sink,
+                               sanitizer=SimSanitizer())
+            runs[backend] = (sink.digest(), sink.records, result.fct)
         assert runs["fast"] == runs["classic"]
-        assert runs["fast"][2]
+        assert runs["fast"][1] > 0
 
     def test_broken_cwnd_caught_under_fast(self, monkeypatch):
-        from repro.analysis.sanitize import SanitizeError
-
         from .helpers import MSS, make_transfer
         from .test_analysis_sanitize import _BrokenCwndCC
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
         bench = make_transfer(cc=_BrokenCwndCC(), size=50 * MSS)
-        assert isinstance(bench.sim, FastSimulator)
+        assert type(bench.sim) is Simulator
         with pytest.raises(SanitizeError, match="SAN004"):
             bench.run()
-
-
-# ----------------------------------------------------------------------
-# batched serialisation: semantic (not byte) equivalence
-# ----------------------------------------------------------------------
-def _batch_transfer(batch, loss_seed=None, capacity=30_000,
-                    size=800_000):
-    """A congested dumbbell transfer; returns observable outcomes."""
-    sim = Simulator(sanitizer=None, obs=None)
-    a, b = Host("a"), Host("b")
-    loss = (LossModel(0.01, rng=_random.Random(loss_seed))
-            if loss_seed is not None else None)
-    a.uplink = Link(sim, b, 1.25e6, 0.04,
-                    queue=DropTailQueue(capacity, name="q1"),
-                    loss=loss, batch=batch)
-    b.uplink = Link(sim, a, 12.5e6, 0.04,
-                    queue=DropTailQueue(250_000, name="q2"), batch=batch)
-    transfer = open_transfer(sim, a, b, flow_id=1, size_bytes=size,
-                             cc="cubic")
-    sim.run(until=60.0)
-    return {
-        "completed": transfer.completed,
-        "fct": transfer.fct,
-        "queue_drops": a.uplink.queue.drops,
-        "random_losses": a.uplink.packets_lost,
-        "packets": (a.uplink.packets_sent, b.uplink.packets_sent),
-        "bytes": (a.uplink.bytes_sent, b.uplink.bytes_sent),
-        "retransmissions": transfer.sender.retransmissions,
-        "events": sim.events_processed,
-    }
-
-
-class TestBatchedLinkEquivalence:
-    @pytest.mark.parametrize("loss_seed", [None, 7, 11])
-    def test_congested_transfer_outcomes_identical(self, loss_seed):
-        """FCT, queue-full drops (phantom-hold exactness), random-loss
-        draws (RNG order preserved), and retransmissions all match; only
-        the event count shrinks."""
-        off = _batch_transfer(False, loss_seed)
-        on = _batch_transfer(True, loss_seed)
-        events_off, events_on = off.pop("events"), on.pop("events")
-        assert on == off
-        assert events_on < events_off
-        # Every parametrization exercises at least one drop mechanism.
-        assert off["queue_drops"] > 0 or off["random_losses"] > 0
-
-    def test_batch_requires_eligible_link(self):
-        from repro.net.netem import JitterModel
-        from repro.net.queue import CoDelQueue
-        sim = Simulator(sanitizer=None, obs=None)
-        sink = Host("b")
-        jittery = Link(sim, sink, 1e6, 0.01,
-                       jitter=JitterModel(0.0), batch=True)
-        aqm = Link(sim, sink, 1e6, 0.01,
-                   queue=CoDelQueue(50_000), batch=True)
-        plain = Link(sim, sink, 1e6, 0.01, batch=True)
-        assert not jittery.batch_active and not jittery.batch_eligible
-        assert not aqm.batch_active and not aqm.batch_eligible
-        assert plain.batch_active and plain.batch_eligible
-
-    def test_env_opt_in(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LINK_BATCH", "1")
-        sim = Simulator(sanitizer=None, obs=None)
-        link = Link(sim, Host("b"), 1e6, 0.01)
-        assert link.batch_active
-
-    def test_phantom_holds_settle_with_time(self):
-        """hold() bytes occupy the buffer until their release time."""
-        q = DropTailQueue(10_000)
-        q.hold(1.0, 4_000)
-        q.hold(2.0, 4_000)
-        assert q.bytes_queued == 8_000
-        q.settle(0.5)
-        assert q.bytes_queued == 8_000
-        q.settle(1.0)  # inclusive: release at exactly the start instant
-        assert q.bytes_queued == 4_000
-        q.settle(3.0)
-        assert q.bytes_queued == 0

@@ -34,6 +34,7 @@ from repro.analysis.sanitize import SimSanitizer
 from repro.workloads.flows import FlowSpec
 from repro.workloads.mixes import MIXES, MixTraffic, get_mix, place_cross_traffic
 from repro.workloads.topo import launch_topo_flows, resolve_topo
+from tests.reference_engine import ReferenceSimulator
 
 GOLDEN = Path(__file__).parent / "golden" / "topogen_specs.json"
 
@@ -253,13 +254,13 @@ class TestBuilders:
 
 
 class TestTwoFlowSims:
-    """Acceptance: a 2-flow sanitized sim per scenario class, both
-    engine backends, identical results."""
+    """Acceptance: a 2-flow sanitized sim per scenario class, on the
+    shipped engine and on the reference oracle, identical results."""
 
     SIZE = 60_000
 
-    def _run(self, name, backend):
-        sim = Simulator(sanitizer=SimSanitizer(), obs=None, backend=backend)
+    def _run(self, name, engine):
+        sim = engine(sanitizer=SimSanitizer(), obs=None)
         spec = get_topo_scenario(name)
         built = build_topology(sim, spec, rng=RngRegistry(7))
         pairs = len(spec.flows)
@@ -270,13 +271,13 @@ class TestTwoFlowSims:
         transfers = launch_topo_flows(sim, built, flows)
         sim.run(until=120.0)
         for t in transfers.values():
-            assert t.completed, (name, backend)
+            assert t.completed, (name, engine.__name__)
         return tuple(t.fct for t in transfers.values())
 
     @pytest.mark.parametrize("name", sorted(registered_specs()))
     def test_backends_agree_exactly(self, name):
-        classic = self._run(name, "classic")
-        fast = self._run(name, "fast")
+        classic = self._run(name, ReferenceSimulator)
+        fast = self._run(name, Simulator)
         assert classic == fast, name
         assert all(f > 0 for f in classic)
 

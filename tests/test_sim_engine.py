@@ -1,20 +1,17 @@
 """Unit tests for the discrete-event engine.
 
-Most classes are parametrized over both engine backends (``classic`` and
-``fast``) through the ``backend`` fixture: the engines must agree on the
-full public API, not just on golden traces.  Handle state is inspected
-through the backend-portable accessors (``sim.cancel_event`` /
-``sim.event_pending`` / the module-level ``event_*`` functions);
-``TestClassicHandleObjects`` pins the classic backend's richer
-:class:`EventHandle` object API, which the fast backend intentionally
-does not provide.
+Most classes are parametrized through the ``backend`` fixture over the
+shipped :class:`repro.sim.Simulator` (``fast``) and the test-only
+differential oracle ``tests/reference_engine.py`` (``classic``): the
+oracle is held to the full public API, not just to golden traces.
+Handle state is inspected through ``sim.cancel_event`` /
+``sim.event_pending`` and the module-level ``event_*`` readers.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim import (
-    FastSimulator,
     SimulationError,
     Simulator,
     event_cancelled,
@@ -24,59 +21,45 @@ from repro.sim import (
     event_parent_eid,
     event_time,
 )
+from tests.reference_engine import ENGINES
 
 
-@pytest.fixture(params=["classic", "fast"])
+@pytest.fixture(params=list(ENGINES))
 def backend(request):
     return request.param
 
 
-class TestBackendSelection:
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+def make_sim(backend, **hooks):
+    return ENGINES[backend](**hooks)
+
+
+class TestOneEngine:
+    """What ``benchmarks/perf`` relies on: one class, ``run`` on the class."""
+
+    def test_simulator_is_its_own_class_with_run_on_it(self):
         sim = Simulator(sanitizer=None, obs=None)
-        assert isinstance(sim, FastSimulator) and sim.backend == "fast"
+        assert type(sim) is Simulator
+        assert Simulator.__module__ == "repro.sim.engine"
+        assert "run" in vars(Simulator) and "run" not in vars(sim)
 
-    def test_explicit_argument(self):
-        assert Simulator(backend="classic").backend == "classic"
-        assert Simulator(backend="fast").backend == "fast"
-
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "classic")
-        assert Simulator(sanitizer=None, obs=None).backend == "classic"
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        assert Simulator(sanitizer=None, obs=None).backend == "fast"
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "classic")
-        assert Simulator(sanitizer=None, obs=None, backend="fast").backend == "fast"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError, match="unknown engine backend"):
-            Simulator(backend="turbo")
-
-    def test_unknown_env_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "warp")
-        with pytest.raises(SimulationError, match="unknown engine backend"):
-            Simulator(sanitizer=None, obs=None)
-
-    def test_fast_is_a_simulator(self):
-        assert isinstance(Simulator(backend="fast"), Simulator)
+    def test_no_engine_selector_argument(self):
+        with pytest.raises(TypeError):
+            Simulator(**{"backend": "fast"})
 
 
 class TestScheduling:
     def test_clock_starts_at_zero(self, backend):
-        assert Simulator(backend=backend).now == 0.0
+        assert make_sim(backend).now == 0.0
 
     def test_single_event_fires_at_time(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         fired = []
         sim.schedule(1.5, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [1.5]
 
     def test_events_fire_in_time_order(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         order = []
         for delay in [3.0, 1.0, 2.0]:
             sim.schedule(delay, order.append, delay)
@@ -84,7 +67,7 @@ class TestScheduling:
         assert order == [1.0, 2.0, 3.0]
 
     def test_same_time_events_fire_fifo(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         order = []
         for tag in range(5):
             sim.schedule(1.0, order.append, tag)
@@ -92,7 +75,7 @@ class TestScheduling:
         assert order == [0, 1, 2, 3, 4]
 
     def test_zero_delay_event_fires(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         fired = []
         sim.schedule(0.0, fired.append, 1)
         sim.run()
@@ -100,37 +83,37 @@ class TestScheduling:
 
     def test_negative_delay_rejected(self, backend):
         with pytest.raises(SimulationError):
-            Simulator(backend=backend).schedule(-0.1, lambda: None)
+            make_sim(backend).schedule(-0.1, lambda: None)
 
     def test_negative_delay_is_value_error(self, backend):
         """SimulationError doubles as ValueError for plain callers."""
         with pytest.raises(ValueError):
-            Simulator(backend=backend).schedule(-0.1, lambda: None)
+            make_sim(backend).schedule(-0.1, lambda: None)
 
     def test_nan_delay_rejected(self, backend):
         with pytest.raises(SimulationError, match="NaN"):
-            Simulator(backend=backend).schedule(float("nan"), lambda: None)
+            make_sim(backend).schedule(float("nan"), lambda: None)
 
     def test_nan_time_rejected(self, backend):
         with pytest.raises(SimulationError, match="NaN"):
-            Simulator(backend=backend).schedule_at(float("nan"), lambda: None)
+            make_sim(backend).schedule_at(float("nan"), lambda: None)
 
     def test_schedule_at_past_rejected(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         sim.schedule(2.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
     def test_callback_args_passed(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         got = []
         sim.schedule(0.5, lambda a, b: got.append((a, b)), 1, "x")
         sim.run()
         assert got == [(1, "x")]
 
     def test_events_scheduled_during_run_fire(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         fired = []
 
         def chain(n):
@@ -145,12 +128,12 @@ class TestScheduling:
 
 
 class TestErrorPathParity:
-    """Both backends must raise the same types with the same messages."""
+    """The engine and its oracle raise the same types with the same messages."""
 
     def _error_for(self, build):
         errors = {}
-        for backend in ("classic", "fast"):
-            sim = Simulator(sanitizer=None, obs=None, backend=backend)
+        for backend in ENGINES:
+            sim = make_sim(backend, sanitizer=None, obs=None)
             with pytest.raises(SimulationError) as excinfo:
                 build(sim)
             errors[backend] = str(excinfo.value)
@@ -182,8 +165,8 @@ class TestErrorPathParity:
 
     def test_schedule_after_run_completes(self, backend):
         """The clock stays at the final event; future times remain legal,
-        earlier times are SimulationError on both backends."""
-        sim = Simulator(backend=backend)
+        earlier times are SimulationError on both engines."""
+        sim = make_sim(backend)
         sim.schedule(5.0, lambda: None)
         sim.run()
         assert sim.now == 5.0
@@ -195,8 +178,8 @@ class TestErrorPathParity:
         assert fired == ["late"] and sim.now == 6.0
 
     def test_run_not_reentrant_parity(self):
-        for backend in ("classic", "fast"):
-            sim = Simulator(backend=backend)
+        for backend in ENGINES:
+            sim = make_sim(backend)
 
             def reenter():
                 with pytest.raises(SimulationError, match="not reentrant"):
@@ -208,7 +191,7 @@ class TestErrorPathParity:
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         fired = []
         handle = sim.schedule(1.0, fired.append, 1)
         sim.cancel_event(handle)
@@ -216,14 +199,14 @@ class TestCancellation:
         assert fired == []
 
     def test_cancel_after_fire_is_noop(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         handle = sim.schedule(1.0, lambda: None)
         sim.run()
         sim.cancel_event(handle)  # should not raise
         assert event_fired(handle)
 
     def test_pending_transitions(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         handle = sim.schedule(1.0, lambda: None)
         assert sim.event_pending(handle)
         sim.run()
@@ -231,14 +214,14 @@ class TestCancellation:
         assert event_fired(handle)
 
     def test_cancelled_accessor(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         handle = sim.schedule(1.0, lambda: None)
         assert not event_cancelled(handle)
         sim.cancel_event(handle)
         assert event_cancelled(handle) and not event_fired(handle)
 
     def test_cancel_one_of_many(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         fired = []
         handles = [sim.schedule(float(i + 1), fired.append, i)
                    for i in range(4)]
@@ -249,7 +232,7 @@ class TestCancellation:
 
 class TestRunControl:
     def test_run_until_stops_and_advances_clock(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         fired = []
         sim.schedule(1.0, fired.append, 1)
         sim.schedule(5.0, fired.append, 5)
@@ -260,14 +243,27 @@ class TestRunControl:
         assert fired == [1, 5]
 
     def test_event_exactly_at_until_fires(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         fired = []
         sim.schedule(3.0, fired.append, 3)
         sim.run(until=3.0)
         assert fired == [3]
 
+    def test_nan_until_rejected_before_the_loop(self, backend):
+        """``when > nan`` is never true: a NaN bound used to drain the
+        whole queue and jump the clock to the last armed timer."""
+        sim = make_sim(backend)
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        sim.schedule(1e9, fired.append, 2)
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.run(until=float("nan"))
+        assert fired == [] and sim.now == 0.0 and sim.pending_events == 2
+        sim.run(until=2.0)  # the refused call left the engine usable
+        assert fired == [1] and sim.now == 2.0
+
     def test_max_events(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         fired = []
         for i in range(10):
             sim.schedule(float(i + 1), fired.append, i)
@@ -275,7 +271,7 @@ class TestRunControl:
         assert fired == [0, 1, 2, 3]
 
     def test_step(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         fired = []
         sim.schedule(1.0, fired.append, 1)
         sim.schedule(2.0, fired.append, 2)
@@ -285,7 +281,7 @@ class TestRunControl:
         assert not sim.step()
 
     def test_clear_drops_pending(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         fired = []
         sim.schedule(1.0, fired.append, 1)
         sim.clear()
@@ -293,7 +289,7 @@ class TestRunControl:
         assert fired == []
 
     def test_run_not_reentrant(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
 
         def reenter():
             with pytest.raises(SimulationError):
@@ -303,7 +299,7 @@ class TestRunControl:
         sim.run()
 
     def test_run_usable_again_after_error_in_callback(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
 
         def boom():
             raise RuntimeError("callback failure")
@@ -317,7 +313,7 @@ class TestRunControl:
         assert fired == [1]
 
     def test_events_processed_counter(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         for i in range(3):
             sim.schedule(float(i), lambda: None)
         sim.run()
@@ -325,16 +321,16 @@ class TestRunControl:
 
 
 class TestPendingEvents:
-    """pending_events is O(1) on both backends, not a heap scan."""
+    """pending_events is O(1) on both engines, not a heap scan."""
 
     def test_counts_scheduled(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         for i in range(5):
             sim.schedule(float(i + 1), lambda: None)
         assert sim.pending_events == 5
 
     def test_decrements_on_fire(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         sim.step()
@@ -343,7 +339,7 @@ class TestPendingEvents:
         assert sim.pending_events == 0
 
     def test_decrements_on_cancel(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         handles = [sim.schedule(float(i + 1), lambda: None) for i in range(3)]
         sim.cancel_event(handles[1])
         assert sim.pending_events == 2
@@ -354,7 +350,7 @@ class TestPendingEvents:
         assert sim.events_processed == 2
 
     def test_cancel_after_fire_does_not_decrement(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         handle = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         sim.step()
@@ -362,7 +358,7 @@ class TestPendingEvents:
         assert sim.pending_events == 1
 
     def test_clear_resets_to_zero(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         handles = [sim.schedule(float(i + 1), lambda: None) for i in range(4)]
         sim.clear()
         assert sim.pending_events == 0
@@ -373,7 +369,7 @@ class TestPendingEvents:
 
     def test_counter_is_o1(self, backend):
         """Reading pending_events must not walk the heap."""
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         for i in range(10_000):
             sim.schedule(float(i + 1), lambda: None)
         reads_per_probe = 1000
@@ -381,7 +377,7 @@ class TestPendingEvents:
         import timeit
         t_large = timeit.timeit(lambda: sim.pending_events,
                                 number=reads_per_probe)
-        small = Simulator(backend=backend)
+        small = make_sim(backend)
         small.schedule(1.0, lambda: None)
         t_small = timeit.timeit(lambda: small.pending_events,
                                 number=reads_per_probe)
@@ -392,17 +388,17 @@ class TestPendingEvents:
 
 class TestProvenance:
     def test_eids_are_monotonic_from_one(self, backend):
-        sim = Simulator(sanitizer=None, obs=None, backend=backend)
+        sim = make_sim(backend, sanitizer=None, obs=None)
         handles = [sim.schedule(0.1 * i, lambda: None) for i in range(3)]
         assert [event_eid(h) for h in handles] == [1, 2, 3]
 
     def test_setup_events_have_root_parent(self, backend):
-        sim = Simulator(sanitizer=None, obs=None, backend=backend)
+        sim = make_sim(backend, sanitizer=None, obs=None)
         handle = sim.schedule(1.0, lambda: None)
         assert event_parent_eid(handle) == 0 and event_origin_eid(handle) == 0
 
     def test_nested_schedule_records_parent(self, backend):
-        sim = Simulator(sanitizer=None, obs=None, backend=backend)
+        sim = make_sim(backend, sanitizer=None, obs=None)
         child = []
 
         def parent():
@@ -413,12 +409,12 @@ class TestProvenance:
         assert event_parent_eid(child[0]) == event_eid(root)
 
     def test_event_time_accessor(self, backend):
-        sim = Simulator(sanitizer=None, obs=None, backend=backend)
+        sim = make_sim(backend, sanitizer=None, obs=None)
         handle = sim.schedule_at(2.5, lambda: None)
         assert event_time(handle) == 2.5
 
     def test_current_eid_zero_outside_events(self, backend):
-        sim = Simulator(sanitizer=None, obs=None, backend=backend)
+        sim = make_sim(backend, sanitizer=None, obs=None)
         seen = []
         sim.schedule(1.0, lambda: seen.append(sim.current_eid))
         assert sim.current_eid == 0
@@ -433,8 +429,8 @@ class TestProvenance:
         from repro.obs.tracer import Observability, Tracer
 
         sink = MemorySink()
-        sim = Simulator(sanitizer=None, obs=Observability(tracer=Tracer(sink)),
-                        backend=backend)
+        sim = make_sim(backend, sanitizer=None,
+                       obs=Observability(tracer=Tracer(sink)))
         eids = {}
 
         def a():
@@ -464,8 +460,8 @@ class TestProvenance:
         from repro.obs.tracer import Observability, Tracer
 
         sink = MemorySink()
-        sim = Simulator(sanitizer=None, obs=Observability(tracer=Tracer(sink)),
-                        backend=backend)
+        sim = make_sim(backend, sanitizer=None,
+                       obs=Observability(tracer=Tracer(sink)))
 
         def a():
             sim.obs.emit(sim.now, "pkt.send", 1, seq=0)
@@ -486,37 +482,19 @@ class TestProvenance:
         from repro.obs.tracer import Observability, Tracer
 
         sink = MemorySink()
-        sim = Simulator(sanitizer=None, obs=Observability(tracer=Tracer(sink)),
-                        backend=backend)
+        sim = make_sim(backend, sanitizer=None,
+                       obs=Observability(tracer=Tracer(sink)))
         sim.obs.emit(0.0, "campaign.job", -1, label="x")
         (record,) = sink.records
         assert (record.eid, record.parent_eid) == (0, 0)
-
-
-class TestClassicHandleObjects:
-    """The classic backend's EventHandle object API (not on fast)."""
-
-    def test_handle_methods(self):
-        sim = Simulator(backend="classic")
-        handle = sim.schedule(1.0, lambda: None)
-        assert handle.pending and not handle.fired and not handle.cancelled
-        handle.cancel()
-        assert handle.cancelled and not handle.pending
-        handle.cancel()  # idempotent
-        assert sim.pending_events == 0
-
-    def test_handle_attributes(self):
-        sim = Simulator(sanitizer=None, obs=None, backend="classic")
-        handle = sim.schedule(1.5, lambda: None)
-        assert (handle.time, handle.eid, handle.parent_eid) == (1.5, 1, 0)
 
 
 class TestPropertyBased:
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=50))
     def test_firing_order_is_sorted(self, delays):
-        for backend in ("classic", "fast"):
-            sim = Simulator(backend=backend)
+        for backend in ENGINES:
+            sim = make_sim(backend)
             times = []
             for d in delays:
                 sim.schedule(d, lambda: times.append(sim.now))
@@ -530,8 +508,8 @@ class TestPropertyBased:
     def test_cancellation_subset(self, delays, data):
         to_cancel = data.draw(st.sets(
             st.integers(min_value=0, max_value=len(delays) - 1)))
-        for backend in ("classic", "fast"):
-            sim = Simulator(backend=backend)
+        for backend in ENGINES:
+            sim = make_sim(backend)
             fired = []
             handles = [sim.schedule(d, fired.append, i)
                        for i, d in enumerate(delays)]
