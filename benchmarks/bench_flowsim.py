@@ -2,33 +2,28 @@
 
 The flowsim subsystem's reason to exist is scale — modelling fleets the
 packet tier cannot touch.  This benchmark times the standard 10^5-flow
-±SUSS sweep (the same workload ``repro validate --perf`` gates via
-``flowsim_fleet_throughput`` in ``baseline.json``) and asserts the
-subsystem's headline promise: at least 10^5 modelled flows per second.
+±SUSS sweep — the body ``repro validate --perf`` gates as
+``flowsim_fleet_throughput`` (:func:`repro.validate.baseline.bench_flowsim_fleet`)
+— and asserts the subsystem's headline promise: at least 10^5 modelled
+flows per second.
 """
 
 import time
 
 from conftest import iterations, run_once
 
-from repro.flowsim.driver import SweepConfig, run_sweep
 from repro.flowsim.model import PathParams
+from repro.validate.baseline import bench_flowsim_fleet
 
 #: the acceptance floor: modelled flows per wall-clock second.
 MIN_FLOWS_PER_SEC = 100_000
-
-
-def _sweep(flows: int):
-    config = SweepConfig(path=PathParams(rtt=0.04, btl_bw=2_500_000),
-                         flows=flows, size_dist="campus", seed=1)
-    return run_sweep(config)
 
 
 def test_flowsim_fleet_throughput(benchmark):
     """10^5 campus flows through both models, memoised driver."""
     flows = iterations(100_000, 1_000_000)
     start = time.perf_counter()
-    result = run_once(benchmark, _sweep, flows)
+    result = run_once(benchmark, bench_flowsim_fleet, flows)
     elapsed = time.perf_counter() - start
     modelled = sum(f.n_flows for f in result.fleets.values())
     assert modelled == 2 * flows

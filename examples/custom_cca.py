@@ -11,7 +11,7 @@ Run:  python examples/custom_cca.py
 """
 
 from repro.cc.base import AckInfo, CongestionControl, register
-from repro.metrics import Telemetry, jain_index
+from repro.metrics import jain_index
 from repro.sim import Simulator
 from repro.workloads import FlowSpec, LocalTestbedConfig, launch_flows
 
@@ -63,10 +63,9 @@ def main() -> None:
                                 buffer_bdp=1.0)
     sim = Simulator()
     net = config.build(sim)
-    telemetry = Telemetry(sample_cwnd=False, sample_rtt=False)
     specs = [FlowSpec(1, size, "gentle-aimd"),
              FlowSpec(2, size, "cubic")]
-    transfers = launch_flows(sim, net, specs, telemetry)
+    transfers = launch_flows(sim, net, specs)
     sim.run(until=120.0)
 
     print("Custom AIMD (beta=0.85) vs CUBIC on a shared 20 Mbit/s link:\n")

@@ -8,7 +8,8 @@ for SUSS off vs on — the SUSS column should climb back toward 1.0 sooner.
 Run:  python examples/fairness_competition.py
 """
 
-from repro.metrics import Telemetry, fairness_over_time
+from repro.metrics import FlowCollector, fairness_over_time
+from repro.obs import Observability
 from repro.sim import Simulator
 from repro.workloads import FlowSpec, LocalTestbedConfig, launch_flows
 
@@ -21,16 +22,16 @@ def run(suss: bool):
     cc = "cubic+suss" if suss else "cubic"
     config = LocalTestbedConfig(bottleneck_mbps=50.0, rtts=(0.1,) * 5,
                                 buffer_bdp=2.0)
-    sim = Simulator()
+    sim = Simulator(obs=Observability())
     net = config.build(sim)
-    telemetry = Telemetry(sample_cwnd=False, sample_rtt=False)
+    collector = FlowCollector(sim.obs)  # before the flows are launched
     bulk = int(HORIZON * config.btl_bw)
     specs = [FlowSpec(i + 1, bulk, cc, start_time=2.0 * i)
              for i in range(N_FLOWS - 1)]
     specs.append(FlowSpec(N_FLOWS, bulk, cc, start_time=JOIN_TIME))
-    launch_flows(sim, net, specs, telemetry)
+    launch_flows(sim, net, specs)
     sim.run(until=HORIZON)
-    delivered = {fid: telemetry.flow(fid).delivered
+    delivered = {fid: collector.flow(fid).delivered
                  for fid in range(1, N_FLOWS + 1)}
     return fairness_over_time(delivered, t_start=JOIN_TIME - 4.0,
                               t_end=HORIZON, window=2.0, step=1.0)

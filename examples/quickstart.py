@@ -8,8 +8,9 @@ SUSS's accelerated-yet-paced cwnd growth completes it >20% sooner.
 Run:  python examples/quickstart.py
 """
 
-from repro.metrics import Telemetry
+from repro.metrics import FlowCollector
 from repro.net import bdp_bytes, build_path
+from repro.obs import Observability
 from repro.sim import Simulator
 from repro.tcp import open_transfer
 
@@ -20,17 +21,17 @@ SIZE = 2_000_000        # a small flow: 2 MB
 
 def download(cc: str) -> tuple:
     """Run one download; returns (fct, cwnd_trace)."""
-    sim = Simulator()
+    sim = Simulator(obs=Observability())
     net = build_path(sim, bottleneck_rate=RATE, rtt=RTT,
                      buffer_bytes=bdp_bytes(RATE, RTT))
-    telemetry = Telemetry()
-    telemetry.attach_queue(net.bottleneck_queue)
+    # The collector subscribes to the cwnd / RTT / delivered records the
+    # stack emits; create it before the transfer.
+    collector = FlowCollector(sim.obs)
     transfer = open_transfer(sim, net.servers[0], net.clients[0],
-                             flow_id=1, size_bytes=SIZE, cc=cc,
-                             telemetry=telemetry)
+                             flow_id=1, size_bytes=SIZE, cc=cc)
     sim.run(until=60.0)
     assert transfer.completed, f"{cc} did not finish"
-    return transfer.fct, telemetry.flow(1).cwnd
+    return transfer.fct, collector.flow(1).cwnd
 
 
 def main() -> None:

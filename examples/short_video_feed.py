@@ -11,7 +11,8 @@ in Google US-East) and reports startup delay and fetch time per scheme.
 Run:  python examples/short_video_feed.py
 """
 
-from repro.metrics import Telemetry
+from repro.metrics import FlowCollector
+from repro.obs import Observability
 from repro.sim import RngRegistry, Simulator
 from repro.tcp import open_transfer
 from repro.workloads import FIG9_SCENARIO
@@ -27,17 +28,15 @@ def fetch_feed(cc: str, seed: int = 0):
     """Fetch all videos sequentially; returns (startup delays, fetch times)."""
     startups, fetches = [], []
     for index, size in enumerate(VIDEO_SIZES):
-        sim = Simulator()
+        sim = Simulator(obs=Observability())
         net = FIG9_SCENARIO.build(sim, RngRegistry(seed * 1000 + index))
-        telemetry = Telemetry(sample_cwnd=False, sample_rtt=False)
-        telemetry.attach_queue(net.bottleneck_queue)
+        collector = FlowCollector(sim.obs)
         transfer = open_transfer(sim, net.servers[0], net.clients[0],
-                                 flow_id=1, size_bytes=size, cc=cc,
-                                 telemetry=telemetry)
+                                 flow_id=1, size_bytes=size, cc=cc)
         sim.run(until=120.0)
         if not transfer.completed:
             raise RuntimeError(f"{cc}: video {index} did not finish")
-        delivered = telemetry.flow(1).delivered
+        delivered = collector.flow(1).delivered
         startup = next(t for t, v in delivered if v >= PLAYBACK_THRESHOLD)
         startups.append(startup)
         fetches.append(transfer.fct)

@@ -10,7 +10,8 @@ delay while the trickle periods stay untouched.
 Run:  python examples/streaming_server.py
 """
 
-from repro.metrics import Telemetry
+from repro.metrics import FlowCollector
+from repro.obs import Observability
 from repro.sim import RngRegistry, Simulator
 from repro.tcp.stream import open_stream
 from repro.workloads import get_scenario
@@ -23,12 +24,11 @@ N_SEGMENTS = 8
 def stream_session(cc: str, seed: int = 0):
     """Returns per-segment delivery delays (write -> fully delivered)."""
     scenario = get_scenario("google-tokyo", "wifi")
-    sim = Simulator()
+    sim = Simulator(obs=Observability())
     net = scenario.build(sim, RngRegistry(seed))
-    telemetry = Telemetry(sample_cwnd=False, sample_rtt=False)
-    telemetry.attach_queue(net.bottleneck_queue)
+    collector = FlowCollector(sim.obs)
     source, transfer = open_stream(sim, net.servers[0], net.clients[0],
-                                   flow_id=1, cc=cc, telemetry=telemetry)
+                                   flow_id=1, cc=cc)
     write_times = []
 
     def push_segment(index):
@@ -42,7 +42,7 @@ def stream_session(cc: str, seed: int = 0):
     sim.run(until=120.0)
     assert transfer.completed, f"{cc}: stream did not finish"
 
-    delivered = telemetry.flow(1).delivered
+    delivered = collector.flow(1).delivered
     delays = []
     for i, t_write in enumerate(write_times):
         target = (i + 1) * SEGMENT_BYTES

@@ -11,7 +11,6 @@ load time across BBR, CUBIC, and CUBIC+SUSS.
 Run:  python examples/web_page_load.py
 """
 
-from repro.metrics import Telemetry
 from repro.sim import RngRegistry, Simulator
 from repro.tcp import open_transfer
 from repro.workloads import get_scenario
@@ -29,8 +28,6 @@ def load_page(cc: str, seed: int = 0) -> float:
     scenario = get_scenario("google-tokyo", "wifi")
     sim = Simulator()
     net = scenario.build(sim, RngRegistry(seed))
-    telemetry = Telemetry(sample_cwnd=False, sample_rtt=False)
-    telemetry.attach_queue(net.bottleneck_queue)
 
     pending = list(enumerate(PAGE_OBJECTS))
     finished = []
@@ -41,7 +38,6 @@ def load_page(cc: str, seed: int = 0) -> float:
         index, size = pending.pop(0)
         open_transfer(sim, net.servers[0], net.clients[0],
                       flow_id=100 + index, size_bytes=size, cc=cc,
-                      telemetry=telemetry,
                       on_complete=lambda s: (finished.append(sim.now),
                                              start_next()))
 

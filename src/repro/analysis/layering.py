@@ -44,22 +44,21 @@ DEFAULT_LAYER_DAG: Dict[str, Optional[Set[str]]] = {
     "tcp": {"sim", "net", "cc", "analysis", "obs"},
     "core": {"sim", "cc", "analysis", "obs"},
     "metrics": {"sim", "net", "analysis", "obs"},
-    "trace": {"metrics", "analysis", "obs"},
-    "workloads": {"sim", "net", "tcp", "cc", "core", "metrics", "trace",
+    "workloads": {"sim", "net", "tcp", "cc", "core", "metrics",
                   "analysis", "obs"},
     # flowsim is the analytical fidelity tier: it projects scenarios
     # (workloads) onto closed-form models and runs reference packet
     # flows for cross-validation, but experiments/campaign drive *it*,
     # never the reverse.
-    "flowsim": {"sim", "net", "tcp", "cc", "core", "metrics", "trace",
+    "flowsim": {"sim", "net", "tcp", "cc", "core", "metrics",
                 "workloads", "analysis", "obs"},
     "campaign": {"workloads", "flowsim", "analysis", "obs"},
-    "experiments": {"sim", "net", "tcp", "cc", "core", "metrics", "trace",
+    "experiments": {"sim", "net", "tcp", "cc", "core", "metrics",
                     "workloads", "flowsim", "campaign", "analysis", "obs"},
     # validate sits above experiments: it *reads* every harness to bind
     # claims but nothing below it may know validation exists (an
     # experiments -> validate import is LAY001).
-    "validate": {"sim", "net", "tcp", "cc", "core", "metrics", "trace",
+    "validate": {"sim", "net", "tcp", "cc", "core", "metrics",
                  "workloads", "flowsim", "campaign", "experiments",
                  "analysis", "obs"},
     "top": None,
@@ -90,7 +89,6 @@ DEFAULT_MODULE_EXCEPTIONS: Dict[str, Set[str]] = {
     "cc": {"core.units"},
     "tcp": {"core.units"},
     "metrics": {"core.units"},
-    "trace": {"core.units"},
     "obs": {"core.units"},
 }
 

@@ -25,7 +25,7 @@ from repro.campaign import ProgressReporter, ResultStore, stderr_reporter
 from repro.cc import available
 from repro.experiments.report import pct, render_table
 from repro.experiments.runner import run_single_flow, sweep_summaries
-from repro.trace.csvout import write_multi_timeseries
+from repro.metrics.timeseries import write_multi_timeseries
 from repro.core.units import BITS_PER_BYTE, MB, MBIT, MBPS, MILLIS_PER_SECOND
 from repro.workloads import INTERNET_SCENARIOS
 from repro.workloads.scenarios import LINK_NAMES, SERVER_NAMES

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.experiments.report import pct, render_table
-from repro.metrics.collector import Telemetry
 from repro.metrics.summary import summarize
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -40,17 +39,13 @@ def _one(cc: str, load: float, size: int, seed: int,
                                 rtts=(0.08,) * 5, buffer_bdp=1.5)
     sim = Simulator()
     net = config.build(sim, RngRegistry(seed))
-    telemetry = Telemetry(sample_cwnd=False, sample_rtt=False,
-                          sample_delivered=False)
-    telemetry.attach_queue(net.bottleneck_queue)
     cross = CrossTraffic(sim=sim, net=net, pair_index=4, target_load=load,
                          bottleneck_rate=config.btl_bw,
-                         rng=random.Random(seed + 99),
-                         telemetry=telemetry)
+                         rng=random.Random(seed + 99))
     cross.start()
     foreground = open_transfer(sim, net.servers[0], net.clients[0],
                                flow_id=1, size_bytes=size, cc=cc,
-                               start_time=fg_start, telemetry=telemetry)
+                               start_time=fg_start)
     sim.run(until=horizon)
     if not foreground.completed:
         raise RuntimeError(f"foreground {cc} did not finish under load")

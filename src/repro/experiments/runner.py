@@ -15,7 +15,7 @@ from repro.campaign.progress import ProgressReporter
 from repro.campaign.scheduler import collect_values, run_campaign
 from repro.campaign.spec import single_flow_job
 from repro.campaign.store import ResultStore
-from repro.metrics.collector import Telemetry
+from repro.metrics.collector import FlowCollector
 from repro.metrics.summary import Summary, summarize
 from repro.net.topology import Dumbbell
 from repro.obs.tracer import Observability
@@ -41,7 +41,7 @@ class FlowResult:
     rto_count: int
     data_packets_sent: int
     drops: int
-    telemetry: Optional[Telemetry] = None
+    telemetry: Optional[FlowCollector] = None
     transfer: Optional[Transfer] = None
 
     @property
@@ -49,6 +49,15 @@ class FlowResult:
         if self.data_packets_sent == 0:
             return 0.0
         return self.drops / self.data_packets_sent
+
+
+def _new_sim(obs: Optional[Observability], collect: bool) -> Simulator:
+    """A simulator carrying ``obs`` (else the environment's default);
+    a collecting run gets a bare bundle when neither supplies one."""
+    sim = Simulator() if obs is None else Simulator(obs=obs)
+    if collect and sim.obs is None:
+        sim.obs = Observability()
+    return sim
 
 
 def _deadline(scenario: PathScenario, size_bytes: int) -> float:
@@ -72,23 +81,23 @@ def run_single_flow(scenario: PathScenario, cc: str, size_bytes: int,
     scenario's bookkeeping.  ``obs`` wires an explicit observability
     bundle into the simulator (the caller owns its sinks and closes
     them); when omitted, the ``REPRO_TRACE`` / ``REPRO_PROFILE``
-    environment default applies.
+    environment default applies.  ``collect`` subscribes a
+    :class:`FlowCollector` to the simulator's bundle and returns it as
+    ``telemetry``; a pre-built ``sim`` must then carry one.
     """
     if (net is None) != (sim is None):
         raise ValueError("supply both net and sim, or neither")
     if sim is None:
-        sim = Simulator() if obs is None else Simulator(obs=obs)
+        sim = _new_sim(obs, collect)
         rng = RngRegistry(seed)
         net = scenario.build(sim, rng)
-    telemetry = Telemetry() if collect else Telemetry(
-        sample_cwnd=False, sample_rtt=False, sample_delivered=False)
-    if sim.obs is not None:
-        telemetry.registry = sim.obs.metrics
-    telemetry.attach_queue(net.bottleneck_queue)
+    elif collect and sim.obs is None:
+        raise ValueError("collect=True needs a sim built with an "
+                         "Observability (sim.obs is None)")
+    telemetry = FlowCollector(sim.obs) if collect else None
     transfer = open_transfer(sim, net.servers[0], net.clients[0], flow_id=1,
                              size_bytes=size_bytes, cc=cc,
-                             delayed_ack=delayed_ack, ecn=ecn,
-                             telemetry=telemetry)
+                             delayed_ack=delayed_ack, ecn=ecn)
     sim.run(until=_deadline(scenario, size_bytes))
     if sim.sanitizer is not None:
         sim.sanitizer.verify_conservation(sim.pending_events)
@@ -98,8 +107,8 @@ def run_single_flow(scenario: PathScenario, cc: str, size_bytes: int,
         fct=transfer.fct, completed=transfer.completed,
         retransmissions=sender.retransmissions, rto_count=sender.rto_count,
         data_packets_sent=sender.data_packets_sent,
-        drops=telemetry.flow(1).drops,
-        telemetry=telemetry if collect else None,
+        drops=net.bottleneck_queue.flow_drops.get(1, 0),
+        telemetry=telemetry,
         transfer=transfer if keep_transfer else None)
 
 
@@ -122,17 +131,11 @@ def run_topo_flow(scenario, cc: str, size_bytes: int, seed: int = 0,
     flow = spec.flows[0]
     bottleneck = built.bottleneck_link(flow.server, flow.client)
     rtt = built.path_rtt(flow.server, flow.client)
-    telemetry = Telemetry(sample_cwnd=False, sample_rtt=False,
-                          sample_delivered=False)
-    if sim.obs is not None:
-        telemetry.registry = sim.obs.metrics
-    telemetry.attach_queue(bottleneck.queue)
     generators = place_cross_traffic(built, rng, load_scale=cross_load,
                                      cc=cross_cc)
     transfer = open_transfer(sim, built.hosts[flow.server],
                              built.hosts[flow.client], flow_id=1,
-                             size_bytes=size_bytes, cc=cc,
-                             telemetry=telemetry)
+                             size_bytes=size_bytes, cc=cc)
     # Cross traffic steals a load-dependent share of the bottleneck, so
     # the deadline scales the ideal transfer time by the worst-case
     # residual share on top of run_single_flow's generous envelope.
@@ -152,6 +155,7 @@ def run_topo_flow(scenario, cc: str, size_bytes: int, seed: int = 0,
     if sim.sanitizer is not None:
         sim.sanitizer.verify_conservation(sim.pending_events)
     sender = transfer.sender
+    drops = bottleneck.queue.flow_drops.get(1, 0)
     return {
         "scenario": spec.name,
         "scenario_class": spec.scenario_class,
@@ -166,8 +170,8 @@ def run_topo_flow(scenario, cc: str, size_bytes: int, seed: int = 0,
         "retransmissions": sender.retransmissions,
         "rto_count": sender.rto_count,
         "data_packets_sent": sender.data_packets_sent,
-        "drops": telemetry.flow(1).drops,
-        "loss_rate": (telemetry.flow(1).drops / sender.data_packets_sent
+        "drops": drops,
+        "loss_rate": (drops / sender.data_packets_sent
                       if sender.data_packets_sent else 0.0),
         "cross_flows": sum(len(g.flows) for g in generators),
         "cross_flows_completed": sum(g.completed_flows for g in generators),
@@ -259,7 +263,8 @@ class LocalRun:
     sim: Simulator
     net: Dumbbell
     transfers: Dict[int, Transfer]
-    telemetry: Telemetry
+    #: the series collector; None when the run was not collecting
+    telemetry: Optional[FlowCollector]
 
     def fct_of(self, flow_id: int) -> Optional[float]:
         return self.transfers[flow_id].fct
@@ -269,12 +274,11 @@ def run_local_testbed(config: LocalTestbedConfig, specs: Sequence[FlowSpec],
                       until: float, seed: int = 0,
                       collect: bool = True) -> LocalRun:
     """Run a multi-flow workload on the paper's dumbbell testbed."""
-    sim = Simulator()
+    sim = _new_sim(None, collect)
     rng = RngRegistry(seed)
     net = config.build(sim, rng)
-    telemetry = Telemetry() if collect else Telemetry(
-        sample_cwnd=False, sample_rtt=False, sample_delivered=False)
-    transfers = launch_flows(sim, net, specs, telemetry)
+    telemetry = FlowCollector(sim.obs) if collect else None
+    transfers = launch_flows(sim, net, specs)
     sim.run(until=until)
     if sim.sanitizer is not None:
         sim.sanitizer.verify_conservation(sim.pending_events)

@@ -1,27 +1,29 @@
-"""Measurement and aggregation: telemetry, time series, fairness, summaries."""
+"""Measurement and aggregation: flow series, fairness, summaries."""
 
-from repro.metrics.collector import FlowTrace, Telemetry
+from repro.metrics.collector import FlowCollector, FlowTrace
 from repro.metrics.fairness import fairness_over_time, jain_index
 from repro.metrics.queuemon import QueueMonitor
 from repro.metrics.summary import (
-    EMPTY_SUMMARY,
     Summary,
     improvement,
     summarize,
-    summarize_metric,
 )
-from repro.metrics.timeseries import TimeSeries
+from repro.metrics.timeseries import (
+    TimeSeries,
+    write_multi_timeseries,
+    write_timeseries,
+)
 
 __all__ = [
     "QueueMonitor",
+    "FlowCollector",
     "FlowTrace",
-    "Telemetry",
     "fairness_over_time",
     "jain_index",
-    "EMPTY_SUMMARY",
     "Summary",
     "improvement",
     "summarize",
-    "summarize_metric",
     "TimeSeries",
+    "write_multi_timeseries",
+    "write_timeseries",
 ]

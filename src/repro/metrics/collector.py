@@ -1,118 +1,69 @@
-"""Telemetry collection — the simulation analogue of the paper's kernel log.
+"""Per-flow series collection — the simulation analogue of the paper's
+kernel log.
 
 The paper instruments the kernel to log TCP state variables (inflight,
-cwnd, RTT, delivered data).  :class:`Telemetry` provides the same
-visibility: TCP endpoints and queues call its hooks, and experiments read
-the per-flow :class:`FlowTrace` records afterwards.
+cwnd, RTT, delivered data) and derives its figures from that one log.
+:class:`FlowCollector` is the same thing over the stack's one probe: it
+subscribes to the ``cc.cwnd`` / ``tcp.rtt`` / ``tcp.delivered`` records
+of an :class:`~repro.obs.tracer.Observability` bundle and files them as
+per-flow :class:`FlowTrace` series, which experiments read afterwards.
+Counts are not duplicated here: packets sent and retransmitted are the
+sender's (``data_packets_sent`` / ``retransmissions``), drops the
+queue's (``flow_drops``).
 
-All hooks are cheap appends; a Telemetry object can be shared by every
-flow in a scenario.
+One collector serves every flow of the simulation; create it before the
+flows (components resolve who listens when they are built).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict
 
-from repro.net.packet import Packet
 from repro.metrics.timeseries import TimeSeries
-from repro.obs.metrics import Counter, MetricRegistry
+from repro.obs import records as obsrec
+from repro.obs.tracer import Observability
 
 
 @dataclass
 class FlowTrace:
-    """Everything recorded about one flow."""
+    """The sampled series of one flow."""
 
     flow_id: int
     cwnd: TimeSeries = field(default_factory=lambda: TimeSeries("cwnd"))
     inflight: TimeSeries = field(default_factory=lambda: TimeSeries("inflight"))
     rtt: TimeSeries = field(default_factory=lambda: TimeSeries("rtt"))
     delivered: TimeSeries = field(default_factory=lambda: TimeSeries("delivered"))
-    data_packets_sent: int = 0
-    retransmit_packets: int = 0
-    drops: int = 0
-    completion_time: Optional[float] = None
-
-    @property
-    def loss_rate(self) -> float:
-        """Dropped data packets over data packets sent (paper Fig. 14/17)."""
-        if self.data_packets_sent == 0:
-            return 0.0
-        return self.drops / self.data_packets_sent
-
-    @property
-    def retransmit_rate(self) -> float:
-        if self.data_packets_sent == 0:
-            return 0.0
-        return self.retransmit_packets / self.data_packets_sent
 
 
-class Telemetry:
-    """Shared sink for per-flow instrumentation events."""
+class _FlowTraces(Dict[int, FlowTrace]):
+    """``traces[flow_id]`` makes the flow's record on first use."""
 
-    def __init__(self, sample_cwnd: bool = True, sample_rtt: bool = True,
-                 sample_delivered: bool = True,
-                 registry: Optional[MetricRegistry] = None) -> None:
-        self.flows: Dict[int, FlowTrace] = {}
-        self.sample_cwnd = sample_cwnd
-        self.sample_rtt = sample_rtt
-        self.sample_delivered = sample_delivered
-        self.total_drops = 0
-        #: optional repro.obs metric registry mirroring the counters, so
-        #: campaign/experiment code can read one uniform snapshot.
-        self.registry = registry
-        self._handles: Dict[Tuple[str, int], Counter] = {}
+    def __missing__(self, flow_id: int) -> FlowTrace:
+        trace = self[flow_id] = FlowTrace(flow_id)
+        return trace
 
-    def _counter(self, name: str, flow_id: int) -> Counter:
-        key = (name, flow_id)
-        handle = self._handles.get(key)
-        if handle is None:
-            handle = self.registry.counter(name, flow=flow_id)
-            self._handles[key] = handle
-        return handle
+
+class FlowCollector:
+    """Probe subscriber filling one :class:`FlowTrace` per flow."""
+
+    def __init__(self, obs: Observability) -> None:
+        self.flows = _FlowTraces()
+        obs.subscribe(obsrec.CC_CWND, self._on_cwnd)
+        obs.subscribe(obsrec.TCP_RTT, self._on_rtt)
+        obs.subscribe(obsrec.TCP_DELIVERED, self._on_delivered)
 
     def flow(self, flow_id: int) -> FlowTrace:
-        if flow_id not in self.flows:
-            self.flows[flow_id] = FlowTrace(flow_id)
         return self.flows[flow_id]
 
-    # -- hooks called by the stack ----------------------------------------
-    def on_cwnd(self, flow_id: int, now: float, cwnd: int, inflight: int) -> None:
-        if not self.sample_cwnd:
-            return
-        trace = self.flow(flow_id)
-        trace.cwnd.append(now, cwnd)
-        trace.inflight.append(now, inflight)
+    def _on_cwnd(self, time: float, flow: int, fields: Dict[str, Any]) -> None:
+        trace = self.flows[flow]
+        trace.cwnd.append(time, fields["cwnd"])
+        trace.inflight.append(time, fields["flight"])
 
-    def on_rtt(self, flow_id: int, now: float, rtt: float) -> None:
-        if self.sample_rtt:
-            self.flow(flow_id).rtt.append(now, rtt)
+    def _on_rtt(self, time: float, flow: int, fields: Dict[str, Any]) -> None:
+        self.flows[flow].rtt.append(time, fields["rtt"])
 
-    def on_send(self, flow_id: int, now: float, packet: Packet,
-                retransmit: bool) -> None:
-        trace = self.flow(flow_id)
-        trace.data_packets_sent += 1
-        if retransmit:
-            trace.retransmit_packets += 1
-        if self.registry is not None:
-            self._counter("telemetry.data_packets", flow_id).add(1)
-            if retransmit:
-                self._counter("telemetry.retransmits", flow_id).add(1)
-
-    def on_delivered(self, flow_id: int, now: float, delivered: int) -> None:
-        if self.sample_delivered:
-            self.flow(flow_id).delivered.append(now, delivered)
-
-    def on_flow_complete(self, flow_id: int, now: float) -> None:
-        self.flow(flow_id).completion_time = now
-
-    def on_drop(self, packet: Packet, queue_name: str) -> None:
-        self.total_drops += 1
-        self.flow(packet.flow_id).drops += 1
-        if self.registry is not None:
-            self._counter("telemetry.drops", packet.flow_id).add(1)
-
-    # -- wiring helpers ----------------------------------------------------
-    def attach_queue(self, queue) -> None:
-        """Route a queue's drop events into this telemetry object."""
-        queue.on_drop = self.on_drop
+    def _on_delivered(self, time: float, flow: int,
+                      fields: Dict[str, Any]) -> None:
+        self.flows[flow].delivered.append(time, fields["delivered"])

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.obs.metrics import Histogram, MetricRegistry
-
 
 def percentile(samples: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile of ``samples`` (``q`` in [0, 100])."""
@@ -45,25 +43,8 @@ class Summary:
     median: float
     p95: float
 
-    @property
-    def empty(self) -> bool:
-        """True for the zero-sample sentinel (:data:`EMPTY_SUMMARY`)."""
-        return self.n == 0
-
     def __str__(self) -> str:
-        if self.empty:
-            return "no samples"
         return f"{self.mean:.4g} ± {self.std:.2g} (n={self.n})"
-
-
-#: the zero-sample sentinel.  Aggregating an instrument nobody wrote to
-#: is an expected situation (a sweep where one scheme never retransmits,
-#: a histogram behind a disabled feature), not a programming error, so
-#: :func:`summarize_metric` returns this instead of raising.  The NaN
-#: statistics poison any arithmetic loudly; test with ``summary.empty``.
-EMPTY_SUMMARY = Summary(n=0, mean=float("nan"), std=float("nan"),
-                        minimum=float("nan"), maximum=float("nan"),
-                        median=float("nan"), p95=float("nan"))
 
 
 def summarize(samples: Sequence[float]) -> Summary:
@@ -80,28 +61,6 @@ def summarize(samples: Sequence[float]) -> Summary:
                    minimum=min(samples), maximum=max(samples),
                    median=percentile(samples, 50.0),
                    p95=percentile(samples, 95.0))
-
-
-def summarize_metric(registry: MetricRegistry, name: str) -> Summary:
-    """Summary over one registry metric's values across all label sets.
-
-    Counters and gauges contribute their current value; histograms
-    contribute their streaming mean.  Gauges never written to and empty
-    histograms are skipped.  When nothing under ``name`` has a value yet
-    (including an unknown name), the :data:`EMPTY_SUMMARY` sentinel is
-    returned — check ``summary.empty`` before using the statistics.
-    """
-    values = []
-    for labels in registry.labels_of(name):
-        instrument = registry.get(name, **labels)
-        if isinstance(instrument, Histogram):
-            if instrument.count:
-                values.append(instrument.mean)
-        elif instrument.value is not None:
-            values.append(instrument.value)
-    if not values:
-        return EMPTY_SUMMARY
-    return summarize(values)
 
 
 def improvement(baseline: float, improved: float) -> float:

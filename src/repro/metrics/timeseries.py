@@ -3,13 +3,15 @@
 The paper's evaluation plots cwnd, RTT, and delivered data against time
 (Figs. 1, 9, 10, 16); a :class:`TimeSeries` is the stored form of those
 curves, with step-interpolation lookup and windowed-rate helpers used to
-compute goodput for the fairness analysis (Fig. 15).
+compute goodput for the fairness analysis (Fig. 15).  The two CSV
+writers export series for plotting.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, Optional, Tuple
+import csv
+from typing import Dict, Iterator, List, Optional, TextIO, Tuple
 
 from repro.core.units import Seconds
 
@@ -79,3 +81,34 @@ class TimeSeries:
                 out.append(t, value)
             t += interval
         return out
+
+
+def write_timeseries(out: TextIO, series: TimeSeries,
+                     value_label: str = "value") -> None:
+    """Write one time series as ``time,<value_label>`` rows."""
+    writer = csv.writer(out)
+    writer.writerow(["time", value_label])
+    for t, v in series:
+        writer.writerow([f"{t:.6f}", repr(v)])
+
+
+def write_multi_timeseries(out: TextIO, series_by_name: Dict[str, TimeSeries],
+                           interval: Seconds) -> None:
+    """Write several series step-resampled onto a common time grid."""
+    if not series_by_name:
+        raise ValueError("need at least one series")
+    if interval <= 0:
+        raise ValueError("interval must be positive")
+    t_start = min(s.times[0] for s in series_by_name.values() if not s.empty)
+    t_end = max(s.times[-1] for s in series_by_name.values() if not s.empty)
+    names = sorted(series_by_name)
+    writer = csv.writer(out)
+    writer.writerow(["time"] + names)
+    t = t_start
+    while t <= t_end:
+        row = [f"{t:.6f}"]
+        for name in names:
+            value = series_by_name[name].value_at(t)
+            row.append("" if value is None else repr(value))
+        writer.writerow(row)
+        t += interval

@@ -35,8 +35,7 @@ class Link:
 
     __slots__ = ("sim", "dst", "bandwidth", "delay", "queue", "jitter",
                  "loss", "name", "_busy", "_last_arrival", "packets_sent",
-                 "bytes_sent", "packets_lost", "obs", "_m_bytes", "_m_drops",
-                 "_m_qlen", "_set_now")
+                 "bytes_sent", "packets_lost", "_drop_obs", "_set_now")
 
     def __init__(self, sim: Simulator, dst: Receiver, bandwidth: BandwidthProfile,
                  delay: Seconds, queue: Optional[DropTailQueue] = None,
@@ -66,14 +65,11 @@ class Link:
         # Hoisted once: the per-send cost of the CoDel time hint is a
         # pointer test instead of a hasattr() call.
         self._set_now = getattr(self.queue, "set_now", None)
-        # Metric handles are resolved once here so the per-packet cost of
-        # instrumentation is a single ``is not None`` test when disabled.
-        self.obs = sim.obs
-        if self.obs is not None:
-            m = self.obs.metrics
-            self._m_bytes = m.counter("link.bytes_sent", link=name)
-            self._m_drops = m.counter("link.drops", link=name)
-            self._m_qlen = m.histogram("link.queue_bytes", link=name)
+        # Resolved once: a link nobody watches drops on pays one pointer
+        # test per drop site.
+        obs = sim.obs
+        self._drop_obs = (None if obs is None
+                          else obs.gate(obsrec.PKT_DROP))
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
@@ -83,11 +79,9 @@ class Link:
         if not self.queue.push(packet):
             if self.sim.sanitizer is not None:
                 self.sim.sanitizer.note_network_drop(f"{self.name}: queue full")
-            if self.obs is not None:
+            if self._drop_obs is not None:
                 self._note_drop(packet, "queue_full")
             return False
-        if self.obs is not None:
-            self._m_qlen.observe(self.queue.bytes_queued)
         if not self._busy:
             self._start_next()
         return True
@@ -101,11 +95,10 @@ class Link:
             if self.sim.sanitizer is not None:
                 self.sim.sanitizer.note_network_drop(
                     f"{self.name}: AQM drop", self.queue.drops - drops_before)
-            if self.obs is not None:
-                self._m_drops.add(self.queue.drops - drops_before)
-                self.obs.emit(self.sim.now, obsrec.PKT_DROP, -1,
-                              link=self.name, reason="aqm",
-                              count=self.queue.drops - drops_before)
+            if self._drop_obs is not None:
+                self._drop_obs.emit(self.sim.now, obsrec.PKT_DROP, -1,
+                                    link=self.name, reason="aqm",
+                                    count=self.queue.drops - drops_before)
         if packet is None:
             self._busy = False
             return
@@ -117,13 +110,11 @@ class Link:
     def _finish_transmission(self, packet: Packet) -> None:
         self.packets_sent += 1
         self.bytes_sent += packet.size
-        if self.obs is not None:
-            self._m_bytes.add(packet.size)
         if self.loss is not None and self.loss.drops():
             self.packets_lost += 1
             if self.sim.sanitizer is not None:
                 self.sim.sanitizer.note_network_drop(f"{self.name}: random loss")
-            if self.obs is not None:
+            if self._drop_obs is not None:
                 self._note_drop(packet, "random_loss")
             # The packet dies mid-path: pooled packets rejoin the free
             # list here instead of waiting for end-host delivery that
@@ -142,10 +133,9 @@ class Link:
         self._start_next()
 
     def _note_drop(self, packet: Packet, reason: str) -> None:
-        self._m_drops.add(1)
-        self.obs.emit(self.sim.now, obsrec.PKT_DROP, packet.flow_id,
-                      link=self.name, reason=reason, seq=packet.seq,
-                      size=packet.size)
+        self._drop_obs.emit(self.sim.now, obsrec.PKT_DROP, packet.flow_id,
+                            link=self.name, reason=reason, seq=packet.seq,
+                            size=packet.size)
 
     # ------------------------------------------------------------------
     @property

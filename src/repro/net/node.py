@@ -65,10 +65,11 @@ class Host:
         if sim is not None:
             if sim.sanitizer is not None:
                 sim.sanitizer.note_network_deliver()
-            if sim.obs is not None:
-                sim.obs.emit(sim.now, obsrec.PKT_RECV, packet.flow_id,
-                             host=self.name, ptype=packet.kind.name,
-                             seq=packet.seq, size=packet.size)
+            obs = sim.obs
+            if obs is not None and obs.wants(obsrec.PKT_RECV):
+                obs.emit(sim.now, obsrec.PKT_RECV, packet.flow_id,
+                         host=self.name, ptype=packet.kind.name,
+                         seq=packet.seq, size=packet.size)
         endpoint = self._endpoints.get(packet.flow_id)
         if endpoint is None:
             self.unroutable += 1

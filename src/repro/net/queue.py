@@ -10,30 +10,28 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Deque, Dict, Optional
 
 from repro.core.units import Bytes, Seconds
 from repro.net.packet import Packet
-
-DropCallback = Callable[[Packet, str], None]
 
 
 class DropTailQueue:
     """Byte-capacity FIFO queue that drops arriving packets when full."""
 
-    __slots__ = ("capacity_bytes", "name", "on_drop", "_q", "_bytes",
-                 "drops", "enqueued", "bytes_peak")
+    __slots__ = ("capacity_bytes", "name", "_q", "_bytes", "drops",
+                 "flow_drops", "enqueued", "bytes_peak")
 
-    def __init__(self, capacity_bytes: Bytes, name: str = "queue",
-                 on_drop: Optional[DropCallback] = None) -> None:
+    def __init__(self, capacity_bytes: Bytes, name: str = "queue") -> None:
         if capacity_bytes <= 0:
             raise ValueError("queue capacity must be positive")
         self.capacity_bytes = capacity_bytes
         self.name = name
-        self.on_drop = on_drop
         self._q: Deque[Packet] = deque()
         self._bytes: Bytes = 0
         self.drops = 0
+        #: flow id -> packets of that flow dropped here (sums to ``drops``)
+        self.flow_drops: Dict[int, int] = {}
         self.enqueued = 0
         #: high-water mark of queued bytes over the queue's lifetime
         self.bytes_peak = 0
@@ -53,9 +51,7 @@ class DropTailQueue:
     def push(self, packet: Packet) -> bool:
         """Enqueue ``packet``; returns False (and counts a drop) when full."""
         if self._bytes + packet.size > self.capacity_bytes:
-            self.drops += 1
-            if self.on_drop is not None:
-                self.on_drop(packet, self.name)
+            self._count_drop(packet)
             return False
         self._q.append(packet)
         self._bytes += packet.size
@@ -71,6 +67,11 @@ class DropTailQueue:
         packet = self._q.popleft()
         self._bytes -= packet.size
         return packet
+
+    def _count_drop(self, packet: Packet) -> None:
+        self.drops += 1
+        flow = packet.flow_id
+        self.flow_drops[flow] = self.flow_drops.get(flow, 0) + 1
 
 
 class CoDelQueue(DropTailQueue):
@@ -88,9 +89,8 @@ class CoDelQueue(DropTailQueue):
 
     def __init__(self, capacity_bytes: Bytes, name: str = "codel",
                  target: Seconds = 0.005, interval: Seconds = 0.100,
-                 ecn: bool = False,
-                 on_drop: Optional[DropCallback] = None) -> None:
-        super().__init__(capacity_bytes, name, on_drop)
+                 ecn: bool = False) -> None:
+        super().__init__(capacity_bytes, name)
         self.target = target
         self.interval = interval
         #: mark ECN-capable packets (CE) instead of dropping them
@@ -170,7 +170,5 @@ class CoDelQueue(DropTailQueue):
         packet = self._q.popleft()
         self._enqueue_time.popleft()
         self._bytes -= packet.size
-        self.drops += 1
-        if self.on_drop is not None:
-            self.on_drop(packet, self.name)
+        self._count_drop(packet)
         return True

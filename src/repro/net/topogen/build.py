@@ -89,14 +89,6 @@ class BuiltTopology:
         back = sum(l.delay for l in self.path_links(dst_host, src_host))
         return forward + back
 
-    @property
-    def flow_queue(self) -> DropTailQueue:
-        """The first foreground flow's bottleneck buffer (telemetry hook)."""
-        if not self.spec.flows:
-            raise TopologySpecError(f"{self.spec.name}: spec declares no flows")
-        flow = self.spec.flows[0]
-        return self.bottleneck_link(flow.server, flow.client).queue
-
 
 def _make_queue(link: LinkSpec):
     capacity = (link.buffer_bytes if link.buffer_bytes is not None

@@ -31,6 +31,7 @@ from repro.obs.runtime import (
     sample_resources,
 )
 from repro.obs.sinks import (
+    CsvTraceSink,
     DigestSink,
     JsonlSink,
     MemorySink,
@@ -43,6 +44,7 @@ from repro.obs.tracer import Observability, Tracer, from_env, tracing
 __all__ = [
     "ALL_KINDS",
     "Counter",
+    "CsvTraceSink",
     "DigestSink",
     "Divergence",
     "EventProfiler",

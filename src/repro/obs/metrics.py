@@ -1,12 +1,11 @@
 """Metric registries: counters, gauges, and histograms with labels.
 
-The experiment harnesses used to accumulate retransmit counts, RTT
-samples, queue occupancy, and goodput in ad-hoc attributes scattered
-over the stack.  The registry centralises that: each instrument is
-identified by a name plus a sorted label set (``flow=1``,
-``link="btl"``), handles are cached by the emitting component so the
-hot path is a bare attribute update, and :meth:`MetricRegistry.snapshot`
-renders everything as one JSON-serialisable dict.
+Run-level accounting (:mod:`repro.obs.runtime`, the OpenMetrics export)
+keeps its numbers here: each instrument is identified by a name plus a
+sorted label set (``status="ok"``, ``lane=3``), and
+:meth:`MetricRegistry.snapshot` renders everything as one
+JSON-serialisable dict.  Nothing on the per-packet path writes to a
+registry; the simulation reports through ``Observability.emit``.
 
 Instruments are deliberately minimal and allocation-free per update:
 
@@ -93,9 +92,7 @@ class Histogram:
         Linear interpolation inside the containing bucket, clamped to
         the observed ``[minimum, maximum]`` (so the overflow bucket and
         the first bucket report real extremes, not bound guesses).
-        Returns None for a zero-sample histogram — callers that need a
-        non-raising aggregate over possibly-empty instruments pair this
-        with :data:`repro.metrics.summary.EMPTY_SUMMARY`.
+        Returns None for a zero-sample histogram.
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")

@@ -11,18 +11,19 @@ sinks cover the three consumption modes of the evaluation:
 * :class:`DigestSink` — a streaming SHA-256 over the canonical line
   encoding, used by the golden-trace suite and the ``jobs=1`` vs
   ``jobs=4`` determinism cross-check without buffering the stream;
+* :class:`CsvTraceSink` — ``time,flow,kind,<chosen fields>`` rows for
+  spreadsheets and plotting scripts;
 * :class:`TeeSink` — fan one stream out to several sinks.
-
-The CSV exporter lives with the other CSV code as
-:class:`repro.trace.csvout.CsvTraceSink` (the trace layer sits above
-``obs`` in the DAG).
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 from collections import deque
-from typing import Deque, Iterator, List, Optional, Protocol, Sequence, TextIO, runtime_checkable
+from pathlib import Path
+from typing import (Deque, Iterable, Iterator, List, Optional, Protocol,
+                    Sequence, TextIO, Union, runtime_checkable)
 
 from repro.obs.records import TraceRecord
 
@@ -114,8 +115,10 @@ class RingBufferSink(MemorySink):
 class JsonlSink:
     """Write each record as one canonical JSON line.
 
-    Accepts either an open text stream or a path (opened on first emit
-    so constructing an unused sink never touches the filesystem).
+    Accepts either an open text stream or a path.  A path is opened on
+    first emit, so constructing a sink never touches the filesystem;
+    ``close()`` opens it if nothing was emitted — a trace with no
+    records is an empty file, not a missing one.
     """
 
     def __init__(self, target) -> None:
@@ -128,21 +131,27 @@ class JsonlSink:
             self._stream = target
         self.lines = 0
 
+    def _open(self) -> TextIO:
+        assert self._path is not None
+        self._stream = open(self._path, "w", encoding="utf-8")
+        self._owns_stream = True
+        return self._stream
+
     def emit(self, record: TraceRecord) -> None:
-        if self._stream is None:
-            assert self._path is not None
-            self._stream = open(self._path, "w", encoding="utf-8")
-            self._owns_stream = True
-        self._stream.write(record.to_line())
-        self._stream.write("\n")
+        stream = self._stream if self._stream is not None else self._open()
+        stream.write(record.to_line())
+        stream.write("\n")
         self.lines += 1
 
     def close(self) -> None:
-        if self._stream is not None:
-            self._stream.flush()
-            if self._owns_stream:
-                self._stream.close()
-                self._stream = None
+        if self._stream is None:
+            if self._path is None:
+                return  # already closed
+            self._open()
+        self._stream.flush()
+        if self._owns_stream:
+            self._stream.close()
+            self._stream = self._path = None
 
 
 class DigestSink:
@@ -167,6 +176,44 @@ class DigestSink:
 
     def digest(self) -> str:
         return self._hash.hexdigest()
+
+
+class CsvTraceSink:
+    """Write records as ``time,flow,kind,<extra fields>`` CSV rows.
+
+    Extra fields not present on a record are written as empty cells.
+    The provenance columns ``eid`` and ``peid`` may be requested in
+    ``field_names``; they resolve from the record's provenance slots,
+    not its fields mapping.
+    """
+
+    def __init__(self, out: Union[str, Path, TextIO],
+                 field_names: Iterable[str] = ()) -> None:
+        self.field_names = list(field_names)
+        self._owns_stream = isinstance(out, (str, Path))
+        self._stream: TextIO = (open(out, "w", newline="")
+                                if self._owns_stream else out)
+        self._writer = csv.writer(self._stream)
+        self._writer.writerow(["time", "flow", "kind"] + self.field_names)
+        self.rows = 0
+
+    def emit(self, record: TraceRecord) -> None:
+        row = [f"{record.time:.9f}", record.flow, record.kind]
+        for name in self.field_names:
+            if name == "eid":
+                row.append(record.eid)
+            elif name == "peid":
+                row.append(record.parent_eid)
+            else:
+                row.append(record.fields.get(name, ""))
+        self._writer.writerow(row)
+        self.rows += 1
+
+    def close(self) -> None:
+        if self._owns_stream:
+            self._stream.close()
+        else:
+            self._stream.flush()
 
 
 class TeeSink:

@@ -50,7 +50,6 @@ def open_transfer(
     rwnd: int = 1 << 30,
     ecn: bool = False,
     delayed_ack: bool = False,
-    telemetry: Optional[object] = None,
     on_complete: Optional[Callable[[TcpSender], None]] = None,
 ) -> Transfer:
     """Set up a download of ``size_bytes`` from ``server`` to ``client``.
@@ -62,11 +61,11 @@ def open_transfer(
     if isinstance(cc, str):
         cc = cc_base.create(cc)
     receiver = TcpReceiver(sim, client, peer=server.name, flow_id=flow_id,
-                           delayed_ack=delayed_ack, telemetry=telemetry)
+                           delayed_ack=delayed_ack)
     sender = TcpSender(sim, server, peer=client.name, flow_id=flow_id,
                        total_bytes=size_bytes, cc=cc, mss=mss,
                        iw_segments=iw_segments, rwnd=rwnd, ecn=ecn,
-                       telemetry=telemetry, on_complete=on_complete)
+                       on_complete=on_complete)
     if start_time <= sim.now:
         sim.schedule(0.0, sender.start)
     else:

@@ -29,14 +29,12 @@ class TcpReceiver:
     MAX_SACK_BLOCKS = 4
 
     def __init__(self, sim: Simulator, host: Host, peer: str, flow_id: int,
-                 delayed_ack: bool = False,
-                 telemetry: Optional[object] = None) -> None:
+                 delayed_ack: bool = False) -> None:
         self.sim = sim
         self.host = host
         self.peer = peer
         self.flow_id = flow_id
         self.delayed_ack = delayed_ack
-        self.telemetry = telemetry
 
         self.rcv_nxt = 0
         #: out-of-order data held above rcv_nxt
@@ -50,10 +48,9 @@ class TcpReceiver:
         self._pending_ack_echo: Optional[float] = None
         self._unacked_segments = 0
         self._delack_timer = None
-        self.obs = sim.obs
-        self._m_rcvd = (None if self.obs is None else
-                        self.obs.metrics.counter("tcp.delivered_bytes_rx",
-                                                 flow=flow_id))
+        obs = sim.obs
+        self._obs_delivered = (None if obs is None
+                               else obs.gate(obsrec.TCP_DELIVERED))
 
         host.attach(flow_id, self)
 
@@ -126,14 +123,10 @@ class TcpReceiver:
     def _note_progress(self) -> None:
         delivered = self.rcv_nxt
         if delivered > self.bytes_delivered:
-            advanced = delivered - self.bytes_delivered
             self.bytes_delivered = delivered
-            if self.telemetry is not None:
-                self.telemetry.on_delivered(self.flow_id, self.sim.now, delivered)
-            if self.obs is not None:
-                self._m_rcvd.add(advanced)
-                self.obs.emit(self.sim.now, obsrec.TCP_DELIVERED,
-                              self.flow_id, delivered=delivered)
+            if self._obs_delivered is not None:
+                self._obs_delivered.emit(self.sim.now, obsrec.TCP_DELIVERED,
+                                         self.flow_id, delivered=delivered)
 
     # ------------------------------------------------------------------
     def _maybe_delay_ack(self, echo: Optional[float]) -> None:

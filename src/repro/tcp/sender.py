@@ -53,7 +53,6 @@ class TcpSender:
                  iw_segments: int = DEFAULT_IW_SEGMENTS,
                  rwnd: int = 1 << 30,
                  ecn: bool = False,
-                 telemetry: Optional[object] = None,
                  on_complete: Optional[Callable[["TcpSender"], None]] = None) -> None:
         if total_bytes <= 0:
             raise ValueError("total_bytes must be positive")
@@ -66,7 +65,6 @@ class TcpSender:
         self.iw_bytes = iw_segments * mss
         self.rwnd = rwnd
         self.ecn = ecn
-        self.telemetry = telemetry
         self.on_complete = on_complete
 
         # ECN reaction state (react at most once per window, RFC 3168)
@@ -128,18 +126,17 @@ class TcpSender:
         self.fast_retransmits = 0
         self.data_packets_sent = 0
 
-        # observability: cache the bundle and the per-flow metric handles
-        # once, so every hot-path hook is one pointer test when disabled
-        # and a bare attribute update when enabled.
+        # observability: the per-packet kinds resolve once whether anything
+        # consumes them, so a probe nobody listens to is one pointer test;
+        # the rare ones (recovery, RTO, the congestion control's per-round
+        # records) go through ``obs`` itself.
         obs = sim.obs
         self.obs = obs
-        if obs is not None:
-            m = obs.metrics
-            self._m_sent = m.counter("tcp.data_packets", flow=flow_id)
-            self._m_retx = m.counter("tcp.retransmits", flow=flow_id)
-            self._m_rto = m.counter("tcp.rtos", flow=flow_id)
-            self._m_delivered = m.counter("tcp.delivered_bytes", flow=flow_id)
-            self._m_rtt = m.histogram("tcp.rtt_seconds", flow=flow_id)
+        gate = obs.gate if obs is not None else (lambda kind: None)
+        self._obs_send = gate(obsrec.PKT_SEND)
+        self._obs_rtt = gate(obsrec.TCP_RTT)
+        self._obs_cwnd = gate(obsrec.CC_CWND)
+        self._obs_pacing = gate(obsrec.TCP_PACING)
         self._traced_pacing_rate: Optional[float] = None
 
         self.cc = cc
@@ -220,12 +217,9 @@ class TcpSender:
             rtt_sample = now - packet.ts_echo
             if rtt_sample > 0:
                 self.rtt.update(rtt_sample, self.round_index)
-                if self.telemetry is not None:
-                    self.telemetry.on_rtt(self.flow_id, now, rtt_sample)
-                if self.obs is not None:
-                    self._m_rtt.observe(rtt_sample)
-                    self.obs.emit(now, obsrec.TCP_RTT, self.flow_id,
-                                  rtt=rtt_sample)
+                if self._obs_rtt is not None:
+                    self._obs_rtt.emit(now, obsrec.TCP_RTT, self.flow_id,
+                                       rtt=rtt_sample)
 
         self._merge_sack(packet)
 
@@ -267,8 +261,6 @@ class TcpSender:
         self.dup_acks = 0
         self.delivered += acked
         self.delivered_time = now
-        if self.obs is not None:
-            self._m_delivered.add(acked)
         self._retx_outstanding = max(self._retx_outstanding
                                      - min(acked, self.mss), 0)
         rate_sample = self._take_rate_sample(packet.ack_seq, now)
@@ -301,10 +293,7 @@ class TcpSender:
         self.cc.on_ack(info)
         self._sanitize_cc()
 
-        if self.telemetry is not None:
-            self.telemetry.on_cwnd(self.flow_id, now, self.cc.cwnd,
-                                   self.bytes_in_flight)
-        if self.obs is not None:
+        if self._obs_cwnd is not None:
             self._emit_cwnd(now)
 
         self._rto_backoff = 1.0
@@ -333,6 +322,7 @@ class TcpSender:
             if self.obs is not None:
                 self.obs.emit(now, obsrec.TCP_RECOVERY, self.flow_id,
                               enter=True, point=self.recovery_point)
+            if self._obs_cwnd is not None:
                 self._emit_cwnd(now)
             self._retransmit_holes()
         elif self.in_recovery:
@@ -423,10 +413,10 @@ class TcpSender:
             san.check_pacing_rate(self.flow_id, self.cc.pacing_rate)
 
     def _emit_cwnd(self, now: float) -> None:
-        """Trace the post-event congestion state (callers check self.obs)."""
-        self.obs.emit(now, obsrec.CC_CWND, self.flow_id,
-                      cwnd=self.cc.cwnd, ssthresh=self.cc.ssthresh,
-                      flight=self.bytes_in_flight)
+        """Report the post-event congestion state (callers check the gate)."""
+        self._obs_cwnd.emit(now, obsrec.CC_CWND, self.flow_id,
+                            cwnd=self.cc.cwnd, ssthresh=self.cc.ssthresh,
+                            flight=self.bytes_in_flight)
 
     # ------------------------------------------------------------------
     # transmission
@@ -441,11 +431,12 @@ class TcpSender:
             return
         rate = self.cc.pacing_rate
         self.pacer.set_rate(rate)
-        if self.obs is not None and rate != self._traced_pacing_rate:
+        if self._obs_pacing is not None and rate != self._traced_pacing_rate:
             self._traced_pacing_rate = rate
             # None (pure ACK clocking) is encoded as rate 0.0
-            self.obs.emit(self.sim.now, obsrec.TCP_PACING, self.flow_id,
-                          rate=rate if rate is not None else 0.0)
+            self._obs_pacing.emit(self.sim.now, obsrec.TCP_PACING,
+                                  self.flow_id,
+                                  rate=rate if rate is not None else 0.0)
         while self.snd_nxt < self.total_bytes:
             # Skip sequence space the receiver already holds (possible
             # after an RTO rolled snd_nxt back).
@@ -491,14 +482,9 @@ class TcpSender:
         else:
             self._rate_records.append((seq + size, now, self.delivered,
                                        self.delivered_time))
-        if self.telemetry is not None:
-            self.telemetry.on_send(self.flow_id, now, pkt, retransmit)
-        if self.obs is not None:
-            self._m_sent.add(1)
-            if retransmit:
-                self._m_retx.add(1)
-            self.obs.emit(now, obsrec.PKT_SEND, self.flow_id,
-                          seq=seq, size=size, retx=retransmit)
+        if self._obs_send is not None:
+            self._obs_send.emit(now, obsrec.PKT_SEND, self.flow_id,
+                                seq=seq, size=size, retx=retransmit)
         self.host.transmit(pkt)
 
     def _schedule_pacer_wake(self, when: float) -> None:
@@ -547,9 +533,9 @@ class TcpSender:
         self.cc.on_rto(now)
         self._sanitize_cc()
         if self.obs is not None:
-            self._m_rto.add(1)
             self.obs.emit(now, obsrec.TCP_RTO, self.flow_id,
                           backoff=self._rto_backoff)
+        if self._obs_cwnd is not None:
             self._emit_cwnd(now)
         # Go-back-N over un-SACKed space: the kernel walks the retransmit
         # queue from snd_una; _maybe_send skips SACKed intervals and the
@@ -575,7 +561,5 @@ class TcpSender:
             self.sim.cancel_event(self._rto_handle)
         if self._pacer_wake is not None:
             self.sim.cancel_event(self._pacer_wake)
-        if self.telemetry is not None:
-            self.telemetry.on_flow_complete(self.flow_id, now)
         if self.on_complete is not None:
             self.on_complete(self)

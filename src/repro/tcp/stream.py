@@ -71,7 +71,6 @@ class StreamingSource:
 
 
 def open_stream(sim, server, client, flow_id: int, cc,
-                telemetry: Optional[object] = None,
                 on_complete: Optional[Callable] = None,
                 start_time: float = 0.0
                 ) -> Tuple[StreamingSource, Transfer]:
@@ -82,8 +81,7 @@ def open_stream(sim, server, client, flow_id: int, cc,
     """
     transfer = open_transfer(sim, server, client, flow_id,
                              size_bytes=1,  # replaced by StreamingSource
-                             cc=cc, telemetry=telemetry,
-                             on_complete=on_complete,
+                             cc=cc, on_complete=on_complete,
                              start_time=start_time)
     source = StreamingSource(transfer.sender)
     return source, transfer

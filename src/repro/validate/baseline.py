@@ -185,14 +185,16 @@ def bench_download(cc: str) -> int:
     return transfer.sender.data_packets_sent
 
 
-def _bench_flowsim_fleet() -> None:
+def bench_flowsim_fleet(flows: int = 100_000):
+    """The ±SUSS sweep over ``flows`` campus flows; its ``SweepResult``."""
     from repro.flowsim.driver import SweepConfig, run_sweep
     from repro.flowsim.model import PathParams
 
     config = SweepConfig(path=PathParams(rtt=0.04, btl_bw=2_500_000),
-                         flows=100_000, size_dist="campus", seed=1)
+                         flows=flows, size_dist="campus", seed=1)
     result = run_sweep(config)
-    assert result.fleets["csa00"].n_flows == 100_000
+    assert result.fleets["csa00"].n_flows == flows
+    return result
 
 
 _PERF_WORKLOADS = {
@@ -201,7 +203,7 @@ _PERF_WORKLOADS = {
     "suss_transfer_throughput": lambda: bench_download("cubic+suss"),
     # 2x100k modelled flows; the baseline entry keeps the analytical
     # tier honest about its >= 1e5 flows/sec promise.
-    "flowsim_fleet_throughput": _bench_flowsim_fleet,
+    "flowsim_fleet_throughput": bench_flowsim_fleet,
 }
 
 

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.metrics import Telemetry
 from repro.net.topology import Dumbbell
 from repro.sim.engine import Simulator
 from repro.tcp.connection import Transfer, open_transfer
@@ -49,7 +48,6 @@ class CrossTraffic:
     cc: str = "cubic"
     rng: Optional[random.Random] = None
     flow_id_base: int = 10_000
-    telemetry: Optional[Telemetry] = None
 
     def __post_init__(self) -> None:
         if not 0 < self.target_load < 1:
@@ -106,6 +104,6 @@ class CrossTraffic:
         transfer = open_transfer(self.sim, server, client,
                                  flow_id=self._next_id,
                                  size_bytes=self._sample_size(),
-                                 cc=self.cc, telemetry=self.telemetry)
+                                 cc=self.cc)
         self.flows.append(transfer)
         self._schedule_next()

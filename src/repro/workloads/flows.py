@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.units import MB, Bytes, Seconds
-from repro.metrics.collector import Telemetry
 from repro.net.topology import Dumbbell
 from repro.sim.engine import Simulator
 from repro.tcp.connection import Transfer, open_transfer
@@ -30,11 +29,9 @@ class FlowSpec:
     pair_index: Optional[int] = None  # which server/client pair; default flow order
 
 
-def launch_flows(sim: Simulator, net: Dumbbell, specs: Sequence[FlowSpec],
-                 telemetry: Optional[Telemetry] = None) -> Dict[int, Transfer]:
+def launch_flows(sim: Simulator, net: Dumbbell,
+                 specs: Sequence[FlowSpec]) -> Dict[int, Transfer]:
     """Create and schedule every spec'd transfer on the dumbbell."""
-    if telemetry is not None:
-        telemetry.attach_queue(net.bottleneck_queue)
     transfers: Dict[int, Transfer] = {}
     for order, spec in enumerate(specs):
         pair = spec.pair_index if spec.pair_index is not None else order
@@ -43,8 +40,7 @@ def launch_flows(sim: Simulator, net: Dumbbell, specs: Sequence[FlowSpec],
                              f"but the network has {len(net.servers)} pairs")
         transfers[spec.flow_id] = open_transfer(
             sim, net.servers[pair], net.clients[pair], spec.flow_id,
-            spec.size_bytes, spec.cc, start_time=spec.start_time,
-            telemetry=telemetry)
+            spec.size_bytes, spec.cc, start_time=spec.start_time)
     return transfers
 
 

@@ -24,10 +24,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.core.units import Bytes, BytesPerSec, Seconds
-from repro.metrics import Telemetry
 from repro.net.node import Host
 from repro.net.topogen.build import BuiltTopology
 from repro.sim.engine import Simulator
@@ -115,8 +114,7 @@ class MixTraffic:
     def __init__(self, sim: Simulator, server: Host, client: Host,
                  mix: TrafficMix, target_load: float,
                  bottleneck_rate: BytesPerSec, rng: random.Random,
-                 cc: str = "cubic", flow_id_base: int = 10_000,
-                 telemetry: Optional[Telemetry] = None) -> None:
+                 cc: str = "cubic", flow_id_base: int = 10_000) -> None:
         if not 0 < target_load < 1:
             raise ValueError("target_load must be in (0, 1)")
         if rng is None:
@@ -131,7 +129,6 @@ class MixTraffic:
         self.target_load = target_load
         self.cc = cc
         self.rng = rng
-        self.telemetry = telemetry
         self.arrival_rate = mix.arrival_rate(target_load, bottleneck_rate)
         self.flows: List[Transfer] = []
         self._next_id = flow_id_base
@@ -166,14 +163,12 @@ class MixTraffic:
             self._next_id += 1
             self.flows.append(open_transfer(
                 self.sim, self.server, self.client, flow_id=self._next_id,
-                size_bytes=self.mix.sample_size(self.rng), cc=self.cc,
-                telemetry=self.telemetry))
+                size_bytes=self.mix.sample_size(self.rng), cc=self.cc))
         self._schedule_next()
 
 
 def place_cross_traffic(built: BuiltTopology, rng: RngRegistry,
-                        load_scale: float = 1.0, cc: str = "cubic",
-                        telemetry: Optional[Telemetry] = None
+                        load_scale: float = 1.0, cc: str = "cubic"
                         ) -> List[MixTraffic]:
     """Instantiate (and start) every cross-traffic plan of a topology.
 
@@ -196,8 +191,7 @@ def place_cross_traffic(built: BuiltTopology, rng: RngRegistry,
         generator = MixTraffic(
             built.sim, built.hosts[plan.server], built.hosts[plan.client],
             get_mix(plan.mix), load, bottleneck.bandwidth.mean_rate(),
-            stream, cc=cc, flow_id_base=10_000 * (i + 1),
-            telemetry=telemetry)
+            stream, cc=cc, flow_id_base=10_000 * (i + 1))
         generator.start()
         generators.append(generator)
     return generators

@@ -10,9 +10,8 @@ dumbbells.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Sequence, Union
 
-from repro.metrics.collector import Telemetry
 from repro.net.topogen import (  # noqa: F401  (re-exported seam)
     TOPO_SCENARIOS,
     BuiltTopology,
@@ -39,19 +38,14 @@ def resolve_topo(scenario: Union[str, TopologySpec, Mapping]) -> TopologySpec:
 
 
 def launch_topo_flows(sim: Simulator, built: BuiltTopology,
-                      specs: Sequence[FlowSpec],
-                      telemetry: Optional[Telemetry] = None
-                      ) -> Dict[int, Transfer]:
+                      specs: Sequence[FlowSpec]) -> Dict[int, Transfer]:
     """Schedule every spec'd transfer on the topology's flow paths.
 
     ``pair_index`` selects which of the spec's declared
     :class:`~repro.net.topogen.spec.FlowPath` pairs carries the flow
-    (defaulting to spec order, like the dumbbell launcher).  Telemetry,
-    when given, attaches to the *first* flow's bottleneck queue.
+    (defaulting to spec order, like the dumbbell launcher).
     """
     paths = built.spec.flows
-    if telemetry is not None and paths:
-        telemetry.attach_queue(built.flow_queue)
     transfers: Dict[int, Transfer] = {}
     for order, spec in enumerate(specs):
         pair = spec.pair_index if spec.pair_index is not None else order
@@ -63,5 +57,5 @@ def launch_topo_flows(sim: Simulator, built: BuiltTopology,
         transfers[spec.flow_id] = open_transfer(
             sim, built.hosts[path.server], built.hosts[path.client],
             spec.flow_id, spec.size_bytes, spec.cc,
-            start_time=spec.start_time, telemetry=telemetry)
+            start_time=spec.start_time)
     return transfers

@@ -6,9 +6,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.cc.base import CongestionControl
-from repro.metrics import Telemetry
+from repro.metrics import FlowCollector
 from repro.net import Dumbbell, Host, Packet, PacketKind, bdp_bytes, build_path
 from repro.net.netem import BandwidthProfile
+from repro.obs import Observability
 from repro.sim import Simulator
 from repro.tcp import TcpSender, Transfer, open_transfer
 
@@ -22,7 +23,8 @@ class Bench:
     sim: Simulator
     net: Dumbbell
     transfer: Transfer
-    telemetry: Telemetry
+    #: the series collector of a ``collect=True`` bench, else None
+    telemetry: Optional[FlowCollector]
 
     @property
     def sender(self):
@@ -36,6 +38,16 @@ class Bench:
     def cc(self):
         return self.transfer.sender.cc
 
+    @property
+    def drops(self) -> int:
+        """Packets of the flow dropped at the bottleneck queue."""
+        return self.net.bottleneck_queue.flow_drops.get(1, 0)
+
+    @property
+    def loss_rate(self) -> float:
+        sent = self.sender.data_packets_sent
+        return self.drops / sent if sent else 0.0
+
     def run(self, until: float = 300.0) -> "Bench":
         self.sim.run(until=until)
         return self
@@ -45,18 +57,22 @@ def make_transfer(cc: Union[str, CongestionControl] = "cubic",
                   size: int = 500 * MSS, rate: float = 12_500_000,
                   rtt: float = 0.1, buffer_bdp: float = 1.0,
                   bandwidth: Optional[BandwidthProfile] = None,
-                  obs=None,
+                  obs=None, collect: bool = False,
                   **kwargs) -> Bench:
-    """Build a single-path network with one transfer, ready to run."""
+    """Build a single-path network with one transfer, ready to run.
+
+    ``collect`` attaches a :class:`FlowCollector` (to ``obs``, or to a
+    bare bundle when none is given) and returns it as ``telemetry``.
+    """
+    if collect and obs is None:
+        obs = Observability()
     sim = Simulator() if obs is None else Simulator(obs=obs)
     buffer_bytes = max(int(buffer_bdp * bdp_bytes(rate, rtt)), 3000)
     net = build_path(sim, bandwidth if bandwidth is not None else rate,
                      rtt, buffer_bytes)
-    telemetry = Telemetry()
-    telemetry.attach_queue(net.bottleneck_queue)
+    telemetry = FlowCollector(sim.obs) if collect else None
     transfer = open_transfer(sim, net.servers[0], net.clients[0], flow_id=1,
-                             size_bytes=size, cc=cc, telemetry=telemetry,
-                             **kwargs)
+                             size_bytes=size, cc=cc, **kwargs)
     return Bench(sim=sim, net=net, transfer=transfer, telemetry=telemetry)
 
 

@@ -49,7 +49,7 @@ class TestBbrStateMachine:
     def test_inflight_bounded_after_startup(self):
         """Post-drain, inflight should hover near cwnd_gain * BDP."""
         bench = make_transfer(cc="bbr", size=8000 * MSS, rate=12_500_000,
-                              rtt=0.05, buffer_bdp=4.0).run()
+                              rtt=0.05, buffer_bdp=4.0, collect=True).run()
         bdp = 12_500_000 * 0.05
         trace = bench.telemetry.flow(1)
         late = [v for t, v in trace.inflight
@@ -71,7 +71,7 @@ class TestBbr2:
         bench = make_transfer(cc="bbr2", size=3000 * MSS,
                               buffer_bdp=0.3).run()
         assert bench.transfer.completed
-        if bench.telemetry.flow(1).drops > 0:
+        if bench.drops > 0:
             assert bench.cc.inflight_hi is not None
 
     def test_less_aggressive_than_v1_under_shallow_buffer(self):
@@ -80,7 +80,7 @@ class TestBbr2:
             bench = make_transfer(cc=name, size=6000 * MSS, rate=12_500_000,
                                   rtt=0.1, buffer_bdp=0.3).run()
             assert bench.transfer.completed
-            drops[name] = bench.telemetry.flow(1).drops
+            drops[name] = bench.drops
         assert drops["bbr2"] <= drops["bbr"]
 
     def test_clean_path_same_speed_as_v1(self):

@@ -166,6 +166,18 @@ class TestTrace:
                  for line in path.read_text().splitlines()}
         assert kinds == {"cc.cwnd"}
 
+    def test_filter_matching_nothing_leaves_an_analyzable_file(
+            self, tmp_path, capsys):
+        # plain cubic never aborts a SUSS plan: zero records, empty file
+        path = tmp_path / "t.jsonl"
+        assert main(["trace", "--scenario", "google-tokyo/wired",
+                     "--cc", "cubic", "--size", "100000",
+                     "--kinds", "suss.abort", "--out", str(path)]) == 0
+        assert "(0 records)" in capsys.readouterr().out
+        assert path.read_text() == ""
+        assert main(["analyze", str(path)]) == 0
+        assert "0 records" in capsys.readouterr().out
+
     def test_bad_kind_rejected(self):
         with pytest.raises(SystemExit, match="unknown trace kind"):
             main(self.ARGS + ["--kinds", "bogus.kind"])

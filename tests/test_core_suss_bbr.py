@@ -36,8 +36,8 @@ class TestSussBbr:
                                   buffer_bdp=buffer_bdp).run()
             suss = make_transfer(cc="bbr+suss", size=2000 * MSS,
                                  buffer_bdp=buffer_bdp).run()
-            assert suss.telemetry.flow(1).drops <= \
-                plain.telemetry.flow(1).drops * 1.5 + 20
+            assert suss.drops <= \
+                plain.drops * 1.5 + 20
 
     def test_boost_reverts_after_startup(self):
         # Small BDP so STARTUP completes well before the flow ends.

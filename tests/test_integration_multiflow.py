@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import Telemetry, jain_index
+from repro.metrics import jain_index
 from repro.sim import Simulator
 from repro.workloads import (
     MB,
@@ -18,23 +18,22 @@ def run_workload(specs, config=None, until=60.0, seed=0):
     config = config or LocalTestbedConfig(bottleneck_mbps=20.0,
                                           rtts=(0.05,) * 5)
     net = config.build(sim)
-    telemetry = Telemetry()
-    transfers = launch_flows(sim, net, specs, telemetry)
+    transfers = launch_flows(sim, net, specs)
     sim.run(until=until)
-    return sim, net, transfers, telemetry
+    return sim, net, transfers
 
 
 class TestSharing:
     def test_two_equal_flows_split_fairly(self):
         specs = [FlowSpec(1, 20 * MB, "cubic"), FlowSpec(2, 20 * MB, "cubic")]
-        sim, net, transfers, tel = run_workload(specs, until=45.0)
+        sim, net, transfers = run_workload(specs, until=45.0)
         assert all(t.completed for t in transfers.values())
         fcts = [t.fct for t in transfers.values()]
         assert max(fcts) / min(fcts) < 1.4
 
     def test_aggregate_throughput_near_capacity(self):
         specs = [FlowSpec(i + 1, 10 * MB, "cubic") for i in range(4)]
-        sim, net, transfers, tel = run_workload(specs, until=60.0)
+        sim, net, transfers = run_workload(specs, until=60.0)
         assert all(t.completed for t in transfers.values())
         total_bytes = 40 * MB
         busy_until = max(t.fct for t in transfers.values())
@@ -43,19 +42,19 @@ class TestSharing:
 
     def test_five_staggered_flows_complete(self):
         specs = staggered_joiners(5, 5 * MB, "cubic")
-        sim, net, transfers, tel = run_workload(specs, until=60.0)
+        sim, net, transfers = run_workload(specs, until=60.0)
         assert all(t.completed for t in transfers.values())
 
     def test_mixed_cca_coexistence(self):
         specs = [FlowSpec(1, 10 * MB, "cubic"),
                  FlowSpec(2, 10 * MB, "bbr"),
                  FlowSpec(3, 10 * MB, "cubic+suss")]
-        sim, net, transfers, tel = run_workload(specs, until=90.0)
+        sim, net, transfers = run_workload(specs, until=90.0)
         assert all(t.completed for t in transfers.values())
 
     def test_goodput_fairness_reasonable(self):
         specs = [FlowSpec(i + 1, 15 * MB, "cubic") for i in range(3)]
-        sim, net, transfers, tel = run_workload(specs, until=90.0)
+        sim, net, transfers = run_workload(specs, until=90.0)
         goodputs = [15 * MB / t.fct for t in transfers.values()]
         assert jain_index(goodputs) > 0.85
 
@@ -71,7 +70,7 @@ class TestSussAmongFlows:
             specs = [FlowSpec(1, 60 * MB, "cubic"),
                      FlowSpec(2, 60 * MB, "cubic"),
                      FlowSpec(3, 2 * MB, cc, start_time=8.0)]
-            sim, net, transfers, tel = run_workload(specs, config,
+            sim, net, transfers = run_workload(specs, config,
                                                     until=30.0)
             assert transfers[3].completed
             fcts[cc] = transfers[3].fct
@@ -79,7 +78,7 @@ class TestSussAmongFlows:
 
     def test_suss_flows_do_not_starve_each_other(self):
         specs = staggered_joiners(4, 5 * MB, "cubic+suss", interval=1.0)
-        sim, net, transfers, tel = run_workload(specs, until=60.0)
+        sim, net, transfers = run_workload(specs, until=60.0)
         assert all(t.completed for t in transfers.values())
         goodputs = [5 * MB / t.fct for t in transfers.values()]
         assert jain_index(goodputs) > 0.7
@@ -89,7 +88,7 @@ class TestConservation:
     def test_no_data_invented(self):
         """Receiver never delivers more than the sender put on the wire."""
         specs = [FlowSpec(1, 8 * MB, "cubic"), FlowSpec(2, 8 * MB, "bbr")]
-        sim, net, transfers, tel = run_workload(specs, until=60.0)
+        sim, net, transfers = run_workload(specs, until=60.0)
         for fid, transfer in transfers.items():
             sent_payload = transfer.sender.data_packets_sent
             assert transfer.receiver.bytes_delivered == 8 * MB
@@ -100,13 +99,13 @@ class TestConservation:
         config = LocalTestbedConfig(bottleneck_mbps=20.0, rtts=(0.05,) * 5,
                                     buffer_bdp=0.3)
         net = config.build(sim)
-        telemetry = Telemetry()
         specs = [FlowSpec(1, 10 * MB, "cubic-nohystart")]
-        transfers = launch_flows(sim, net, specs, telemetry)
+        transfers = launch_flows(sim, net, specs)
         sim.run(until=60.0)
         fwd = net.bottleneck_fwd
-        trace = telemetry.flow(1)
+        drops = fwd.queue.flow_drops[1]
         # Every data packet the sender emitted either crossed the
         # bottleneck or was dropped at its queue.
-        assert fwd.packets_sent + trace.drops >= trace.data_packets_sent
-        assert trace.drops > 0
+        assert fwd.packets_sent + drops >= \
+            transfers[1].sender.data_packets_sent
+        assert drops > 0

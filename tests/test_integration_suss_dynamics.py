@@ -50,7 +50,7 @@ class TestFig6Dynamics:
         assert cwnds[5] == pytest.approx(64 * iw, rel=0.15)
 
     def test_no_loss_on_ideal_path(self, bench):
-        assert bench.telemetry.flow(1).drops == 0
+        assert bench.drops == 0
         assert bench.sender.retransmissions == 0
 
     def test_acceleration_beats_doubling_exponent(self, bench):

@@ -1,30 +1,34 @@
-"""Unit tests for telemetry collection and summary statistics."""
+"""Unit tests for flow-series collection and summary statistics."""
 
 import pytest
 
-from repro.metrics import Summary, Telemetry, improvement, summarize
-from repro.net import DropTailQueue, Packet, PacketKind
+from repro.experiments.goldens import RECOVERY_PATHS
+from repro.experiments.runner import FlowResult, run_single_flow
+from repro.metrics import FlowCollector, Summary, improvement, summarize
+from repro.obs import Observability
+from repro.obs import records as obsrec
 
 from tests.helpers import MSS, make_transfer
 
 
-def pkt(flow=1):
-    return Packet(flow_id=flow, src="a", dst="b", kind=PacketKind.DATA,
-                  payload=MSS)
+def collector():
+    obs = Observability()
+    return obs, FlowCollector(obs)
 
 
 class TestTelemetryUnit:
     def test_flow_created_on_demand(self):
-        tel = Telemetry()
+        _, tel = collector()
         trace = tel.flow(7)
         assert trace.flow_id == 7
         assert tel.flow(7) is trace
 
     def test_series_recorded(self):
-        tel = Telemetry()
-        tel.on_cwnd(1, 0.5, 14480, 7240)
-        tel.on_rtt(1, 0.5, 0.1)
-        tel.on_delivered(1, 0.5, 2896)
+        obs, tel = collector()
+        obs.emit(0.5, obsrec.CC_CWND, 1, cwnd=14480, ssthresh=1 << 30,
+                 flight=7240)
+        obs.emit(0.5, obsrec.TCP_RTT, 1, rtt=0.1)
+        obs.emit(0.5, obsrec.TCP_DELIVERED, 1, delivered=2896)
         trace = tel.flow(1)
         assert trace.cwnd.value_at(0.5) == 14480
         assert trace.inflight.value_at(0.5) == 7240
@@ -32,52 +36,48 @@ class TestTelemetryUnit:
         assert trace.delivered.value_at(0.5) == 2896
 
     def test_sampling_can_be_disabled(self):
-        tel = Telemetry(sample_cwnd=False, sample_rtt=False,
-                        sample_delivered=False)
-        tel.on_cwnd(1, 0.5, 1, 1)
-        tel.on_rtt(1, 0.5, 0.1)
-        tel.on_delivered(1, 0.5, 1)
-        trace = tel.flow(1)
-        assert trace.cwnd.empty and trace.rtt.empty and trace.delivered.empty
+        # What is sampled is what is subscribed: with no collector no
+        # series kind has a consumer, and a collector asks for exactly
+        # its three kinds.
+        series_kinds = {obsrec.CC_CWND, obsrec.TCP_RTT, obsrec.TCP_DELIVERED}
+        idle = Observability()
+        assert not any(idle.wants(kind) for kind in obsrec.ALL_KINDS)
+        obs, tel = collector()
+        assert {k for k in obsrec.ALL_KINDS if obs.wants(k)} == series_kinds
+        obs.emit(0.5, obsrec.PKT_SEND, 1, seq=0, size=MSS, retx=False)
+        assert not tel.flows
 
     def test_send_and_drop_counters(self):
-        tel = Telemetry()
-        tel.on_send(1, 0.0, pkt(), retransmit=False)
-        tel.on_send(1, 0.1, pkt(), retransmit=True)
-        tel.on_drop(pkt(), "btl")
-        trace = tel.flow(1)
-        assert trace.data_packets_sent == 2
-        assert trace.retransmit_packets == 1
-        assert trace.drops == 1
-        assert trace.loss_rate == 0.5
-        assert trace.retransmit_rate == 0.5
-        assert tel.total_drops == 1
+        # The counts have one home each: the sender and the queue.
+        bench = make_transfer(cc="cubic-nohystart", size=2600 * MSS,
+                              buffer_bdp=0.25).run()
+        queue = bench.net.bottleneck_queue
+        assert queue.drops > 0 and queue.flow_drops == {1: queue.drops}
+        result = run_single_flow(RECOVERY_PATHS["droptail"], "reno",
+                                 2_000_000, seed=1)
+        assert result.drops > 0
+        assert result.loss_rate == result.drops / result.data_packets_sent
 
     def test_loss_rate_zero_when_nothing_sent(self):
-        assert Telemetry().flow(1).loss_rate == 0.0
+        result = FlowResult("s", "cubic", 1, 0, None, False, 0, 0,
+                            data_packets_sent=0, drops=0)
+        assert result.loss_rate == 0.0
 
-    def test_attach_queue_routes_drops(self):
-        tel = Telemetry()
-        q = DropTailQueue(1000)
-        tel.attach_queue(q)
-        q.push(pkt())  # too big -> dropped
-        assert tel.flow(1).drops == 1
-
-    def test_completion_time(self):
-        tel = Telemetry()
-        tel.on_flow_complete(1, 3.25)
-        assert tel.flow(1).completion_time == 3.25
+    def test_late_subscription_is_refused(self):
+        bench = make_transfer(size=10 * MSS, obs=Observability())
+        with pytest.raises(RuntimeError, match="subscribe first"):
+            FlowCollector(bench.sim.obs)
 
 
 class TestTelemetryIntegration:
     def test_delivered_matches_flow_size(self):
-        bench = make_transfer(size=100 * MSS).run()
+        bench = make_transfer(size=100 * MSS, collect=True).run()
         trace = bench.telemetry.flow(1)
         assert trace.delivered.max_value() == 100 * MSS
-        assert trace.completion_time == bench.sender.completion_time
+        assert trace.delivered.times[-1] < bench.sender.completion_time
 
     def test_cwnd_series_nondecreasing_time(self):
-        bench = make_transfer(size=300 * MSS).run()
+        bench = make_transfer(size=300 * MSS, collect=True).run()
         times = bench.telemetry.flow(1).cwnd.times
         assert times == sorted(times)
 

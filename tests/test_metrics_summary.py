@@ -1,12 +1,8 @@
-"""Unit tests for repro.metrics.summary, including registry summaries."""
-
-import math
+"""Unit tests for repro.metrics.summary."""
 
 import pytest
 
-from repro.metrics.summary import EMPTY_SUMMARY, Summary, improvement, \
-    percentile, summarize, summarize_metric
-from repro.obs.metrics import MetricRegistry
+from repro.metrics.summary import Summary, improvement, percentile, summarize
 
 
 class TestSummarize:
@@ -68,54 +64,8 @@ class TestImprovement:
             improvement(0.0, 1.0)
 
 
-class TestSummarizeMetric:
-    def test_counters_across_label_sets(self):
-        reg = MetricRegistry()
-        reg.counter("tcp.retransmits", flow=1).add(2)
-        reg.counter("tcp.retransmits", flow=2).add(4)
-        s = summarize_metric(reg, "tcp.retransmits")
-        assert s.n == 2 and s.mean == pytest.approx(3.0)
-
-    def test_histograms_contribute_their_mean(self):
-        reg = MetricRegistry()
-        h1 = reg.histogram("tcp.rtt_seconds", flow=1)
-        h1.observe(0.1)
-        h1.observe(0.3)
-        reg.histogram("tcp.rtt_seconds", flow=2).observe(0.4)
-        s = summarize_metric(reg, "tcp.rtt_seconds")
-        assert s.n == 2
-        assert s.mean == pytest.approx((0.2 + 0.4) / 2)
-
-    def test_unset_gauges_and_empty_histograms_skipped(self):
-        reg = MetricRegistry()
-        reg.gauge("g", flow=1)            # never set
-        reg.gauge("g", flow=2).set(5.0)
-        reg.histogram("h", flow=1)        # never observed
-        assert summarize_metric(reg, "g").n == 1
-        assert summarize_metric(reg, "h") is EMPTY_SUMMARY
-
-    def test_unknown_name_yields_empty_sentinel(self):
-        assert summarize_metric(MetricRegistry(), "nope") is EMPTY_SUMMARY
-
-
 class TestEmptySummary:
-    def test_sentinel_shape(self):
-        assert EMPTY_SUMMARY.empty
-        assert EMPTY_SUMMARY.n == 0
-        # NaN statistics poison any accidental arithmetic loudly
-        assert math.isnan(EMPTY_SUMMARY.mean)
-        assert math.isnan(EMPTY_SUMMARY.std)
-        assert math.isnan(EMPTY_SUMMARY.minimum)
-        assert math.isnan(EMPTY_SUMMARY.maximum)
-        assert math.isnan(EMPTY_SUMMARY.median)
-        assert math.isnan(EMPTY_SUMMARY.p95)
-        assert str(EMPTY_SUMMARY) == "no samples"
-
-    def test_nonempty_summaries_are_not_empty(self):
-        assert not summarize([1.0]).empty
-
     def test_direct_summarize_still_rejects_empty(self):
-        # summarize() keeps the strict contract; only the registry
-        # aggregation path returns the sentinel.
+        # no samples is an error, never a NaN-filled summary
         with pytest.raises(ValueError):
             summarize([])

@@ -45,12 +45,12 @@ class TestDropTail:
         q.push(pkt(1448))
         assert 0 < q.occupancy <= 1.0
 
-    def test_drop_callback(self):
-        dropped = []
-        q = DropTailQueue(1000, name="btl",
-                          on_drop=lambda p, name: dropped.append((p, name)))
-        q.push(pkt())
-        assert dropped and dropped[0][1] == "btl"
+    def test_drops_counted_per_flow(self):
+        q = DropTailQueue(3000)
+        for flow in (1, 1, 2, 2, 2, 1):
+            q.push(pkt(flow=flow))
+        assert q.drops == 4
+        assert q.flow_drops == {1: 1, 2: 3}
 
     def test_small_packets_fill_to_capacity(self):
         q = DropTailQueue(10 * 1500)

@@ -45,13 +45,21 @@ def test_pacing_gaps_never_negative(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_delivered_bytes_registry_matches_receiver(seed):
-    """The per-flow rx counter equals the receiver's own accounting."""
+    """What the probe last reported as delivered equals the receiver's
+    own accounting.  (The id predates the single probe: a per-flow
+    registry counter used to mirror ``bytes_delivered``; now a
+    ``tcp.delivered`` emit is the only report of it.)"""
     sink = RingBufferSink(capacity=64)  # bounded memory across 20 runs
-    bench, sink = _run("cubic", seed, sink=sink, salt=0x1234)
-    obs = bench.sim.obs
-    assert obs.metrics.value("tcp.delivered_bytes_rx", flow=1) == \
-        bench.receiver.bytes_delivered
+    obs = tracing(sink)
+    last = {}
+    obs.subscribe(obsrec.TCP_DELIVERED,
+                  lambda time, flow, fields: last.update(fields))
+    bench = make_transfer("cubic", obs=obs, size=150 * MSS,
+                          **_random_path(seed, salt=0x1234)).run()
     assert bench.receiver.bytes_delivered == bench.sender.total_bytes
+    assert last["delivered"] == bench.receiver.bytes_delivered
+    # nothing per-packet lands in the metric registry any more
+    assert obs.metrics.snapshot() == {}
     # the ring buffer really bounded the cost
     assert len(sink) <= 64 and sink.emitted > 64
 

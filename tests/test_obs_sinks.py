@@ -188,10 +188,13 @@ class TestJsonlSink:
         sink.emit(rec(1))
         sink.close()
         assert path.read_text().count("\n") == 1
-        # closing an unused path sink never creates the file
-        unused = JsonlSink(str(tmp_path / "never.jsonl"))
+        # a trace with no records is an empty file, not a missing one
+        # (``repro analyze`` of a filtered-to-nothing trace must work)
+        unused = JsonlSink(str(tmp_path / "empty.jsonl"))
+        assert not (tmp_path / "empty.jsonl").exists()
         unused.close()
-        assert not (tmp_path / "never.jsonl").exists()
+        assert (tmp_path / "empty.jsonl").read_text() == ""
+        unused.close()  # idempotent
 
 
 class TestDigestSink:

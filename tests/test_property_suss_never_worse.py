@@ -38,8 +38,8 @@ def test_suss_not_slower_and_not_lossier(params):
     # Loss: SUSS's loss rate stays within a small absolute band of
     # CUBIC's (on very small windows the deferred HyStart exit may cost a
     # handful of segments; the FCT bound above still holds there).
-    assert suss.telemetry.flow(1).loss_rate <= \
-        plain.telemetry.flow(1).loss_rate + 0.08, params
+    assert suss.loss_rate <= \
+        plain.loss_rate + 0.08, params
 
 
 @settings(max_examples=10, deadline=None,

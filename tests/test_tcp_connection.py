@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cc import Cubic, create
-from repro.metrics import Telemetry
 from repro.net import bdp_bytes, build_dumbbell, build_path
 from repro.sim import Simulator
 from repro.tcp import open_transfer
@@ -69,7 +68,7 @@ class TestOpenTransfer:
         sim = Simulator()
         net = path(sim)
         xfer = open_transfer(sim, net.servers[0], net.clients[0], 1,
-                             20 * MSS, "cubic")  # no telemetry at all
+                             20 * MSS, "cubic")  # nothing observing
         sim.run(until=60.0)
         assert xfer.completed
 
@@ -87,11 +86,10 @@ class TestMultiPairWiring:
     def test_flows_isolated_per_pair(self):
         sim = Simulator()
         net = build_dumbbell(sim, 2, 1e9, [0.05, 0.05], 10 ** 7)
-        tel = Telemetry()
         a = open_transfer(sim, net.servers[0], net.clients[0], 1,
-                          50 * MSS, "cubic", telemetry=tel)
+                          50 * MSS, "cubic")
         b = open_transfer(sim, net.servers[1], net.clients[1], 2,
-                          50 * MSS, "cubic", telemetry=tel)
+                          50 * MSS, "cubic")
         sim.run(until=30.0)
         assert a.completed and b.completed
         assert a.receiver.bytes_delivered == 50 * MSS

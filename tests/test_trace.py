@@ -1,39 +1,10 @@
-"""Unit tests for the event log and CSV export."""
+"""Unit tests for the time-series CSV writers."""
 
 import io
 
 import pytest
 
-from repro.metrics import TimeSeries
-from repro.trace import (
-    EventLog,
-    write_events,
-    write_multi_timeseries,
-    write_timeseries,
-)
-
-
-class TestEventLog:
-    def test_record_and_filter(self):
-        log = EventLog()
-        log.record(0.1, 1, "send", seq=0)
-        log.record(0.2, 2, "send", seq=100)
-        log.record(0.3, 1, "drop")
-        assert len(log) == 3
-        assert len(log.filter(flow_id=1)) == 2
-        assert len(log.filter(kind="send")) == 2
-        assert len(log.filter(flow_id=1, kind="drop")) == 1
-
-    def test_kinds(self):
-        log = EventLog()
-        log.record(0.0, 1, "b")
-        log.record(0.0, 1, "a")
-        assert log.kinds() == ["a", "b"]
-
-    def test_fields_preserved(self):
-        log = EventLog()
-        log.record(0.0, 1, "g", growth=4)
-        assert log.events[0].fields["growth"] == 4
+from repro.metrics import TimeSeries, write_multi_timeseries, write_timeseries
 
 
 class TestCsv:
@@ -67,12 +38,3 @@ class TestCsv:
         a.append(0, 1)
         with pytest.raises(ValueError):
             write_multi_timeseries(io.StringIO(), {"a": a}, 0.0)
-
-    def test_events_with_fields(self):
-        log = EventLog()
-        log.record(0.25, 3, "growth", g=4, round=2)
-        out = io.StringIO()
-        write_events(out, log, field_names=["g", "round"])
-        lines = out.getvalue().strip().splitlines()
-        assert lines[0] == "time,flow_id,kind,g,round"
-        assert lines[1] == "0.250000,3,growth,4,2"

@@ -1,19 +1,18 @@
-"""Unit tests for repro.trace.csvout, including the CsvTraceSink."""
+"""Unit tests for the CSV trace sink and the time-series CSV writers."""
 
 import csv
 import io
 
 from tests.helpers import MSS, make_transfer
-from repro.metrics.timeseries import TimeSeries
-from repro.obs import records as obsrec
-from repro.obs.records import TraceRecord
-from repro.obs.sinks import TraceSink
-from repro.obs.tracer import tracing
-from repro.trace.csvout import (
-    CsvTraceSink,
+from repro.metrics.timeseries import (
+    TimeSeries,
     write_multi_timeseries,
     write_timeseries,
 )
+from repro.obs import records as obsrec
+from repro.obs.records import TraceRecord
+from repro.obs.sinks import CsvTraceSink, TraceSink
+from repro.obs.tracer import tracing
 
 
 def rec(t, kind="pkt.send", flow=1, **fields):

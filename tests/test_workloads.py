@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.metrics import Telemetry
 from repro.sim import RngRegistry, Simulator
 from repro.workloads import (
     INTERNET_SCENARIOS,
@@ -115,7 +114,7 @@ class TestFlowSpecs:
         sim = Simulator()
         net = LocalTestbedConfig().build(sim)
         specs = staggered_joiners(3, 1 * MB, "cubic")
-        transfers = launch_flows(sim, net, specs, Telemetry())
+        transfers = launch_flows(sim, net, specs)
         assert set(transfers) == {1, 2, 3}
         assert transfers[2].sender.host is net.servers[1]
 

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.metrics import Telemetry
 from repro.sim import Simulator
 from repro.workloads import CrossTraffic, FlowSpec, LocalTestbedConfig, launch_flows
 
@@ -62,10 +61,8 @@ class TestCrossTraffic:
 
     def test_foreground_flow_survives_cross_traffic(self):
         sim, net, config, ct = make_ct(load=0.4, seed=3)
-        telemetry = Telemetry()
         transfers = launch_flows(
-            sim, net, [FlowSpec(1, 4_000_000, "cubic+suss", start_time=5.0)],
-            telemetry)
+            sim, net, [FlowSpec(1, 4_000_000, "cubic+suss", start_time=5.0)])
         ct.start()
         sim.run(until=60.0)
         assert transfers[1].completed
