@@ -10,16 +10,18 @@ package turns them into a schedulable job system:
 * :mod:`~repro.campaign.scheduler` — process-pool fan-out with bounded
   retries, crash recovery, and deterministic result ordering;
 * :mod:`~repro.campaign.store` — content-addressed on-disk result cache
-  keyed by job hash + code fingerprint (also the resume mechanism);
-* :mod:`~repro.campaign.progress` — done/failed/cached counts, per-job
-  runtimes, and ETA for the CLI.
+  keyed by job hash + code fingerprint (also the resume mechanism).
+
+A run has one observer, :class:`repro.obs.runtime.RunTelemetry`, passed
+as ``run_campaign(..., telemetry=)``: the scheduler reports each attempt
+outcome to it once, and the stderr narration, done/failed/cached counts,
+ETA, ``--stats-json``, ``status.json``, OpenMetrics and the run ledger
+are all reads of it (DESIGN.md §11).
 """
 
 from repro.campaign.jobs import JOB_KINDS, execute_job, register
-from repro.campaign.progress import ProgressReporter, stderr_reporter
 from repro.campaign.scheduler import (
     CampaignResult,
-    campaign_stats,
     collect_values,
     run_campaign,
 )
@@ -37,9 +39,7 @@ __all__ = [
     "JOB_KINDS",
     "CampaignResult",
     "JobSpec",
-    "ProgressReporter",
     "ResultStore",
-    "campaign_stats",
     "canonical_json",
     "code_fingerprint",
     "collect_values",
@@ -50,5 +50,4 @@ __all__ = [
     "run_campaign",
     "single_flow_job",
     "stability_job",
-    "stderr_reporter",
 ]

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.campaign.jobs import execute_job
-from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import JobSpec
 from repro.campaign.store import ResultStore
 from repro.obs.runtime import RunTelemetry
@@ -51,15 +50,6 @@ class CampaignResult:
         return self.status == "ok"
 
 
-def campaign_stats(results: Sequence[CampaignResult]) -> Dict[str, int]:
-    """Aggregate counts the way the CLI and CI smoke test report them."""
-    executed = sum(1 for r in results if r.ok and not r.cached)
-    cached = sum(1 for r in results if r.cached)
-    failed = sum(1 for r in results if not r.ok)
-    return {"total": len(results), "executed": executed,
-            "cached": cached, "failed": failed}
-
-
 def collect_values(results: Sequence[CampaignResult]) -> List[Dict[str, Any]]:
     """Values in spec order; raises on the first failed job."""
     values = []
@@ -75,55 +65,48 @@ def collect_values(results: Sequence[CampaignResult]) -> List[Dict[str, Any]]:
 def run_campaign(specs: Iterable[JobSpec], *, jobs: int = 1,
                  store: Optional[ResultStore] = None,
                  timeout: Optional[float] = None, retries: int = 2,
-                 progress: Optional[ProgressReporter] = None,
                  telemetry: Optional[RunTelemetry] = None
                  ) -> List[CampaignResult]:
     """Run every spec; return one :class:`CampaignResult` per spec, in order.
 
-    With a :class:`~repro.obs.runtime.RunTelemetry` attached, every
-    attempt outcome (cache hit, success, retry, terminal failure)
-    becomes a span with queue-wait / exec-time / worker attribution, and
-    the spec-ordered results are handed to ``telemetry.complete`` for
-    run-ledger assembly.  Telemetry never alters scheduling decisions.
+    ``telemetry`` (a bare, silent one when none is given) is the run's
+    one observer: every attempt outcome is reported to it exactly once —
+    the cache hit below, :func:`_finish`, :func:`_retry` — as a span with
+    queue-wait / exec-time / worker attribution, and ``complete`` gets
+    the spec-ordered results.  It never alters scheduling decisions.
     """
     spec_list = list(specs)
-    reporter = progress or ProgressReporter(stream=None)
-    reporter.start(len(spec_list), jobs=max(jobs, 1))
-    if telemetry is not None:
-        telemetry.start(len(spec_list), workers=max(jobs, 1))
+    if telemetry is None:
+        telemetry = RunTelemetry()
+    telemetry.start(len(spec_list), workers=max(jobs, 1))
     results: List[Optional[CampaignResult]] = [None] * len(spec_list)
 
     pending: List[int] = []
     for index, spec in enumerate(spec_list):
         record = store.get(spec.job_hash) if store is not None else None
         if record is not None:
+            runtime = record.get("runtime", 0.0)
             results[index] = CampaignResult(
                 spec=spec, status="ok", value=record["value"], error=None,
-                attempts=0, runtime=record.get("runtime", 0.0), cached=True)
-            reporter.job_done(spec.label or spec.kind, "ok",
-                              results[index].runtime, cached=True,
-                              attempts=0, job_hash=spec.job_hash)
-            if telemetry is not None:
-                telemetry.record_span(
-                    spec.job_hash, spec.kind, spec.label or spec.kind,
-                    status="ok", cached=True)
+                attempts=0, runtime=runtime, cached=True)
+            telemetry.record_span(
+                spec.job_hash, spec.kind, spec.label or spec.kind,
+                status="ok", cached=True, exec_time=runtime)
         else:
             pending.append(index)
 
     if pending:
         runner = _run_inline if jobs <= 1 else _run_pool
         runner(spec_list, pending, results, jobs, store, timeout, retries,
-               reporter, telemetry)
-    if telemetry is not None:
-        telemetry.complete(results)
-    reporter.finish()
+               telemetry)
+    telemetry.complete(results)
     return results  # type: ignore[return-value]  # every slot is filled
 
 
 # ----------------------------------------------------------------------
 def _finish(spec_list: List[JobSpec], results: List[Optional[CampaignResult]],
-            store: Optional[ResultStore], reporter: ProgressReporter,
-            telemetry: Optional[RunTelemetry], index: int, status: str,
+            store: Optional[ResultStore], telemetry: RunTelemetry,
+            index: int, status: str,
             value: Optional[Dict[str, Any]], error: Optional[str],
             attempts: int, runtime: float,
             worker: Optional[int] = None, queue_wait: float = 0.0,
@@ -135,30 +118,23 @@ def _finish(spec_list: List[JobSpec], results: List[Optional[CampaignResult]],
     if status == "ok" and store is not None:
         store.put(spec.job_hash, {"spec": spec.to_json(), "value": value,
                                   "runtime": runtime, "attempts": attempts})
-    reporter.job_done(spec.label or spec.kind, status, runtime, error=error,
-                      attempts=attempts, job_hash=spec.job_hash)
-    if telemetry is not None:
-        telemetry.record_span(
-            spec.job_hash, spec.kind, spec.label or spec.kind,
-            status=status, attempt=attempts, worker=worker,
-            queue_wait=queue_wait, exec_time=runtime, error=error,
-            resources=resources)
+    telemetry.record_span(
+        spec.job_hash, spec.kind, spec.label or spec.kind,
+        status=status, attempt=attempts, worker=worker,
+        queue_wait=queue_wait, exec_time=runtime, error=error,
+        resources=resources)
 
 
-def _retry(spec_list: List[JobSpec], reporter: ProgressReporter,
-           telemetry: Optional[RunTelemetry], index: int, attempt: int,
+def _retry(spec: JobSpec, telemetry: RunTelemetry, attempt: int,
            elapsed: float, error: str) -> None:
-    """Narrate one failed-but-retryable attempt to every observer."""
-    spec = spec_list[index]
-    reporter.job_retry(spec.label or spec.kind, elapsed, error=error)
-    if telemetry is not None:
-        telemetry.record_span(
-            spec.job_hash, spec.kind, spec.label or spec.kind,
-            status="retry", attempt=attempt, exec_time=elapsed, error=error)
+    """Report one failed-but-retryable attempt."""
+    telemetry.record_span(
+        spec.job_hash, spec.kind, spec.label or spec.kind,
+        status="retry", attempt=attempt, exec_time=elapsed, error=error)
 
 
 def _run_inline(spec_list, pending, results, jobs, store, timeout, retries,
-                reporter, telemetry) -> None:
+                telemetry) -> None:
     for index in pending:
         payload = spec_list[index].to_json()
         attempts = 0
@@ -171,21 +147,21 @@ def _run_inline(spec_list, pending, results, jobs, store, timeout, retries,
             except Exception as exc:  # noqa: BLE001 — worker faults are data
                 last_error = f"{type(exc).__name__}: {exc}"
                 if attempts <= retries:
-                    _retry(spec_list, reporter, telemetry, index, attempts,
+                    _retry(spec_list[index], telemetry, attempts,
                            time.monotonic() - began, last_error)
             else:
-                _finish(spec_list, results, store, reporter, telemetry,
-                        index, "ok", out["value"], None, attempts,
-                        out["runtime"], worker=out.get("worker"),
+                _finish(spec_list, results, store, telemetry, index, "ok",
+                        out["value"], None, attempts, out["runtime"],
+                        worker=out.get("worker"),
                         resources=out.get("resources"))
                 break
         else:
-            _finish(spec_list, results, store, reporter, telemetry, index,
+            _finish(spec_list, results, store, telemetry, index,
                     "failed", None, last_error, attempts, 0.0)
 
 
 def _run_pool(spec_list, pending, results, jobs, store, timeout, retries,
-              reporter, telemetry) -> None:
+              telemetry) -> None:
     if "fork" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("fork")
     else:  # pragma: no cover — non-POSIX fallback
@@ -197,11 +173,11 @@ def _run_pool(spec_list, pending, results, jobs, store, timeout, retries,
 
     def retry_or_fail(index: int, error: str, elapsed: float) -> None:
         if attempts[index] <= retries:
-            _retry(spec_list, reporter, telemetry, index, attempts[index],
-                   elapsed, error)
+            _retry(spec_list[index], telemetry, attempts[index], elapsed,
+                   error)
             queue.append(index)
         else:
-            _finish(spec_list, results, store, reporter, telemetry, index,
+            _finish(spec_list, results, store, telemetry, index,
                     "failed", None, error, attempts[index], 0.0)
 
     try:
@@ -236,8 +212,8 @@ def _run_pool(spec_list, pending, results, jobs, store, timeout, retries,
                     # the span's queue wait (clamped: clock domains are
                     # the parent's monotonic vs the worker's
                     # perf_counter, so tiny negatives are possible).
-                    _finish(spec_list, results, store, reporter, telemetry,
-                            index, "ok", out["value"], None, attempts[index],
+                    _finish(spec_list, results, store, telemetry, index,
+                            "ok", out["value"], None, attempts[index],
                             out["runtime"], worker=out.get("worker"),
                             queue_wait=max(elapsed - out["runtime"], 0.0),
                             resources=out.get("resources"))

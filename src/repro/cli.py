@@ -21,71 +21,70 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.campaign import ProgressReporter, ResultStore, stderr_reporter
+from repro.campaign import ResultStore, code_fingerprint
 from repro.cc import available
 from repro.experiments.report import pct, render_table
 from repro.experiments.runner import run_single_flow, sweep_summaries
 from repro.metrics.timeseries import write_multi_timeseries
 from repro.core.units import BITS_PER_BYTE, MB, MBIT, MBPS, MILLIS_PER_SECOND
+from repro.obs.runtime import RunTelemetry
 from repro.workloads import INTERNET_SCENARIOS
 from repro.workloads.scenarios import LINK_NAMES, SERVER_NAMES
 
 
-def _campaign_kwargs(args: argparse.Namespace) -> dict:
-    """Translate shared --jobs/--cache-dir/--quiet flags into runner kwargs."""
+def _open_run(args: argparse.Namespace,
+              tool: str = "campaign") -> argparse.Namespace:
+    """Runner kwargs from the shared flags: ``--jobs``, the ``--cache-dir``
+    store, and the run's one observer — narrating to stderr unless
+    ``--quiet``, keeping ``status.json`` current under ``--ledger-dir``
+    (for ``repro top``), scraped at ``--metrics-port``.  Pair with
+    :func:`_close_run`."""
     store = None
-    if getattr(args, "cache_dir", None):
+    if getattr(args, "cache_dir", None) and not getattr(args, "no_cache",
+                                                         False):
         store = ResultStore(args.cache_dir)
-    progress: Optional[ProgressReporter]
-    if getattr(args, "quiet", False):
-        progress = ProgressReporter(stream=None)
-    else:
-        progress = stderr_reporter(min_interval=0.5)
-    return {"jobs": args.jobs, "store": store, "progress": progress}
-
-
-def _ledger_telemetry(args: argparse.Namespace, tool: str):
-    """(RunTelemetry, MetricsServer) for a --ledger-dir run, else (None, None).
-
-    The telemetry writes live ``status.json`` snapshots into the ledger
-    directory (what ``repro top`` watches); ``--metrics-port`` addition-
-    ally serves the live registry as OpenMetrics for scrapers.
-    """
-    if not getattr(args, "ledger_dir", None):
-        return None, None
-    from repro.obs.export import MetricsServer, render_openmetrics
-    from repro.obs.runtime import RunTelemetry
-
-    os.makedirs(args.ledger_dir, exist_ok=True)
+    status_path = None
+    if getattr(args, "ledger_dir", None):
+        os.makedirs(args.ledger_dir, exist_ok=True)
+        status_path = os.path.join(args.ledger_dir, "status.json")
     telemetry = RunTelemetry(
-        tool=tool, status_path=os.path.join(args.ledger_dir, "status.json"))
+        tool=tool, status_path=status_path, min_interval=0.5,
+        stream=None if getattr(args, "quiet", False) else sys.stderr)
     server = None
     if getattr(args, "metrics_port", None) is not None:
+        from repro.obs.export import (
+            MetricsServer,
+            render_openmetrics,
+            status_registry,
+        )
         server = MetricsServer(
-            lambda: render_openmetrics(telemetry.metrics),
+            lambda: render_openmetrics(status_registry(telemetry.snapshot())),
             port=args.metrics_port)
         server.start()
         print(f"serving OpenMetrics at {server.url}", file=sys.stderr)
-    return telemetry, server
+    return argparse.Namespace(
+        telemetry=telemetry, server=server,
+        kwargs={"jobs": args.jobs, "store": store, "telemetry": telemetry})
 
 
-def _finish_ledger(args: argparse.Namespace, telemetry, server, *,
-                   mode: str, fingerprint: str, base_seed: int,
-                   summary: Optional[dict] = None) -> Optional[str]:
-    """Write the run ledger + execution sidecar after a completed run."""
-    if server is not None:
-        server.close()
-    if telemetry is None:
-        return None
+def _close_run(args: argparse.Namespace, run: argparse.Namespace, *,
+               mode: Optional[str] = None, fingerprint: str = "",
+               base_seed: int = 0, summary: Optional[dict] = None) -> None:
+    """Stop the scrape endpoint; for a run that completed (``mode`` given)
+    under ``--ledger-dir``, write the run ledger + execution sidecar."""
+    if run.server is not None:
+        run.server.close()
+    if mode is None or not getattr(args, "ledger_dir", None):
+        return
     from repro.obs.ledger import build_ledger, write_ledger
 
+    telemetry = run.telemetry
     ledger = build_ledger(telemetry.tool, mode, fingerprint, base_seed,
                           telemetry.jobs, telemetry.values, summary=summary)
     path = write_ledger(ledger, args.ledger_dir,
                         execution=telemetry.execution_record())
     print(f"run ledger: {path} (id {ledger.ledger_id[:16]})",
           file=sys.stderr)
-    return path
 
 
 def _scenario(name: str):
@@ -147,7 +146,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ccs = args.ccs.split(",")
     sizes = [int(s) for s in args.sizes.split(",")]
     summaries = sweep_summaries(scenario, ccs, sizes, args.iterations,
-                                args.seed, **_campaign_kwargs(args))
+                                args.seed, **_open_run(args).kwargs)
     rows = []
     for size in sizes:
         row: List[object] = [size / MB]
@@ -238,7 +237,6 @@ def cmd_flowsim(args: argparse.Namespace) -> int:
         import dataclasses
 
         from repro.campaign.spec import flowsim_sweep_job
-        from repro.campaign.store import code_fingerprint
         from repro.obs.ledger import build_ledger, write_ledger
 
         spec = flowsim_sweep_job(dataclasses.asdict(path), args.flows,
@@ -345,7 +343,9 @@ EXPERIMENTS = {
 }
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
+def _run_experiment(args: argparse.Namespace):
+    """Run the harness ``args.name`` names; ``(module, results)``.  The
+    campaign-backed ones take the shared ``--jobs`` / cache / observer."""
     import importlib
     module_name = EXPERIMENTS.get(args.name)
     if module_name is None:
@@ -353,125 +353,90 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                          f"known: {', '.join(sorted(EXPERIMENTS))}")
     module = importlib.import_module(f"repro.experiments.{module_name}")
     if args.name == "fig02":
-        results = module.run_comparison()
-    elif args.name == "fig18":
-        results = module.run_matrix(**_campaign_kwargs(args))
+        return module, module.run_comparison()
+    if args.name == "fig18":
+        return module, module.run_matrix(**_open_run(args).kwargs)
+    if args.name in ("table1", "topo"):
+        return module, module.run(**_open_run(args).kwargs)
+    return module, module.run()
+
+
+def cmd_experiment(args: argparse.Namespace) -> int:
+    module, results = _run_experiment(args)
+    if args.name == "fig18":
         print(module.format_fct_report(results))
         print()
         print(module.format_loss_report(results))
-        return 0
-    elif args.name == "table1":
-        results = module.run(**_campaign_kwargs(args))
-    elif args.name == "topo":
-        module.run(**_campaign_kwargs(args))
-        return 0
-    else:
-        results = module.run()
-    print(module.format_report(results))
-    return 0
-
-
-def _campaign_topo(args: argparse.Namespace) -> int:
-    """``repro campaign --topo``: the topogen scenario matrix, cached."""
-    from repro.experiments import topo_suite
-    from repro.workloads.topo import get_topo_scenario, registered_specs
-
-    names = (sorted(registered_specs()) if args.topo == "all"
-             else args.topo.split(","))
-    for name in names:
-        try:
-            get_topo_scenario(name)
-        except KeyError as exc:
-            raise SystemExit(f"repro campaign: {exc.args[0]}")
-    sizes = [int(s) for s in args.sizes.split(",")]
-
-    if args.resume and not os.path.isdir(args.cache_dir):
-        raise SystemExit(f"--resume: cache directory {args.cache_dir!r} "
-                         f"does not exist (nothing to resume)")
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-    progress = (ProgressReporter(stream=None) if args.quiet
-                else stderr_reporter(min_interval=0.5))
-    telemetry, server = _ledger_telemetry(args, "campaign")
-    try:
-        for size in sizes:
-            rows = topo_suite.run_suite(
-                scenarios=names, size=size, iterations=args.iterations,
-                base_seed=args.seed, cross_load=args.cross_load,
-                jobs=args.jobs, store=store, progress=progress,
-                timeout=args.timeout, retries=args.retries,
-                telemetry=telemetry)
-            print(topo_suite.format_report(rows))
-            print()
-    except RuntimeError as exc:
-        if server is not None:
-            server.close()
-        raise SystemExit(f"campaign failed: {exc}\n"
-                         f"(completed jobs stay cached; re-run with "
-                         f"--resume to retry only the rest)")
-    from repro.campaign import code_fingerprint
-    _finish_ledger(args, telemetry, server, mode="topo",
-                   fingerprint=code_fingerprint(), base_seed=args.seed)
-    stats = progress.stats()
-    print(f"campaign: total={stats['total']} executed={stats['executed']} "
-          f"cached={stats['cached']} failed={stats['failed']} "
-          f"elapsed={stats['elapsed']:.1f}s")
-    if args.stats_json:
-        with open(args.stats_json, "w", encoding="utf-8") as fh:
-            json.dump(stats, fh, sort_keys=True)
+    elif args.name != "topo":  # topo_suite.run prints its own table
+        print(module.format_report(results))
     return 0
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    """Run a (sub-)matrix of the Fig. 17/18 evaluation as a cached campaign."""
-    from repro.experiments import fig17_18_all_scenarios
-
-    if args.topo:
-        return _campaign_topo(args)
-    servers = args.servers.split(",")
-    links = args.links.split(",")
+    """Run a (sub-)matrix of the Fig. 17/18 evaluation, or with ``--topo``
+    the topogen scenario matrix, as a cached campaign."""
     sizes = [int(s) for s in args.sizes.split(",")]
-    schemes = tuple(args.ccs.split(","))
-    for server in servers:
-        for link in links:
-            _scenario(f"{server}/{link}")
+    if args.topo:
+        from repro.experiments import topo_suite
+        from repro.workloads.topo import get_topo_scenario, registered_specs
 
+        names = (sorted(registered_specs()) if args.topo == "all"
+                 else args.topo.split(","))
+        for name in names:
+            try:
+                get_topo_scenario(name)
+            except KeyError as exc:
+                raise SystemExit(f"repro campaign: {exc.args[0]}")
+    else:
+        from repro.experiments import fig17_18_all_scenarios
+
+        servers = args.servers.split(",")
+        links = args.links.split(",")
+        for server in servers:
+            for link in links:
+                _scenario(f"{server}/{link}")
     if args.resume and not os.path.isdir(args.cache_dir):
         raise SystemExit(f"--resume: cache directory {args.cache_dir!r} "
                          f"does not exist (nothing to resume)")
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-    progress = (ProgressReporter(stream=None) if args.quiet
-                else stderr_reporter(min_interval=0.5))
-    telemetry, server = _ledger_telemetry(args, "campaign")
+
+    run = _open_run(args)
+    kwargs = dict(run.kwargs, iterations=args.iterations,
+                  base_seed=args.seed, timeout=args.timeout,
+                  retries=args.retries)
+    failure = None
     try:
-        rows = fig17_18_all_scenarios.run_matrix(
-            servers=servers, links=links, sizes=sizes, schemes=schemes,
-            iterations=args.iterations, base_seed=args.seed, jobs=args.jobs,
-            store=store, progress=progress, timeout=args.timeout,
-            retries=args.retries, telemetry=telemetry)
+        if args.topo:
+            for size in sizes:
+                rows = topo_suite.run_suite(
+                    scenarios=names, size=size, cross_load=args.cross_load,
+                    **kwargs)
+                print(topo_suite.format_report(rows))
+                print()
+        else:
+            rows = fig17_18_all_scenarios.run_matrix(
+                servers=servers, links=links, sizes=sizes,
+                schemes=tuple(args.ccs.split(",")), **kwargs)
+            if all(s in rows[0].fct for s in ("cubic", "cubic+suss")):
+                print(fig17_18_all_scenarios.format_fct_report(rows))
+                print()
+            print(fig17_18_all_scenarios.format_loss_report(rows))
     except RuntimeError as exc:
-        if server is not None:
-            server.close()
-        stats = progress.stats()
-        if args.stats_json:
-            with open(args.stats_json, "w", encoding="utf-8") as fh:
-                json.dump(stats, fh, sort_keys=True)
-        raise SystemExit(f"campaign failed: {exc}\n"
-                         f"(completed jobs stay cached; re-run with "
-                         f"--resume to retry only the rest)")
-    from repro.campaign import code_fingerprint
-    _finish_ledger(args, telemetry, server, mode="matrix",
+        failure = exc
+        _close_run(args, run)
+    else:
+        _close_run(args, run, mode="topo" if args.topo else "matrix",
                    fingerprint=code_fingerprint(), base_seed=args.seed)
-    if all(s in rows[0].fct for s in ("cubic", "cubic+suss")):
-        print(fig17_18_all_scenarios.format_fct_report(rows))
-        print()
-    print(fig17_18_all_scenarios.format_loss_report(rows))
-    stats = progress.stats()
-    print(f"campaign: total={stats['total']} executed={stats['executed']} "
-          f"cached={stats['cached']} failed={stats['failed']} "
-          f"elapsed={stats['elapsed']:.1f}s")
+    stats = run.telemetry.stats()
     if args.stats_json:
         with open(args.stats_json, "w", encoding="utf-8") as fh:
             json.dump(stats, fh, sort_keys=True)
+    if failure is not None:
+        raise SystemExit(f"campaign failed: {failure}\n"
+                         f"(completed jobs stay cached; re-run with "
+                         f"--resume to retry only the rest)")
+    print(f"campaign: total={stats['total']} executed={stats['executed']} "
+          f"cached={stats['cached']} failed={stats['failed']} "
+          f"elapsed={stats['elapsed']:.1f}s")
     return 0
 
 
@@ -730,8 +695,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     processes' events do not reach this report, so the default is the
     inline runner.
     """
-    import importlib
-
     from repro.obs import profile as obs_profile
 
     profiler = obs_profile.install_global()
@@ -747,16 +710,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 1
         else:
-            module = importlib.import_module(
-                f"repro.experiments.{EXPERIMENTS[args.name]}")
-            if args.name == "fig02":
-                module.run_comparison()
-            elif args.name == "fig18":
-                module.run_matrix(**_campaign_kwargs(args))
-            elif args.name in ("table1", "topo"):
-                module.run(**_campaign_kwargs(args))
-            else:
-                module.run()
+            _run_experiment(args)
     finally:
         obs_profile.clear_global()
     if args.collapsed:
@@ -797,15 +751,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except KeyError as exc:
         raise SystemExit(f"repro validate: {exc.args[0]}")
 
-    telemetry, server = _ledger_telemetry(args, "validate")
+    run = _open_run(args, "validate")
     try:
         report = run_validation(
             claim_ids, mode=mode, base_seed=args.seed,
-            timeout=args.timeout, retries=args.retries,
-            telemetry=telemetry, **_campaign_kwargs(args))
+            timeout=args.timeout, retries=args.retries, **run.kwargs)
     except RuntimeError as exc:
-        if server is not None:
-            server.close()
+        _close_run(args, run)
         raise SystemExit(f"repro validate: {exc}")
 
     # Ledger of the as-run verdicts (pre drift/perf patching — those are
@@ -815,8 +767,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for verdict in report.verdicts:
         verdict_counts[verdict.verdict] = (
             verdict_counts.get(verdict.verdict, 0) + 1)
-    _finish_ledger(
-        args, telemetry, server, mode=mode,
+    _close_run(
+        args, run, mode=mode,
         fingerprint=report.code_fingerprint, base_seed=args.seed,
         summary={"claims": {v.claim_id: v.verdict
                             for v in report.verdicts},
@@ -1114,8 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp_p.add_argument("--metrics-port", type=int, default=None,
                         metavar="PORT",
                         help="serve live OpenMetrics on this port while the "
-                             "campaign runs (0 = ephemeral; needs "
-                             "--ledger-dir)")
+                             "campaign runs (0 = ephemeral)")
     camp_p.set_defaults(func=cmd_campaign)
 
     topo_p = sub.add_parser(
@@ -1321,8 +1272,7 @@ def build_parser() -> argparse.ArgumentParser:
     val_p.add_argument("--metrics-port", type=int, default=None,
                        metavar="PORT",
                        help="serve live OpenMetrics on this port while the "
-                            "validation runs (0 = ephemeral; needs "
-                            "--ledger-dir)")
+                            "validation runs (0 = ephemeral)")
     _add_campaign_flags(val_p)
     val_p.set_defaults(func=cmd_validate)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.progress import ProgressReporter
 from repro.campaign.scheduler import collect_values, run_campaign
 from repro.campaign.spec import single_flow_job
 from repro.campaign.store import ResultStore
@@ -60,7 +59,6 @@ def run_matrix(servers: Sequence[str] = tuple(SERVER_NAMES),
                iterations: int = 3, base_seed: int = 0,
                schemes: Sequence[str] = SCHEMES, *,
                jobs: int = 1, store: Optional[ResultStore] = None,
-               progress: Optional[ProgressReporter] = None,
                timeout: Optional[float] = None,
                retries: int = 2,
                telemetry: Optional[RunTelemetry] = None
@@ -81,7 +79,7 @@ def run_matrix(servers: Sequence[str] = tuple(SERVER_NAMES),
              for i in range(iterations)]
     values = collect_values(run_campaign(
         specs, jobs=jobs, store=store, timeout=timeout, retries=retries,
-        progress=progress, telemetry=telemetry))
+        telemetry=telemetry))
 
     rows: List[ScenarioRow] = []
     cursor = 0

@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.progress import ProgressReporter
 from repro.campaign.scheduler import collect_values, run_campaign
 from repro.campaign.spec import single_flow_job
 from repro.campaign.store import ResultStore
 from repro.metrics.collector import FlowCollector
 from repro.metrics.summary import Summary, summarize
 from repro.net.topology import Dumbbell
+from repro.obs.runtime import RunTelemetry
 from repro.obs.tracer import Observability
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -181,7 +181,7 @@ def run_topo_flow(scenario, cc: str, size_bytes: int, seed: int = 0,
 def run_flow_campaign(scenario: PathScenario, cc: str, size_bytes: int,
                       iterations: int, base_seed: int = 0, *,
                       jobs: int = 1, store: Optional[ResultStore] = None,
-                      progress: Optional[ProgressReporter] = None,
+                      telemetry: Optional[RunTelemetry] = None,
                       timeout: Optional[float] = None,
                       retries: int = 2) -> List[Dict[str, Any]]:
     """The seeded-iteration loop as a campaign: one job per seed.
@@ -192,7 +192,7 @@ def run_flow_campaign(scenario: PathScenario, cc: str, size_bytes: int,
     specs = [single_flow_job(scenario, cc, size_bytes, seed=base_seed + i)
              for i in range(iterations)]
     results = run_campaign(specs, jobs=jobs, store=store, timeout=timeout,
-                           retries=retries, progress=progress)
+                           retries=retries, telemetry=telemetry)
     values = collect_values(results)
     for value in values:
         if not value["completed"]:
@@ -205,18 +205,18 @@ def run_flow_campaign(scenario: PathScenario, cc: str, size_bytes: int,
 def fct_summary(scenario: PathScenario, cc: str, size_bytes: int,
                 iterations: int, base_seed: int = 0, *,
                 jobs: int = 1, store: Optional[ResultStore] = None,
-                progress: Optional[ProgressReporter] = None) -> Summary:
+                telemetry: Optional[RunTelemetry] = None) -> Summary:
     """Mean/std FCT over ``iterations`` seeded runs (paper: 50 iterations)."""
     values = run_flow_campaign(scenario, cc, size_bytes, iterations,
                                base_seed, jobs=jobs, store=store,
-                               progress=progress)
+                               telemetry=telemetry)
     return summarize([value["fct"] for value in values])
 
 
 def loss_rate_summary(scenario: PathScenario, cc: str, size_bytes: int,
                       iterations: int, base_seed: int = 0, *,
                       jobs: int = 1, store: Optional[ResultStore] = None,
-                      progress: Optional[ProgressReporter] = None) -> Summary:
+                      telemetry: Optional[RunTelemetry] = None) -> Summary:
     """Mean/std packet-loss rate over seeded runs.
 
     Like :func:`fct_summary`, incomplete flows raise instead of silently
@@ -224,7 +224,7 @@ def loss_rate_summary(scenario: PathScenario, cc: str, size_bytes: int,
     """
     values = run_flow_campaign(scenario, cc, size_bytes, iterations,
                                base_seed, jobs=jobs, store=store,
-                               progress=progress)
+                               telemetry=telemetry)
     return summarize([value["loss_rate"] for value in values])
 
 
@@ -232,7 +232,7 @@ def sweep_summaries(scenario: PathScenario, ccs: Sequence[str],
                     sizes: Sequence[int], iterations: int,
                     base_seed: int = 0, *, jobs: int = 1,
                     store: Optional[ResultStore] = None,
-                    progress: Optional[ProgressReporter] = None
+                    telemetry: Optional[RunTelemetry] = None
                     ) -> Dict[Tuple[str, int], Summary]:
     """FCT summaries for every (cc, size) pair, fanned out as one campaign.
 
@@ -242,7 +242,8 @@ def sweep_summaries(scenario: PathScenario, ccs: Sequence[str],
     combos = [(cc, size) for size in sizes for cc in ccs]
     specs = [single_flow_job(scenario, cc, size, seed=base_seed + i)
              for cc, size in combos for i in range(iterations)]
-    results = run_campaign(specs, jobs=jobs, store=store, progress=progress)
+    results = run_campaign(specs, jobs=jobs, store=store,
+                           telemetry=telemetry)
     values = collect_values(results)
     summaries: Dict[Tuple[str, int], Summary] = {}
     for slot, (cc, size) in enumerate(combos):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.progress import ProgressReporter
 from repro.core.units import MILLIS_PER_SECOND, Seconds
 from repro.campaign.scheduler import collect_values, run_campaign
 from repro.campaign.spec import stability_job
@@ -21,6 +20,7 @@ from repro.campaign.store import ResultStore
 from repro.experiments.fig16_stability_trace import PAIR_RTTS
 from repro.experiments.report import pct, render_table
 from repro.metrics.summary import summarize
+from repro.obs.runtime import RunTelemetry
 from repro.workloads.flows import MB
 
 DEFAULT_RTTS = (0.025, 0.050, 0.100, 0.200)
@@ -81,7 +81,8 @@ def run(large_ccas: Sequence[str] = LARGE_CCAS,
         horizon: float = 60.0, iterations: int = 1,
         base_seed: int = 0, *, jobs: int = 1,
         store: Optional[ResultStore] = None,
-        progress: Optional[ProgressReporter] = None) -> Dict[Table1Key, Table1Cell]:
+        telemetry: Optional[RunTelemetry] = None
+        ) -> Dict[Table1Key, Table1Cell]:
     """Run the full Table 1 grid (3 x 2 x 4 configurations, on + off).
 
     Every (config, SUSS on/off, seed) combination is one campaign job, so
@@ -98,7 +99,7 @@ def run(large_ccas: Sequence[str] = LARGE_CCAS,
              for large_cc, buffer_bdp, rtt, suss in configs
              for i in range(iterations)]
     values = collect_values(run_campaign(specs, jobs=jobs, store=store,
-                                         progress=progress))
+                                         telemetry=telemetry))
 
     halves: Dict[Tuple[str, float, float, bool], Tuple[float, float]] = {}
     for slot, config in enumerate(configs):

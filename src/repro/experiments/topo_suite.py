@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.campaign.progress import ProgressReporter
 from repro.campaign.scheduler import collect_values, run_campaign
 from repro.campaign.spec import topo_flow_job
 from repro.campaign.store import ResultStore
@@ -61,7 +60,6 @@ def run_suite(scenarios: Optional[Sequence[str]] = None,
               size: int = DEFAULT_SIZE, iterations: int = 3,
               base_seed: int = 0, *, cross_load: float = 1.0,
               jobs: int = 1, store: Optional[ResultStore] = None,
-              progress: Optional[ProgressReporter] = None,
               timeout: Optional[float] = None, retries: int = 2,
               telemetry: Optional[RunTelemetry] = None) -> List[TopoRow]:
     """Run the scenario x scheme x seed matrix as one cached campaign."""
@@ -74,7 +72,7 @@ def run_suite(scenarios: Optional[Sequence[str]] = None,
              for i in range(iterations)]
     values = collect_values(run_campaign(
         specs, jobs=jobs, store=store, timeout=timeout, retries=retries,
-        progress=progress, telemetry=telemetry))
+        telemetry=telemetry))
     rows: List[TopoRow] = []
     cursor = 0
     for name in chosen:

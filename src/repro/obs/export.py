@@ -1,15 +1,13 @@
 """Telemetry exports: OpenMetrics text exposition and the `top` view.
 
-Two consumers need the same live aggregates in different shapes:
+Two consumers read one ``RunTelemetry.snapshot()`` (live, or reloaded
+from ``status.json``) in different shapes:
 
-* monitoring systems scrape **OpenMetrics** text — rendered straight
-  from a :class:`~repro.obs.metrics.MetricRegistry`
-  (:func:`render_openmetrics`) or from a ``status.json`` snapshot
-  (:func:`status_registry` + render), served by the stdlib-only
-  :class:`MetricsServer` when a port is requested;
+* monitoring systems scrape **OpenMetrics** text — :func:`status_registry`
+  + :func:`render_openmetrics`, for the stdlib-only :class:`MetricsServer`
+  (``--metrics-port``) and ``repro top --metrics-out`` alike;
 * humans watch ``repro top`` — a single-screen ANSI dashboard rendered
-  by :func:`render_top` from the same snapshot (``--once`` prints one
-  frame for CI logs).
+  by :func:`render_top` (``--once`` prints one frame for CI logs).
 
 The exposition follows the OpenMetrics text format: one ``# TYPE`` line
 per metric family, counters suffixed ``_total``, histograms exploded
@@ -107,11 +105,9 @@ def render_openmetrics(registry: MetricRegistry) -> str:
 
 
 def status_registry(status: Mapping[str, Any]) -> MetricRegistry:
-    """Rebuild a registry from a ``status.json`` snapshot.
-
-    ``repro top --metrics-out`` runs in a different process from the
-    scheduler, so it reconstructs the scrapeable aggregates from the
-    snapshot rather than the live registry.
+    """The ``run.*`` metric families of a ``RunTelemetry.snapshot()``:
+    the live ``--metrics-port`` endpoint passes the collector's current
+    one, ``repro top --metrics-out`` the one it read from ``status.json``.
     """
     registry = MetricRegistry()
     registry.gauge("run.total").set(status.get("total", 0))
@@ -143,6 +139,18 @@ def status_registry(status: Mapping[str, Any]) -> MetricRegistry:
                        worker=lane).set(stats.get("jobs", 0))
         registry.gauge("run.lane_busy_seconds",
                        worker=lane).set(stats.get("busy", 0.0))
+    bounds = status.get("span_buckets")
+    if bounds:  # a status.json from an older writer carries no buckets
+        for name, counts, total in (
+                ("run.queue_wait", status["queue_wait_buckets"],
+                 status["queue_wait_total"]),
+                # every non-cached attempt was observed, retries included
+                ("run.exec_seconds", status["exec_buckets"],
+                 status["exec_total"] + status["retry_seconds"])):
+            histogram = registry.histogram(name, buckets=bounds)
+            histogram.bucket_counts = list(counts)
+            histogram.count = sum(counts)
+            histogram.total = total
     return registry
 
 

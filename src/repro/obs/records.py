@@ -66,14 +66,12 @@ SUSS_DECISION = "suss.decision"
 SUSS_PLAN = "suss.plan"
 #: SUSS pacing aborted before reaching its target (cwnd)
 SUSS_ABORT = "suss.abort"
-#: campaign job lifecycle (label, status, runtime, cached) — wall-clock
-#: fields are allowed here; campaign records are never part of golden
+#: one scheduler-level execution span (span, hash, job_kind, label,
+#: status, cached, attempt, worker, queue_wait, exec, retry_of) — one
+#: attempt of a campaign job, causally linked to the attempt it retried;
+#: ``status != "retry"`` marks the job's final outcome.  Wall-clock
+#: fields are allowed here: campaign records are never part of golden
 #: digests, which hash simulation streams only.
-CAMPAIGN_JOB = "campaign.job"
-#: one scheduler-level execution span (span, hash, kind, status, attempt,
-#: worker, queue_wait, exec, retry_of) — the run-telemetry view of a job
-#: attempt, causally linked to the attempt it retried.  Wall-clock, like
-#: campaign.job, and likewise never part of golden digests.
 CAMPAIGN_SPAN = "campaign.span"
 #: one analytically modelled flow from the flowsim fidelity tier
 #: (model, size, fct, rounds, retx).  ``t`` is the flow's arrival time
@@ -87,7 +85,7 @@ ALL_KINDS = frozenset({
     CC_CWND, CC_SS_EXIT,
     TCP_RTT, TCP_RTO, TCP_RECOVERY, TCP_PACING, TCP_DELIVERED,
     SUSS_DECISION, SUSS_PLAN, SUSS_ABORT,
-    CAMPAIGN_JOB, CAMPAIGN_SPAN, FLOWSIM_FLOW,
+    CAMPAIGN_SPAN, FLOWSIM_FLOW,
 })
 
 

@@ -19,13 +19,14 @@ Three pieces, all stdlib-only so any layer may depend on them:
   :func:`resource_delta`) — CPU via :func:`os.times`, peak RSS via
   :mod:`resource` (guarded import; absent on some platforms), plus the
   process counters, so a worker can report exactly the work a job did.
-* :class:`RunTelemetry` — the per-run collector: typed
+* :class:`RunTelemetry` — the one observer of a run: typed
   :class:`JobSpan` records with retry lineage (emitted through the
   existing :class:`~repro.obs.tracer.Observability` machinery as
-  ``campaign.span`` trace records), live aggregates in a
-  :class:`~repro.obs.metrics.MetricRegistry` (for OpenMetrics
-  exposition), and a throttled atomic ``status.json`` snapshot that
-  ``repro top`` renders.
+  ``campaign.span`` trace records) and running totals, from which the
+  stderr narration, ``--stats-json``, the throttled atomic
+  ``status.json`` that ``repro top`` renders, OpenMetrics
+  (:func:`repro.obs.export.status_registry`) and the run ledger are
+  all read (DESIGN.md §11).
 
 Wall-clock use is deliberate and legal here: ``repro/obs/`` is exempt
 from DET001, and nothing this module produces participates in golden
@@ -38,10 +39,10 @@ from __future__ import annotations
 import json
 import os
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import IO, Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.obs.metrics import MetricRegistry
 from repro.obs.records import CAMPAIGN_SPAN
 
 try:  # pragma: no cover - absent only on non-POSIX platforms
@@ -184,34 +185,35 @@ class JobSpan:
 
 
 class RunTelemetry:
-    """Span collector + live aggregates for one campaign-shaped run.
+    """The one observer of a campaign-shaped run.
 
     The scheduler calls :meth:`start`, then :meth:`record_span` once per
     attempt outcome (cache hit, success, retryable failure, terminal
-    failure), and :meth:`complete` with the spec-ordered results.  Along
-    the way this object
-
-    * appends every span to :attr:`spans` and emits it as a
-      ``campaign.span`` trace record when an
-      :class:`~repro.obs.tracer.Observability` hub is attached,
-    * keeps ``run.*`` instruments in :attr:`metrics` current for
-      OpenMetrics exposition, and
-    * rewrites ``status_path`` atomically (throttled to
-      ``status_interval``) so ``repro top`` can watch the run live.
-
-    Everything here is wall-clock and explicitly *not* deterministic;
-    the deterministic view of the same run is the ledger body built by
-    :mod:`repro.obs.ledger` from :attr:`jobs` / :attr:`values`.
+    failure), and :meth:`complete` with the spec-ordered results.  Each
+    span is kept in :attr:`spans`, folded into running totals, emitted
+    as a ``campaign.span`` trace record when an
+    :class:`~repro.obs.tracer.Observability` hub is attached, and
+    narrated on ``stream`` (at most one line per ``min_interval``
+    seconds, except failures, retries and the last job).  Every other
+    report is a read of that state: :meth:`stats` (``--stats-json``),
+    :meth:`snapshot` (``status.json``, rewritten atomically at
+    ``status_path`` every ``status_interval`` for ``repro top``; and
+    OpenMetrics, via :func:`repro.obs.export.status_registry`), and
+    :attr:`jobs` / :attr:`values`, the deterministic ledger body of
+    :mod:`repro.obs.ledger` — the only view that is not wall-clock.
     """
 
     def __init__(self, tool: str = "campaign", obs: Optional[Any] = None,
                  status_path: Optional[str] = None,
-                 status_interval: float = 0.5) -> None:
+                 status_interval: float = 0.5,
+                 stream: Optional[IO[str]] = None,
+                 min_interval: float = 0.0) -> None:
         self.tool = tool
         self.obs = obs
         self.status_path = status_path
         self.status_interval = status_interval
-        self.metrics = MetricRegistry()
+        self.stream = stream
+        self.min_interval = min_interval
         self.spans: List[JobSpan] = []
         self.total = 0
         self.workers = 1
@@ -223,50 +225,54 @@ class RunTelemetry:
         self.queue_wait_total: float = 0.0
         self.exec_total: float = 0.0
         self.retry_seconds: float = 0.0
+        #: per-bucket counts over SPAN_BUCKETS (+ overflow) of every
+        #: non-cached span's queue wait / exec time
+        self.queue_wait_buckets = [0] * (len(SPAN_BUCKETS) + 1)
+        self.exec_buckets = [0] * (len(SPAN_BUCKETS) + 1)
         self.lanes: Dict[str, Dict[str, Any]] = {}
         self.resources: Dict[str, Any] = {
             "cpu_user": 0.0, "cpu_system": 0.0, "max_rss_kb": 0,
             "engine_events": 0, "flows_modelled": 0,
         }
-        self.finished = False
         self.jobs: List[Dict[str, str]] = []
         self.values: List[Any] = []
         self._last_span: Dict[str, str] = {}
         self._start: Optional[float] = None
+        self._end: Optional[float] = None
         self._last_status_write = 0.0
+        self._last_print = 0.0
 
     # ------------------------------------------------------------------
     def start(self, total: int, workers: int = 1) -> None:
         self.total = total
         self.workers = max(workers, 1)
         self._start = time.monotonic()
-        self.metrics.gauge("run.total").set(total)
-        self.metrics.gauge("run.workers").set(self.workers)
+        self._end = None
+        self._print(f"campaign: {total} jobs on {self.workers} worker(s)",
+                    force=True)
         self.write_status(force=True)
 
     @property
+    def finished(self) -> bool:
+        return self._end is not None
+
+    @property
     def elapsed(self) -> float:
+        """Wall-clock since :meth:`start`; stops at :meth:`complete`."""
         if self._start is None:
             return 0.0
-        return time.monotonic() - self._start
+        end = self._end if self._end is not None else time.monotonic()
+        return end - self._start
 
     @property
     def done(self) -> int:
         return self.executed + self.cached + self.failed
 
     @property
-    def cache_ratio(self) -> Optional[float]:
-        return self.cached / self.done if self.done else None
-
-    @property
-    def throughput(self) -> Optional[float]:
-        """Finished jobs per wall-clock second so far."""
-        elapsed = self.elapsed
-        return self.done / elapsed if elapsed > 0 and self.done else None
-
-    @property
     def eta(self) -> Optional[float]:
-        """Remaining wall-clock estimate, charging retry time to jobs."""
+        """Remaining wall-clock estimate from mean job *cost*: retry
+        time is charged to the jobs that caused it, and ``remaining`` is
+        clamped at zero so late stragglers cannot drive it negative."""
         if self.executed == 0 or self.total <= 0:
             return None
         mean_cost = (self.exec_total + self.retry_seconds) / self.executed
@@ -281,7 +287,9 @@ class RunTelemetry:
                     error: Optional[str] = None,
                     resources: Optional[Mapping[str, Any]] = None,
                     ) -> JobSpan:
-        """Record one attempt outcome and update every live view."""
+        """Record one attempt outcome.  A cache hit carries the stored
+        run's ``exec_time`` for the narration and :meth:`stats` but
+        spends none now, so it enters no busy / exec total or bucket."""
         span = JobSpan(
             span_id=f"{job_hash[:12]}#{attempt}", job_hash=job_hash,
             kind=kind, label=label, status=status, cached=cached,
@@ -298,15 +306,15 @@ class RunTelemetry:
             # as job_kind in the trace-record fields.
             fields["job_kind"] = fields.pop("kind")
             self.obs.emit(self.elapsed, CAMPAIGN_SPAN, -1, **fields)
+        if self.stream is not None:
+            self._narrate(span)
         self.write_status()
         return span
 
     def _aggregate(self, span: JobSpan) -> None:
-        metrics = self.metrics
         if span.status == "retry":
             self.retries += 1
             self.retry_seconds += span.exec_time
-            metrics.counter("run.retries").add()
         else:
             if span.cached:
                 self.cached += 1
@@ -315,21 +323,6 @@ class RunTelemetry:
             else:
                 self.failed += 1
             self.by_kind[span.kind] = self.by_kind.get(span.kind, 0) + 1
-            outcome = "cached" if span.cached else span.status
-            metrics.counter("run.jobs", status=outcome).add()
-            metrics.counter("run.jobs_by_kind", kind=span.kind).add()
-        if not span.cached:
-            self.queue_wait_total += span.queue_wait
-            if span.status != "retry":
-                # Retry attempts' time is already in retry_seconds;
-                # adding it here too would double-charge the ETA mean.
-                self.exec_total += span.exec_time
-            metrics.histogram("run.queue_wait",
-                              buckets=SPAN_BUCKETS).observe(span.queue_wait)
-            metrics.histogram("run.exec_seconds",
-                              buckets=SPAN_BUCKETS).observe(span.exec_time)
-        if span.resources:
-            self._absorb_resources(span.resources)
         lane_key = str(span.worker) if span.worker is not None else "inline"
         lane = self.lanes.setdefault(
             lane_key, {"attempts": 0, "jobs": 0, "busy": 0.0,
@@ -337,40 +330,29 @@ class RunTelemetry:
         lane["attempts"] += 1
         if span.status != "retry":
             lane["jobs"] += 1
-        lane["busy"] += span.exec_time
         lane["last"] = span.label
         lane["last_status"] = "cached" if span.cached else span.status
-        self._refresh_gauges()
+        if not span.cached:
+            lane["busy"] += span.exec_time
+            self.queue_wait_total += span.queue_wait
+            if span.status != "retry":
+                # Retry attempts' time is already in retry_seconds;
+                # adding it here too would double-charge the ETA mean.
+                self.exec_total += span.exec_time
+            self.queue_wait_buckets[
+                bisect_left(SPAN_BUCKETS, span.queue_wait)] += 1
+            self.exec_buckets[bisect_left(SPAN_BUCKETS, span.exec_time)] += 1
+        if span.resources:
+            self._absorb_resources(span.resources)
 
     def _absorb_resources(self, delta: Mapping[str, Any]) -> None:
         res = self.resources
-        metrics = self.metrics
         for key in ("cpu_user", "cpu_system"):
-            amount = float(delta.get(key, 0.0) or 0.0)
-            res[key] += amount
-            metrics.counter("run.cpu_seconds",
-                            mode=key.split("_", 1)[1]).add(amount)
-        rss = int(delta.get("max_rss_kb", 0) or 0)
-        if rss > res["max_rss_kb"]:
-            res["max_rss_kb"] = rss
-            metrics.gauge("run.max_rss_kb").set(rss)
+            res[key] += float(delta.get(key, 0.0) or 0.0)
+        res["max_rss_kb"] = max(res["max_rss_kb"],
+                                int(delta.get("max_rss_kb", 0) or 0))
         for key in ("engine_events", "flows_modelled"):
-            amount = int(delta.get(key, 0) or 0)
-            if amount > 0:
-                res[key] += amount
-                metrics.counter(f"run.{key}").add(amount)
-
-    def _refresh_gauges(self) -> None:
-        metrics = self.metrics
-        metrics.gauge("run.done").set(self.done)
-        metrics.gauge("run.elapsed_seconds").set(round(self.elapsed, 3))
-        if self.cache_ratio is not None:
-            metrics.gauge("run.cache_ratio").set(round(self.cache_ratio, 4))
-        if self.throughput is not None:
-            metrics.gauge("run.throughput").set(round(self.throughput, 4))
-        eta = self.eta
-        if eta is not None:
-            metrics.gauge("run.eta_seconds").set(round(eta, 3))
+            res[key] += max(int(delta.get(key, 0) or 0), 0)
 
     # ------------------------------------------------------------------
     def complete(self, results: Sequence[Any]) -> None:
@@ -385,33 +367,81 @@ class RunTelemetry:
                       "label": r.spec.label or r.spec.kind}
                      for r in results]
         self.values = [r.value for r in results]
-        self.finished = True
-        self._refresh_gauges()
+        self._end = time.monotonic()
+        self._print(
+            f"campaign done: executed={self.executed} "
+            f"cached={self.cached} failed={self.failed} "
+            f"elapsed={self.elapsed:.1f}s", force=True)
         self.write_status(force=True)
 
     # ------------------------------------------------------------------
+    def _narrate(self, span: JobSpan) -> None:
+        tag = "cached" if span.cached else span.status
+        line = (f"[{self.done}/{self.total}] {tag:<6} {span.label}"
+                f" ({span.exec_time:.2f}s)")
+        if span.error:
+            line += f" — {span.error}"
+        if span.status != "retry" and self.done < self.total:
+            eta = self.eta
+            if eta is not None:
+                line += f" | eta {eta:.0f}s"
+        self._print(line, force=(span.status != "ok"
+                                 or self.done == self.total))
+
+    def _print(self, line: str, force: bool = False) -> None:
+        if self.stream is None:
+            return
+        now = time.monotonic()
+        if not force and now - self._last_print < self.min_interval:
+            return
+        self._last_print = now
+        print(line, file=self.stream, flush=True)
+
+    # ------------------------------------------------------------------
+    def stats(self) -> Dict[str, Any]:
+        """Counts plus one record per finished job (``--stats-json``)."""
+        records = []
+        for span in self.spans:
+            if span.status == "retry":
+                continue
+            record: Dict[str, Any] = {
+                "label": span.label, "status": span.status,
+                "runtime": span.exec_time, "cached": span.cached,
+                "attempts": span.attempt, "hash": span.job_hash}
+            if span.error:
+                record["error"] = span.error
+            records.append(record)
+        return {"total": self.total, "executed": self.executed,
+                "cached": self.cached, "failed": self.failed,
+                "retries": self.retries, "elapsed": self.elapsed,
+                "job_records": records}
+
     def snapshot(self) -> Dict[str, Any]:
         """JSON-serialisable live view (the ``status.json`` payload)."""
+        done, elapsed, eta = self.done, self.elapsed, self.eta
         return {
             "schema": STATUS_SCHEMA_VERSION,
             "tool": self.tool,
             "finished": self.finished,
             "total": self.total,
-            "done": self.done,
+            "done": done,
             "executed": self.executed,
             "cached": self.cached,
             "failed": self.failed,
             "retries": self.retries,
             "by_kind": dict(sorted(self.by_kind.items())),
-            "elapsed": round(self.elapsed, 3),
-            "eta": None if self.eta is None else round(self.eta, 3),
-            "cache_ratio": (None if self.cache_ratio is None
-                            else round(self.cache_ratio, 4)),
-            "throughput": (None if self.throughput is None
-                           else round(self.throughput, 4)),
+            "elapsed": round(elapsed, 3),
+            "eta": None if eta is None else round(eta, 3),
+            "cache_ratio": round(self.cached / done, 4) if done else None,
+            # finished jobs per wall-clock second so far
+            "throughput": (round(done / elapsed, 4)
+                           if done and elapsed > 0 else None),
             "queue_wait_total": round(self.queue_wait_total, 3),
             "exec_total": round(self.exec_total, 3),
             "retry_seconds": round(self.retry_seconds, 3),
+            "span_buckets": list(SPAN_BUCKETS),
+            "queue_wait_buckets": list(self.queue_wait_buckets),
+            "exec_buckets": list(self.exec_buckets),
             "workers": self.workers,
             "lanes": {k: dict(v) for k, v in sorted(self.lanes.items())},
             "resources": dict(self.resources),

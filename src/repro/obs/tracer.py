@@ -8,7 +8,7 @@ figure collector of :mod:`repro.metrics.collector` does); components
 resolve that once per kind where they cache ``sim.obs``
 (:meth:`Observability.gate`), so a site nobody listens to is one
 pointer test and evaluates no arguments (DESIGN.md §7).  The bundle
-also carries a run-level metric registry and optionally a profiler.
+optionally carries a profiler.
 
 Environment activation (mirrors ``REPRO_SANITIZE``):
 
@@ -33,7 +33,6 @@ import os
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set
 
 from repro.obs import profile as _profile
-from repro.obs.metrics import MetricRegistry
 from repro.obs.records import TraceRecord, parse_kinds
 from repro.obs.sinks import (
     DigestSink,
@@ -70,7 +69,7 @@ class Tracer:
 
 
 class Observability:
-    """Per-run bundle: tracer + subscribers + metric registry + profiler.
+    """Per-run bundle: tracer + subscribers + profiler.
 
     ``provenance`` is the causal-context source — duck-typed as anything
     with ``current_eid`` / ``_sched_origin`` integer attributes.
@@ -89,15 +88,13 @@ class Observability:
     the root context ``(0, 0)``.
     """
 
-    __slots__ = ("tracer", "metrics", "profiler", "provenance",
+    __slots__ = ("tracer", "profiler", "provenance",
                  "_origin_peid", "_subscribers", "_gated_off")
 
     def __init__(self, tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricRegistry] = None,
                  profiler: Optional[_profile.EventProfiler] = None,
                  provenance: Optional[Any] = None) -> None:
         self.tracer = tracer
-        self.metrics = metrics if metrics is not None else MetricRegistry()
         self.profiler = profiler
         self.provenance = provenance
         self._origin_peid = 0

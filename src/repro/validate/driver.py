@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.campaign import (
     JobSpec,
-    ProgressReporter,
     ResultStore,
     code_fingerprint,
     run_campaign,
@@ -173,7 +172,6 @@ def run_validation(claim_ids: Optional[Sequence[Union[str, Claim]]] = None, *,
                    mode: str = "quick", base_seed: int = 0,
                    store: Optional[ResultStore] = None, jobs: int = 1,
                    timeout: Optional[float] = None, retries: int = 1,
-                   progress: Optional[ProgressReporter] = None,
                    n_resamples: int = 1000, confidence: float = 0.95,
                    fingerprint: Optional[str] = None,
                    telemetry: Optional[RunTelemetry] = None
@@ -193,8 +191,7 @@ def run_validation(claim_ids: Optional[Sequence[Union[str, Claim]]] = None, *,
                   for c in claim_ids]
     plan, specs = plan_jobs(claims, mode, base_seed)
     results = run_campaign(specs, jobs=jobs, store=store, timeout=timeout,
-                           retries=retries, progress=progress,
-                           telemetry=telemetry)
+                           retries=retries, telemetry=telemetry)
     values: Dict[str, dict] = {}
     for result in results:
         if not result.ok:

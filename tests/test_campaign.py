@@ -13,9 +13,7 @@ import pytest
 
 from repro.campaign import (
     JobSpec,
-    ProgressReporter,
     ResultStore,
-    campaign_stats,
     code_fingerprint,
     collect_values,
     execute_job,
@@ -31,6 +29,7 @@ from repro.experiments.runner import (
     run_single_flow,
     sweep_summaries,
 )
+from repro.obs.runtime import RunTelemetry
 from repro.workloads import get_scenario
 from repro.workloads.scenarios import PathScenario
 
@@ -48,6 +47,17 @@ def _pinned_fingerprint(monkeypatch):
 
 def spec_for(seed: int, size: int = SIZE, **kwargs) -> JobSpec:
     return single_flow_job(SCENARIO, "cubic", size, seed=seed, **kwargs)
+
+
+def observed(specs, **kwargs):
+    """Run a campaign; return ``(results, counts)`` where ``counts`` are
+    the observer's — the numbers ``repro campaign`` prints and writes to
+    ``--stats-json``."""
+    telemetry = RunTelemetry()
+    results = run_campaign(specs, telemetry=telemetry, **kwargs)
+    stats = telemetry.stats()
+    return results, {key: stats[key]
+                     for key in ("total", "executed", "cached", "failed")}
 
 
 class TestJobSpec:
@@ -89,12 +99,12 @@ class TestCache:
     def test_miss_then_hit(self, tmp_path):
         store = ResultStore(tmp_path)
         specs = [spec_for(0), spec_for(1)]
-        first = run_campaign(specs, store=store)
-        assert campaign_stats(first) == {"total": 2, "executed": 2,
-                                         "cached": 0, "failed": 0}
-        second = run_campaign(specs, store=store)
-        assert campaign_stats(second) == {"total": 2, "executed": 0,
-                                          "cached": 2, "failed": 0}
+        first, counts = observed(specs, store=store)
+        assert counts == {"total": 2, "executed": 2, "cached": 0,
+                          "failed": 0}
+        second, counts = observed(specs, store=store)
+        assert counts == {"total": 2, "executed": 0, "cached": 2,
+                          "failed": 0}
         assert collect_values(second) == collect_values(first)
 
     def test_corrupt_record_degrades_to_miss(self, tmp_path):
@@ -102,8 +112,8 @@ class TestCache:
         spec = spec_for(0)
         first = run_campaign([spec], store=store)
         store.path_for(spec.job_hash).write_text("{not json", encoding="utf-8")
-        second = run_campaign([spec], store=store)
-        assert campaign_stats(second)["executed"] == 1
+        second, counts = observed([spec], store=store)
+        assert counts["executed"] == 1
         assert collect_values(second) == collect_values(first)
 
     def test_failures_are_not_cached(self, tmp_path):
@@ -119,9 +129,9 @@ class TestCache:
         store = ResultStore(tmp_path)
         specs = [spec_for(seed) for seed in range(4)]
         run_campaign(specs[:2], store=store)  # the "interrupted" first run
-        resumed = run_campaign(specs, store=store)
-        assert campaign_stats(resumed) == {"total": 4, "executed": 2,
-                                           "cached": 2, "failed": 0}
+        resumed, counts = observed(specs, store=store)
+        assert counts == {"total": 4, "executed": 2, "cached": 2,
+                          "failed": 0}
         fresh = run_campaign(specs)  # no store: everything recomputed
         assert collect_values(resumed) == collect_values(fresh)
 
@@ -130,8 +140,7 @@ class TestCache:
         new = ResultStore(tmp_path, fingerprint="b" * 64)
         run_campaign([spec_for(0)], store=old)
         assert len(old) == 1 and len(new) == 0
-        assert campaign_stats(run_campaign([spec_for(0)],
-                                           store=new))["executed"] == 1
+        assert observed([spec_for(0)], store=new)[1]["executed"] == 1
 
 
 class TestFaultTolerance:
@@ -207,10 +216,10 @@ class TestRunnerIntegration:
             assert sweep[(cc, SIZE)] == fct_summary(SCENARIO, cc, SIZE,
                                                     iterations=2)
         # The sweep warmed the cache for the equivalent per-cell call.
-        reporter = ProgressReporter()
+        telemetry = RunTelemetry()
         fct_summary(SCENARIO, "cubic", SIZE, iterations=2, store=store,
-                    progress=reporter)
-        assert reporter.stats()["cached"] == 2
+                    telemetry=telemetry)
+        assert telemetry.stats()["cached"] == 2
 
     def test_loss_rate_summary_flags_incomplete_flows(self):
         # 60% random loss stalls the transfer far past its deadline, so
@@ -259,29 +268,44 @@ class TestRunnerIntegration:
         assert value["small_fct_mean"] > 0
 
 
-class TestProgressReporter:
+class TestRunNarration:
+    """The scheduler's one observer narrates and counts the run (the
+    line formats, throttling and ETA cases are pinned on the collector
+    itself in ``tests/test_obs_runtime.py``)."""
+
     def test_counts_and_stream_output(self, tmp_path):
         stream = io.StringIO()
-        reporter = ProgressReporter(stream=stream)
+        telemetry = RunTelemetry(stream=stream)
         store = ResultStore(tmp_path)
-        run_campaign([spec_for(0)], store=store, progress=reporter)
-        stats = reporter.stats()
+        run_campaign([spec_for(0)], store=store, telemetry=telemetry)
+        stats = telemetry.stats()
         assert stats["executed"] == 1 and stats["failed"] == 0
         out = stream.getvalue()
         assert "campaign done" in out and "executed=1" in out
 
     def test_quiet_reporter_still_counts(self):
-        reporter = ProgressReporter(stream=None)
+        telemetry = RunTelemetry(stream=None)
         run_campaign([spec_for(0, knobs={"_fail_attempts": 99})],
-                     retries=0, progress=reporter)
-        assert reporter.stats()["failed"] == 1
+                     retries=0, telemetry=telemetry)
+        assert telemetry.stats()["failed"] == 1
 
-    def test_eta_appears_once_runtimes_known(self):
-        reporter = ProgressReporter()
-        reporter.start(total=4, jobs=2)
-        assert reporter.eta is None
-        reporter.job_done("a", "ok", runtime=2.0)
-        assert reporter.eta == pytest.approx(2.0 * 3 / 2)
+    def test_default_observer_is_silent(self, capsys):
+        run_campaign([spec_for(0)])
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
+
+    def test_retries_are_narrated_and_counted_once(self):
+        stream = io.StringIO()
+        telemetry = RunTelemetry(stream=stream)
+        run_campaign([spec_for(0, knobs={"_fail_attempts": 1})], retries=1,
+                     telemetry=telemetry)
+        stats = telemetry.stats()
+        assert (stats["retries"], stats["executed"]) == (1, 1)
+        (record,) = stats["job_records"]      # the retry is not a job
+        assert record["attempts"] == 2
+        lines = stream.getvalue().splitlines()
+        assert len([l for l in lines if "] retry " in l]) == 1
+        assert len([l for l in lines if "] ok " in l]) == 1
 
 
 class TestFlowsimJobs:
@@ -384,23 +408,26 @@ class TestCacheHitRecords:
 
         store = ResultStore(tmp_path)
         spec = spec_for(0)
-        run_campaign([spec], store=store)
+        (cold,) = run_campaign([spec], store=store)
         sink = MemorySink()
-        reporter = ProgressReporter(obs=tracing(sink))
-        run_campaign([spec], store=store, progress=reporter)
-        (record,) = reporter.stats()["job_records"]
+        telemetry = RunTelemetry(obs=tracing(sink))
+        run_campaign([spec], store=store, telemetry=telemetry)
+        (record,) = telemetry.stats()["job_records"]
         assert record["cached"] is True
         assert record["status"] == "ok"
         assert record["hash"] == spec.job_hash
-        (trace,) = sink.by_kind(obsrec.CAMPAIGN_JOB)
+        # a hit reports the stored run's time and spends no attempt
+        assert record["runtime"] == cold.runtime > 0.0
+        assert record["attempts"] == 0
+        (trace,) = sink.by_kind(obsrec.CAMPAIGN_SPAN)
         assert trace.fields["cached"] is True
         assert trace.fields["hash"] == spec.job_hash
 
     def test_executed_records_also_carry_hash(self):
-        reporter = ProgressReporter()
+        telemetry = RunTelemetry()
         spec = spec_for(1)
-        run_campaign([spec], progress=reporter)
-        (record,) = reporter.stats()["job_records"]
+        run_campaign([spec], telemetry=telemetry)
+        (record,) = telemetry.stats()["job_records"]
         assert record["cached"] is False
         assert record["hash"] == spec.job_hash
 
@@ -410,10 +437,10 @@ class TestCacheHitRecords:
         specs = [spec_for(seed) for seed in range(4)]
 
         def digest(jobs):
-            reporter = ProgressReporter()
-            run_campaign(specs, jobs=jobs, progress=reporter)
+            telemetry = RunTelemetry()
+            run_campaign(specs, jobs=jobs, telemetry=telemetry)
             return sorted((r["hash"], r["status"], r["cached"])
-                          for r in reporter.stats()["job_records"])
+                          for r in telemetry.stats()["job_records"])
 
         assert digest(1) == digest(4)
 
@@ -425,34 +452,27 @@ class TestCacheHitRecords:
             return sorted((r.spec.job_hash, r.status) for r in results)
 
         cold = run_campaign(specs, store=store)
-        warm = run_campaign(specs, store=store)
+        warm, counts = observed(specs, store=store)
         assert digest(cold) == digest(warm)
-        assert campaign_stats(warm)["cached"] == 3
+        assert counts["cached"] == 3
 
 
 class TestEtaUnderRetries:
-    def test_retry_time_raises_mean_cost(self):
-        reporter = ProgressReporter()
-        reporter.start(total=4, jobs=1)
-        reporter.job_retry("flaky", runtime=3.0, error="boom")
-        reporter.job_done("flaky", "ok", runtime=1.0, attempts=2)
-        # cost = (1.0 exec + 3.0 retry) / 1 job; 3 jobs remain
-        assert reporter.eta == pytest.approx(4.0 * 3)
-        assert reporter.stats()["retries"] == 1
-
     def test_eta_never_negative_with_stragglers(self):
-        reporter = ProgressReporter()
-        reporter.start(total=1, jobs=1)
-        reporter.job_done("a", "ok", runtime=1.0)
-        reporter.job_done("b", "ok", runtime=1.0)  # late extra job
-        assert reporter.eta == 0.0
+        telemetry = RunTelemetry()
+        telemetry.start(total=1, workers=1)
+        for job_hash in ("a" * 64, "b" * 64):     # "b": a late extra job
+            telemetry.record_span(job_hash, "k", "job", status="ok",
+                                  attempt=1, exec_time=1.0)
+        assert telemetry.eta == 0.0
 
     def test_retry_is_not_a_done_job(self):
-        reporter = ProgressReporter(stream=io.StringIO())
-        reporter.start(total=2, jobs=1)
-        reporter.job_retry("flaky", runtime=0.5)
-        assert reporter.done == 0
-        out = reporter.stream.getvalue()
+        telemetry = RunTelemetry(stream=io.StringIO())
+        telemetry.start(total=2, workers=1)
+        telemetry.record_span("a" * 64, "k", "flaky", status="retry",
+                              attempt=1, exec_time=0.5)
+        assert telemetry.done == 0
+        out = telemetry.stream.getvalue()
         assert "retry" in out and "flaky" in out
 
 

@@ -114,6 +114,66 @@ class TestCampaign:
         with pytest.raises(SystemExit):
             main(["campaign", "--servers", "nowhere", "--links", "wired"])
 
+    def test_stats_json_key_set(self, tmp_path, capsys):
+        """``benchmarks/perf/workloads.py`` and the ``campaign-smoke`` CI
+        job read total / executed / cached / failed / elapsed."""
+        stats_path = tmp_path / "stats.json"
+        assert main(self.ARGS + ["--no-cache",
+                                 "--stats-json", str(stats_path)]) == 0
+        capsys.readouterr()
+        stats = json.loads(stats_path.read_text())
+        assert set(stats) == {"total", "executed", "cached", "failed",
+                              "retries", "elapsed", "job_records"}
+        assert all(set(record) == {"label", "status", "runtime", "cached",
+                                   "attempts", "hash"}
+                   for record in stats["job_records"])
+        assert len(stats["job_records"]) == stats["total"] == 2
+
+    def test_failed_campaign_still_writes_stats(self, tmp_path, capsys):
+        stats_path = tmp_path / "stats.json"
+        with pytest.raises(SystemExit, match="campaign failed"):
+            main(self.ARGS + ["--no-cache", "--timeout", "0.001",
+                              "--retries", "0",
+                              "--stats-json", str(stats_path)])
+        capsys.readouterr()
+        stats = json.loads(stats_path.read_text())
+        assert stats["failed"] == stats["total"] == 2
+
+    def test_narration_goes_to_stderr_unless_quiet(self, capsys):
+        args = [a for a in self.ARGS if a != "--quiet"] + ["--no-cache"]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert "campaign: 2 jobs on 1 worker(s)" in err
+        assert "[2/2] ok " in err
+        assert "campaign done: executed=2 cached=0 failed=0" in err
+
+    def test_metrics_port_serves_without_ledger_dir(self, monkeypatch,
+                                                    capsys):
+        """The observer always exists, so the endpoint does not need
+        ``--ledger-dir``; scrape it while the run is open."""
+        import re
+        import urllib.request
+
+        from repro.obs.export import MetricsServer
+
+        scraped = []
+        close = MetricsServer.close
+
+        def scrape_then_close(server):
+            with urllib.request.urlopen(server.url) as resp:
+                scraped.append(resp.read().decode())
+            close(server)
+
+        monkeypatch.setattr(MetricsServer, "close", scrape_then_close)
+        assert main(self.ARGS + ["--no-cache", "--metrics-port", "0"]) == 0
+        err = capsys.readouterr().err
+        assert re.search(r"serving OpenMetrics at http://127\.0\.0\.1:\d+"
+                         r"/metrics", err)
+        (body,) = scraped
+        assert 'repro_run_jobs_total{status="executed"} 2' in body
+        assert "repro_run_finished 1" in body
+        assert body.endswith("# EOF\n")
+
 
 class TestSweepCampaignFlags:
     def test_sweep_with_jobs_and_cache(self, tmp_path, capsys):
@@ -692,3 +752,16 @@ class TestTopoCampaign:
     def test_unknown_topo_scenario_rejected(self):
         with pytest.raises(SystemExit, match="unknown topo scenario"):
             main(["campaign", "--topo", "nope", "--quiet"])
+
+    def test_failed_campaign_still_writes_stats(self, tmp_path, capsys):
+        """Same as the matrix path: a failed run exits non-zero and
+        leaves its counts behind."""
+        stats_path = tmp_path / "stats.json"
+        with pytest.raises(SystemExit, match="campaign failed"):
+            main(self.ARGS + ["--no-cache", "--timeout", "0.001",
+                              "--retries", "0",
+                              "--stats-json", str(stats_path)])
+        capsys.readouterr()
+        stats = json.loads(stats_path.read_text())
+        assert stats["failed"] == stats["total"] == 2
+        assert stats["executed"] == 0

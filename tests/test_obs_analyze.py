@@ -101,7 +101,7 @@ class TestFlowTimeline:
         assert tl.mss == 0 and tl.max_cwnd == 0
 
     def test_unknown_kind_still_counts(self):
-        tl = make_timeline([rec(0.5, "campaign.job", label="x")])
+        tl = make_timeline([rec(0.5, "campaign.span", label="x")])
         assert tl.record_count == 1 and tl.first_time == 0.5
 
     def test_build_timelines_splits_flows_and_unattributed(self):

@@ -23,7 +23,7 @@ def simple_chain():
         rec(0.0, "pkt.send", eid=1, peid=0, seq=0),
         rec(0.1, "pkt.recv", eid=2, peid=1, seq=0),
         rec(0.2, "suss.decision", eid=3, peid=2, verdict="accelerate"),
-        rec(0.0, "campaign.job", flow=-1, eid=0, peid=0, label="x"),
+        rec(0.0, "campaign.span", flow=-1, eid=0, peid=0, label="x"),
     ]
 
 

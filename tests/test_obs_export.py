@@ -6,6 +6,7 @@ the status.json → registry reconstruction, the dashboard renderer, and
 the stdlib scrape endpoint.
 """
 
+import json
 import urllib.request
 
 import pytest
@@ -98,6 +99,58 @@ class TestStatusRegistry:
         status = _status(eta=None, throughput=None)
         text = render_openmetrics(status_registry(status))
         assert "repro_run_eta_seconds " not in text
+
+    def test_span_histograms_travel_in_the_snapshot(self):
+        """One span of 0.1 s wait / 1.0 s exec; the cached one stays out."""
+        lines = render_openmetrics(status_registry(_status())).splitlines()
+        assert "# TYPE repro_run_queue_wait histogram" in lines
+        assert 'repro_run_queue_wait_bucket{le="0.03"} 0' in lines
+        assert 'repro_run_queue_wait_bucket{le="0.1"} 1' in lines
+        assert "repro_run_queue_wait_sum 0.1" in lines
+        assert 'repro_run_exec_seconds_bucket{le="0.3"} 0' in lines
+        assert 'repro_run_exec_seconds_bucket{le="1"} 1' in lines
+        assert 'repro_run_exec_seconds_bucket{le="+Inf"} 1' in lines
+        assert "repro_run_exec_seconds_count 1" in lines
+
+    def test_snapshot_without_buckets_still_renders(self):
+        status = _status()
+        for key in ("span_buckets", "queue_wait_buckets", "exec_buckets"):
+            del status[key]
+        text = render_openmetrics(status_registry(status))
+        assert "repro_run_exec_seconds" not in text
+        assert 'repro_run_jobs_total{status="executed"} 1' in text
+
+    def test_live_and_status_file_views_agree(self, tmp_path):
+        """The ``--metrics-port`` endpoint renders the collector's
+        snapshot, ``repro top --metrics-out`` the one in ``status.json``:
+        after a finished run they are the same families and samples."""
+        path = tmp_path / "status.json"
+        t = RunTelemetry(status_path=str(path))
+        t.start(total=3, workers=2)
+        t.record_span("a" * 64, "single_flow", "one", status="retry",
+                      attempt=1, worker=11, exec_time=0.2, error="boom")
+        t.record_span("a" * 64, "single_flow", "one", status="ok",
+                      attempt=2, worker=11, queue_wait=0.004, exec_time=1.0,
+                      resources={"cpu_user": 0.5, "cpu_system": 0.1,
+                                 "max_rss_kb": 2048, "engine_events": 1000,
+                                 "flows_modelled": 7})
+        t.record_span("b" * 64, "topo_flow", "two", status="ok",
+                      cached=True, exec_time=0.3)
+        t.record_span("c" * 64, "topo_flow", "three", status="failed",
+                      attempt=1, worker=12, error="gave up")
+        t.complete([])
+        live = render_openmetrics(status_registry(t.snapshot()))
+        from_file = render_openmetrics(
+            status_registry(json.loads(path.read_text())))
+        assert live == from_file
+        families = {line.split()[2] for line in live.splitlines()
+                    if line.startswith("# TYPE")}
+        assert {"repro_run_finished", "repro_run_lane_jobs",
+                "repro_run_lane_busy_seconds", "repro_run_queue_wait",
+                "repro_run_exec_seconds", "repro_run_eta_seconds",
+                "repro_run_jobs_by_kind"} <= families
+        assert "repro_run_finished 1" in live
+        assert "repro_run_exec_seconds_count 3" in live   # cached stays out
 
 
 class TestRenderTop:

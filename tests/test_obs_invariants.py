@@ -58,8 +58,6 @@ def test_delivered_bytes_registry_matches_receiver(seed):
                           **_random_path(seed, salt=0x1234)).run()
     assert bench.receiver.bytes_delivered == bench.sender.total_bytes
     assert last["delivered"] == bench.receiver.bytes_delivered
-    # nothing per-packet lands in the metric registry any more
-    assert obs.metrics.snapshot() == {}
     # the ring buffer really bounded the cost
     assert len(sink) <= 64 and sink.emitted > 64
 

@@ -1,13 +1,17 @@
 """Tests for repro.obs.runtime — spans, resource accounting, status.
 
-The run-level telemetry collector must (a) keep span lineage across
-retries, (b) aggregate live counters/gauges/histograms correctly,
-(c) emit every span as a ``campaign.span`` trace record when an
-Observability hub is attached, and (d) rewrite ``status.json``
-atomically so ``repro top`` always sees a parseable snapshot.
+The run's one observer must (a) keep span lineage across retries,
+(b) keep its running totals and histogram buckets correct, (c) emit
+every span as a ``campaign.span`` trace record when an Observability
+hub is attached, (d) rewrite ``status.json`` atomically so ``repro top``
+always sees a parseable snapshot, and (e) narrate the run and answer
+``stats()`` from the same spans, at a per-span cost that does not grow
+with the run.
 """
 
+import io
 import json
+import time
 import types
 
 import pytest
@@ -124,17 +128,25 @@ class TestAggregation:
         # exec_total: ok 1.0 + failed 0.5; retry time lives in
         # retry_seconds only, cached spans add nothing.
         assert t.exec_total == pytest.approx(1.5)
-        jobs = t.metrics.counter("run.jobs", status="cached")
-        assert jobs.value == 1
 
     def test_cached_spans_do_not_enter_histograms(self):
+        """A hit carries the stored run's exec time for the narration
+        and ``stats()``, but spent none now: it stays out of the
+        buckets, the exec total and the lane's busy time."""
         t = RunTelemetry()
         t.start(total=2)
-        t.record_span(HASH_A, "a", "1", status="ok", cached=True)
+        t.record_span(HASH_A, "a", "1", status="ok", cached=True,
+                      exec_time=0.5)
         t.record_span(HASH_B, "a", "2", status="ok", attempt=1,
                       exec_time=0.02)
-        hist = t.metrics.histogram("run.exec_seconds")
-        assert hist.count == 1
+        snap = t.snapshot()
+        assert sum(snap["exec_buckets"]) == 1
+        assert sum(snap["queue_wait_buckets"]) == 1
+        # 0.02 s lands in the (0.01, 0.03] bucket of SPAN_BUCKETS
+        assert snap["exec_buckets"][snap["span_buckets"].index(0.03)] == 1
+        assert snap["exec_total"] == 0.02
+        assert snap["lanes"]["inline"]["busy"] == pytest.approx(0.02)
+        assert snap["lanes"]["inline"]["jobs"] == 2
 
     def test_eta_charges_retry_time_to_executed_jobs(self):
         """Regression for ETA drift under retries: a retried job's lost
@@ -180,6 +192,126 @@ class TestAggregation:
         assert res["max_rss_kb"] == 1000        # high-water, not a sum
         assert res["engine_events"] == 15
         assert res["flows_modelled"] == 3
+
+
+class TestNarration:
+    """The stderr view: same lines the campaign reporter used to print."""
+
+    def _run(self, **kwargs):
+        t = RunTelemetry(stream=io.StringIO(), **kwargs)
+        t.start(total=4, workers=2)
+        return t
+
+    def test_line_formats(self):
+        t = self._run()
+        t.record_span(HASH_A, "k", "hit", status="ok", cached=True,
+                      exec_time=0.1)
+        t.record_span(HASH_B, "k", "flaky", status="retry", attempt=1,
+                      exec_time=0.5, error="boom")
+        t.record_span(HASH_B, "k", "flaky", status="ok", attempt=2,
+                      exec_time=1.5)
+        t.record_span("c" * 64, "k", "dead", status="failed", attempt=3,
+                      error="gave up")
+        t.record_span("d" * 64, "k", "last", status="ok", attempt=1,
+                      exec_time=1.0)
+        t.complete([])
+        lines = t.stream.getvalue().splitlines()
+        assert lines[:-1] == [
+            "campaign: 4 jobs on 2 worker(s)",
+            "[1/4] cached hit (0.10s)",
+            "[1/4] retry  flaky (0.50s) — boom",
+            # mean cost (1.5 exec + 0.5 retry) / 1, 2 left on 2 workers
+            "[2/4] ok     flaky (1.50s) | eta 2s",
+            "[3/4] failed dead (0.00s) — gave up | eta 1s",
+            "[4/4] ok     last (1.00s)",
+        ]
+        assert lines[-1].startswith(
+            "campaign done: executed=2 cached=1 failed=1 elapsed=")
+
+    def test_throttle_keeps_failures_retries_and_the_last_job(self):
+        t = self._run(min_interval=3600.0)
+        t.record_span(HASH_A, "k", "quiet-1", status="ok", attempt=1)
+        t.record_span(HASH_B, "k", "loud", status="retry", attempt=1,
+                      error="x")
+        t.record_span(HASH_B, "k", "loud", status="failed", attempt=2,
+                      error="x")
+        t.record_span("c" * 64, "k", "quiet-2", status="ok", attempt=1)
+        t.record_span("d" * 64, "k", "last", status="ok", attempt=1)
+        t.complete([])
+        out = t.stream.getvalue()
+        assert "quiet-1" not in out and "quiet-2" not in out
+        assert "retry  loud" in out and "failed loud" in out
+        assert "[4/4] ok     last" in out
+        assert "campaign done:" in out
+
+    def test_no_stream_prints_nothing(self, capsys):
+        t = RunTelemetry()
+        t.start(total=1)
+        t.record_span(HASH_A, "k", "x", status="failed", attempt=1)
+        t.complete([])
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
+
+
+class TestStats:
+    def test_key_set_and_records_from_non_retry_spans(self):
+        t = RunTelemetry()
+        t.start(total=2)
+        t.record_span(HASH_A, "k", "hit", status="ok", cached=True,
+                      exec_time=0.25)
+        t.record_span(HASH_B, "k", "flaky", status="retry", attempt=1,
+                      exec_time=0.5, error="boom")
+        t.record_span(HASH_B, "k", "flaky", status="failed", attempt=2,
+                      error="boom")
+        stats = t.stats()
+        assert set(stats) == {"total", "executed", "cached", "failed",
+                              "retries", "elapsed", "job_records"}
+        assert (stats["total"], stats["executed"], stats["cached"],
+                stats["failed"], stats["retries"]) == (2, 0, 1, 1, 1)
+        assert stats["job_records"] == [
+            {"label": "hit", "status": "ok", "runtime": 0.25,
+             "cached": True, "attempts": 0, "hash": HASH_A},
+            {"label": "flaky", "status": "failed", "runtime": 0.0,
+             "cached": False, "attempts": 2, "hash": HASH_B,
+             "error": "boom"},
+        ]
+        json.dumps(stats)
+
+    def test_elapsed_stops_at_complete(self):
+        t = RunTelemetry()
+        assert t.elapsed == 0.0 and not t.finished
+        t.start(total=0)
+        t.complete([])
+        assert t.finished
+        assert t.stats()["elapsed"] == t.elapsed == t.stats()["elapsed"]
+        t.start(total=0)                          # reuse reopens the run
+        assert not t.finished
+
+
+def _per_span_seconds(spans: int) -> float:
+    """CPU seconds per ``record_span`` (+ the ETA read the narration
+    makes) over a run of ``spans`` jobs, best of 5."""
+    best = float("inf")
+    for _ in range(5):
+        t = RunTelemetry()
+        t.start(total=spans)
+        started = time.process_time()
+        for i in range(spans):
+            t.record_span(f"{i:064x}", "k", "job", status="ok", attempt=1,
+                          exec_time=0.01)
+            t.eta
+        best = min(best, time.process_time() - started)
+        assert t.executed == spans
+    return best / spans
+
+
+def test_per_span_cost_does_not_grow_with_the_run():
+    """Summing a per-job list on every outcome (what the old reporter's
+    ETA did) costs ~20x more per job at 20x the jobs; running totals
+    must stay flat."""
+    small = _per_span_seconds(500)
+    large = _per_span_seconds(10_000)
+    assert large / small < 3, (small, large)
 
 
 class TestStatusFile:

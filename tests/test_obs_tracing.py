@@ -46,7 +46,6 @@ class TestTracer:
     def test_observability_without_tracer_is_quiet(self):
         obs = Observability()
         obs.emit(1.0, obsrec.TCP_RTT, 1, rtt=0.1)  # must not raise
-        assert obs.metrics is not None
         obs.close()
 
 
@@ -159,13 +158,12 @@ class TestInstrumentationCoverage:
         assert sink.by_kind(obsrec.TCP_RECOVERY)
 
     def test_metrics_registry_populated(self):
-        # The registry is run-level (RunTelemetry, OpenMetrics): a traced
-        # simulation writes nothing into it per packet, and the counts it
-        # used to mirror are read where they live.
+        # A simulation carries no metric registry: the trace is the
+        # only report, and it agrees with the counts where they live.
         sink = MemorySink()
         obs = tracing(sink)
         bench = make_transfer("cubic", size=200 * MSS, obs=obs).run()
-        assert obs.metrics.snapshot() == {}
+        assert not hasattr(obs, "metrics")
         assert len(sink.by_kind(obsrec.PKT_SEND)) == \
             bench.sender.data_packets_sent
         assert sink.by_kind(obsrec.TCP_DELIVERED)[-1].fields["delivered"] \

@@ -484,7 +484,7 @@ class TestProvenance:
         sink = MemorySink()
         sim = make_sim(backend, sanitizer=None,
                        obs=Observability(tracer=Tracer(sink)))
-        sim.obs.emit(0.0, "campaign.job", -1, label="x")
+        sim.obs.emit(0.0, "campaign.span", -1, label="x")
         (record,) = sink.records
         assert (record.eid, record.parent_eid) == (0, 0)
 
