@@ -8,6 +8,7 @@ the stdlib scrape endpoint.
 
 import json
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +152,17 @@ class TestStatusRegistry:
                 "repro_run_jobs_by_kind"} <= families
         assert "repro_run_finished 1" in live
         assert "repro_run_exec_seconds_count 3" in live   # cached stays out
+
+
+class TestGoldenExposition:
+    def test_committed_snapshot_renders_the_committed_text(self):
+        """A finished two-worker run (one retry, one cache hit, one
+        failure, two job kinds) kept as a ``status.json`` file, and the
+        exposition text captured before the registry was removed."""
+        golden = Path(__file__).parent / "golden"
+        status = json.loads((golden / "openmetrics_status.json").read_text())
+        assert render_openmetrics(status_registry(status)) == \
+            (golden / "openmetrics_status.txt").read_text()
 
 
 class TestRenderTop:
