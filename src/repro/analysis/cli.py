@@ -38,11 +38,9 @@ def run_lint(paths: List[str], layering: bool = True,
     return sort_findings(findings)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="determinism/layering/unit linter for the SUSS "
-                    "reproduction")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the lint flags — the one declaration both
+    ``python -m repro.analysis.cli`` and ``python -m repro lint`` parse."""
     parser.add_argument("paths", nargs="*", default=["src", "tests"],
                         help="files or directories to lint "
                              "(default: src tests)")
@@ -55,8 +53,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--explain", metavar="RULE",
                         help="print the catalogue entry for a rule ID "
                              "(e.g. DET003, UNIT002) and exit")
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Lint as ``args`` (parsed by ``parser``) asks; the exit status."""
     if args.explain:
         try:
             print(explain(args.explain))
@@ -79,6 +79,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         print("repro lint: clean")
     return 1 if findings else 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro lint",
+        description="determinism/layering/unit linter for the SUSS "
+                    "reproduction")
+    add_arguments(parser)
+    return run(parser.parse_args(argv), parser)
 
 
 if __name__ == "__main__":  # pragma: no cover

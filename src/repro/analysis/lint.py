@@ -64,11 +64,11 @@ def applicable_rules(path: PathLike) -> Set[str]:
     """Determinism rules that apply to ``path`` (exemptions by location).
 
     * ``repro/campaign/`` owns real-time concerns (worker timeouts,
-      progress/ETA), ``repro/analysis/`` is tooling, ``repro/obs/``
+      progress/ETA), ``repro/analysis/`` is tooling and ``repro/obs/``
       owns profiling (measuring wall time is its job; profiler output
-      must never feed back into simulation results or trace digests),
-      and ``repro/validate/`` times the perf-gate micro-benchmarks —
-      all four are exempt from DET001.
+      must never feed back into simulation results or trace digests) —
+      all three are exempt from DET001.  ``repro/validate/`` is not:
+      its reports are promised byte-identical across runs.
     * ``tests/`` drive simulations from outside, time test runs, and
       assert exact event times on hand-built schedules, so they are
       exempt from DET001, DET002 and DET006.
@@ -80,8 +80,7 @@ def applicable_rules(path: PathLike) -> Set[str]:
     parts = Path(path).parts
     name = Path(path).name
     in_tests = "tests" in parts or name.startswith(("test_", "conftest"))
-    if ("campaign" in parts or "analysis" in parts or "obs" in parts
-            or "validate" in parts):
+    if "campaign" in parts or "analysis" in parts or "obs" in parts:
         rules.discard("DET001")
     if in_tests:
         rules.difference_update({"DET001", "DET002", "DET006"})

@@ -21,6 +21,7 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.analysis import cli as lint_cli
 from repro.campaign import ResultStore, code_fingerprint
 from repro.cc import available
 from repro.experiments.report import pct, render_table
@@ -52,13 +53,9 @@ def _open_run(args: argparse.Namespace,
         stream=None if getattr(args, "quiet", False) else sys.stderr)
     server = None
     if getattr(args, "metrics_port", None) is not None:
-        from repro.obs.export import (
-            MetricsServer,
-            render_openmetrics,
-            status_registry,
-        )
+        from repro.obs.export import MetricsServer, render_openmetrics
         server = MetricsServer(
-            lambda: render_openmetrics(status_registry(telemetry.snapshot())),
+            lambda: render_openmetrics(telemetry.snapshot()),
             port=args.metrics_port)
         server.start()
         print(f"serving OpenMetrics at {server.url}", file=sys.stderr)
@@ -406,11 +403,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     failure = None
     try:
         if args.topo:
+            rows = topo_suite.run_suite(
+                scenarios=names, sizes=sizes, cross_load=args.cross_load,
+                **kwargs)
             for size in sizes:
-                rows = topo_suite.run_suite(
-                    scenarios=names, size=size, cross_load=args.cross_load,
-                    **kwargs)
-                print(topo_suite.format_report(rows))
+                print(topo_suite.format_report(
+                    [row for row in rows if row.size == size]))
                 print()
         else:
             rows = fig17_18_all_scenarios.run_matrix(
@@ -728,11 +726,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         FAIL,
         INCONCLUSIVE,
         BaselineStore,
-        check_perf,
         detect_drift,
         iter_claims,
-        load_perf_baseline,
-        measure_core_speed,
         report_json,
         resolve_fingerprint,
         run_validation,
@@ -760,9 +755,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         _close_run(args, run)
         raise SystemExit(f"repro validate: {exc}")
 
-    # Ledger of the as-run verdicts (pre drift/perf patching — those are
-    # environment-dependent overlays; the ledger records the
-    # deterministic statistical outcome).
+    # Ledger of the as-run verdicts (pre drift patching — that is an
+    # overlay that depends on the baselines on disk; the ledger records
+    # the deterministic statistical outcome).
     verdict_counts: dict = {}
     for verdict in report.verdicts:
         verdict_counts[verdict.verdict] = (
@@ -811,14 +806,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"recorded {len(report.verdicts)} claim baselines under "
               f"{baselines.generation_dir}", file=sys.stderr)
 
-    if args.perf:
-        try:
-            perf_baseline = load_perf_baseline(args.perf_baseline)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"repro validate: --perf: {exc}")
-        report.perf = check_perf(perf_baseline, measure_core_speed(),
-                                 scale=args.perf_scale)
-
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report_json(report))
@@ -846,11 +833,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     """
     import time
 
-    from repro.obs.export import (
-        render_openmetrics,
-        render_top,
-        status_registry,
-    )
+    from repro.obs.export import render_openmetrics, render_top
 
     def read_status():
         try:
@@ -869,7 +852,7 @@ def cmd_top(args: argparse.Namespace) -> int:
         print(render_top(status))
         if args.metrics_out:
             with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(render_openmetrics(status_registry(status)))
+                fh.write(render_openmetrics(status))
         return 0
     try:
         while True:
@@ -935,10 +918,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         if cache_ratio is not None:
             line += f", cache ratio {cache_ratio:.1%}"
         print(line)
+        events = res.get("engine_events", 0)
+        cpu = res.get("cpu_user", 0.0) + res.get("cpu_system", 0.0)
+        rate = f" ({events / cpu:,.0f}/s of worker CPU)" if events and cpu \
+            else ""
         print(f"  cpu {res.get('cpu_user', 0.0):.1f}s user / "
               f"{res.get('cpu_system', 0.0):.1f}s sys, "
               f"peak rss {res.get('max_rss_kb', 0) / 1024:.0f} MB, "
-              f"{res.get('engine_events', 0)} engine events, "
+              f"{events} engine events{rate}, "
               f"{res.get('flows_modelled', 0)} flows modelled")
         lanes = status.get("lanes") or {}
         if lanes:
@@ -947,44 +934,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 name = "inline" if lane == "inline" else f"pid {lane}"
                 print(f"    {name:<10} {stats.get('jobs', 0):>5} jobs  "
                       f"busy {stats.get('busy', 0.0):8.1f}s")
-
-    # Perf trajectory: the committed baseline is the recorded history of
-    # what the engine should achieve; pair it with what this run did.
-    try:
-        with open(args.perf_baseline, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    except (OSError, ValueError):
-        baseline = None
-    if baseline and baseline.get("metrics"):
-        print(f"perf trajectory (vs {args.perf_baseline}):")
-        for name, entry in sorted(baseline["metrics"].items()):
-            print(f"  {name:<28} recorded {entry['value']:<10g} s "
-                  f"±{entry.get('tolerance', 0.0):.0%} (lower is better)")
-        if execution is not None:
-            status = execution.get("status") or {}
-            res = status.get("resources") or {}
-            events = res.get("engine_events", 0)
-            cpu = (res.get("cpu_user", 0.0) or 0.0) + \
-                (res.get("cpu_system", 0.0) or 0.0)
-            if events and cpu:
-                print(f"  this run: {events / cpu:,.0f} engine events/s "
-                      f"of worker CPU")
     return 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Determinism/layering lint — delegates to repro.analysis.cli."""
-    from repro.analysis.cli import main as lint_main
-    if args.explain:
-        return lint_main(["--explain", args.explain])
-    argv: List[str] = list(args.paths)
-    if args.as_json:
-        argv.append("--json")
-    if args.no_layering:
-        argv.append("--no-layering")
-    if args.no_units:
-        argv.append("--no-units")
-    return lint_main(argv)
 
 
 # ----------------------------------------------------------------------
@@ -1257,15 +1207,6 @@ def build_parser() -> argparse.ArgumentParser:
     val_p.add_argument("--baseline-fingerprint",
                        help="baseline generation to use when DIR holds "
                             "more than one (prefix accepted)")
-    val_p.add_argument("--perf", action="store_true",
-                       help="also re-time the bench_core_speed workloads "
-                            "against --perf-baseline")
-    val_p.add_argument("--perf-baseline",
-                       default="benchmarks/baseline.json",
-                       help="recorded perf numbers "
-                            "(default: benchmarks/baseline.json)")
-    val_p.add_argument("--perf-scale", type=float, default=1.0,
-                       help="multiply perf tolerances (noisy CI runners)")
     val_p.add_argument("--ledger-dir",
                        help="write a content-addressed run ledger (plus a "
                             "live status.json for `repro top`) here")
@@ -1298,26 +1239,13 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("ledger", help="path to a ledger-<id>.json file")
     rep_p.add_argument("--json", action="store_true", dest="as_json",
                        help="emit ledger body + execution record as JSON")
-    rep_p.add_argument("--perf-baseline", default="benchmarks/baseline.json",
-                       help="recorded perf numbers for the trajectory "
-                            "section (default: benchmarks/baseline.json)")
     rep_p.set_defaults(func=cmd_report)
 
     lint_p = sub.add_parser(
         "lint",
         help="determinism/layering linter (exit 1 on findings)")
-    lint_p.add_argument("paths", nargs="*", default=["src", "tests"],
-                        help="files or directories (default: src tests)")
-    lint_p.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit findings as JSON")
-    lint_p.add_argument("--no-layering", action="store_true",
-                        help="skip the import-graph layering check")
-    lint_p.add_argument("--no-units", action="store_true",
-                        help="skip the unit/dimension checker")
-    lint_p.add_argument("--explain", metavar="RULE",
-                        help="print the catalogue entry for a rule ID "
-                             "(e.g. DET003, UNIT002) and exit")
-    lint_p.set_defaults(func=cmd_lint)
+    lint_cli.add_arguments(lint_p)
+    lint_p.set_defaults(func=lambda args: lint_cli.run(args, lint_p))
     return parser
 
 

@@ -57,16 +57,18 @@ class TopoRow:
 
 
 def run_suite(scenarios: Optional[Sequence[str]] = None,
-              size: int = DEFAULT_SIZE, iterations: int = 3,
+              sizes: Sequence[int] = (DEFAULT_SIZE,), iterations: int = 3,
               base_seed: int = 0, *, cross_load: float = 1.0,
               jobs: int = 1, store: Optional[ResultStore] = None,
               timeout: Optional[float] = None, retries: int = 2,
               telemetry: Optional[RunTelemetry] = None) -> List[TopoRow]:
-    """Run the scenario x scheme x seed matrix as one cached campaign."""
+    """Run the size x scenario x scheme x seed matrix as one cached
+    campaign; the rows come back in that (size-major) order."""
     chosen = (list(scenarios) if scenarios is not None
               else sorted(registered_specs()))
     specs = [topo_flow_job(name, scheme, size, seed=base_seed + i,
                            cross_load=cross_load)
+             for size in sizes
              for name in chosen
              for scheme in SCHEMES
              for i in range(iterations)]
@@ -75,23 +77,24 @@ def run_suite(scenarios: Optional[Sequence[str]] = None,
         telemetry=telemetry))
     rows: List[TopoRow] = []
     cursor = 0
-    for name in chosen:
-        row: Optional[TopoRow] = None
-        for scheme in SCHEMES:
-            chunk = values[cursor:cursor + iterations]
-            cursor += iterations
-            for value in chunk:
-                if not value["completed"]:
-                    raise RuntimeError(
-                        f"{name} {scheme} did not complete "
-                        f"(seed {value['seed']})")
-            if row is None:
-                row = TopoRow(scenario=name,
-                              scenario_class=chunk[0]["scenario_class"],
-                              size=size)
-            row.fct[scheme] = summarize([v["fct"] for v in chunk])
-            row.loss[scheme] = summarize([v["loss_rate"] for v in chunk])
-        rows.append(row)
+    for size in sizes:
+        for name in chosen:
+            row: Optional[TopoRow] = None
+            for scheme in SCHEMES:
+                chunk = values[cursor:cursor + iterations]
+                cursor += iterations
+                for value in chunk:
+                    if not value["completed"]:
+                        raise RuntimeError(
+                            f"{name} {scheme} did not complete "
+                            f"(seed {value['seed']})")
+                if row is None:
+                    row = TopoRow(scenario=name,
+                                  scenario_class=chunk[0]["scenario_class"],
+                                  size=size)
+                row.fct[scheme] = summarize([v["fct"] for v in chunk])
+                row.loss[scheme] = summarize([v["loss_rate"] for v in chunk])
+            rows.append(row)
     return rows
 
 
@@ -111,7 +114,7 @@ def format_report(rows: Sequence[TopoRow]) -> str:
 def run(size: int = DEFAULT_SIZE, iterations: int = 3, base_seed: int = 0,
         **campaign_kwargs) -> List[TopoRow]:
     """CLI entry: run the full registered suite and print the table."""
-    rows = run_suite(size=size, iterations=iterations, base_seed=base_seed,
-                     **campaign_kwargs)
+    rows = run_suite(sizes=(size,), iterations=iterations,
+                     base_seed=base_seed, **campaign_kwargs)
     print(format_report(rows))
     return rows

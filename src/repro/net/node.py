@@ -121,26 +121,6 @@ class Router:
             f"router {self.name} has no route for destination {dst!r} "
             f"(routes: {known}; no default route)")
 
-    def forward(self, packet: Packet) -> None:
-        """Forward ``packet`` toward its destination, failing loudly.
-
-        Unlike :meth:`receive` on a non-strict router (which tolerates
-        unroutable packets by counting and dropping them), an unknown
-        destination here raises :class:`SimulationError` naming the
-        router, the destination, and the routes it does know.
-        """
-        link = self._routes.get(packet.dst, self.default_route)
-        if link is None:
-            self.unroutable += 1
-            POOL.release(packet)
-            raise self._no_route_error(packet.dst)
-        self.packets_forwarded += 1
-        if not link.send(packet):
-            # Queue-full drop at this hop: the link counted the drop and
-            # the packet's life ends here, so pooled packets rejoin the
-            # free list (refcount-guarded, like end-host delivery).
-            POOL.release(packet)
-
     def receive(self, packet: Packet) -> None:
         link = self._routes.get(packet.dst, self.default_route)
         if link is None:
@@ -151,7 +131,9 @@ class Router:
             return
         self.packets_forwarded += 1
         if not link.send(packet):
-            # Queue-full drop at this hop (see forward()).
+            # Queue-full drop at this hop: the link counted the drop and
+            # the packet's life ends here, so pooled packets rejoin the
+            # free list (refcount-guarded, like end-host delivery).
             POOL.release(packet)
 
     def __repr__(self) -> str:  # pragma: no cover

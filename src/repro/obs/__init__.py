@@ -1,4 +1,4 @@
-"""Observability layer: structured tracing, metric registries, profiling.
+"""Observability layer: structured tracing, run telemetry, profiling.
 
 ``repro.obs`` sits at the bottom of the layer DAG (beside
 ``repro.analysis``) so the engine, network substrate, TCP stack, and
@@ -19,7 +19,6 @@ from repro.obs.golden import (
 )
 from repro.obs.export import MetricsServer, render_openmetrics, render_top
 from repro.obs.ledger import RunLedger, build_ledger, load_ledger, write_ledger
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
 from repro.obs.profile import EventProfiler
 from repro.obs.records import ALL_KINDS, TraceRecord, parse_kinds
 from repro.obs.runtime import (
@@ -43,17 +42,13 @@ from repro.obs.tracer import Observability, Tracer, from_env, tracing
 
 __all__ = [
     "ALL_KINDS",
-    "Counter",
     "CsvTraceSink",
     "DigestSink",
     "Divergence",
     "EventProfiler",
-    "Gauge",
-    "Histogram",
     "JobSpan",
     "JsonlSink",
     "MemorySink",
-    "MetricRegistry",
     "MetricsServer",
     "Observability",
     "RingBufferSink",

@@ -3,8 +3,8 @@
 Two consumers read one ``RunTelemetry.snapshot()`` (live, or reloaded
 from ``status.json``) in different shapes:
 
-* monitoring systems scrape **OpenMetrics** text — :func:`status_registry`
-  + :func:`render_openmetrics`, for the stdlib-only :class:`MetricsServer`
+* monitoring systems scrape **OpenMetrics** text —
+  :func:`render_openmetrics`, for the stdlib-only :class:`MetricsServer`
   (``--metrics-port``) and ``repro top --metrics-out`` alike;
 * humans watch ``repro top`` — a single-screen ANSI dashboard rendered
   by :func:`render_top` (``--once`` prints one frame for CI logs).
@@ -22,9 +22,7 @@ from __future__ import annotations
 import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from threading import Thread
-from typing import Any, Callable, Dict, List, Mapping, Optional
-
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
+from typing import Any, Callable, List, Mapping, Optional, Tuple
 
 #: content type monitoring scrapers expect for OpenMetrics payloads.
 OPENMETRICS_CONTENT_TYPE = (
@@ -46,15 +44,11 @@ def _escape_label(value: Any) -> str:
     return text
 
 
-def _label_str(labels: Mapping[str, Any],
-               extra: Optional[Mapping[str, Any]] = None) -> str:
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
+def _label_str(labels: Mapping[str, Any]) -> str:
+    if not labels:
         return ""
     inner = ",".join(f'{key}="{_escape_label(value)}"'
-                     for key, value in sorted(merged.items()))
+                     for key, value in sorted(labels.items()))
     return "{" + inner + "}"
 
 
@@ -66,79 +60,56 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def render_openmetrics(registry: MetricRegistry) -> str:
-    """Render every instrument in ``registry`` as OpenMetrics text."""
-    lines: List[str] = []
-    for name in registry.names():
-        family = metric_name(name)
-        kind = registry.type_of(name)
-        lines.append(f"# TYPE {family} {kind}")
-        for labels in registry.labels_of(name):
-            instrument = registry.get(name, **labels)
-            if isinstance(instrument, Counter):
-                lines.append(f"{family}_total{_label_str(labels)} "
-                             f"{_format_value(instrument.value)}")
-            elif isinstance(instrument, Gauge):
-                value = instrument.value
-                if value is None:
-                    continue
-                lines.append(f"{family}{_label_str(labels)} "
-                             f"{_format_value(value)}")
-            elif isinstance(instrument, Histogram):
-                cumulative = 0
-                for bound, count in zip(instrument.bounds,
-                                        instrument.bucket_counts):
-                    cumulative += count
-                    lines.append(
-                        f"{family}_bucket"
-                        f"{_label_str(labels, {'le': _format_value(bound)})}"
-                        f" {cumulative}")
-                lines.append(
-                    f"{family}_bucket{_label_str(labels, {'le': '+Inf'})}"
-                    f" {instrument.count}")
-                lines.append(f"{family}_sum{_label_str(labels)} "
-                             f"{_format_value(instrument.total)}")
-                lines.append(f"{family}_count{_label_str(labels)} "
-                             f"{instrument.count}")
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"
+#: one exposition line: (name suffix, labels, value)
+Sample = Tuple[str, Mapping[str, Any], Optional[float]]
+
+_SUFFIX = {"gauge": "", "counter": "_total"}
 
 
-def status_registry(status: Mapping[str, Any]) -> MetricRegistry:
-    """The ``run.*`` metric families of a ``RunTelemetry.snapshot()``:
-    the live ``--metrics-port`` endpoint passes the collector's current
-    one, ``repro top --metrics-out`` the one it read from ``status.json``.
-    """
-    registry = MetricRegistry()
-    registry.gauge("run.total").set(status.get("total", 0))
-    registry.gauge("run.done").set(status.get("done", 0))
-    registry.gauge("run.workers").set(status.get("workers", 1))
-    registry.gauge("run.finished").set(1 if status.get("finished") else 0)
-    registry.gauge("run.elapsed_seconds").set(status.get("elapsed", 0.0))
-    for outcome in ("executed", "cached", "failed"):
-        registry.counter("run.jobs",
-                         status=outcome).add(status.get(outcome, 0))
-    registry.counter("run.retries").add(status.get("retries", 0))
-    for kind, count in (status.get("by_kind") or {}).items():
-        registry.counter("run.jobs_by_kind", kind=kind).add(count)
-    for gauge_key in ("eta", "cache_ratio", "throughput"):
-        value = status.get(gauge_key)
-        if value is not None:
-            name = {"eta": "run.eta_seconds"}.get(gauge_key,
-                                                  f"run.{gauge_key}")
-            registry.gauge(name).set(value)
-    resources = status.get("resources") or {}
-    for mode in ("user", "system"):
-        registry.counter("run.cpu_seconds",
-                         mode=mode).add(resources.get(f"cpu_{mode}", 0.0))
-    registry.gauge("run.max_rss_kb").set(resources.get("max_rss_kb", 0))
-    for key in ("engine_events", "flows_modelled"):
-        registry.counter(f"run.{key}").add(resources.get(key, 0))
-    for lane, stats in (status.get("lanes") or {}).items():
-        registry.gauge("run.lane_jobs",
-                       worker=lane).set(stats.get("jobs", 0))
-        registry.gauge("run.lane_busy_seconds",
-                       worker=lane).set(stats.get("busy", 0.0))
+def _families(status: Mapping[str, Any]) -> List[Tuple[str, str, List[Sample]]]:
+    """The ``run.*`` metric families of a snapshot as ``(name, type,
+    samples)`` rows."""
+    res = status.get("resources") or {}
+    lanes = sorted((status.get("lanes") or {}).items())
+    # name -> (type, value)
+    plain = {
+        "run.total": ("gauge", status.get("total", 0)),
+        "run.done": ("gauge", status.get("done", 0)),
+        "run.workers": ("gauge", status.get("workers", 1)),
+        "run.finished": ("gauge", 1 if status.get("finished") else 0),
+        "run.elapsed_seconds": ("gauge", status.get("elapsed", 0.0)),
+        "run.max_rss_kb": ("gauge", res.get("max_rss_kb", 0)),
+        "run.retries": ("counter", status.get("retries", 0)),
+        "run.engine_events": ("counter", res.get("engine_events", 0)),
+        "run.flows_modelled": ("counter", res.get("flows_modelled", 0)),
+    }
+    for key, name in (("eta", "run.eta_seconds"),
+                      ("cache_ratio", "run.cache_ratio"),
+                      ("throughput", "run.throughput")):
+        if status.get(key) is not None:
+            plain[name] = ("gauge", status[key])
+    # name -> (type, label, [(label value, value), ...] in label order);
+    # a family with no label values is left out
+    labelled = {
+        "run.jobs": ("counter", "status", [
+            (outcome, status.get(outcome, 0))
+            for outcome in ("cached", "executed", "failed")]),
+        "run.jobs_by_kind": ("counter", "kind",
+                             sorted((status.get("by_kind") or {}).items())),
+        "run.cpu_seconds": ("counter", "mode", [
+            (mode, res.get(f"cpu_{mode}", 0.0))
+            for mode in ("system", "user")]),
+        "run.lane_jobs": ("gauge", "worker", [
+            (lane, stats.get("jobs", 0)) for lane, stats in lanes]),
+        "run.lane_busy_seconds": ("gauge", "worker", [
+            (lane, stats.get("busy", 0.0)) for lane, stats in lanes]),
+    }
+    rows: List[Tuple[str, str, List[Sample]]] = [
+        (name, kind, [(_SUFFIX[kind], {}, value)])
+        for name, (kind, value) in plain.items()]
+    rows += [(name, kind, [(_SUFFIX[kind], {label: key}, value)
+                           for key, value in pairs])
+             for name, (kind, label, pairs) in labelled.items() if pairs]
     bounds = status.get("span_buckets")
     if bounds:  # a status.json from an older writer carries no buckets
         for name, counts, total in (
@@ -147,11 +118,35 @@ def status_registry(status: Mapping[str, Any]) -> MetricRegistry:
                 # every non-cached attempt was observed, retries included
                 ("run.exec_seconds", status["exec_buckets"],
                  status["exec_total"] + status["retry_seconds"])):
-            histogram = registry.histogram(name, buckets=bounds)
-            histogram.bucket_counts = list(counts)
-            histogram.count = sum(counts)
-            histogram.total = total
-    return registry
+            samples: List[Sample] = []
+            cumulative = 0
+            for bound, count in zip(bounds, counts):
+                cumulative += count
+                samples.append(
+                    ("_bucket", {"le": _format_value(bound)}, cumulative))
+            samples += [("_bucket", {"le": "+Inf"}, sum(counts)),
+                        ("_sum", {}, total), ("_count", {}, sum(counts))]
+            rows.append((name, "histogram", samples))
+    return rows
+
+
+def render_openmetrics(status: Mapping[str, Any]) -> str:
+    """A ``RunTelemetry.snapshot()`` as OpenMetrics text: the live
+    ``--metrics-port`` endpoint passes the collector's current one,
+    ``repro top --metrics-out`` the one it read from ``status.json``.
+    Families print in name order; a ``None`` sample is left out.
+    """
+    lines: List[str] = []
+    for name, kind, samples in sorted(_families(status),
+                                      key=lambda row: row[0]):
+        family = metric_name(name)
+        lines.append(f"# TYPE {family} {kind}")
+        for suffix, labels, value in samples:
+            if value is not None:
+                lines.append(f"{family}{suffix}{_label_str(labels)} "
+                             f"{_format_value(value)}")
+    lines.append("# EOF")
+    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------

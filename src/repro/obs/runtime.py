@@ -1,6 +1,6 @@
 """Run-level telemetry: campaign spans, resource accounting, live status.
 
-The per-packet observability stack (records/sinks/metrics, DESIGN.md §7)
+The per-packet observability stack (records/sinks, DESIGN.md §7)
 answers "what did the simulation do?".  This module answers the same
 question one layer up, about the harness that *runs* simulations: which
 worker executed which JobSpec, how long each attempt queued vs executed,
@@ -13,8 +13,7 @@ Three pieces, all stdlib-only so any layer may depend on them:
 * **process counters** (:func:`add_engine_events`,
   :func:`add_flows_modelled`) — cumulative per-process work counters.
   The engines add one delta per ``run()`` call and the flowsim driver
-  one per sweep, so the hot loops stay untouched and the disabled-cost
-  budget (≤2% on bench_core_speed) holds.
+  one per sweep, so the hot loops stay untouched.
 * **resource sampling** (:func:`sample_resources`,
   :func:`resource_delta`) — CPU via :func:`os.times`, peak RSS via
   :mod:`resource` (guarded import; absent on some platforms), plus the
@@ -25,7 +24,7 @@ Three pieces, all stdlib-only so any layer may depend on them:
   ``campaign.span`` trace records) and running totals, from which the
   stderr narration, ``--stats-json``, the throttled atomic
   ``status.json`` that ``repro top`` renders, OpenMetrics
-  (:func:`repro.obs.export.status_registry`) and the run ledger are
+  (:func:`repro.obs.export.render_openmetrics`) and the run ledger are
   all read (DESIGN.md §11).
 
 Wall-clock use is deliberate and legal here: ``repro/obs/`` is exempt
@@ -198,7 +197,7 @@ class RunTelemetry:
     report is a read of that state: :meth:`stats` (``--stats-json``),
     :meth:`snapshot` (``status.json``, rewritten atomically at
     ``status_path`` every ``status_interval`` for ``repro top``; and
-    OpenMetrics, via :func:`repro.obs.export.status_registry`), and
+    OpenMetrics, via :func:`repro.obs.export.render_openmetrics`), and
     :attr:`jobs` / :attr:`values`, the deterministic ledger body of
     :mod:`repro.obs.ledger` — the only view that is not wall-clock.
     """

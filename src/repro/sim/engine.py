@@ -47,11 +47,15 @@ Layout
   derived from the eid high-water mark, heap length, and two
   cancellation counters, so the per-event loop maintains *no* counters
   at all.  Both remain O(1) reads.
-* **Specialised loops.** ``run()`` with no sanitizer, no profiler and no
-  ``max_events`` uses a minimal dispatch loop; any instrumented run
-  uses a generic loop with the reference engine's exact check ordering.
-  Setting :attr:`Simulator.sanitizer` or :attr:`Simulator.obs`
-  re-installs the closures so the specialisation stays correct.
+* **Two run loops.** ``run()`` / ``run(until=…)`` with no sanitizer, no
+  profiler and no ``max_events`` — every experiment, campaign job and
+  benchmark workload — takes one direct-dispatch loop (a missing bound
+  is +∞ to it, and only a bounded run pushes the clock on to its
+  bound); a sanitized, profiled or ``max_events`` run takes
+  ``_run_generic``, which keeps the reference engine's exact check
+  ordering.  Setting :attr:`Simulator.sanitizer` or
+  :attr:`Simulator.obs` re-installs the closures so the choice stays
+  correct.
 
 An explicit preallocated free-list for event records was evaluated and
 rejected: records double as caller-visible handles, so recycling a fired
@@ -323,64 +327,37 @@ class Simulator:
                         obs is not None and obs.profiler is not None):
                     _run_generic(until, max_events)
                     return
-                if until is not None:
-                    try:
-                        while True:
-                            s = slot
-                            if s is not None:
-                                if heap and heap[0] < s:
-                                    rec = heap[0]
-                                    from_heap = True
-                                else:
-                                    rec = s
-                                    from_heap = False
-                            elif heap:
-                                rec = heap[0]
-                                from_heap = True
-                            else:
-                                break
-                            if rec[2]:
-                                if from_heap:
-                                    heappop(heap)
-                                else:
-                                    slot = None
-                                cancelled_q -= 1
-                                continue
-                            if rec[0] > until:
-                                break
-                            if from_heap:
-                                heappop(heap)
-                            else:
-                                slot = None
-                            now = rec[0]
-                            rec[2] = 1
-                            cur_eid = rec[1]
-                            cur_origin = rec[6]
-                            rec[3](*rec[4])
-                    finally:
-                        running = False
-                        cur_eid = 0
-                        cur_origin = 0
-                    if now < until:
-                        now = until
-                    return
-                # Hot path: drain to empty with direct dispatch.
+                # No bound means +inf: the one loop below serves both, and
+                # only a bounded run pushes the clock on to its bound.
+                bound = float("inf") if until is None else until
                 try:
                     while True:
                         s = slot
                         if s is not None:
                             if heap and heap[0] < s:
-                                rec = heappop(heap)
+                                rec = heap[0]
+                                from_heap = True
                             else:
                                 rec = s
-                                slot = None
+                                from_heap = False
                         elif heap:
-                            rec = heappop(heap)
+                            rec = heap[0]
+                            from_heap = True
                         else:
                             break
                         if rec[2]:
+                            if from_heap:
+                                heappop(heap)
+                            else:
+                                slot = None
                             cancelled_q -= 1
                             continue
+                        if rec[0] > bound:
+                            break
+                        if from_heap:
+                            heappop(heap)
+                        else:
+                            slot = None
                         now = rec[0]
                         rec[2] = 1
                         cur_eid = rec[1]
@@ -390,6 +367,8 @@ class Simulator:
                     running = False
                     cur_eid = 0
                     cur_origin = 0
+                if until is not None and now < until:
+                    now = until
         else:
             def run(until: Optional[Seconds], max_events: Optional[int]) -> None:
                 nonlocal running

@@ -13,8 +13,11 @@ reproduce the paper's claims?*  It has four pieces:
   :mod:`repro.campaign` jobs and folds the multi-seed results into
   PASS / FAIL / INCONCLUSIVE verdicts;
 * :mod:`~repro.validate.baseline` — recorded metric distributions for
-  drift detection across code versions, plus the wall-clock perf gate
-  over ``benchmarks/baseline.json``.
+  drift detection across code versions.
+
+No module here reads the wall clock (DET001 applies): reports are
+byte-identical cold, warm and parallel, and how fast the code runs is
+``benchmarks/perf``'s record, not a verdict.
 
 Entry point: ``repro validate`` (see :mod:`repro.cli`), or
 :func:`run_validation` directly.
@@ -22,10 +25,7 @@ Entry point: ``repro validate`` (see :mod:`repro.cli`), or
 
 from repro.validate.baseline import (
     BaselineStore,
-    check_perf,
     detect_drift,
-    load_perf_baseline,
-    measure_core_speed,
     resolve_fingerprint,
 )
 from repro.validate.claims import (
@@ -42,7 +42,6 @@ from repro.validate.report import (
     INCONCLUSIVE,
     PASS,
     ClaimVerdict,
-    PerfVerdict,
     ValidationReport,
     load_report,
     report_json,
@@ -57,16 +56,12 @@ __all__ = [
     "INCONCLUSIVE",
     "MODES",
     "PASS",
-    "PerfVerdict",
     "ValidationReport",
-    "check_perf",
     "detect_drift",
     "fold_claim",
     "get_claim",
     "iter_claims",
-    "load_perf_baseline",
     "load_report",
-    "measure_core_speed",
     "plan_jobs",
     "register_claim",
     "report_json",

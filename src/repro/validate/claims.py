@@ -8,7 +8,7 @@ the treatment is supposed to win, and by how much.  The replication
 driver (:mod:`repro.validate.driver`) turns claims into campaign jobs
 and folds the results into verdicts.
 
-Claims never run anything at import time; they only *describe*.  Each
+Claims never run anything when imported; they only *describe*.  Each
 experiment harness lists the claims that cover it in a module-level
 ``CLAIM_IDS`` tuple, and ``tests/test_validate_claims.py`` asserts both
 directions of that binding so the registry and the harnesses cannot

@@ -84,37 +84,6 @@ class ClaimVerdict:
         return out
 
 
-@dataclass(frozen=True)
-class PerfVerdict:
-    """Outcome of one benchmark metric checked against the perf baseline.
-
-    Measured numbers are wall-clock and therefore non-deterministic;
-    perf verdicts are reported in a separate section and never feed the
-    byte-identical-JSON guarantee of the claims section (the CLI only
-    includes them when ``--perf`` was requested).
-    """
-
-    metric: str
-    baseline: float
-    measured: float
-    tolerance: float
-    verdict: str
-    reason: str
-    #: display unit — every gated metric is a duration today
-    unit: str = "s"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "metric": self.metric,
-            "baseline": self.baseline,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "unit": self.unit,
-        }
-
-
 @dataclass
 class ValidationReport:
     """Every claim verdict from one ``repro validate`` run."""
@@ -123,14 +92,11 @@ class ValidationReport:
     base_seed: int
     code_fingerprint: str
     verdicts: List[ClaimVerdict]
-    perf: List[PerfVerdict] = field(default_factory=list)
 
     def counts(self) -> Dict[str, int]:
         out = {v: 0 for v in VERDICTS}
         for verdict in self.verdicts:
             out[verdict.verdict] += 1
-        for perf in self.perf:
-            out[perf.verdict] += 1
         return out
 
     @property
@@ -144,7 +110,7 @@ class ValidationReport:
         return PASS
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "mode": self.mode,
             "base_seed": self.base_seed,
             "code_fingerprint": self.code_fingerprint,
@@ -152,9 +118,6 @@ class ValidationReport:
             "overall": self.worst,
             "claims": [v.to_dict() for v in self.verdicts],
         }
-        if self.perf:
-            out["perf"] = [p.to_dict() for p in self.perf]
-        return out
 
     def render_text(self) -> str:
         counts = self.counts()
@@ -168,14 +131,6 @@ class ValidationReport:
         for v in self.verdicts:
             lines.append("")
             lines.extend(render_verdict(v).splitlines())
-        if self.perf:
-            lines.append("")
-            lines.append("performance gate:")
-            for p in self.perf:
-                lines.append(
-                    f"  [{p.verdict}] {p.metric}: {p.measured:.4f}{p.unit} "
-                    f"vs baseline {p.baseline:.4f}{p.unit} "
-                    f"(tolerance {p.tolerance:.0%}) — {p.reason}")
         lines.append("")
         lines.append(f"overall: {self.worst}")
         return "\n".join(lines)

@@ -61,14 +61,14 @@ class TestDET001WallClock:
             """, path="src/repro/obs/profile.py")
         assert findings == []
 
-    def test_validate_layer_exempt(self):
-        # the perf gate re-times micro-benchmarks; wall-clock is its job
+    def test_validate_layer_not_exempt(self):
+        # validate reports are promised byte-identical across runs
         findings = lint("""\
             import time
             def measure():
                 return time.perf_counter()
             """, path="src/repro/validate/baseline.py")
-        assert findings == []
+        assert rules_of(findings) == ["DET001"]
 
 
 class TestDET002GlobalRandom:
@@ -221,10 +221,14 @@ class TestScoping:
         assert "DET006" not in rules
         assert "DET003" in rules
 
-    def test_validate_loses_only_wall_clock(self):
-        rules = applicable_rules("src/repro/validate/stats.py")
-        assert "DET001" not in rules
-        assert {"DET002", "DET003", "DET004", "DET005", "DET006"} <= rules
+    def test_validate_gets_full_set(self):
+        assert applicable_rules("src/repro/validate/stats.py") == \
+            applicable_rules("src/repro/sim/engine.py")
+        for package in ("campaign", "obs", "analysis"):
+            rules = applicable_rules(f"src/repro/{package}/x.py")
+            assert "DET001" not in rules
+            assert {"DET002", "DET003", "DET004", "DET005",
+                    "DET006"} <= rules
 
     def test_syntax_error_reported_not_raised(self):
         findings = lint("def broken(:\n")

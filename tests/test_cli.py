@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -422,6 +423,17 @@ class TestValidate:
         report = json.loads(first)
         assert report["claims"][0]["verdict"] == "PASS"
         assert report["code_fingerprint"] == "test-fingerprint"
+        # nothing wall-clock rides along: the report is the claims
+        assert set(report) == {"mode", "base_seed", "code_fingerprint",
+                               "counts", "overall", "claims"}
+
+    def test_wall_clock_gate_flag_is_gone(self, capsys):
+        """How fast the code runs is benchmarks/perf's record, not a
+        verdict of the statistical validation."""
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--claims", self.CLAIM, "--quiet", "--perf"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --perf" in capsys.readouterr().err
 
     def test_drift_gate_flips_claim_to_fail(self, tmp_path, capsys):
         """An injected regression (tampered baseline) must FAIL."""
@@ -596,7 +608,14 @@ class TestLedgerAndTop:
         assert "tool=campaign mode=matrix" in out
         assert "test-fingerprint" in out
         assert "executed 2, cached 0" in out
-        assert "perf trajectory" in out       # benchmarks/baseline.json
+        # the execution block is the only timing the report carries
+        assert re.search(r"cpu \d+\.\ds user / \d+\.\ds sys, .* "
+                         r"\d+ engine events(?: \([\d,]+/s of worker CPU\))?, ", out)
+        assert "perf trajectory" not in out
+        with pytest.raises(SystemExit):
+            main(["report", "--help"])
+        assert set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out,
+                              re.M)) == {"--json"}
 
     def test_report_json_mode(self, tmp_path, capsys):
         _, ledger_path = self._run_with_ledger(tmp_path, "a")
@@ -753,6 +772,33 @@ class TestTopoCampaign:
         with pytest.raises(SystemExit, match="unknown topo scenario"):
             main(["campaign", "--topo", "nope", "--quiet"])
 
+    def test_several_sizes_are_one_run(self, tmp_path, capsys):
+        """Every size is in the counts, the stats and the ledger — in
+        size-major spec order, cold and warm alike."""
+        args = ["campaign", "--topo", "mesh-diamond", "--sizes",
+                "100000,200000", "--iterations", "1", "--quiet",
+                "--cache-dir", str(tmp_path / "cache")]
+        ledgers = []
+        for run, counts in (("cold", "total=4 executed=4 cached=0"),
+                            ("warm", "total=4 executed=0 cached=4")):
+            stats_path = tmp_path / f"{run}.json"
+            assert main(args + ["--ledger-dir", str(tmp_path / run),
+                                "--stats-json", str(stats_path)]) == 0
+            out = capsys.readouterr().out
+            assert counts in out and out.count("Topogen suite") == 2
+            stats = json.loads(stats_path.read_text())
+            assert stats["total"] == len(stats["job_records"]) == 4
+            (ledger,) = [p for p in (tmp_path / run).glob("ledger-*.json")
+                         if not p.name.endswith(".run.json")]
+            ledgers.append(ledger)
+        cold, warm = ledgers
+        assert cold.name == warm.name
+        assert cold.read_bytes() == warm.read_bytes()
+        assert [job["label"] for job in
+                json.loads(cold.read_text())["jobs"]] == [
+            f"mesh-diamond {cc} {size}B seed=0"
+            for size in (100000, 200000) for cc in ("cubic+suss", "cubic")]
+
     def test_failed_campaign_still_writes_stats(self, tmp_path, capsys):
         """Same as the matrix path: a failed run exits non-zero and
         leaves its counts behind."""
@@ -765,3 +811,30 @@ class TestTopoCampaign:
         stats = json.loads(stats_path.read_text())
         assert stats["failed"] == stats["total"] == 2
         assert stats["executed"] == 0
+
+
+class TestLint:
+    """``repro lint`` is ``repro.analysis.cli`` registered as a
+    subcommand: one flag declaration, one post-parse body."""
+
+    @staticmethod
+    def _entry_points():
+        from repro.analysis.cli import main as lint_main
+        return (lambda argv: main(["lint"] + argv)), lint_main
+
+    def test_both_entry_points_list_the_same_options(self, capsys):
+        helps = []
+        for entry in self._entry_points():
+            with pytest.raises(SystemExit) as exc:
+                entry(["--help"])
+            assert exc.value.code == 0
+            text = capsys.readouterr().out
+            helps.append(text[text.index("positional arguments:"):])
+        assert helps[0] == helps[1]
+        assert set(re.findall(r"^  (--[\w-]+)", helps[0], re.M)) == {
+            "--json", "--no-layering", "--no-units", "--explain"}
+
+    def test_unknown_rule_exits_2_through_both(self, capsys):
+        for entry in self._entry_points():
+            assert entry(["--explain", "NOPE"]) == 2
+            assert "unknown rule 'NOPE'" in capsys.readouterr().out

@@ -169,11 +169,11 @@ class TestDumbbell:
 
 
 class TestRouterForward:
-    """Satellite: Router.forward fails loudly on unknown destinations."""
+    """A strict router fails loudly on unknown destinations."""
 
     def _router_with_route(self, sim):
         from repro.net import ConstantBandwidth, Link
-        router = Router("core")
+        router = Router("core", strict=True)
         h = Host("known")
         router.add_route("known", Link(sim, h, ConstantBandwidth(1e9), 0.0))
         return router, h
@@ -182,7 +182,7 @@ class TestRouterForward:
         from repro.sim import SimulationError
         router, _ = self._router_with_route(Simulator())
         with pytest.raises(SimulationError) as exc:
-            router.forward(pkt("nowhere"))
+            router.receive(pkt("nowhere"))
         msg = str(exc.value)
         assert "core" in msg and "nowhere" in msg and "known" in msg
         assert router.unroutable == 1
@@ -190,7 +190,7 @@ class TestRouterForward:
     def test_forward_known_destination_delivers(self):
         sim = Simulator()
         router, h = self._router_with_route(sim)
-        router.forward(pkt("known"))
+        router.receive(pkt("known"))
         sim.run()
         assert h.packets_received == 1
         assert router.packets_forwarded == 1
@@ -199,7 +199,7 @@ class TestRouterForward:
         from repro.sim import SimulationError
         router, _ = self._router_with_route(Simulator())
         with pytest.raises(SimulationError, match="no default route"):
-            router.forward(pkt("elsewhere"))
+            router.receive(pkt("elsewhere"))
 
     def test_strict_receive_raises(self):
         from repro.sim import SimulationError

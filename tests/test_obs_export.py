@@ -2,8 +2,8 @@
 
 Checks the OpenMetrics text-format contract (``# TYPE`` lines, counter
 ``_total`` suffix, cumulative histogram buckets, terminating ``# EOF``),
-the status.json → registry reconstruction, the dashboard renderer, and
-the stdlib scrape endpoint.
+the snapshot → exposition rendering (live and from ``status.json``), the
+dashboard renderer, and the stdlib scrape endpoint.
 """
 
 import json
@@ -18,9 +18,7 @@ from repro.obs.export import (
     metric_name,
     render_openmetrics,
     render_top,
-    status_registry,
 )
-from repro.obs.metrics import MetricRegistry
 from repro.obs.runtime import RunTelemetry
 
 
@@ -44,17 +42,15 @@ class TestRenderOpenMetrics:
         assert metric_name("weird name!") == "repro_weird_name_"
 
     def test_counter_gauge_histogram_families(self):
-        reg = MetricRegistry()
-        reg.counter("run.jobs", status="ok").add(3)
-        reg.gauge("run.total").set(5)
-        reg.histogram("run.exec_seconds",
-                      buckets=(0.1, 1.0)).observe(0.05)
-        reg.histogram("run.exec_seconds",
-                      buckets=(0.1, 1.0)).observe(0.5)
-        text = render_openmetrics(reg)
+        text = render_openmetrics({
+            "executed": 3, "total": 5, "span_buckets": [0.1, 1.0],
+            # one attempt of 0.05 s, one of 0.5 s
+            "exec_buckets": [1, 1, 0], "exec_total": 0.55,
+            "retry_seconds": 0.0,
+            "queue_wait_buckets": [2, 0, 0], "queue_wait_total": 0.0})
         lines = text.splitlines()
         assert '# TYPE repro_run_jobs counter' in lines
-        assert 'repro_run_jobs_total{status="ok"} 3' in lines
+        assert 'repro_run_jobs_total{status="executed"} 3' in lines
         assert 'repro_run_total 5' in lines
         # cumulative buckets: 1 under 0.1, 2 under 1.0 and +Inf
         assert 'repro_run_exec_seconds_bucket{le="0.1"} 1' in lines
@@ -64,31 +60,25 @@ class TestRenderOpenMetrics:
         assert text.endswith("# EOF\n")
 
     def test_unset_gauges_are_skipped(self):
-        reg = MetricRegistry()
-        reg.gauge("run.eta_seconds")  # never .set()
-        text = render_openmetrics(reg)
+        text = render_openmetrics({"elapsed": None})
         samples = [l for l in text.splitlines()
-                   if l.startswith("repro_run_eta_seconds")]
+                   if l.startswith("repro_run_elapsed_seconds")]
         assert samples == []
-        assert "# TYPE repro_run_eta_seconds gauge" in text
+        assert "# TYPE repro_run_elapsed_seconds gauge" in text
 
     def test_label_escaping(self):
-        reg = MetricRegistry()
-        reg.counter("run.jobs", status='sa"id\nso').add()
-        text = render_openmetrics(reg)
-        assert r'status="sa\"id\nso"' in text
+        text = render_openmetrics({"by_kind": {'sa"id\nso': 1}})
+        assert r'kind="sa\"id\nso"' in text
 
     def test_non_finite_values_rejected(self):
-        reg = MetricRegistry()
-        reg.gauge("run.x").set(float("inf"))
         with pytest.raises(ValueError):
-            render_openmetrics(reg)
+            render_openmetrics({"elapsed": float("inf")})
 
 
 class TestStatusRegistry:
     def test_reconstruction_round_trip(self):
         status = _status()
-        text = render_openmetrics(status_registry(status))
+        text = render_openmetrics(status)
         assert 'repro_run_jobs_total{status="executed"} 1' in text
         assert 'repro_run_jobs_total{status="cached"} 1' in text
         assert "repro_run_engine_events_total 1000" in text
@@ -98,12 +88,12 @@ class TestStatusRegistry:
 
     def test_none_gauges_absent(self):
         status = _status(eta=None, throughput=None)
-        text = render_openmetrics(status_registry(status))
+        text = render_openmetrics(status)
         assert "repro_run_eta_seconds " not in text
 
     def test_span_histograms_travel_in_the_snapshot(self):
         """One span of 0.1 s wait / 1.0 s exec; the cached one stays out."""
-        lines = render_openmetrics(status_registry(_status())).splitlines()
+        lines = render_openmetrics(_status()).splitlines()
         assert "# TYPE repro_run_queue_wait histogram" in lines
         assert 'repro_run_queue_wait_bucket{le="0.03"} 0' in lines
         assert 'repro_run_queue_wait_bucket{le="0.1"} 1' in lines
@@ -117,7 +107,7 @@ class TestStatusRegistry:
         status = _status()
         for key in ("span_buckets", "queue_wait_buckets", "exec_buckets"):
             del status[key]
-        text = render_openmetrics(status_registry(status))
+        text = render_openmetrics(status)
         assert "repro_run_exec_seconds" not in text
         assert 'repro_run_jobs_total{status="executed"} 1' in text
 
@@ -140,9 +130,8 @@ class TestStatusRegistry:
         t.record_span("c" * 64, "topo_flow", "three", status="failed",
                       attempt=1, worker=12, error="gave up")
         t.complete([])
-        live = render_openmetrics(status_registry(t.snapshot()))
-        from_file = render_openmetrics(
-            status_registry(json.loads(path.read_text())))
+        live = render_openmetrics(t.snapshot())
+        from_file = render_openmetrics(json.loads(path.read_text()))
         assert live == from_file
         families = {line.split()[2] for line in live.splitlines()
                     if line.startswith("# TYPE")}
@@ -158,10 +147,10 @@ class TestGoldenExposition:
     def test_committed_snapshot_renders_the_committed_text(self):
         """A finished two-worker run (one retry, one cache hit, one
         failure, two job kinds) kept as a ``status.json`` file, and the
-        exposition text captured before the registry was removed."""
+        exposition text it must render to, byte for byte."""
         golden = Path(__file__).parent / "golden"
         status = json.loads((golden / "openmetrics_status.json").read_text())
-        assert render_openmetrics(status_registry(status)) == \
+        assert render_openmetrics(status) == \
             (golden / "openmetrics_status.txt").read_text()
 
 
@@ -187,9 +176,7 @@ class TestRenderTop:
 
 class TestMetricsServer:
     def test_scrape_and_404(self):
-        reg = MetricRegistry()
-        reg.counter("run.jobs", status="ok").add(2)
-        server = MetricsServer(lambda: render_openmetrics(reg))
+        server = MetricsServer(lambda: render_openmetrics({"executed": 2}))
         try:
             port = server.start()
             with urllib.request.urlopen(
@@ -197,7 +184,7 @@ class TestMetricsServer:
                 assert resp.headers["Content-Type"] == \
                     OPENMETRICS_CONTENT_TYPE
                 body = resp.read().decode()
-            assert 'repro_run_jobs_total{status="ok"} 2' in body
+            assert 'repro_run_jobs_total{status="executed"} 2' in body
             assert body.endswith("# EOF\n")
             with pytest.raises(urllib.error.HTTPError):
                 urllib.request.urlopen(

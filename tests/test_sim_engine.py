@@ -249,6 +249,18 @@ class TestRunControl:
         sim.run(until=3.0)
         assert fired == [3]
 
+    def test_unbounded_run_rests_on_the_last_fired_event(self, backend):
+        """No bound is +inf to the loop, but the clock is not pushed
+        there: it stops where the last event fired (a cancelled later
+        timer does not count)."""
+        sim = make_sim(backend)
+        sim.schedule(2.0, lambda: None)
+        sim.cancel_event(sim.schedule(9.0, lambda: None))
+        sim.run()
+        assert sim.now == 2.0 and sim.pending_events == 0
+        sim.run()  # nothing left: the clock stays put
+        assert sim.now == 2.0
+
     def test_nan_until_rejected_before_the_loop(self, backend):
         """``when > nan`` is never true: a NaN bound used to drain the
         whole queue and jump the clock to the last armed timer."""

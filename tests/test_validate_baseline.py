@@ -1,16 +1,10 @@
-"""Tests for repro.validate.baseline — drift detection and the perf gate."""
-
-import json
+"""Tests for repro.validate.baseline — claim baselines and drift detection."""
 
 import pytest
 
-from repro.validate import FAIL, PASS
 from repro.validate.baseline import (
     BaselineStore,
-    check_perf,
     detect_drift,
-    load_perf_baseline,
-    measure_core_speed,
     resolve_fingerprint,
 )
 
@@ -89,69 +83,3 @@ class TestDetectDrift:
         a = detect_drift("c", recorded, fresh, base_seed=5)
         b = detect_drift("c", recorded, fresh, base_seed=5)
         assert a == b
-
-
-class TestPerfGate:
-    BASELINE = {
-        "bench": "bench_core_speed",
-        "metrics": {
-            "fast": {"value": 1.0, "tolerance": 0.2},
-            "slow": {"value": 2.0, "tolerance": 0.1},
-        },
-    }
-
-    def test_within_tolerance_passes(self):
-        verdicts = check_perf(self.BASELINE,
-                              {"fast": 1.15, "slow": 2.1})
-        assert all(v.verdict == PASS for v in verdicts)
-
-    def test_slowdown_fails(self):
-        verdicts = {v.metric: v for v in check_perf(
-            self.BASELINE, {"fast": 1.5, "slow": 2.0})}
-        assert verdicts["fast"].verdict == FAIL
-        assert verdicts["slow"].verdict == PASS
-
-    def test_scale_widens_tolerance(self):
-        verdicts = check_perf(self.BASELINE, {"fast": 1.5, "slow": 2.0},
-                              scale=3.0)
-        assert all(v.verdict == PASS for v in verdicts)
-
-    def test_missing_metric_fails(self):
-        verdicts = {v.metric: v for v in check_perf(
-            self.BASELINE, {"fast": 1.0})}
-        assert verdicts["slow"].verdict == FAIL
-
-    def test_faster_is_fine(self):
-        verdicts = check_perf(self.BASELINE, {"fast": 0.1, "slow": 0.1})
-        assert all(v.verdict == PASS for v in verdicts)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            check_perf(self.BASELINE, {}, scale=0.0)
-
-
-class TestPerfBaselineFile:
-    def test_committed_baseline_loads(self):
-        baseline = load_perf_baseline("benchmarks/baseline.json")
-        assert set(baseline["metrics"]) == {
-            "engine_event_throughput",
-            "transfer_packet_throughput",
-            "suss_transfer_throughput",
-            "flowsim_fleet_throughput",
-        }
-        for entry in baseline["metrics"].values():
-            assert entry["value"] > 0.0
-            assert entry["tolerance"] > 0.0
-
-    def test_wrong_bench_rejected(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"bench": "other", "metrics": {}}))
-        with pytest.raises(ValueError):
-            load_perf_baseline(path)
-
-    def test_measure_covers_every_committed_metric(self):
-        # One repetition keeps this quick (~0.3 s) while proving the
-        # measurement names line up with the committed file.
-        measured = measure_core_speed(repeats=1)
-        baseline = load_perf_baseline("benchmarks/baseline.json")
-        assert set(measured) == set(baseline["metrics"])
