@@ -542,12 +542,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
         from repro.obs.records import SCHEMA_VERSION
 
+        def stored() -> dict:
+            return {**load_digests(goldens.DEFAULT_GOLDEN_DIR),
+                    **load_digests(goldens.DEFAULT_GOLDEN_DIR,
+                                   RECOVERY_DIGEST_FILE)}
+
         names = args.golden.split(",") if args.golden else None
-        before = {**load_digests(goldens.DEFAULT_GOLDEN_DIR),
-                  **load_digests(goldens.DEFAULT_GOLDEN_DIR,
-                                 RECOVERY_DIGEST_FILE)}
+        before = stored()
         schema_before = stored_schema(goldens.DEFAULT_GOLDEN_DIR)
         digests = goldens.update_goldens(names=names)
+        after = stored()
         if schema_before != SCHEMA_VERSION:
             print(f"schema: v{schema_before} -> v{SCHEMA_VERSION}")
         for name in sorted(digests):
@@ -558,6 +562,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 print(f"{name}: {digests[name]} (unchanged)")
             else:
                 print(f"{name}: {old} -> {digests[name]}")
+            # The eid-free digest says whether the simulation moved or
+            # only the engine's event numbering did.
+            for key, label in (("eid_free_digest", "eid-free digest"),
+                               ("records", "records")):
+                was = before.get(name, {}).get(key)
+                new = after[name][key]
+                if was is None:
+                    print(f"  {label}: (new) -> {new}")
+                elif was == new:
+                    print(f"  {label}: unchanged")
+                else:
+                    print(f"  {label}: {was} -> {new}")
         return 0
     if not args.scenario:
         raise SystemExit("repro trace: --scenario is required "

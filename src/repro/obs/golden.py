@@ -11,6 +11,14 @@ what turns a bare hash mismatch into a *readable first-divergence diff*
 (:func:`first_divergence`): the failing test reports the index, the
 golden line, and the actual line where the streams part ways.
 
+Each index entry carries two digests.  ``digest`` hashes the lines as
+emitted, engine event ids included, so it moves whenever the engine
+numbers events differently.  ``eid_free_digest`` hashes the same lines
+with ``eid`` and ``peid`` removed (:func:`eid_free`): time, kind, flow
+and fields, in order — the simulation itself.  A change that removes or
+reorders plumbing events may move the first; only a change to what
+happens, or when, moves the second.
+
 This module is pure record-plumbing; the runs that *produce* golden
 streams live in :mod:`repro.experiments.goldens` (the layer that may
 build simulations), and ``repro trace --update-golden`` regenerates the
@@ -54,6 +62,20 @@ def digest_lines(lines: Iterable[str]) -> str:
 
 def trace_digest(records: Iterable[TraceRecord]) -> str:
     return digest_lines(record_lines(records))
+
+
+def eid_free(line: str) -> str:
+    """The canonical line with its ``eid`` / ``peid`` columns removed."""
+    data = json.loads(line)
+    data.pop("eid", None)
+    data.pop("peid", None)
+    return json.dumps(data, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
+def eid_free_digest(lines: Iterable[str]) -> str:
+    """:func:`digest_lines` over the event-numbering-free lines."""
+    return digest_lines(eid_free(line) for line in lines)
 
 
 class Divergence(NamedTuple):
@@ -143,7 +165,7 @@ def save_golden(golden_dir: Path, name: str, lines: List[str]) -> str:
 
 def save_digest(golden_dir: Path, name: str, lines: List[str],
                 index_file: str = DIGEST_FILE) -> str:
-    """Record one stream's digest and record count in ``index_file``.
+    """Record one stream's two digests and record count in ``index_file``.
 
     On its own this pins a run without committing its stream (the
     recovery runs are too long to live in git); a mismatch is then
@@ -153,7 +175,9 @@ def save_digest(golden_dir: Path, name: str, lines: List[str],
     golden_dir.mkdir(parents=True, exist_ok=True)
     digest = digest_lines(lines)
     index = load_index(golden_dir, index_file)
-    index[name] = {"digest": digest, "records": len(lines)}
+    index[name] = {"digest": digest,
+                   "eid_free_digest": eid_free_digest(lines),
+                   "records": len(lines)}
     index[SCHEMA_KEY] = SCHEMA_VERSION
     with open(golden_dir / index_file, "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)

@@ -9,6 +9,8 @@ from repro.obs.golden import (
     RECOVERY_DIGEST_FILE,
     Divergence,
     digest_lines,
+    eid_free,
+    eid_free_digest,
     first_divergence,
     load_digests,
     load_stream,
@@ -39,6 +41,22 @@ class TestDigests:
         assert trace_digest(records) == \
             digest_lines([r.to_line() for r in records])
 
+    def test_eid_free_line_drops_only_the_event_numbering(self):
+        record = TraceRecord(0.25, "pkt.recv", 1, {"seq": 1448, "size": 1500},
+                             eid=226, parent_eid=200)
+        assert eid_free(record.to_line()) == (
+            '{"flow":1,"kind":"pkt.recv","seq":1448,"size":1500,"t":0.25}')
+        # a line without the columns is its own eid-free form
+        assert eid_free('{"kind":"x","t":1}') == '{"kind":"x","t":1}'
+
+    def test_eid_free_digest_ignores_renumbering_only(self):
+        def lines(eid, seq):
+            return [TraceRecord(0.1, "pkt.send", 1, {"seq": seq},
+                                eid=eid, parent_eid=eid - 1).to_line()]
+        assert digest_lines(lines(8, 0)) != digest_lines(lines(5, 0))
+        assert eid_free_digest(lines(8, 0)) == eid_free_digest(lines(5, 0))
+        assert eid_free_digest(lines(8, 0)) != eid_free_digest(lines(8, 1448))
+
 
 class TestFirstDivergence:
     def test_identical_streams(self):
@@ -68,7 +86,9 @@ class TestGoldenStore:
         assert digest == digest_lines(lines)
         assert load_stream(tmp_path, "cubic+suss") == lines
         index = load_digests(tmp_path)
-        assert index["cubic+suss"] == {"digest": digest, "records": 2}
+        assert index["cubic+suss"] == {
+            "digest": digest, "eid_free_digest": eid_free_digest(lines),
+            "records": 2}
 
     def test_stream_path_sanitizes_name(self, tmp_path):
         path = stream_path(tmp_path, "bbr+suss/wired")
@@ -89,7 +109,9 @@ class TestGoldenStore:
         digest = save_digest(tmp_path, "droptail/reno", lines,
                              RECOVERY_DIGEST_FILE)
         assert load_digests(tmp_path, RECOVERY_DIGEST_FILE) == {
-            "droptail/reno": {"digest": digest_lines(lines), "records": 2}}
+            "droptail/reno": {"digest": digest_lines(lines),
+                              "eid_free_digest": eid_free_digest(lines),
+                              "records": 2}}
         assert digest == digest_lines(lines)
         assert [p.name for p in tmp_path.iterdir()] == [RECOVERY_DIGEST_FILE]
 
@@ -168,6 +190,16 @@ def test_golden_streams_carry_resolvable_provenance():
             f"dangling peid {record.parent_eid} at t={record.time}")
 
 
+def _numbering_note(entry, actual_lines):
+    """Which of the entry's two digests moved, in words."""
+    if eid_free_digest(actual_lines) == entry["eid_free_digest"]:
+        return ("only event numbering moved: the eid-free digest still "
+                "matches, so every record is the same at the same time "
+                "and only eid / peid differ")
+    return ("the eid-free digest moved too: the simulation itself "
+            "changed, not just the engine's event numbering")
+
+
 @pytest.mark.parametrize("name", sorted(goldens.GOLDEN_RUNS))
 def test_golden_trace_regression(name):
     """Fixed-seed runs must reproduce the committed trace digests.
@@ -189,8 +221,10 @@ def test_golden_trace_regression(name):
         pytest.fail(
             f"golden trace {name!r} changed "
             f"(expected {expected[:12]}…, got {actual[:12]}…)\n"
+            f"{_numbering_note(index[name], actual_lines)}\n"
             f"{diff.describe() if diff else 'streams equal, digest bug?'}\n"
             "If intentional: python -m repro trace --update-golden")
+    assert eid_free_digest(actual_lines) == index[name]["eid_free_digest"]
     assert len(actual_lines) == index[name]["records"]
 
 
@@ -223,6 +257,8 @@ def test_recovery_trace_regression(name):
                      "outside the scoreboard / reassembly buffer")
         pytest.fail(
             f"recovery trace {name!r} changed "
-            f"(expected {expected[:12]}…, got {actual[:12]}…)\n{where}\n"
+            f"(expected {expected[:12]}…, got {actual[:12]}…)\n"
+            f"{_numbering_note(index[name], actual_lines)}\n{where}\n"
             "If intentional: python -m repro trace --update-golden")
+    assert eid_free_digest(actual_lines) == index[name]["eid_free_digest"]
     assert len(actual_lines) == index[name]["records"]
