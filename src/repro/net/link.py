@@ -3,7 +3,8 @@
 A :class:`Link` models one direction of a physical link:
 
 * packets wait in an attached queue (drop-tail by default) while the link
-  serialises earlier packets at the (possibly time-varying) bandwidth;
+  serialises earlier packets at the (possibly time-varying) bandwidth
+  in force when each one starts;
 * each packet then propagates for ``delay`` plus optional jitter;
 * optional Bernoulli loss discards packets at the receiving end
   (after consuming link capacity, like real corruption loss).
@@ -21,7 +22,7 @@ from repro.net.netem import BandwidthProfile, ConstantBandwidth, JitterModel, Lo
 from repro.net.packet import POOL, Packet
 from repro.net.queue import DropTailQueue
 from repro.obs import records as obsrec
-from repro.sim.engine import Simulator
+from repro.sim.engine import EventRef, Simulator
 
 
 class Receiver(Protocol):
@@ -31,11 +32,38 @@ class Receiver(Protocol):
 
 
 class Link:
-    """One direction of a link: queue → serialiser → propagation → dst."""
+    """One direction of a link: queue → serialiser → propagation → dst.
+
+    A packet costs one engine event per hop: its arrival at ``dst``.
+    The instant its last bit leaves the serialiser is computed when
+    serialisation *starts* (``_start_next``), not discovered by an event:
+    ``finish = now + size / rate_at(now)``; loss and jitter are drawn
+    there and then, in start order — which is finish order, the link
+    being FIFO — and the arrival is scheduled straight at
+    ``max(finish + delay + jitter, previous arrival)``.  The link wakes
+    itself at ``finish`` only when a packet is waiting in the queue; one
+    that finds the link idle starts at once.  ``_busy_until`` is the
+    finish time of the packet in service (or of the last one), ``_wake``
+    the pending wake if any; the queue holds exactly the waiting
+    packets, and *queue non-empty ⇒ a wake is armed* is the invariant.
+
+    Ties.  A packet offered at exactly ``_busy_until`` with nothing
+    waiting starts immediately (the serialiser is free at that instant);
+    with a wake pending it queues behind what waits and the wake, which
+    fires at that same instant, drains the queue in order.
+
+    What happens to a packet at ``finish`` rather than at start — a
+    random loss being counted, traced, reported to the sanitizer and the
+    packet rejoining the pool — is stamped there by the one ``_lose``
+    event a lost packet gets in place of its arrival.  ``packets_sent`` /
+    ``bytes_sent`` / ``busy`` read as of the current simulated time: the
+    packet in service is counted from ``finish`` on, not from its start.
+    """
 
     __slots__ = ("sim", "dst", "bandwidth", "delay", "queue", "jitter",
-                 "loss", "name", "_busy", "_last_arrival", "packets_sent",
-                 "bytes_sent", "packets_lost", "_drop_obs", "_set_now")
+                 "loss", "name", "_busy_until", "_wake", "_last_arrival",
+                 "_started", "_started_bytes", "_tx_size", "packets_lost",
+                 "_drop_obs", "_set_now", "_tracing")
 
     def __init__(self, sim: Simulator, dst: Receiver, bandwidth: BandwidthProfile,
                  delay: Seconds, queue: Optional[DropTailQueue] = None,
@@ -57,10 +85,14 @@ class Link:
         self.jitter = jitter
         self.loss = loss
         self.name = name
-        self._busy = False
+        self._busy_until: Seconds = 0.0
+        self._wake: Optional[EventRef] = None
         self._last_arrival: Seconds = 0.0
-        self.packets_sent = 0
-        self.bytes_sent: Bytes = 0
+        # Counted when serialisation starts; the read side takes the
+        # packet in service (``_tx_size`` bytes) back out until it ends.
+        self._started = 0
+        self._started_bytes: Bytes = 0
+        self._tx_size: Bytes = 0
         self.packets_lost = 0
         # Hoisted once: the per-send cost of the CoDel time hint is a
         # pointer test instead of a hasattr() call.
@@ -70,67 +102,94 @@ class Link:
         obs = sim.obs
         self._drop_obs = (None if obs is None
                           else obs.gate(obsrec.PKT_DROP))
+        # A traced run carries each packet's causal origin across the
+        # queue (see send); an untraced one pays one test per hop.
+        self._tracing = obs is not None and obs.tracer is not None
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Offer a packet to the link; False means the queue dropped it."""
+        sim = self.sim
+        now = sim.now
         if self._set_now is not None:
-            self._set_now(self.sim.now)
+            self._set_now(now)
         if not self.queue.push(packet):
-            if self.sim.sanitizer is not None:
-                self.sim.sanitizer.note_network_drop(f"{self.name}: queue full")
+            if sim.sanitizer is not None:
+                sim.sanitizer.note_network_drop(f"{self.name}: queue full")
             if self._drop_obs is not None:
                 self._note_drop(packet, "queue_full")
             return False
-        if not self._busy:
-            self._start_next()
+        if self._tracing:
+            # The packet may be started by a wake that some other
+            # packet's send armed; its records must still cite the event
+            # that offered *it*.
+            packet._origin = sim._sched_origin
+        if self._wake is None:
+            if now >= self._busy_until:
+                self._start_next(now)
+            else:
+                self._wake = sim.schedule_at(
+                    self._busy_until, self._start_next, self._busy_until)
         return True
 
     # ------------------------------------------------------------------
-    def _start_next(self) -> None:
-        drops_before = self.queue.drops
-        packet = self.queue.pop(self.sim.now)
-        if self.queue.drops > drops_before:
+    def _start_next(self, now: Seconds) -> None:
+        """Put the head packet on the wire at ``now`` (== ``sim.now``)."""
+        sim = self.sim
+        queue = self.queue
+        self._wake = None
+        drops_before = queue.drops
+        packet = queue.pop(now)
+        if queue.drops > drops_before:
             # AQM (CoDel) head drops happen inside pop().
-            if self.sim.sanitizer is not None:
-                self.sim.sanitizer.note_network_drop(
-                    f"{self.name}: AQM drop", self.queue.drops - drops_before)
+            if sim.sanitizer is not None:
+                sim.sanitizer.note_network_drop(
+                    f"{self.name}: AQM drop", queue.drops - drops_before)
             if self._drop_obs is not None:
-                self._drop_obs.emit(self.sim.now, obsrec.PKT_DROP, -1,
+                self._drop_obs.emit(now, obsrec.PKT_DROP, -1,
                                     link=self.name, reason="aqm",
-                                    count=self.queue.drops - drops_before)
+                                    count=queue.drops - drops_before)
         if packet is None:
-            self._busy = False
             return
-        self._busy = True
-        rate = self.bandwidth.rate_at(self.sim.now)
-        tx_time = packet.size / rate
-        self.sim.schedule(tx_time, self._finish_transmission, packet)
-
-    def _finish_transmission(self, packet: Packet) -> None:
-        self.packets_sent += 1
-        self.bytes_sent += packet.size
+        size = packet.size
+        # The same two float operations the finish event's
+        # ``schedule(size / rate, …)`` used to perform.
+        finish = now + size / self.bandwidth.rate_at(now)
+        self._busy_until = finish
+        self._started += 1
+        self._started_bytes += size
+        self._tx_size = size
+        if self._tracing:
+            sim._sched_origin = packet._origin
         if self.loss is not None and self.loss.drops():
-            self.packets_lost += 1
-            if self.sim.sanitizer is not None:
-                self.sim.sanitizer.note_network_drop(f"{self.name}: random loss")
-            if self._drop_obs is not None:
-                self._note_drop(packet, "random_loss")
-            # The packet dies mid-path: pooled packets rejoin the free
-            # list here instead of waiting for end-host delivery that
-            # will never come (refcount-guarded).
-            POOL.release(packet)
+            sim.schedule_at(finish, self._lose, packet)
         else:
             prop = self.delay
             if self.jitter is not None:
-                prop += self.jitter.sample(self.sim.now)
+                prop += self.jitter.sample(finish)
             # Jitter must not reorder: real-path delay variation comes from
             # queueing, which preserves FIFO order.  Clamp each arrival to
             # be no earlier than the previous one.
-            arrival = max(self.sim.now + prop, self._last_arrival)
-            self._last_arrival = arrival
-            self.sim.schedule_at(arrival, self.dst.receive, packet)
-        self._start_next()
+            arrival = finish + prop
+            if arrival < self._last_arrival:
+                arrival = self._last_arrival
+            else:
+                self._last_arrival = arrival
+            sim.schedule_at(arrival, self.dst.receive, packet)
+        if queue._q:  # the deque itself: no __len__ call per packet per hop
+            self._wake = sim.schedule_at(finish, self._start_next, finish)
+
+    def _lose(self, packet: Packet) -> None:
+        """Random loss, at the instant the packet's last bit left."""
+        self.packets_lost += 1
+        if self.sim.sanitizer is not None:
+            self.sim.sanitizer.note_network_drop(f"{self.name}: random loss")
+        if self._drop_obs is not None:
+            self._note_drop(packet, "random_loss")
+        # The packet dies mid-path: pooled packets rejoin the free list
+        # here instead of waiting for end-host delivery that will never
+        # come (refcount-guarded).
+        POOL.release(packet)
 
     def _note_drop(self, packet: Packet, reason: str) -> None:
         self._drop_obs.emit(self.sim.now, obsrec.PKT_DROP, packet.flow_id,
@@ -138,9 +197,20 @@ class Link:
                             size=packet.size)
 
     # ------------------------------------------------------------------
+    # read side (tests, reports): as of the current simulated time
+    # ------------------------------------------------------------------
     @property
     def busy(self) -> bool:
-        return self._busy
+        return self.sim.now < self._busy_until
+
+    @property
+    def packets_sent(self) -> int:
+        """Packets whose last bit has left the serialiser."""
+        return self._started - self.busy
+
+    @property
+    def bytes_sent(self) -> Bytes:
+        return self._started_bytes - (self._tx_size if self.busy else 0)
 
     def utilization_rate(self) -> BytesPerSec:
         """Mean bytes/second pushed through the link so far."""

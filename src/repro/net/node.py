@@ -30,10 +30,24 @@ class Host:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.uplink: Optional[Link] = None
         self._endpoints: Dict[int, Endpoint] = {}
         self.packets_received = 0
         self.unroutable = 0
+        self.uplink = None
+
+    @property
+    def uplink(self) -> Optional[Link]:
+        return self._uplink
+
+    @uplink.setter
+    def uplink(self, link: Optional[Link]) -> None:
+        # The host meets its simulator through its uplink, so what the
+        # per-packet paths need from it is resolved here, once.  Stub
+        # uplinks in unit tests may lack .sim: unsanitized, untraced.
+        self._uplink = link
+        sim = self._sim = getattr(link, "sim", None)
+        obs = sim.obs if sim is not None else None
+        self._recv_obs = None if obs is None else obs.gate(obsrec.PKT_RECV)
 
     def attach(self, flow_id: int, endpoint: Endpoint) -> None:
         if flow_id in self._endpoints:
@@ -43,33 +57,27 @@ class Host:
     def detach(self, flow_id: int) -> None:
         self._endpoints.pop(flow_id, None)
 
-    def _sanitizer(self):
-        # Stub uplinks in unit tests may lack .sim; treat as unsanitized.
-        sim = getattr(self.uplink, "sim", None)
-        return sim.sanitizer if sim is not None else None
-
     def transmit(self, packet: Packet) -> bool:
         """Send a packet out of this host's uplink."""
-        if self.uplink is None:
+        if self._uplink is None:
             raise RuntimeError(f"host {self.name} has no uplink")
-        sanitizer = self._sanitizer()
-        if sanitizer is not None:
+        sim = self._sim
+        if sim is not None and sim.sanitizer is not None:
             # Conservation accounting: this is the only way packets enter
             # the network; router hops re-enter links but not here.
-            sanitizer.note_network_send()
-        return self.uplink.send(packet)
+            sim.sanitizer.note_network_send()
+        return self._uplink.send(packet)
 
     def receive(self, packet: Packet) -> None:
         self.packets_received += 1
-        sim = getattr(self.uplink, "sim", None)
+        sim = self._sim
         if sim is not None:
             if sim.sanitizer is not None:
                 sim.sanitizer.note_network_deliver()
-            obs = sim.obs
-            if obs is not None and obs.wants(obsrec.PKT_RECV):
-                obs.emit(sim.now, obsrec.PKT_RECV, packet.flow_id,
-                         host=self.name, ptype=packet.kind.name,
-                         seq=packet.seq, size=packet.size)
+            if self._recv_obs is not None:
+                self._recv_obs.emit(sim.now, obsrec.PKT_RECV, packet.flow_id,
+                                    host=self.name, ptype=packet.kind.name,
+                                    seq=packet.seq, size=packet.size)
         endpoint = self._endpoints.get(packet.flow_id)
         if endpoint is None:
             self.unroutable += 1

@@ -93,6 +93,11 @@ class Packet:
     #: pool bookkeeping: 0 = direct construction (never recycled),
     #: 1 = live, acquired from a pool, 2 = parked in a pool's free list.
     _pool_state: int = field(default=0, repr=False, compare=False)
+    #: traced runs only: scheduling origin of the event that offered the
+    #: packet to the link it is queued at (``Link.send`` writes it,
+    #: ``Link._start_next`` restores it), so a wait in a queue does not
+    #: re-attribute the packet to whatever woke the link.
+    _origin: int = field(default=0, repr=False, compare=False)
 
     @property
     def size(self) -> Bytes:

@@ -50,13 +50,14 @@ class DropTailQueue:
 
     def push(self, packet: Packet) -> bool:
         """Enqueue ``packet``; returns False (and counts a drop) when full."""
-        if self._bytes + packet.size > self.capacity_bytes:
+        queued = self._bytes + packet.size
+        if queued > self.capacity_bytes:
             self._count_drop(packet)
             return False
         self._q.append(packet)
-        self._bytes += packet.size
-        if self._bytes > self.bytes_peak:
-            self.bytes_peak = self._bytes
+        self._bytes = queued
+        if queued > self.bytes_peak:
+            self.bytes_peak = queued
         self.enqueued += 1
         return True
 

@@ -38,11 +38,13 @@ Layout
   bound-method creation on every call.  :meth:`Simulator.run` itself is
   an ordinary method (called once per run, not per event) that delegates
   to the installed loop.
-* **Single-slot fast path.** The common schedule-one-fire-one pattern
-  (link serialisation, RTO re-arm) never touches the heap: one record
-  is parked in a ``slot`` cell; the pop side compares ``heap[0] <
-  slot`` (a C list comparison, FIFO-safe because eids are unique) to
-  pick the true minimum.
+* **Single-slot fast path.** The schedule-one-fire-one pattern (chained
+  timers, RTO re-arm) never touches the heap: one record is parked in a
+  ``slot`` cell; the pop side compares ``heap[0] < slot`` (a C list
+  comparison, FIFO-safe because eids are unique) to pick the true
+  minimum.  Link serialisation is no longer such an event: a link
+  computes a packet's departure when it starts it and schedules only
+  the arrival (``repro.net.link``).
 * **Derived counters.** ``pending_events`` / ``events_processed`` are
   derived from the eid high-water mark, heap length, and two
   cancellation counters, so the per-event loop maintains *no* counters
@@ -77,7 +79,10 @@ event to be the origin of everything it schedules from then on.  The
 result is that a record's ``parent_eid`` always names an event with
 records *in the same trace*, so a SUSS decision can be walked back
 through the ACK that clocked it — across silent plumbing events such as
-link serialisation — to the data send that provoked the ACK.  Because
+router forwarding and link wakes — to the data send that provoked the
+ACK.  (A packet that waits in a link queue is started by a wake some
+other packet's send armed; ``Link`` carries the packet's own origin
+across the wait, so the walk still ends at *its* send.)  Because
 eids are assigned in scheduling order, they are as deterministic as the
 event stream itself (``jobs=1`` and ``jobs=N`` campaign runs agree
 event for event, eids included).

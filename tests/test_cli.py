@@ -255,7 +255,7 @@ class TestProfile:
         assert rc == 0
         out = capsys.readouterr().out
         assert "events" in out
-        assert "Link._finish_transmission" in out
+        assert "Link._start_next" in out and "Router.receive" in out
 
     def test_profile_single_requires_scenario(self):
         with pytest.raises(SystemExit, match="--scenario required"):

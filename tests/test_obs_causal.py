@@ -168,3 +168,30 @@ class TestGoldenCausality:
             assert golden_index.parent_of(chain[-1]) == 0, (
                 f"chain from {eid} must end at the root, "
                 f"stopped at {chain[-1]}")
+
+    def test_queued_segment_is_explained_by_its_own_send(self):
+        """``repro explain cubic.jsonl.gz --event <arrival of seq 17376>``.
+
+        Segment 17376 is the third of its ACK's burst... of the *next*
+        ACK: it waited at the bottleneck behind 14480 and 15928, which an
+        earlier ACK had released, and used to be "caused by" that earlier
+        event.  Its parent is the event whose records include its send.
+        """
+        lines = goldens.golden_stream("cubic")
+        index = CausalIndex([TraceRecord.from_line(line) for line in lines])
+        arrival = next(r for r in index.records
+                       if r.kind == "pkt.recv" and r.fields["ptype"] == "DATA"
+                       and r.fields["seq"] == 17376)
+        info = explain_event(index, arrival.eid)
+        assert info["complete"]
+        parent = info["chain"][1]
+        sends = [r["seq"] for r in parent["records"]
+                 if r["kind"] == "pkt.send"]
+        assert 17376 in sends
+        assert 14480 not in sends and 15928 not in sends
+        # the parent is an ACK arrival at the server that clocked it out
+        assert any(r["kind"] == "pkt.recv" and r["ptype"] == "ACK"
+                   and r["host"] == "server0" for r in parent["records"])
+        text = render_explanation(info)
+        assert "seq=17376" in text.split("caused by")[1]
+

@@ -190,6 +190,29 @@ def test_golden_streams_carry_resolvable_provenance():
             f"dangling peid {record.parent_eid} at t={record.time}")
 
 
+@pytest.mark.parametrize(
+    "name", sorted(goldens.GOLDEN_RUNS) + sorted(goldens.RECOVERY_RUNS))
+def test_data_arrival_is_attributed_to_its_own_send(name):
+    """Every DATA ``pkt.recv`` cites the event that emitted the
+    ``pkt.send`` of that very segment — however long the packet waited
+    in link queues behind packets other events had sent (a queued packet
+    used to inherit the origin of whatever started the busy period:
+    18 of 277 on ``cubic``)."""
+    records = goldens.capture_records(name)
+    sent_by = {}
+    for record in records:
+        if record.kind == "pkt.send":
+            sent_by.setdefault(record.eid, set()).add(record.fields["seq"])
+    arrivals = [r for r in records if r.kind == "pkt.recv"
+                and r.fields["ptype"] == "DATA"]
+    assert arrivals
+    wrong = [r for r in arrivals
+             if r.fields["seq"] not in sent_by.get(r.parent_eid, ())]
+    assert not wrong, (
+        f"{len(wrong)} of {len(arrivals)} DATA arrivals cite an event "
+        f"that did not send them; first: {wrong[0]!r}")
+
+
 def _numbering_note(entry, actual_lines):
     """Which of the entry's two digests moved, in words."""
     if eid_free_digest(actual_lines) == entry["eid_free_digest"]:

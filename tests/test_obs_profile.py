@@ -56,9 +56,9 @@ class TestEventProfiler:
     def test_format_report(self):
         prof = EventProfiler()
         assert prof.format_report() == "no events profiled"
-        prof.note("Link._finish_transmission", 0.001)
+        prof.note("Link._start_next", 0.001)
         report = prof.format_report(top=5)
-        assert "Link._finish_transmission" in report
+        assert "Link._start_next" in report
         assert "1 events" in report
 
     def test_rows_sort_by_count_and_mean(self):
