@@ -4,10 +4,10 @@ Since record-schema v2 every :class:`~repro.obs.records.TraceRecord`
 carries ``(eid, parent_eid)``: the engine event in whose execution it
 was emitted and that event's nearest record-emitting causal ancestor
 (see ``repro.sim.engine`` — origin threading bridges silent plumbing
-events such as router forwarding and link wakes).  :class:`CausalIndex` turns a flat
-record stream back into that DAG so questions like *"what chain of
-events led to this SUSS accelerate decision?"* are answerable from the
-trace alone, with no live simulator.
+events such as router forwarding and link wakes).  :class:`CausalIndex`
+turns a flat record stream back into that DAG so questions like *"what
+chain of events led to this SUSS accelerate decision?"* are answerable
+from the trace alone, with no live simulator.
 
 The index is pure data-plumbing over records — it lives in ``obs`` (a
 leaf layer) and imports nothing above it.

@@ -150,7 +150,8 @@ class TestImpairments:
 
 
 def observed(sim):
-    """(records, bundle): subscribe to the link's drop records."""
+    """The ``(time, fields)`` of every drop record links of ``sim`` emit
+    (call before building them)."""
     from repro.obs import Observability
     from repro.obs import records as obsrec
 

@@ -172,10 +172,11 @@ class TestGoldenCausality:
     def test_queued_segment_is_explained_by_its_own_send(self):
         """``repro explain cubic.jsonl.gz --event <arrival of seq 17376>``.
 
-        Segment 17376 is the third of its ACK's burst... of the *next*
-        ACK: it waited at the bottleneck behind 14480 and 15928, which an
-        earlier ACK had released, and used to be "caused by" that earlier
-        event.  Its parent is the event whose records include its send.
+        Segment 17376 waited at the bottleneck behind 14480 and 15928,
+        which an earlier ACK had released, and used to be "caused by"
+        that earlier event: it inherited the origin of whatever started
+        the busy period.  Its parent is the event whose records include
+        its own send.
         """
         lines = goldens.golden_stream("cubic")
         index = CausalIndex([TraceRecord.from_line(line) for line in lines])
