@@ -206,7 +206,9 @@ class TcpSender:
         self.data_start_time = self.sim.now
         self._rto_backoff = 1.0
         self.cc.on_data_start(self.sim.now)
-        self._arm_rto()
+        # The SYN is acknowledged and nothing else is outstanding: the
+        # first send starts the timer (RFC 6298 5.1, _maybe_send's tail).
+        self._stop_rto()
         self._maybe_send()
 
     # ------------------------------------------------------------------
@@ -299,8 +301,12 @@ class TcpSender:
         self._rto_backoff = 1.0
         if self.snd_una >= self.total_bytes and self.finished_writing:
             self._complete(now)
-        else:
+        elif self.snd_nxt > self.snd_una:
             self._arm_rto()
+        else:
+            # RFC 6298 (5.2): all outstanding data acknowledged, timer off;
+            # an idle stream must not time out on nothing.
+            self._stop_rto()
 
     def _on_dupack(self, now: float) -> None:
         self.dup_acks += 1
@@ -516,6 +522,10 @@ class TcpSender:
         timeout = min(self.rtt.rto * self._rto_backoff, 120.0)
         self._rto_handle = self.sim.schedule(timeout, self._on_rto)
 
+    def _stop_rto(self) -> None:
+        if self._rto_handle is not None:
+            self.sim.cancel_event(self._rto_handle)
+
     def _on_rto(self) -> None:
         if self.completed:
             return
@@ -557,8 +567,7 @@ class TcpSender:
         self.completed = True
         self.completion_time = now
         self.cc.on_flow_complete(now)
-        if self._rto_handle is not None:
-            self.sim.cancel_event(self._rto_handle)
+        self._stop_rto()
         if self._pacer_wake is not None:
             self.sim.cancel_event(self._pacer_wake)
         if self.on_complete is not None:

@@ -7,11 +7,13 @@ from repro.sim import Simulator
 from repro.tcp.stream import open_stream
 
 from tests.helpers import MSS
+from tests.test_integration_loss_patterns import IndexedLoss
 
 
-def stream_bench(cc="cubic", rate=12_500_000, rtt=0.1):
+def stream_bench(cc="cubic", rate=12_500_000, rtt=0.1, drops=()):
     sim = Simulator()
     net = build_path(sim, rate, rtt, bdp_bytes(rate, rtt))
+    net.bottleneck_fwd.loss = IndexedLoss(drops)
     source, transfer = open_stream(sim, net.servers[0], net.clients[0],
                                    flow_id=1, cc=cc)
     return sim, source, transfer
@@ -110,3 +112,48 @@ class TestStreamingWithSuss:
         sim.run(until=60.0)
         assert transfer.completed
         assert transfer.receiver.bytes_delivered == 1000 * MSS
+
+
+class TestIdleStream:
+    """RFC 6298 (5.2): with nothing outstanding the retransmission timer
+    is off, so a connection that sits idle between writes does not time
+    out on nothing, back its RTO off and collapse its window."""
+
+    def test_idle_gaps_cause_no_rto(self):
+        sim, source, transfer = stream_bench()
+        sender = transfer.sender
+        sim.schedule_at(0.5, source.write, 100_000)
+        sim.schedule_at(5.0, source.write, 100_000)
+        sim.schedule_at(9.0, source.close)
+        cwnd = []
+        for tick in range(1, 90):
+            sim.schedule_at(tick / 10.0, lambda: cwnd.append(sender.cc.cwnd))
+        sim.run(until=1.0)
+        assert sender.snd_una == 100_000
+        sim.run(until=20.0)
+        assert transfer.completed
+        assert sender.rto_count == 0
+        assert sender.retransmissions == 0
+        assert sender._rto_backoff == 1.0
+        assert cwnd == sorted(cwnd)
+
+    def test_loss_after_an_idle_gap_recovers_by_rto(self):
+        """The timer the idle gap turned off is started again by the next
+        send (5.1): a lone lost segment has no dupacks to save it."""
+        # the forward bottleneck carries the SYN, two segments, then the
+        # segment written at 5.0
+        sim, source, transfer = stream_bench(drops={3})
+        sender = transfer.sender
+        sim.schedule_at(0.5, source.write, 2 * MSS)
+        sim.schedule_at(5.0, source.write, MSS)
+        sim.schedule_at(5.0, source.close)
+        sim.run(until=5.0)
+        rto = sender.rtt.rto
+        assert sender.rto_count == 0
+        sim.run(until=20.0)
+        assert transfer.completed
+        assert sender.rto_count == 1 and sender.retransmissions == 1
+        assert transfer.receiver.bytes_delivered == 3 * MSS
+        # one RTO after the send, then one RTT for the resent segment
+        assert transfer.sender.completion_time == pytest.approx(
+            5.0 + rto + 0.1, abs=0.01)
