@@ -11,6 +11,7 @@ from repro.net import Dumbbell, Host, Packet, PacketKind, bdp_bytes, build_path
 from repro.net.netem import BandwidthProfile
 from repro.obs import Observability
 from repro.sim import Simulator
+from repro.sim.engine import event_time
 from repro.tcp import TcpSender, Transfer, open_transfer
 
 MSS = 1448
@@ -103,13 +104,15 @@ class Wire:
 
 
 class FixedWindow(CongestionControl):
-    """A congestion control that does nothing: ``cwnd`` is what you set."""
+    """A congestion control that does nothing: ``cwnd`` is what you set.
+    ``rto_times`` keeps the instant of every timeout it is told of."""
 
     name = "fixed-window"
 
     def __init__(self, cwnd: int) -> None:
         super().__init__()
         self._cwnd = cwnd
+        self.rto_times = []
 
     @property
     def cwnd(self):
@@ -130,7 +133,7 @@ class FixedWindow(CongestionControl):
         pass
 
     def on_rto(self, now):
-        pass
+        self.rto_times.append(now)
 
 
 def bare_sender(total: int, cwnd: int, mss: int = 1000, cls=TcpSender):
@@ -151,7 +154,22 @@ def bare_sender(total: int, cwnd: int, mss: int = 1000, cls=TcpSender):
     return sim, sender, wire
 
 
-def ack(ack_seq: int, *sack) -> Packet:
-    """A pure ACK for :func:`bare_sender`, with optional SACK blocks."""
+def ack(ack_seq: int, *sack, ts_echo: Optional[float] = None) -> Packet:
+    """A pure ACK for :func:`bare_sender`, with optional SACK blocks and
+    the send time it echoes (None: no RTT sample, as for a retransmission)."""
     return Packet(flow_id=1, src="client", dst="server", kind=PacketKind.ACK,
-                  ack_seq=ack_seq, sack=tuple(sack) or None)
+                  ack_seq=ack_seq, sack=tuple(sack) or None, ts_echo=ts_echo)
+
+
+def rto_deadline(sender: TcpSender) -> Optional[float]:
+    """When ``sender``'s retransmission timer expires; None when it is off.
+
+    The one place tests read the timer, so they hold for any timer: the
+    shipped sender keeps the deadline beside an engine record that may be
+    due earlier, the eager reference timer's deadline is its record's.
+    """
+    handle = sender._rto_handle
+    if handle is None or not sender.sim.event_pending(handle):
+        return None
+    deadline = getattr(sender, "_rto_deadline", None)
+    return event_time(handle) if deadline is None else deadline
