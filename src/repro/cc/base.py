@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.tcp.sender import TcpSender
 
 
-@dataclass
+@dataclass(slots=True)
 class AckInfo:
     """Per-ACK information handed to the congestion control.
 

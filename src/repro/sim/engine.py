@@ -39,12 +39,13 @@ Layout
   an ordinary method (called once per run, not per event) that delegates
   to the installed loop.
 * **Single-slot fast path.** The schedule-one-fire-one pattern (chained
-  timers, RTO re-arm) never touches the heap: one record is parked in a
-  ``slot`` cell; the pop side compares ``heap[0] < slot`` (a C list
-  comparison, FIFO-safe because eids are unique) to pick the true
-  minimum.  Link serialisation is no longer such an event: a link
-  computes a packet's departure when it starts it and schedules only
-  the arrival (``repro.net.link``).
+  timers) never touches the heap: one record is parked in a ``slot``
+  cell; the pop side compares ``heap[0] < slot`` (a C list comparison,
+  FIFO-safe because eids are unique) to pick the true minimum.  Neither
+  link serialisation nor the RTO re-arm is such an event any more: a
+  link computes a packet's departure when it starts it and schedules
+  only the arrival (``repro.net.link``), and an ACK moves the sender's
+  RTO deadline without touching its engine record (``repro.tcp.sender``).
 * **Derived counters.** ``pending_events`` / ``events_processed`` are
   derived from the eid high-water mark, heap length, and two
   cancellation counters, so the per-event loop maintains *no* counters

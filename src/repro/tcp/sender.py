@@ -12,7 +12,8 @@ relies on, in simulation form:
   everywhere the paper measured); the scoreboard is updated in place and
   the hole walk resumes from a retransmit cursor, so an ACK costs
   O(log holes) however large the dropped burst was;
-* RTO with go-back-N over un-SACKed sequence space;
+* RTO (RFC 6298) with go-back-N over un-SACKed sequence space; the timer
+  is a deadline that an ACK moves, not an engine event per ACK;
 * delivery-rate samples per ACK (for BBR's bandwidth filter);
 * round accounting (a round ends when the first segment of the previous
   round is cumulatively acknowledged), which CUBIC/HyStart/SUSS consume;
@@ -32,7 +33,7 @@ from repro.cc.base import AckInfo, CongestionControl
 from repro.net.node import Host
 from repro.net.packet import DEFAULT_MSS, Packet, PacketKind, POOL
 from repro.obs import records as obsrec
-from repro.sim.engine import EventRef, Simulator
+from repro.sim.engine import EventRef, Simulator, event_time
 from repro.tcp.intervals import Interval, IntervalSet
 from repro.tcp.pacer import Pacer
 from repro.tcp.rtt import RttEstimator
@@ -42,6 +43,8 @@ DUPACK_THRESHOLD = 3
 DEFAULT_IW_SEGMENTS = 10
 #: Exponential RTO backoff cap.
 MAX_RTO_BACKOFF = 64.0
+#: Ceiling on the backed-off timeout (RFC 6298 2.5 allows one >= 60 s).
+MAX_RTO_TIMEOUT = 120.0
 
 
 class TcpSender:
@@ -105,8 +108,11 @@ class TcpSender:
         self._rate_records: Deque[Tuple[int, float, int, float]] = deque()
         # entries: (end_seq, sent_time, delivered_at_send, delivered_time_at_send)
 
-        # timers
+        # timers.  The RTO is a deadline plus one engine record due no
+        # later than it (_arm_rto); both are None while the timer is off.
+        self._rto_deadline: Optional[float] = None
         self._rto_handle: Optional[EventRef] = None
+        self._rto_origin = 0  # traced runs: origin of the last arming
         self._rto_backoff = 1.0
         self._pacer_wake: Optional[EventRef] = None
 
@@ -137,7 +143,7 @@ class TcpSender:
         self._obs_rtt = gate(obsrec.TCP_RTT)
         self._obs_cwnd = gate(obsrec.CC_CWND)
         self._obs_pacing = gate(obsrec.TCP_PACING)
-        self._traced_pacing_rate: Optional[float] = None
+        self._tracing = obs is not None and obs.tracer is not None
 
         self.cc = cc
         cc.attach(self)
@@ -155,7 +161,7 @@ class TcpSender:
         syn = Packet(flow_id=self.flow_id, src=self.host.name, dst=self.peer,
                      kind=PacketKind.SYN, sent_time=self.sim.now)
         self.host.transmit(syn)
-        self._arm_rto()
+        self._arm_rto(self.sim.now)
 
     @property
     def fct(self) -> Optional[float]:
@@ -192,28 +198,31 @@ class TcpSender:
     def on_packet(self, packet: Packet) -> None:
         if self.completed:
             return
-        if packet.kind is PacketKind.SYNACK:
-            self._on_synack(packet)
-        elif packet.kind is PacketKind.ACK:
+        if packet.kind is PacketKind.ACK:
             self._on_ack(packet)
+        elif packet.kind is PacketKind.SYNACK:
+            self._on_synack(packet)
 
     def _on_synack(self, packet: Packet) -> None:
         if self.handshake_done:
             return
         self.handshake_done = True
         assert self.start_time is not None
-        self.rtt.update(self.sim.now - self.start_time, self.round_index)
-        self.data_start_time = self.sim.now
+        now = self.sim.now
+        self.rtt.update(now - self.start_time, self.round_index)
+        self.data_start_time = now
         self._rto_backoff = 1.0
-        self.cc.on_data_start(self.sim.now)
-        # The SYN is acknowledged and nothing else is outstanding: the
-        # first send starts the timer (RFC 6298 5.1, _maybe_send's tail).
+        self.cc.on_data_start(now)
+        # RFC 6298 (5.2): the SYN is acknowledged, timer off; the first
+        # send starts it again (5.1, _maybe_send's tail).
         self._stop_rto()
-        self._maybe_send()
+        self._maybe_send(now)
 
     # ------------------------------------------------------------------
     def _on_ack(self, packet: Packet) -> None:
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now  # read once per ACK and handed down
+        san = sim.sanitizer  # likewise
         rtt_sample: Optional[float] = None
         if packet.ts_echo is not None:
             rtt_sample = now - packet.ts_echo
@@ -223,7 +232,8 @@ class TcpSender:
                     self._obs_rtt.emit(now, obsrec.TCP_RTT, self.flow_id,
                                        rtt=rtt_sample)
 
-        self._merge_sack(packet)
+        if packet.sack or self.scoreboard.starts:
+            self._merge_sack(packet)
 
         if self.ecn and packet.ece and self.snd_una >= self._ecn_reacted_high:
             # One multiplicative decrease per window of ECN signals.
@@ -232,88 +242,87 @@ class TcpSender:
             self.ecn_reductions += 1
             self.cc.on_ecn(now)
 
-        if packet.ack_seq > self.snd_una:
-            self._on_new_ack(packet, now, rtt_sample)
-        elif packet.ack_seq == self.snd_una and self.snd_nxt > self.snd_una:
-            self._on_dupack(now)
-        self._maybe_send()
-        self._sanitize_scoreboard()
+        ack_seq = packet.ack_seq
+        if ack_seq > self.snd_una:
+            self._on_new_ack(ack_seq, now, rtt_sample, san)
+        elif ack_seq == self.snd_una and self.snd_nxt > ack_seq:
+            self._on_dupack(now, san)
+        self._maybe_send(now)
+        if san is not None:
+            self._sanitize_scoreboard(san)
 
     def _merge_sack(self, packet: Packet) -> None:
         """Fold the ACK into the scoreboard: drop what it cumulatively
         covers, add its SACK blocks (clipped to the new floor)."""
         board = self.scoreboard
-        sack = packet.sack
-        if not sack and not board.starts:
-            return
         floor = self.snd_una
         if packet.ack_seq > floor:
             floor = packet.ack_seq
             self._rewind_cursor(floor, self.snd_una)
             board.trim_below(floor)
-        for start, end in sack or ():
+        for start, end in packet.sack or ():
             if end > floor:
                 self._rewind_cursor(end, floor)
                 board.add(start if start > floor else floor, end)
 
-    def _on_new_ack(self, packet: Packet, now: float,
-                    rtt_sample: Optional[float]) -> None:
-        acked = packet.ack_seq - self.snd_una
-        self.snd_una = packet.ack_seq
+    def _on_new_ack(self, ack_seq: int, now: float,
+                    rtt_sample: Optional[float], san) -> None:
+        acked = ack_seq - self.snd_una
+        self.snd_una = ack_seq
         self.dup_acks = 0
         self.delivered += acked
         self.delivered_time = now
-        self._retx_outstanding = max(self._retx_outstanding
-                                     - min(acked, self.mss), 0)
-        rate_sample = self._take_rate_sample(packet.ack_seq, now)
+        if self._retx_outstanding:
+            self._retx_outstanding = max(self._retx_outstanding
+                                         - min(acked, self.mss), 0)
+        rate_sample = self._take_rate_sample(ack_seq, now)
+        cc = self.cc
 
         # round bookkeeping: the ACK of the first segment of the previous
         # round has arrived once snd_una passes that round's end marker.
-        if self.snd_una > self.round_end_seq:
+        if ack_seq > self.round_end_seq:
             self.round_index += 1
             self.round_end_seq = self.snd_nxt
-            self.cc.on_round_start(now, self.round_index)
+            cc.on_round_start(now, self.round_index)
 
         if self.in_recovery:
-            if self.snd_una >= self.recovery_point:
+            if ack_seq >= self.recovery_point:
                 self.in_recovery = False
                 self._retx_marked = {s for s in self._retx_marked
-                                     if s >= self.snd_una}
+                                     if s >= ack_seq}
                 self._retx_outstanding = 0
-                self.cc.on_recovery_exit(now)
+                cc.on_recovery_exit(now)
                 if self.obs is not None:
                     self.obs.emit(now, obsrec.TCP_RECOVERY, self.flow_id,
                                   enter=False, point=self.recovery_point)
             else:
                 # Partial ACK: keep filling holes from the scoreboard.
-                self._retransmit_holes()
+                self._retransmit_holes(now)
 
-        info = AckInfo(now=now, acked_bytes=acked, ack_seq=packet.ack_seq,
-                       rtt_sample=rtt_sample, flight=self.bytes_in_flight,
-                       delivery_rate=rate_sample, app_limited=self.app_limited,
-                       in_recovery=self.in_recovery)
-        self.cc.on_ack(info)
-        self._sanitize_cc()
+        cc.on_ack(AckInfo(now, acked, ack_seq, rtt_sample,
+                          self.bytes_in_flight, rate_sample,
+                          self.snd_nxt >= self.total_bytes, self.in_recovery))
+        if san is not None:
+            self._sanitize_cc(san)
 
         if self._obs_cwnd is not None:
             self._emit_cwnd(now)
 
         self._rto_backoff = 1.0
-        if self.snd_una >= self.total_bytes and self.finished_writing:
+        if ack_seq >= self.total_bytes and self.finished_writing:
             self._complete(now)
-        elif self.snd_nxt > self.snd_una:
-            self._arm_rto()
+        elif self.snd_nxt > ack_seq:
+            self._arm_rto(now)  # RFC 6298 (5.3)
         else:
-            # RFC 6298 (5.2): all outstanding data acknowledged, timer off;
-            # an idle stream must not time out on nothing.
+            # RFC 6298 (5.2): an idle stream must not time out on nothing.
             self._stop_rto()
 
-    def _on_dupack(self, now: float) -> None:
+    def _on_dupack(self, now: float, san) -> None:
         self.dup_acks += 1
         self.cc.on_dupack(now)
         if not self.in_recovery and (
                 self.dup_acks >= DUPACK_THRESHOLD
-                or self.sacked_bytes > DUPACK_THRESHOLD * self.mss):
+                or self.scoreboard.total > DUPACK_THRESHOLD * self.mss):
             self.in_recovery = True
             self.recovery_point = self.snd_nxt
             self.fast_retransmits += 1
@@ -324,16 +333,17 @@ class TcpSender:
             self._retx_marked = {s for s in self._retx_marked
                                  if s >= self.snd_una}
             self.cc.on_loss(now)
-            self._sanitize_cc()
+            if san is not None:
+                self._sanitize_cc(san)
             if self.obs is not None:
                 self.obs.emit(now, obsrec.TCP_RECOVERY, self.flow_id,
                               enter=True, point=self.recovery_point)
             if self._obs_cwnd is not None:
                 self._emit_cwnd(now)
-            self._retransmit_holes()
+            self._retransmit_holes(now)
         elif self.in_recovery:
             # Each further SACK frees pipe; fill more holes if possible.
-            self._retransmit_holes()
+            self._retransmit_holes(now)
 
     # ------------------------------------------------------------------
     # scoreboard
@@ -361,25 +371,25 @@ class TcpSender:
         if (seq - floor) % self.mss:
             self._retx_cursor = seq
 
-    def _retransmit_holes(self) -> None:
+    def _retransmit_holes(self, now: float) -> None:
         """Retransmit scoreboard holes while the window allows."""
         starts, ends = self.scoreboard.starts, self.scoreboard.ends
         if not starts:
             # Nothing SACKed yet: the segment at snd_una is the presumed loss.
             self._fill_hole(self.snd_una, min(self.snd_una + self.mss,
-                                              self.total_bytes))
+                                              self.total_bytes), now)
             return
         seq = max(self._retx_cursor, self.snd_una)
         k = bisect_right(starts, seq)
         if k and ends[k - 1] > seq:
             seq = ends[k - 1]
         for k in range(k, len(starts)):
-            if not self._fill_hole(seq, starts[k]):
+            if not self._fill_hole(seq, starts[k], now):
                 return
             seq = ends[k]
         self._retx_cursor = seq
 
-    def _fill_hole(self, seq: int, hole_end: int) -> bool:
+    def _fill_hole(self, seq: int, hole_end: int, now: float) -> bool:
         """Retransmit the not-yet-retransmitted segments of ``[seq,
         hole_end)``; False (cursor parked there) when the window stops it."""
         marked = self._retx_marked
@@ -392,31 +402,27 @@ class TcpSender:
                     break
                 marked.add(seq)
                 self._retx_outstanding += size
-                self._send_segment(seq, size, retransmit=True)
-                self._arm_rto()
+                self._send_segment(seq, size, True)
+                self._arm_rto(now)
             seq += size
         else:
             return True
         self._retx_cursor = seq
         return False
 
-    def _sanitize_scoreboard(self) -> None:
+    def _sanitize_scoreboard(self, san) -> None:
         """Feed the runtime sanitizer the scoreboard invariants."""
-        san = self.sim.sanitizer
-        if san is not None:
-            board = self.scoreboard
-            san.check_intervals(self.flow_id, "SACK scoreboard", board.starts,
-                                board.ends, board.total, self.snd_una)
-            san.check_retx_cursor(
-                self.flow_id, self._retx_cursor,
-                max(self.snd_una, board.ends[-1] if board.ends else 0))
+        board = self.scoreboard
+        san.check_intervals(self.flow_id, "SACK scoreboard", board.starts,
+                            board.ends, board.total, self.snd_una)
+        san.check_retx_cursor(
+            self.flow_id, self._retx_cursor,
+            max(self.snd_una, board.ends[-1] if board.ends else 0))
 
-    def _sanitize_cc(self) -> None:
+    def _sanitize_cc(self, san) -> None:
         """Feed the runtime sanitizer the post-event CC invariants."""
-        san = self.sim.sanitizer
-        if san is not None:
-            san.check_cwnd(self.flow_id, self.cc.cwnd, self.mss)
-            san.check_pacing_rate(self.flow_id, self.cc.pacing_rate)
+        san.check_cwnd(self.flow_id, self.cc.cwnd, self.mss)
+        san.check_pacing_rate(self.flow_id, self.cc.pacing_rate)
 
     def _emit_cwnd(self, now: float) -> None:
         """Report the post-event congestion state (callers check the gate)."""
@@ -432,43 +438,56 @@ class TcpSender:
         made by the congestion control outside of ACK processing)."""
         self._maybe_send()
 
-    def _maybe_send(self) -> None:
+    def _maybe_send(self, now: Optional[float] = None) -> None:
+        """Send while the window and the pacer allow.  Nothing in here
+        calls into the congestion control, so its window and rate are read
+        once and the pipe (``bytes_in_flight``) is a local kept per send."""
         if self.completed or not self.handshake_done:
             return
-        rate = self.cc.pacing_rate
-        self.pacer.set_rate(rate)
-        if self._obs_pacing is not None and rate != self._traced_pacing_rate:
-            self._traced_pacing_rate = rate
-            # None (pure ACK clocking) is encoded as rate 0.0
-            self._obs_pacing.emit(self.sim.now, obsrec.TCP_PACING,
-                                  self.flow_id,
-                                  rate=rate if rate is not None else 0.0)
-        while self.snd_nxt < self.total_bytes:
+        if now is None:
+            now = self.sim.now
+        cc = self.cc
+        pacer = self.pacer
+        rate = cc.pacing_rate
+        if rate != pacer.rate:
+            pacer.set_rate(rate)
+            if self._obs_pacing is not None:
+                # None (pure ACK clocking) is encoded as rate 0.0
+                self._obs_pacing.emit(now, obsrec.TCP_PACING, self.flow_id,
+                                      rate=rate if rate is not None else 0.0)
+        nxt = self.snd_nxt
+        total = self.total_bytes
+        mss = self.mss
+        window = min(cc.cwnd, self.rwnd)
+        board = self.scoreboard
+        # Kept unfloored (the floor at zero is not additive) and floored
+        # where it is compared, as bytes_in_flight reads it.
+        pipe = nxt - self.snd_una - board.total + self._retx_outstanding
+        while nxt < total:
             # Skip sequence space the receiver already holds (possible
             # after an RTO rolled snd_nxt back).
-            if self._skip_sacked():
+            if board.starts and self._skip_sacked():
+                pipe += self.snd_nxt - nxt
+                nxt = self.snd_nxt
                 continue
-            seg = min(self.mss, self.total_bytes - self.snd_nxt)
-            window = min(self.cc.cwnd, self.rwnd)
-            if self.bytes_in_flight + seg > window:
+            seg = min(mss, total - nxt)
+            if (pipe if pipe > 0 else 0) + seg > window:
                 break
-            now = self.sim.now
-            if not self.pacer.can_send(now):
-                self._schedule_pacer_wake(self.pacer.next_send_time(now))
+            if rate is not None and not pacer.can_send(now):
+                self._schedule_pacer_wake(pacer.next_send_time(now))
                 break
-            is_retx = self.snd_nxt < self.max_sent_seq
-            self._send_segment(self.snd_nxt, seg, retransmit=is_retx)
-            self.snd_nxt += seg
-            self.max_sent_seq = max(self.max_sent_seq, self.snd_nxt)
-            self.pacer.note_sent(now, seg)
-        if self.bytes_in_flight > 0 and (self._rto_handle is None
-                                         or not self.sim.event_pending(self._rto_handle)):
-            self._arm_rto()
+            self._send_segment(nxt, seg, nxt < self.max_sent_seq)
+            nxt += seg
+            pipe += seg
+            self.snd_nxt = nxt
+            if nxt > self.max_sent_seq:
+                self.max_sent_seq = nxt
+            pacer.note_sent(now, seg)
+        if self._rto_handle is None and self.bytes_in_flight > 0:
+            self._arm_rto(now)  # RFC 6298 (5.1)
 
     def _skip_sacked(self) -> bool:
         """Advance snd_nxt over fully-SACKed space; True when it moved."""
-        if not self.scoreboard.starts:
-            return False
         hit = self.scoreboard.containing(self.snd_nxt)
         if hit is None:
             return False
@@ -516,32 +535,58 @@ class TcpSender:
     # ------------------------------------------------------------------
     # timers
     # ------------------------------------------------------------------
-    def _arm_rto(self) -> None:
-        if self._rto_handle is not None:
-            self.sim.cancel_event(self._rto_handle)
-        timeout = min(self.rtt.rto * self._rto_backoff, 120.0)
-        self._rto_handle = self.sim.schedule(timeout, self._on_rto)
+    # The RTO is a deadline, not an engine event per ACK.  Arming stores
+    # ``now + timeout`` -- the float ``schedule(timeout, ...)`` would
+    # compute -- and schedules a record only when none is pending or the
+    # deadline moved *earlier* than it (an RTT sample shrank the RTO).  A
+    # record due early re-schedules itself at the deadline; one due at it
+    # expires in that event, so tcp.rto and the resend share one eid.
+    def _arm_rto(self, now: float) -> None:
+        """(Re)start the timer: one backed-off RTO from ``now``."""
+        self._rto_deadline = deadline = now + min(
+            self.rtt.rto * self._rto_backoff, MAX_RTO_TIMEOUT)
+        if self._tracing:
+            # tcp.rto cites this arming, not the pending record's scheduler
+            self._rto_origin = self.sim._sched_origin
+        handle = self._rto_handle
+        if handle is None or deadline < event_time(handle):
+            if handle is not None:
+                self.sim.cancel_event(handle)
+            self._rto_handle = self.sim.schedule_at(deadline, self._on_rto)
 
     def _stop_rto(self) -> None:
         if self._rto_handle is not None:
             self.sim.cancel_event(self._rto_handle)
+            self._rto_handle = self._rto_deadline = None
 
     def _on_rto(self) -> None:
+        """The timer's engine record came due."""
         if self.completed:
             return
+        sim = self.sim
+        now = sim.now
+        if now < self._rto_deadline:
+            # ACKs since have pushed the deadline out: sleep on to it.
+            self._rto_handle = sim.schedule_at(self._rto_deadline,
+                                               self._on_rto)
+            return
+        self._rto_handle = self._rto_deadline = None
+        if self._tracing:
+            sim._sched_origin = self._rto_origin
         self.rto_count += 1
         self._rto_backoff = min(self._rto_backoff * 2, MAX_RTO_BACKOFF)
         if not self.handshake_done:
             # Handshake packet lost: resend the SYN.
             syn = Packet(flow_id=self.flow_id, src=self.host.name,
                          dst=self.peer, kind=PacketKind.SYN,
-                         sent_time=self.sim.now)
+                         sent_time=now)
             self.host.transmit(syn)
-            self._arm_rto()
+            self._arm_rto(now)
             return
-        now = self.sim.now
+        san = sim.sanitizer
         self.cc.on_rto(now)
-        self._sanitize_cc()
+        if san is not None:
+            self._sanitize_cc(san)
         if self.obs is not None:
             self.obs.emit(now, obsrec.TCP_RTO, self.flow_id,
                           backoff=self._rto_backoff)
@@ -558,9 +603,10 @@ class TcpSender:
         self.snd_nxt = self.snd_una
         self._rate_records.clear()
         self.pacer.reset()
-        self._arm_rto()
-        self._maybe_send()
-        self._sanitize_scoreboard()
+        self._arm_rto(now)
+        self._maybe_send(now)
+        if san is not None:
+            self._sanitize_scoreboard(san)
 
     # ------------------------------------------------------------------
     def _complete(self, now: float) -> None:

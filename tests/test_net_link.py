@@ -13,6 +13,7 @@ from repro.net import (
     SteppedBandwidth,
 )
 from repro.sim import Simulator
+from repro.sim.engine import event_eid
 
 
 class Sink:
@@ -306,7 +307,7 @@ class TestEventBudget:
                                  flow_id=1, size_bytes=2_000_000, cc=cc)
         sim.run(until=600.0)
         assert transfer.completed
-        return sim.events_processed / transfer.sender.data_packets_sent
+        return sim, transfer.sender.data_packets_sent
 
     def test_clean_download_budget(self):
         # 3 hops out + 3 hops back = 6 arrivals per data packet, plus the
@@ -317,7 +318,22 @@ class TestEventBudget:
         # own pacing ticks — 7.55.  Two-event links: 12.0 / 12.4.  One
         # reintroduced per-hop event is at least + 1.0.
         for cc in ("cubic", "cubic+suss"):
-            assert self._download(cc) <= 7.6, cc
+            sim, packets = self._download(cc)
+            assert sim.events_processed / packets <= 7.6, cc
+
+    def test_clean_download_scheduling_budget(self):
+        # What is *scheduled* is what the heap holds and the loop pops,
+        # fired or not: the eid of a probe scheduled after the run, minus
+        # the probe.  With the RTO a deadline, nothing on the clean path
+        # schedules a record that never fires -- 7.51 / 7.55 per data
+        # packet, 2 left unfired (the SYN's timer, stopped by the SYN-ACK,
+        # and the last one, stopped at completion).  A timer record per
+        # ACK is + 1.0 and ~1 380 unfired.
+        for cc in ("cubic", "cubic+suss"):
+            sim, packets = self._download(cc)
+            scheduled = event_eid(sim.schedule(0.0, lambda: None)) - 1
+            assert scheduled / packets <= 7.6, cc
+            assert scheduled - sim.events_processed <= 4, cc
 
     def test_a_backlogged_link_pays_two_events_per_packet(self):
         # Every packet but the first waits, so every one but the last

@@ -11,6 +11,11 @@ from repro.obs.causal import (
     render_explanation,
 )
 from repro.obs.records import TraceRecord
+from repro.obs.sinks import MemorySink
+from repro.obs.tracer import tracing
+
+from tests.helpers import MSS, make_transfer
+from tests.test_integration_loss_patterns import IndexedLoss
 
 
 def rec(t, kind, flow=1, eid=0, peid=0, **fields):
@@ -196,3 +201,56 @@ class TestGoldenCausality:
         text = render_explanation(info)
         assert "seq=17376" in text.split("caused by")[1]
 
+
+
+# ----------------------------------------------------------------------
+# the RTO timer carries the origin of whoever armed it last
+# ----------------------------------------------------------------------
+def rto_parents(records):
+    """``(tcp.rto record, records of its parent event)`` pairs."""
+    index = CausalIndex(records)
+    return [(r, index.records_of(r.parent_eid))
+            for r in records if r.kind == "tcp.rto"]
+
+
+def assert_rtos_cite_their_arming(records):
+    """The timer's engine record is scheduled once and then slept on, so
+    the event that scheduled it is usually not the one that armed the
+    timer last.  A ``tcp.rto`` record must still be caused by the arming
+    event -- one that took this flow's ACK or sent one of its segments --
+    never by a bare timer hop (which emits nothing and so could not even
+    be named) or by the stale scheduler of the record."""
+    pairs = rto_parents(records)
+    for rto, parent in pairs:
+        assert any(r.flow == rto.flow and (
+            r.kind == "pkt.send"
+            or (r.kind == "pkt.recv" and r.fields["ptype"] == "ACK"))
+            for r in parent), (rto.to_line(), [r.to_line() for r in parent])
+    return pairs
+
+
+class TestRtoProvenance:
+    @pytest.mark.parametrize("name", sorted(goldens.RECOVERY_RUNS))
+    def test_recovery_runs(self, name):
+        assert_rtos_cite_their_arming(goldens.capture_records(name))
+
+    @pytest.mark.parametrize("cc", goldens.RECOVERY_CCS)
+    @pytest.mark.parametrize("lost", (1, 3, 10))
+    def test_tail_loss(self, cc, lost):
+        """The last segments vanish: the final ACKs each re-arm the timer
+        and the last of them is the one the RTO must cite, ~one RTO of
+        silence and at least one early timer fire later."""
+        segments = 300
+        sink = MemorySink()
+        bench = make_transfer(cc=cc, size=segments * MSS, buffer_bdp=3.0,
+                              obs=tracing(sink))
+        # the forward bottleneck carries the SYN, then the segments
+        bench.net.bottleneck_fwd.loss = IndexedLoss(
+            range(segments - lost + 1, segments + 1))
+        bench.run()
+        assert bench.transfer.completed
+        (rto, parent), = assert_rtos_cite_their_arming(sink.records)
+        last_ack = max(r.time for r in sink.records
+                       if r.kind == "pkt.recv" and r.time < rto.time
+                       and r.fields["host"] == "server0")
+        assert {r.time for r in parent} == {last_ack}
