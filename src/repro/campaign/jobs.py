@@ -228,7 +228,10 @@ def _wall_clock_limit(seconds: Optional[float]) -> Iterator[None]:
         raise TimeoutError(f"job exceeded wall-clock timeout of {seconds}s")
 
     previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    # Repeating: CPython drops an exception raised while it runs a GC
+    # callback, __del__ or weakref callback (reported as unraisable), and a
+    # single-shot alarm swallowed there would leave the job with no limit.
+    signal.setitimer(signal.ITIMER_REAL, seconds, 0.05)
     try:
         yield
     finally:

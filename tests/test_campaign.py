@@ -181,6 +181,32 @@ class TestFaultTolerance:
         assert not results[0].ok
         assert "timeout" in results[0].error.lower()
 
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnraisableExceptionWarning")  # the point
+    def test_a_swallowed_alarm_fires_again(self):
+        """CPython reports an exception raised inside ``__del__`` (or a GC
+        or weakref callback) as unraisable and drops it; an alarm that
+        lands there must not leave the job running with no limit."""
+        import time
+        from repro.campaign.jobs import _wall_clock_limit
+
+        def spin(seconds):
+            end = time.perf_counter() + seconds
+            while time.perf_counter() < end:
+                pass
+
+        class SlowToDie:
+            def __del__(self):
+                spin(0.05)  # the 10 ms alarm lands in here
+
+        started = time.perf_counter()
+        with pytest.raises(TimeoutError):
+            with _wall_clock_limit(0.01):
+                victim = SlowToDie()
+                del victim
+                spin(1.0)
+        assert time.perf_counter() - started < 0.5
+
 
 class TestDeterminism:
     def test_results_in_spec_order_at_any_jobs_level(self):
