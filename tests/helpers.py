@@ -136,10 +136,12 @@ class FixedWindow(CongestionControl):
         self.rto_times.append(now)
 
 
-def bare_sender(total: int, cwnd: int, mss: int = 1000, cls=TcpSender):
+def bare_sender(total: int, cwnd: int, mss: int = 1000, cls=TcpSender,
+                handshake: bool = True):
     """A sender past its handshake, wired to nothing: the test plays the
     receiver by handing ACKs to ``on_packet``.  Returns
-    ``(sim, sender, wire)``; the first window is already on the wire.
+    ``(sim, sender, wire)``; the first window is already on the wire
+    (``handshake=False`` stops after the SYN, at t = 0).
     No sanitizer: hand-made ACKs may report what no receiver would (a
     SACK block the next cumulative ACK lands inside)."""
     sim = Simulator(sanitizer=None)
@@ -148,10 +150,15 @@ def bare_sender(total: int, cwnd: int, mss: int = 1000, cls=TcpSender):
     sender = cls(sim, host, peer="client", flow_id=1, total_bytes=total,
                  cc=FixedWindow(cwnd), mss=mss)
     sender.start()
-    sim.run(until=0.01)
-    sender.on_packet(Packet(flow_id=1, src="client", dst="server",
-                            kind=PacketKind.SYNACK))
+    if handshake:
+        sim.run(until=0.01)
+        sender.on_packet(synack())
     return sim, sender, wire
+
+
+def synack() -> Packet:
+    return Packet(flow_id=1, src="client", dst="server",
+                  kind=PacketKind.SYNACK)
 
 
 def ack(ack_seq: int, *sack, ts_echo: Optional[float] = None) -> Packet:
