@@ -320,7 +320,7 @@ def test_bare_sender_on_arbitrary_acks(acks, mss, cwnd_segments, total):
     assert_same_steps(acks, mss, cwnd_segments, total)
 
 
-def test_a_shrinking_rto_moves_the_deadline_before_the_pending_record():
+def test_a_shrinking_rto_replaces_the_pending_record():
     """One 2 s RTT sample puts the deadline ~2.3 s out; the 0.26 s samples
     that follow pull it earlier than the engine record the shipped timer
     holds, which must then be replaced, not slept on: both timers fire at

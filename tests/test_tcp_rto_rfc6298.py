@@ -40,13 +40,14 @@ def rule(table, section):
 # section 2: the estimator
 # ----------------------------------------------------------------------
 @rule(ESTIMATOR_RULES, "2.1")
-def initial_rto_is_one_second():
+def initial_rto_1s():
     """Deviation: the RFC says 3 s; RFC 8961 and Linux moved to 1 s."""
     assert RttEstimator().rto == RTO_INITIAL == 1.0
 
 
 @rule(ESTIMATOR_RULES, "2.2")
-def first_sample_sets_srtt_and_half_of_it_as_rttvar():
+def first_sample():
+    """SRTT = R, RTTVAR = R / 2."""
     est = RttEstimator()
     est.update(0.3)
     assert (est.srtt, est.rttvar) == (0.3, 0.15)
@@ -54,7 +55,8 @@ def first_sample_sets_srtt_and_half_of_it_as_rttvar():
 
 
 @rule(ESTIMATOR_RULES, "2.3")
-def rttvar_is_updated_before_srtt_with_beta_then_alpha():
+def rttvar_then_srtt():
+    """RTTVAR (beta = 1/4) is updated before SRTT (alpha = 1/8); K = 4."""
     assert (RttEstimator.ALPHA, RttEstimator.BETA, RttEstimator.K) == (
         1 / 8, 1 / 4, 4)
     est = RttEstimator()
@@ -67,7 +69,7 @@ def rttvar_is_updated_before_srtt_with_beta_then_alpha():
 
 
 @rule(ESTIMATOR_RULES, "2.4")
-def the_floor_is_200ms_on_the_variance_term():
+def floor_200ms_on_variance():
     """Deviation: the RFC rounds the whole RTO up to 1 s.  Ours is the
     kernel's: stable samples must not pull the RTO to one RTT (it would
     fire in slow start's natural ACK silence), nor hold it at a second."""
@@ -80,7 +82,8 @@ def the_floor_is_200ms_on_the_variance_term():
 
 
 @rule(ESTIMATOR_RULES, "2.5")
-def the_cap_is_at_least_sixty_seconds():
+def cap_60s():
+    """The cap on the RTO, and the ceiling on the backed-off timeout, are >= 60 s."""
     assert RTO_MAX >= 60.0 and MAX_RTO_TIMEOUT >= 60.0
     est = RttEstimator()
     est.update(500.0)
@@ -115,13 +118,14 @@ def connected(cls, total=10_000):
 
 
 @rule(TIMER_RULES, "2.1")
-def the_syn_is_timed_with_the_initial_rto(cls):
+def syn_uses_initial_rto(cls):
+    """The SYN is timed with the initial RTO."""
     sim, sender, wire = bare_sender(10_000, 3000, cls=cls, handshake=False)
     assert rto_deadline(sender) == RTO_INITIAL
 
 
 @rule(TIMER_RULES, "3")
-def an_ack_without_an_echo_yields_no_sample(cls):
+def karn_no_echo_no_sample(cls):
     """Karn: the receiver echoes no timestamp for a retransmitted segment
     (``test_tcp_receiver.py::test_retransmit_not_echoed``), and the sender
     takes no sample from such an ACK."""
@@ -133,14 +137,16 @@ def an_ack_without_an_echo_yields_no_sample(cls):
 
 
 @rule(TIMER_RULES, "5.1")
-def a_send_starts_the_timer_when_it_is_not_running(cls):
+def send_starts_idle_timer(cls):
+    """A send starts the timer when it is not running."""
     sim, sender, wire = connected(cls)
     assert len(wire.data) == 3
     assert rto_deadline(sender) == sim.now + sender.rtt.rto
 
 
 @rule(TIMER_RULES, "5.1")
-def a_send_leaves_a_running_timer_alone(cls):
+def send_keeps_running_timer(cls):
+    """... and leaves a running timer alone."""
     sim, sender, wire = connected(cls)
     deadline = rto_deadline(sender)
     sim.run(until=0.05)
@@ -151,7 +157,8 @@ def a_send_leaves_a_running_timer_alone(cls):
 
 
 @rule(TIMER_RULES, "5.2")
-def the_timer_is_off_when_nothing_is_outstanding(cls):
+def off_when_nothing_outstanding(cls):
+    """All outstanding data acknowledged: the timer is off."""
     sim, sender, wire = connected(cls, total=3000)
     sender.finished_writing = False  # a stream the application holds open
     sim.run(until=0.02)
@@ -166,7 +173,8 @@ def the_timer_is_off_when_nothing_is_outstanding(cls):
 
 
 @rule(TIMER_RULES, "5.3")
-def an_ack_of_new_data_restarts_the_timer_one_rto_from_now(cls):
+def new_ack_restarts(cls):
+    """An ACK of new data restarts the timer to now + RTO."""
     sim, sender, wire = connected(cls)
     sim.run(until=0.06)
     sender.on_packet(ack(1000))
@@ -177,7 +185,8 @@ def an_ack_of_new_data_restarts_the_timer_one_rto_from_now(cls):
 
 
 @rule(TIMER_RULES, "5.4-5.6")
-def expiry_resends_the_earliest_segment_doubles_the_rto_and_restarts(cls):
+def expiry_resends_doubles_restarts(cls):
+    """Expiry resends the earliest segment, doubles the RTO, restarts."""
     sim, sender, wire = connected(cls)
     deadline, rto = rto_deadline(sender), sender.rtt.rto
     sim.run(until=deadline)
@@ -188,7 +197,8 @@ def expiry_resends_the_earliest_segment_doubles_the_rto_and_restarts(cls):
 
 
 @rule(TIMER_RULES, "5.5")
-def the_back_off_stops_at_its_cap(cls):
+def backoff_cap(cls):
+    """The back-off stops at MAX_RTO_BACKOFF."""
     sim, sender, wire = connected(cls)
     rto = sender.rtt.rto
     sim.run(until=200.0)
@@ -200,7 +210,8 @@ def the_back_off_stops_at_its_cap(cls):
 
 
 @rule(TIMER_RULES, "5.5")
-def the_backed_off_timeout_stops_at_its_ceiling(cls):
+def timeout_ceiling(cls):
+    """The backed-off timeout stops at MAX_RTO_TIMEOUT."""
     sim, sender, wire = connected(cls)
     sim.run(until=0.02)
     sender.on_packet(ack(1000, ts_echo=sim.now - 50.0))
@@ -214,7 +225,7 @@ def the_backed_off_timeout_stops_at_its_ceiling(cls):
 
 
 @rule(TIMER_RULES, "5.7")
-def a_lost_syn_is_resent_and_data_starts_with_an_rto_of_three_seconds(cls):
+def syn_loss(cls):
     """The resent SYN doubles the timer; the SYN-ACK clears the back-off,
     and the RTO data starts with is >= 3 s because the handshake sample
     spans the lost SYN (1 s + RTT, so SRTT + 4 * SRTT / 2 >= 3 s)."""
@@ -231,7 +242,7 @@ def a_lost_syn_is_resent_and_data_starts_with_an_rto_of_three_seconds(cls):
 
 
 @rule(TIMER_RULES, "5")
-def the_next_new_ack_clears_the_back_off(cls):
+def new_ack_clears_backoff(cls):
     """The section's closing note: a new measurement collapses the
     back-off; as in the kernel, the next ACK of new data does."""
     sim, sender, wire = connected(cls)
@@ -243,7 +254,8 @@ def the_next_new_ack_clears_the_back_off(cls):
     assert rto_deadline(sender) == sim.now + sender.rtt.rto
 
 
-@pytest.mark.parametrize("cls", (TcpSender, ReferenceSender))
+@pytest.mark.parametrize("cls", (pytest.param(TcpSender, id="shipped"),
+                                 pytest.param(ReferenceSender, id="oracle")))
 @pytest.mark.parametrize("check", TIMER_RULES)
 def test_timer(check, cls):
     check(cls)
