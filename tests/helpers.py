@@ -178,5 +178,5 @@ def rto_deadline(sender: TcpSender) -> Optional[float]:
     handle = sender._rto_handle
     if handle is None or not sender.sim.event_pending(handle):
         return None
-    deadline = getattr(sender, "_rto_deadline", None)
+    deadline = sender._rto_deadline  # the reference never sets it
     return event_time(handle) if deadline is None else deadline

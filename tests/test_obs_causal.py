@@ -206,21 +206,17 @@ class TestGoldenCausality:
 # ----------------------------------------------------------------------
 # the RTO timer carries the origin of whoever armed it last
 # ----------------------------------------------------------------------
-def rto_parents(records):
-    """``(tcp.rto record, records of its parent event)`` pairs."""
-    index = CausalIndex(records)
-    return [(r, index.records_of(r.parent_eid))
-            for r in records if r.kind == "tcp.rto"]
-
-
 def assert_rtos_cite_their_arming(records):
     """The timer's engine record is scheduled once and then slept on, so
     the event that scheduled it is usually not the one that armed the
     timer last.  A ``tcp.rto`` record must still be caused by the arming
     event -- one that took this flow's ACK or sent one of its segments --
     never by a bare timer hop (which emits nothing and so could not even
-    be named) or by the stale scheduler of the record."""
-    pairs = rto_parents(records)
+    be named) or by the stale scheduler of the record.  Returns the
+    ``(tcp.rto record, records of its parent event)`` pairs."""
+    index = CausalIndex(records)
+    pairs = [(r, index.records_of(r.parent_eid))
+             for r in records if r.kind == "tcp.rto"]
     for rto, parent in pairs:
         assert any(r.flow == rto.flow and (
             r.kind == "pkt.send"

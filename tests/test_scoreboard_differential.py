@@ -122,16 +122,10 @@ SCHEMES = ("reno", "cubic", "bbr", "cubic+suss", "bbr+suss",
 TAIL = 400  # segments in the tail-loss transfers
 
 
-def _path(**kwargs):
-    def run(obs, cc):
-        bench = make_transfer(cc=cc, obs=obs, **kwargs)
-        return bench.sim, bench.transfer
-    return run
-
-
-def _dropping(drops, **kwargs):
-    """The forward bottleneck carries the SYN (index 0), then segment
-    ``i`` as index ``i + 1`` until something is retransmitted."""
+def _path(drops=(), **kwargs):
+    """A dumbbell transfer that loses the packets numbered ``drops``: the
+    forward bottleneck carries the SYN (index 0), then segment ``i`` as
+    index ``i + 1`` until something is retransmitted."""
     def run(obs, cc):
         bench = make_transfer(cc=cc, obs=obs, **kwargs)
         bench.net.bottleneck_fwd.loss = IndexedLoss(drops)
@@ -176,11 +170,11 @@ SITUATIONS = {
     "overshoot-0.2bdp": _path(size=1200 * MSS, rate=2_500_000, rtt=0.05,
                               buffer_bdp=0.2),
     "netem-2pct": _netem_loss,
-    "tail-3": _dropping(range(TAIL - 2, TAIL + 1), size=TAIL * MSS,
-                        buffer_bdp=3.0),
-    "tail-10": _dropping(range(TAIL - 9, TAIL + 1), size=TAIL * MSS,
-                         buffer_bdp=3.0),
-    "syn-loss": _dropping({0}, size=200 * MSS, buffer_bdp=3.0),
+    "tail-3": _path(range(TAIL - 2, TAIL + 1), size=TAIL * MSS,
+                    buffer_bdp=3.0),
+    "tail-10": _path(range(TAIL - 9, TAIL + 1), size=TAIL * MSS,
+                     buffer_bdp=3.0),
+    "syn-loss": _path({0}, size=200 * MSS, buffer_bdp=3.0),
     "ecn-codel": _ecn_codel,
     "idle-stream": _idle_stream,
 }
