@@ -8,7 +8,9 @@ a flat ``fields`` mapping of JSON-serialisable values.
 
 The record's canonical line encoding (:meth:`TraceRecord.to_line`) is
 the contract the golden-trace regression suite hashes: sorted keys, no
-whitespace, ``repr``-exact floats via :func:`json.dumps`.  Two runs of
+whitespace, ``repr``-exact floats — byte for byte :func:`json.dumps`
+of ``to_dict()`` with ``sort_keys`` and no ``nan``, from a formatter
+compiled once per record shape (DESIGN.md §7).  Two runs of
 the same seeded simulation must produce byte-identical line streams —
 anything wall-clock, platform, or ordering dependent is banned from
 ``fields``.
@@ -25,7 +27,8 @@ and safe to include in golden digests.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Mapping, Optional
+from json.encoder import encode_basestring_ascii as _encode_str
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 #: version of the canonical record encoding.  Bump whenever the reserved
 #: key set or their semantics change; the golden store records the
@@ -89,6 +92,70 @@ ALL_KINDS = frozenset({
 })
 
 
+# ----------------------------------------------------------------------
+# canonical encoding: one compiled formatter per record shape
+# ----------------------------------------------------------------------
+#: keys every line carries; a field may not take one of these names
+_RESERVED = ("t", "kind", "flow", "eid", "peid")
+
+#: ``line(record, *field_values)`` per ``(kind, *field names)``, built
+#: when a shape is first encoded (a whole download has eight).  The cap
+#: only stops a fuzzer's endless shapes growing the table; a full table
+#: is emptied, not frozen, so the shapes in use recompile just once.
+_SHAPES: Dict[Tuple[Any, ...], Callable[..., str]] = {}
+_SHAPE_CAP = 256
+
+_INF = float("inf")
+
+
+def _check_names(names: Iterable[Any]) -> None:
+    for name in names:
+        if name in _RESERVED:
+            raise ValueError(f"field name {name!r} is a reserved record key "
+                             f"(one of {', '.join(_RESERVED)})")
+
+
+def _encode(value: Any) -> str:
+    """One JSON value: by *exact* type through the functions ``json``
+    ends in (``repr`` is ``int.__repr__`` / ``float.__repr__`` there);
+    anything else — containers, enum members, subclasses, a non-finite
+    float and its ``ValueError`` — through ``json`` for that value."""
+    tp = type(value)
+    if tp is int:
+        return repr(value)
+    if tp is float:
+        if -_INF < value < _INF:  # false for nan too
+            return repr(value)
+    elif tp is str:
+        return _encode_str(value)
+    elif tp is bool:
+        return "true" if value else "false"
+    elif value is None:
+        return "null"
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
+def _compile_shape(kind: Any, names: Tuple[Any, ...]) -> Callable[..., str]:
+    """One shape's formatter: a ``%``-template of the sorted, escaped
+    ``"key":`` literals and the encoded ``kind``, applied to the encoded
+    values — fields positionally, in the insertion order the shape is
+    keyed by, so no name appears in generated code."""
+    _check_names(names)
+    source = {"t": "r.time", "flow": "r.flow", "eid": "r.eid",
+              "peid": "r.parent_eid"}
+    source.update((name, f"v{i}") for i, name in enumerate(names))
+    slots = dict.fromkeys(source, "%s")
+    slots["kind"] = _encode(kind).replace("%", "%%")
+    template = "{%s}" % ",".join(
+        _encode_str(key).replace("%", "%%") + ":" + slots[key]
+        for key in sorted(slots))
+    params = "".join(f", v{i}" for i in range(len(names)))
+    values = ", ".join(f"e({source[key]})" for key in sorted(source))
+    return eval(f"lambda r{params}: {template!r} % ({values},)",
+                {"e": _encode})
+
+
 class TraceRecord:
     """One structured trace event."""
 
@@ -106,6 +173,7 @@ class TraceRecord:
 
     def to_dict(self) -> Dict[str, Any]:
         """Flat dict form (reserved keys first; fields merged in)."""
+        _check_names(self.fields)
         out: Dict[str, Any] = {"t": self.time, "kind": self.kind,
                                "flow": self.flow, "eid": self.eid,
                                "peid": self.parent_eid}
@@ -114,8 +182,17 @@ class TraceRecord:
 
     def to_line(self) -> str:
         """Canonical single-line JSON encoding (the digest contract)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"), allow_nan=False)
+        shape = (self.kind, *self.fields)
+        line = _SHAPES.get(shape)
+        if line is None:
+            line = _compile_shape(self.kind, shape[1:])
+            # Only an exact ``str`` kind is keyed: 1, 1.0 and True are
+            # one dict key and three different encodings.
+            if type(self.kind) is str:
+                if len(_SHAPES) >= _SHAPE_CAP:
+                    _SHAPES.clear()
+                _SHAPES[shape] = line
+        return line(self, *self.fields.values())
 
     @classmethod
     def from_line(cls, line: str) -> "TraceRecord":

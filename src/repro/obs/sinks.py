@@ -132,15 +132,17 @@ class JsonlSink:
         self.lines = 0
 
     def _open(self) -> TextIO:
-        assert self._path is not None
+        if self._path is None:
+            raise ValueError("emit on a closed JsonlSink")
         self._stream = open(self._path, "w", encoding="utf-8")
         self._owns_stream = True
         return self._stream
 
     def emit(self, record: TraceRecord) -> None:
         stream = self._stream if self._stream is not None else self._open()
-        stream.write(record.to_line())
-        stream.write("\n")
+        # One write per record: simulators sharing a stream interleave
+        # whole lines, and what is pending sits in the file's own buffer.
+        stream.write(record.to_line() + "\n")
         self.lines += 1
 
     def close(self) -> None:
@@ -167,8 +169,7 @@ class DigestSink:
         self.records = 0
 
     def emit(self, record: TraceRecord) -> None:
-        self._hash.update(record.to_line().encode("utf-8"))
-        self._hash.update(b"\n")
+        self._hash.update((record.to_line() + "\n").encode("utf-8"))
         self.records += 1
 
     def close(self) -> None:

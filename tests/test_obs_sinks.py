@@ -7,7 +7,9 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.obs.records import ALL_KINDS, TraceRecord, parse_kinds
+from repro.obs.records import (ALL_KINDS, CAMPAIGN_SPAN, TraceRecord,
+                               parse_kinds)
+from repro.obs.runtime import RunTelemetry
 from repro.obs.sinks import (
     DigestSink,
     JsonlSink,
@@ -16,6 +18,7 @@ from repro.obs.sinks import (
     TeeSink,
     TraceSink,
 )
+from repro.obs.tracer import tracing
 
 
 def rec(i, kind="pkt.send", flow=1, **fields):
@@ -59,6 +62,34 @@ class TestTraceRecord:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             TraceRecord(0.0, "tcp.rtt", 1, {"rtt": float("nan")}).to_line()
+
+    @pytest.mark.parametrize("name", ["t", "kind", "flow", "eid", "peid"])
+    def test_reserved_field_names_rejected(self, name):
+        # Merged into the flat line, such a field would overwrite the
+        # record's own time or provenance: the line would lie and
+        # from_line(line) != record.
+        record = TraceRecord(1.5, "tcp.rtt", 1, {"rtt": 0.1, name: 99},
+                             eid=3, parent_eid=2)
+        with pytest.raises(ValueError, match=f"'{name}' is a reserved"):
+            record.to_line()
+        with pytest.raises(ValueError, match=f"'{name}' is a reserved"):
+            record.to_dict()
+        with pytest.raises(ValueError, match=f"'{name}' is a reserved"):
+            DigestSink().emit(record)
+
+    def test_campaign_span_roundtrips(self):
+        # The one record with a "kind" of its own to carry: it travels
+        # as job_kind, and the nested resources dict survives the line.
+        sink = MemorySink()
+        telemetry = RunTelemetry(obs=tracing(sink))
+        telemetry.record_span("ab" * 32, "flow", "google/wired", status="ok",
+                              cached=False, attempt=1, worker=7,
+                              queue_wait=0.25, exec_time=1.5,
+                              resources={"max_rss_kb": 30000, "cpu_s": 1.4})
+        (record,) = sink.by_kind(CAMPAIGN_SPAN)
+        assert record.fields["job_kind"] == "flow"
+        assert "kind" not in record.fields
+        assert TraceRecord.from_line(record.to_line()) == record
 
     def test_equality_ignores_nothing(self):
         a = rec(1, seq=0)
@@ -195,6 +226,15 @@ class TestJsonlSink:
         unused.close()
         assert (tmp_path / "empty.jsonl").read_text() == ""
         unused.close()  # idempotent
+
+    def test_emit_after_close_is_a_value_error(self, tmp_path):
+        sink = JsonlSink(str(tmp_path / "trace.jsonl"))
+        sink.emit(rec(1))
+        sink.close()
+        with pytest.raises(ValueError, match="emit on a closed JsonlSink"):
+            sink.emit(rec(2))
+        assert sink.lines == 1
+        assert (tmp_path / "trace.jsonl").read_text().count("\n") == 1
 
 
 class TestDigestSink:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import records as obsrec
 from repro.obs.golden import digest_lines
 from repro.obs.records import TraceRecord
 from repro.obs.sinks import DigestSink
@@ -98,6 +99,7 @@ def test_line_equals_the_oracle(record):
     # compiled shape does
     assert reordered(record).to_line() == line
     assert TraceRecord.from_line(line) == record
+    assert len(obsrec._SHAPES) <= obsrec._SHAPE_CAP
 
 
 @settings(max_examples=50, deadline=None)
@@ -168,3 +170,25 @@ def test_golden_lines_reencode_to_themselves(path):
     assert len(lines) > 100
     for line in lines:
         assert TraceRecord.from_line(line).to_line() == line
+
+
+# ----------------------------------------------------------------------
+# (d) shapes without end cannot grow the table without end
+# ----------------------------------------------------------------------
+def test_shape_table_stays_within_its_cap():
+    steady = TraceRecord(0.5, "cc.cwnd", 1, {"cwnd": 14480, "flight": 0})
+    for i in range(2 * obsrec._SHAPE_CAP + 10):
+        novel = TraceRecord(0.5, "pkt.send", 1, {f"field{i}": i})
+        assert novel.to_line() == reference_line(novel)
+        assert steady.to_line() == reference_line(steady)
+        assert len(obsrec._SHAPES) <= obsrec._SHAPE_CAP
+    # a shape in steady use is cached again after the table was emptied
+    assert ("cc.cwnd", "cwnd", "flight") in obsrec._SHAPES
+
+
+def test_only_exact_str_kinds_are_cached():
+    """1, 1.0 and True are one dict key and three encodings."""
+    for kind in (1, 1.0, True, Phase.SLOW_START):
+        record = TraceRecord(0.0, kind, 1, {"only_exact_str": 0})
+        assert record.to_line() == reference_line(record)
+    assert not any("only_exact_str" in shape for shape in obsrec._SHAPES)
