@@ -13,7 +13,9 @@ optionally carries a profiler.
 Environment activation (mirrors ``REPRO_SANITIZE``):
 
 ``REPRO_TRACE=jsonl:PATH``
-    stream canonical JSONL to ``PATH``;
+    stream canonical JSONL to ``PATH`` — one stream per process: the
+    first ``Simulator`` truncates the file, every later one appends to
+    the same open stream, whole lines in emission order;
 ``REPRO_TRACE=ring[:N]``
     keep the newest ``N`` (default 65536) records in memory;
 ``REPRO_TRACE=mem``
@@ -30,7 +32,7 @@ CSV output is not an environment mode — construct a
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set
+from typing import IO, Any, Callable, Dict, FrozenSet, List, Optional, Set
 
 from repro.obs import profile as _profile
 from repro.obs.records import TraceRecord, parse_kinds
@@ -171,13 +173,23 @@ def tracing(sink: TraceSink, kinds: Optional[FrozenSet[str]] = None,
     return Observability(tracer=Tracer(sink, kinds), profiler=profiler)
 
 
+#: the open ``REPRO_TRACE=jsonl:PATH`` streams of this process, by path
+_ambient_streams: Dict[str, IO[str]] = {}
+
+
 def _sink_from_spec(spec: str) -> TraceSink:
     mode, _, arg = spec.partition(":")
     mode = mode.strip().lower()
     if mode == "jsonl":
         if not arg:
             raise ValueError("REPRO_TRACE=jsonl:PATH needs a path")
-        return JsonlSink(arg)
+        # Every Simulator builds its own sink from the same spec; one
+        # that owned the path would truncate the previous one's trace.
+        # They borrow one stream (a sink's close() flushes, never closes).
+        stream = _ambient_streams.get(arg)
+        if stream is None:
+            stream = _ambient_streams[arg] = open(arg, "w", encoding="utf-8")
+        return JsonlSink(stream)
     if mode == "ring":
         return RingBufferSink(int(arg) if arg else 65536)
     if mode == "mem":

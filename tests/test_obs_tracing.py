@@ -3,7 +3,9 @@
 import pytest
 
 from tests.helpers import MSS, make_transfer
+from repro.net import build_path
 from repro.obs import records as obsrec
+from repro.obs import tracer as tracer_module
 from repro.obs.sinks import DigestSink, JsonlSink, MemorySink, RingBufferSink
 from repro.obs.tracer import (
     ENV_VAR,
@@ -15,6 +17,17 @@ from repro.obs.tracer import (
     tracing,
 )
 from repro.sim.engine import Simulator
+from repro.tcp import open_transfer
+
+
+@pytest.fixture(autouse=True)
+def _close_ambient_streams():
+    """``REPRO_TRACE=jsonl:PATH`` streams outlive their Simulators by
+    design; a test's must not outlive the test."""
+    yield
+    for stream in tracer_module._ambient_streams.values():
+        stream.close()
+    tracer_module._ambient_streams.clear()
 
 
 class TestTracer:
@@ -97,6 +110,70 @@ class TestFromEnv:
         assert isinstance(sim.obs.tracer.sink, MemorySink)
         # explicit opt-out beats the environment
         assert Simulator(sanitizer=None, obs=None).obs is None
+
+
+class TestAmbientJsonl:
+    """``REPRO_TRACE=jsonl:PATH`` is one stream per process and path:
+    every Simulator built under it lands in the same file."""
+
+    @pytest.fixture(autouse=True)
+    def ambient(self, monkeypatch, tmp_path):
+        self.path = tmp_path / "ambient.jsonl"
+        monkeypatch.setenv(ENV_VAR, f"jsonl:{self.path}")
+
+    @staticmethod
+    def _download(flow, size, obs=None):
+        sim = Simulator(sanitizer=None) if obs is None else Simulator(
+            sanitizer=None, obs=obs)
+        net = build_path(sim, 12_500_000, 0.05, 200_000)
+        transfer = open_transfer(sim, net.servers[0], net.clients[0],
+                                 flow_id=flow, size_bytes=size, cc="cubic")
+        return sim, transfer
+
+    def _expected(self, flow, size):
+        """The run's canonical lines, traced explicitly into memory."""
+        sink = MemorySink()
+        sim, transfer = self._download(flow, size, tracing(sink))
+        sim.run(until=60.0)
+        assert transfer.completed and len(sink) > 100
+        return [record.to_line() for record in sink.records]
+
+    def _lines_by_flow(self):
+        lines = self.path.read_text().splitlines()
+        flows = {}
+        for line in lines:
+            flows.setdefault(obsrec.TraceRecord.from_line(line).flow,
+                             []).append(line)
+        return lines, flows
+
+    def test_sequential_runs_share_one_file(self):
+        first, second = self._expected(1, 200_000), self._expected(2, 50_000)
+        for flow, size in ((1, 200_000), (2, 50_000)):
+            sim, transfer = self._download(flow, size)
+            sim.run(until=60.0)
+            assert transfer.completed
+            sim.obs.close()  # flushes the shared stream, never closes it
+        lines, flows = self._lines_by_flow()
+        # the second Simulator appended; it did not truncate the first run
+        assert lines == first + second
+        assert flows == {1: first, 2: second}
+
+    def test_interleaved_runs_write_whole_lines_in_order(self):
+        first, second = self._expected(1, 200_000), self._expected(2, 50_000)
+        (sim_a, done_a), (sim_b, done_b) = (self._download(1, 200_000),
+                                            self._download(2, 50_000))
+        assert sim_a.obs.tracer.sink is not sim_b.obs.tracer.sink
+        for step in range(1, 601):
+            sim_a.run(until=step * 0.01)
+            sim_b.run(until=step * 0.01)
+        assert done_a.completed and done_b.completed
+        sim_a.obs.close()
+        sim_b.obs.close()
+        lines, flows = self._lines_by_flow()
+        assert len(lines) == len(first) + len(second)
+        assert flows == {1: first, 2: second}
+        # genuinely interleaved, not one run after the other
+        assert lines != first + second
 
 
 # ----------------------------------------------------------------------
