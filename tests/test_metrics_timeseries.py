@@ -1,9 +1,12 @@
-"""Unit tests for the time-series container."""
+"""Unit tests for the time-series container and its CSV writers."""
+
+import csv
+import io
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics import TimeSeries
+from repro.metrics import TimeSeries, write_multi_timeseries, write_timeseries
 
 
 def series(pairs, name="s"):
@@ -93,3 +96,57 @@ class TestResample:
             if t <= probe:
                 expected = v
         assert ts.value_at(probe) == expected
+
+
+class TestCsv:
+    def test_timeseries_roundtrip(self):
+        ts = TimeSeries("cwnd")
+        ts.append(0.0, 1.0)
+        ts.append(1.0, 2.0)
+        out = io.StringIO()
+        write_timeseries(out, ts, value_label="cwnd")
+        lines = out.getvalue().strip().splitlines()
+        assert lines[0] == "time,cwnd"
+        assert len(lines) == 3
+
+    def test_multi_timeseries_grid(self):
+        a = TimeSeries("a")
+        b = TimeSeries("b")
+        a.append(0.0, 1.0)
+        a.append(1.0, 2.0)
+        b.append(0.5, 10.0)
+        out = io.StringIO()
+        write_multi_timeseries(out, {"a": a, "b": b}, interval=0.5)
+        lines = out.getvalue().strip().splitlines()
+        assert lines[0] == "time,a,b"
+        # grid: 0.0, 0.5, 1.0
+        assert len(lines) == 4
+
+    def test_multi_requires_series(self):
+        with pytest.raises(ValueError):
+            write_multi_timeseries(io.StringIO(), {}, 0.5)
+        a = TimeSeries()
+        a.append(0, 1)
+        with pytest.raises(ValueError):
+            write_multi_timeseries(io.StringIO(), {"a": a}, 0.0)
+
+
+class TestTimeseriesWriters:
+    def test_write_timeseries(self):
+        out = io.StringIO()
+        write_timeseries(out, series([(0.0, 1.0), (0.5, 2.0)]),
+                         value_label="cwnd")
+        rows = list(csv.reader(io.StringIO(out.getvalue())))
+        assert rows[0] == ["time", "cwnd"]
+        assert rows[1] == ["0.000000", "1.0"]
+
+    def test_write_multi_timeseries_grid(self):
+        out = io.StringIO()
+        write_multi_timeseries(out, {
+            "a": series([(0.0, 1.0), (1.0, 2.0)]),
+            "b": series([(0.5, 5.0)]),
+        }, interval=0.5)
+        rows = list(csv.reader(io.StringIO(out.getvalue())))
+        assert rows[0] == ["time", "a", "b"]
+        assert rows[1] == ["0.000000", "1.0", ""]  # b not yet started
+        assert rows[2][1:] == ["1.0", "5.0"]
