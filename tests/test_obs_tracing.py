@@ -6,6 +6,7 @@ from tests.helpers import MSS, make_transfer
 from repro.net import build_path
 from repro.obs import records as obsrec
 from repro.obs import tracer as tracer_module
+from repro.obs.golden import record_lines
 from repro.obs.sinks import DigestSink, JsonlSink, MemorySink, RingBufferSink
 from repro.obs.tracer import (
     ENV_VAR,
@@ -136,7 +137,7 @@ class TestAmbientJsonl:
         sim, transfer = self._download(flow, size, tracing(sink))
         sim.run(until=60.0)
         assert transfer.completed and len(sink) > 100
-        return [record.to_line() for record in sink.records]
+        return record_lines(sink.records)
 
     def _lines_by_flow(self):
         lines = self.path.read_text().splitlines()

@@ -10,22 +10,19 @@ can encode.
 """
 
 import enum
-import gzip
 import math
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import goldens
 from repro.obs import records as obsrec
-from repro.obs.golden import digest_lines
+from repro.obs.golden import digest_lines, load_stream
 from repro.obs.records import TraceRecord
 from repro.obs.sinks import DigestSink
 
 from tests.reference_records import reference_line
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
 
 RESERVED = ("t", "kind", "flow", "eid", "peid")
 
@@ -162,11 +159,9 @@ def test_non_finite_floats_raise_in_both(bad, where):
 # ----------------------------------------------------------------------
 # (c) every committed golden line re-encodes to itself
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "path", sorted(GOLDEN_DIR.glob("*.jsonl.gz")), ids=lambda p: p.name)
-def test_golden_lines_reencode_to_themselves(path):
-    with gzip.open(path, "rt", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+@pytest.mark.parametrize("name", sorted(goldens.GOLDEN_RUNS))
+def test_golden_lines_reencode_to_themselves(name):
+    lines = load_stream(goldens.DEFAULT_GOLDEN_DIR, name)
     assert len(lines) > 100
     for line in lines:
         assert TraceRecord.from_line(line).to_line() == line
