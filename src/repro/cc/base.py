@@ -2,17 +2,19 @@
 
 A :class:`CongestionControl` owns ``cwnd``/``ssthresh`` and optionally a
 pacing rate; the TCP sender (:mod:`repro.tcp.sender`) owns sequence state,
-loss detection, and timers, and feeds the CC per-ACK events.  Algorithms
-register themselves in a global registry so experiments can select them by
-name (``"cubic"``, ``"cubic+suss"``, ``"bbr"``, ...), the same way
-``net.ipv4.tcp_congestion_control`` selects a kernel module.
+loss detection, and timers, and feeds the CC per-ACK events.  Experiments
+select an algorithm by name (``"cubic"``, ``"cubic+suss"``, ``"bbr"``, ...)
+the way ``net.ipv4.tcp_congestion_control`` selects a kernel module, and
+like ``tcp_ca_find_autoload()`` :func:`create` loads the module that
+implements a built-in name the first time a flow asks for it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, TYPE_CHECKING
+from importlib import import_module
+from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tcp.sender import TcpSender
@@ -137,27 +139,59 @@ class CongestionControl(ABC):
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-CcFactory = Callable[[], CongestionControl]
+CcFactory = Callable[..., CongestionControl]
+
+#: The built-in algorithms: name -> (module, class, constructor arguments).
+#: The rows are data, so listing the names imports nothing and ``cc`` names
+#: the ``core`` modules without importing that layer (DESIGN.md §6).
+_BUILTIN: Dict[str, Tuple[str, str, Dict[str, Any]]] = {
+    "bbr": ("repro.cc.bbr", "Bbr", {}),
+    "bbr2": ("repro.cc.bbr2", "Bbr2", {}),
+    "bbr+suss": ("repro.core.suss_bbr", "SussBbr", {}),
+    "cubic": ("repro.cc.cubic", "Cubic", {}),
+    "cubic-nohystart": ("repro.cc.cubic", "Cubic", {"hystart_enabled": False}),
+    "cubic+hystartpp": ("repro.cc.hystart_pp", "HyStartPP", {}),
+    "cubic+suss": ("repro.core.suss", "SussCubic", {}),
+    "cubic+suss-k2": ("repro.core.suss", "SussCubic", {"k_max": 2}),
+    "cubic+suss-k3": ("repro.core.suss", "SussCubic", {"k_max": 3}),
+    "cubic-iw32": ("repro.cc.slowstart_variants", "LargeIwCubic",
+                   {"iw_segments": 32}),
+    "cubic-iw64": ("repro.cc.slowstart_variants", "LargeIwCubic",
+                   {"iw_segments": 64}),
+    "cubic-spread-iw32": ("repro.cc.slowstart_variants",
+                          "InitialSpreadingCubic", {"iw_segments": 32}),
+    "cubic-spread-iw64": ("repro.cc.slowstart_variants",
+                          "InitialSpreadingCubic", {"iw_segments": 64}),
+    "cubic-stateful": ("repro.cc.slowstart_variants", "StatefulCubic", {}),
+    "halfback": ("repro.cc.slowstart_variants", "Halfback", {}),
+    "jumpstart": ("repro.cc.slowstart_variants", "JumpStart", {}),
+    "reno": ("repro.cc.reno", "Reno", {}),
+}
+#: algorithms a caller added at run time through :func:`register`
 _REGISTRY: Dict[str, CcFactory] = {}
 
 
 def register(name: str, factory: CcFactory) -> None:
-    """Register a congestion-control factory under ``name``."""
+    """Register a caller's own congestion-control factory under ``name``."""
     key = name.lower()
-    if key in _REGISTRY:
+    if key in _BUILTIN or key in _REGISTRY:
         raise ValueError(f"congestion control {name!r} already registered")
     _REGISTRY[key] = factory
 
 
 def create(name: str, **kwargs) -> CongestionControl:
-    """Instantiate a registered congestion control by name."""
+    """Instantiate a congestion control by name, importing only the module
+    that implements it."""
     key = name.lower()
-    if key not in _REGISTRY:
+    if key in _REGISTRY:
+        return _REGISTRY[key](**kwargs)
+    if key not in _BUILTIN:
         raise KeyError(
-            f"unknown congestion control {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[key](**kwargs) if kwargs else _REGISTRY[key]()
+            f"unknown congestion control {name!r}; known: {available()}")
+    module, cls, arguments = _BUILTIN[key]
+    return getattr(import_module(module), cls)(**arguments, **kwargs)
 
 
-def available() -> list:
-    """Names of all registered congestion-control algorithms."""
-    return sorted(_REGISTRY)
+def available() -> List[str]:
+    """Names of all congestion-control algorithms, built-in and registered."""
+    return sorted([*_BUILTIN, *_REGISTRY])

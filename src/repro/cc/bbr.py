@@ -16,7 +16,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional
 
-from repro.cc.base import AckInfo, CongestionControl, register
+from repro.cc.base import AckInfo, CongestionControl
 from repro.cc.filters import windowed_max
 from repro.cc.reno import INFINITE_SSTHRESH
 
@@ -206,6 +206,3 @@ class Bbr(CongestionControl):
         # Conservative restart; cwnd is rebuilt ACK by ACK (see _set_rates).
         self._cwnd = float(self.mss)
         self._post_rto = True
-
-
-register("bbr", Bbr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cc.base import AckInfo, register
+from repro.cc.base import AckInfo
 from repro.cc.bbr import Bbr, BbrMode
 
 #: multiplicative inflight_hi back-off on loss (BBRv2 beta)
@@ -68,6 +68,3 @@ class Bbr2(Bbr):
                 and self.PROBE_GAINS[self.cycle_index] <= 1.0:
             bound *= HEADROOM
         self._cwnd = min(self._cwnd, max(bound, 4.0 * self.mss))
-
-
-register("bbr2", Bbr2)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cc.base import AckInfo, CongestionControl, register
+from repro.cc.base import AckInfo, CongestionControl
 from repro.cc.hystart import HyStart
 from repro.cc.reno import INFINITE_SSTHRESH
 from repro.obs import records as obsrec
@@ -138,7 +138,3 @@ class Cubic(CongestionControl):
         self._cwnd = float(self.mss)
         self._epoch_start = None
         self.hystart.reset()
-
-
-register("cubic", Cubic)
-register("cubic-nohystart", lambda: Cubic(hystart_enabled=False))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cc.base import AckInfo, register
+from repro.cc.base import AckInfo
 from repro.cc.cubic import Cubic
 
 #: RFC 9406 parameters
@@ -98,6 +98,3 @@ class HyStartPP(Cubic):
         super().on_rto(now)
         self.in_css = False
         self.css_round_count = 0
-
-
-register("cubic+hystartpp", HyStartPP)

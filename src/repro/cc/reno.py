@@ -7,7 +7,7 @@ ssthresh, multiplicative decrease helpers).
 
 from __future__ import annotations
 
-from repro.cc.base import AckInfo, CongestionControl, register
+from repro.cc.base import AckInfo, CongestionControl
 
 #: "Infinite" initial slow-start threshold.
 INFINITE_SSTHRESH = 1 << 62
@@ -51,6 +51,3 @@ class Reno(CongestionControl):
     def on_rto(self, now: float) -> None:
         self._ssthresh = max(self._cwnd / 2.0, 2.0 * self.mss)
         self._cwnd = float(self.mss)
-
-
-register("reno", Reno)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.cc.base import AckInfo, register
+from repro.cc.base import AckInfo
 from repro.cc.cubic import Cubic
 
 
@@ -221,12 +221,3 @@ class StatefulCubic(Cubic):
             old, n = prev
             self._history[self.sender.peer] = (
                 (old * n + estimate) / (n + 1), n + 1)
-
-
-register("cubic-iw32", lambda: LargeIwCubic(iw_segments=32))
-register("cubic-iw64", lambda: LargeIwCubic(iw_segments=64))
-register("cubic-spread-iw32", lambda: InitialSpreadingCubic(iw_segments=32))
-register("cubic-spread-iw64", lambda: InitialSpreadingCubic(iw_segments=64))
-register("jumpstart", JumpStart)
-register("halfback", Halfback)
-register("cubic-stateful", StatefulCubic)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.cc.base import AckInfo, register
+from repro.cc.base import AckInfo
 from repro.cc.cubic import Cubic
 from repro.core.growth import DEFAULT_K_MAX, estimate_ack_train, growth_factor
 from repro.core.hystart_mod import SussHyStart
@@ -297,8 +297,3 @@ class SussCubic(Cubic):
     def on_rto(self, now: Seconds) -> None:
         self._abort_pacing()
         super().on_rto(now)
-
-
-register("cubic+suss", SussCubic)
-register("cubic+suss-k2", lambda: SussCubic(k_max=2))
-register("cubic+suss-k3", lambda: SussCubic(k_max=3))

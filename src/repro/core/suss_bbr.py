@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.cc.base import AckInfo, register
+from repro.cc.base import AckInfo
 from repro.cc.bbr import STARTUP_GAIN, Bbr, BbrMode
 from repro.core.growth import DEFAULT_K_MAX, growth_factor
 from repro.obs import records as obsrec
@@ -115,6 +115,3 @@ class SussBbr(Bbr):
     def on_rto(self, now: float) -> None:
         self._boost = 1.0
         super().on_rto(now)
-
-
-register("bbr+suss", SussBbr)

@@ -322,6 +322,14 @@ CC_NAMES = [
     "cubic-stateful", "halfback", "jumpstart", "reno",
 ]
 
+def run_python(*argv):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 SUBCOMMANDS = [
     "list-scenarios", "list-cc", "run", "sweep", "experiment", "campaign",
     "topo", "flowsim", "trace", "analyze", "explain", "profile", "validate",
@@ -390,12 +398,28 @@ class TestCongestionControlRegistry:
         with pytest.raises(ValueError, match="'Cubic' already registered"):
             register("Cubic", Reno)
 
+    def test_every_row_names_the_module_its_class_lives_in(self):
+        from repro.cc import base
+
+        assert sorted(base._BUILTIN) == CC_NAMES
+        for name, (module, cls, _) in base._BUILTIN.items():
+            made = type(base.create(name))
+            assert (made.__module__, made.__name__) == (module, cls), name
+
+    def test_a_built_in_name_is_refused_before_its_module_loads(self):
+        proc = run_python("-c", """if True:
+            import sys
+            from repro.cc.base import register
+            try:
+                register("cubic", object)
+            except ValueError as exc:
+                print(exc)
+            print("repro.cc.cubic" in sys.modules)""")
+        assert proc.stdout.splitlines() == [
+            "congestion control 'cubic' already registered", "False"]
+
     def test_custom_cca_example_runs(self):
-        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "examples" / "custom_cca.py")],
-            env=env, capture_output=True, text=True, check=False)
-        assert proc.returncode == 0, proc.stderr
+        proc = run_python(str(REPO / "examples" / "custom_cca.py"))
         assert "gentle-aimd" in proc.stdout
 
 
