@@ -20,12 +20,12 @@ Quickstart::
                          size_bytes=2_000_000, cc="cubic+suss")
     sim.run(until=30.0)
     print(xfer.fct)
+
+Importing ``repro`` imports no subpackage; a subpackage's public names
+and the congestion controls (:func:`repro.cc.create`) load the module
+that defines them on first use.
 """
 
 __version__ = "1.0.0"
-
-# Importing the subpackages registers all congestion-control algorithms.
-from repro import cc as _cc  # noqa: F401
-from repro import core as _core  # noqa: F401
 
 __all__ = ["__version__"]

@@ -18,52 +18,30 @@ This package makes both enforceable:
 even :mod:`repro.sim` may depend on it without inverting the layer DAG.
 """
 
-from repro.analysis.findings import (
-    RULES,
-    Finding,
-    explain,
-    render_json,
-    render_text,
-)
-from repro.analysis.layering import (
-    DEFAULT_LAYER_DAG,
-    check_layering,
-    find_package_roots,
-)
-from repro.analysis.lint import applicable_rules, lint_paths, lint_source
-from repro.analysis.units import (
-    applicable_unit_rules,
-    check_units_paths,
-    check_units_source,
-    check_units_sources,
-)
-from repro.analysis.sanitize import (
-    ENV_VAR,
-    SanitizeError,
-    SimSanitizer,
-    from_env,
-    sanitize_enabled,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RULES",
-    "Finding",
-    "explain",
-    "render_json",
-    "render_text",
-    "DEFAULT_LAYER_DAG",
-    "check_layering",
-    "find_package_roots",
-    "applicable_rules",
-    "lint_paths",
-    "lint_source",
-    "applicable_unit_rules",
-    "check_units_paths",
-    "check_units_source",
-    "check_units_sources",
-    "ENV_VAR",
-    "SanitizeError",
-    "SimSanitizer",
-    "from_env",
-    "sanitize_enabled",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "RULES": "findings",
+    "Finding": "findings",
+    "explain": "findings",
+    "render_json": "findings",
+    "render_text": "findings",
+    "DEFAULT_LAYER_DAG": "layering",
+    "check_layering": "layering",
+    "find_package_roots": "layering",
+    "applicable_rules": "lint",
+    "lint_paths": "lint",
+    "lint_source": "lint",
+    "applicable_unit_rules": "units",
+    "check_units_paths": "units",
+    "check_units_source": "units",
+    "check_units_sources": "units",
+    "ENV_VAR": "sanitize",
+    "SanitizeError": "sanitize",
+    "SimSanitizer": "sanitize",
+    "from_env": "sanitize",
+    "sanitize_enabled": "sanitize",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -19,7 +19,9 @@ DAG:
   seam that lets campaign jobs execute experiment code.
 
 Top-level modules (``cli``, ``__main__``, the package ``__init__``) are
-composition roots and unrestricted.
+composition roots and unrestricted.  ``repro._lazy``, the stdlib-only
+helper through which every package ``__init__`` exports its names, is
+outside the layering (:data:`LAYERLESS_MODULES`).
 """
 
 from __future__ import annotations
@@ -91,6 +93,11 @@ DEFAULT_MODULE_EXCEPTIONS: Dict[str, Set[str]] = {
     "metrics": {"core.units"},
     "obs": {"core.units"},
 }
+
+#: Package plumbing outside the layering: the PEP 562 export helper every
+#: ``__init__`` binds.  Importing it is no edge; as a source it sits in no
+#: layer of the DAG, so any first-party import *it* made would be LAY001.
+LAYERLESS_MODULES = frozenset({"_lazy"})
 
 
 def _module_layer(module: str) -> str:
@@ -220,6 +227,8 @@ def check_layering(package_root: Path,
         visitor = _ImportVisitor(package, module)
         visitor.visit(tree)
         for edge in visitor.edges:
+            if edge.target in LAYERLESS_MODULES:
+                continue
             target_layer = _module_layer(edge.target)
             if target_layer == layer or target_layer in allowed:
                 continue

@@ -19,35 +19,24 @@ ETA, ``--stats-json``, ``status.json``, OpenMetrics and the run ledger
 are all reads of it (DESIGN.md §11).
 """
 
-from repro.campaign.jobs import JOB_KINDS, execute_job, register
-from repro.campaign.scheduler import (
-    CampaignResult,
-    collect_values,
-    run_campaign,
-)
-from repro.campaign.spec import (
-    JobSpec,
-    canonical_json,
-    fairness_job,
-    flowsim_sweep_job,
-    single_flow_job,
-    stability_job,
-)
-from repro.campaign.store import ResultStore, code_fingerprint
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JOB_KINDS",
-    "CampaignResult",
-    "JobSpec",
-    "ResultStore",
-    "canonical_json",
-    "code_fingerprint",
-    "collect_values",
-    "execute_job",
-    "fairness_job",
-    "flowsim_sweep_job",
-    "register",
-    "run_campaign",
-    "single_flow_job",
-    "stability_job",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "JOB_KINDS": "jobs",
+    "CampaignResult": "scheduler",
+    "JobSpec": "spec",
+    "ResultStore": "store",
+    "canonical_json": "spec",
+    "code_fingerprint": "store",
+    "collect_values": "scheduler",
+    "execute_job": "jobs",
+    "fairness_job": "spec",
+    "flowsim_sweep_job": "spec",
+    "register": "jobs",
+    "run_campaign": "scheduler",
+    "single_flow_job": "spec",
+    "stability_job": "spec",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,39 +1,28 @@
 """Congestion-control algorithms and their registry."""
 
-from repro.cc.base import AckInfo, CongestionControl, available, create, register
-from repro.cc.bbr import Bbr
-from repro.cc.bbr2 import Bbr2
-from repro.cc.cubic import Cubic
-from repro.cc.filters import WindowedFilter, windowed_max, windowed_min
-from repro.cc.hystart import HyStart
-from repro.cc.hystart_pp import HyStartPP
-from repro.cc.reno import Reno
-from repro.cc.slowstart_variants import (
-    Halfback,
-    InitialSpreadingCubic,
-    JumpStart,
-    LargeIwCubic,
-    StatefulCubic,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AckInfo",
-    "CongestionControl",
-    "available",
-    "create",
-    "register",
-    "Bbr",
-    "Bbr2",
-    "Cubic",
-    "HyStart",
-    "HyStartPP",
-    "Reno",
-    "WindowedFilter",
-    "windowed_max",
-    "windowed_min",
-    "Halfback",
-    "InitialSpreadingCubic",
-    "JumpStart",
-    "LargeIwCubic",
-    "StatefulCubic",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "AckInfo": "base",
+    "CongestionControl": "base",
+    "available": "base",
+    "create": "base",
+    "register": "base",
+    "Bbr": "bbr",
+    "Bbr2": "bbr2",
+    "Cubic": "cubic",
+    "HyStart": "hystart",
+    "HyStartPP": "hystart_pp",
+    "Reno": "reno",
+    "WindowedFilter": "filters",
+    "windowed_max": "filters",
+    "windowed_min": "filters",
+    "Halfback": "slowstart_variants",
+    "InitialSpreadingCubic": "slowstart_variants",
+    "JumpStart": "slowstart_variants",
+    "LargeIwCubic": "slowstart_variants",
+    "StatefulCubic": "slowstart_variants",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -8,34 +8,24 @@
 * :mod:`repro.core.suss` — the CUBIC+SUSS congestion control.
 """
 
-from repro.core.growth import (
-    ACK_TRAIN_FRACTION,
-    DEFAULT_K_MAX,
-    DELAY_FACTOR,
-    condition1,
-    condition2,
-    estimate_ack_train,
-    growth_factor,
-    predict_mo_rtt,
-)
-from repro.core.hystart_mod import SussHyStart
-from repro.core.pacing_plan import PacingPlan, lemma1_lower_bound, make_pacing_plan
-from repro.core.suss import SussCubic
-from repro.core.suss_bbr import SussBbr
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ACK_TRAIN_FRACTION",
-    "DELAY_FACTOR",
-    "DEFAULT_K_MAX",
-    "condition1",
-    "condition2",
-    "estimate_ack_train",
-    "growth_factor",
-    "predict_mo_rtt",
-    "SussHyStart",
-    "PacingPlan",
-    "make_pacing_plan",
-    "lemma1_lower_bound",
-    "SussCubic",
-    "SussBbr",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "ACK_TRAIN_FRACTION": "growth",
+    "DELAY_FACTOR": "growth",
+    "DEFAULT_K_MAX": "growth",
+    "condition1": "growth",
+    "condition2": "growth",
+    "estimate_ack_train": "growth",
+    "growth_factor": "growth",
+    "predict_mo_rtt": "growth",
+    "SussHyStart": "hystart_mod",
+    "PacingPlan": "pacing_plan",
+    "make_pacing_plan": "pacing_plan",
+    "lemma1_lower_bound": "pacing_plan",
+    "SussCubic": "suss",
+    "SussBbr": "suss_bbr",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -22,24 +22,18 @@ ablation_delack         Extension: delayed-ACK receiver
 ========  =====================================================
 """
 
-from repro.experiments.runner import (
-    FlowResult,
-    LocalRun,
-    fct_summary,
-    loss_rate_summary,
-    run_flow_campaign,
-    run_local_testbed,
-    run_single_flow,
-    sweep_summaries,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FlowResult",
-    "LocalRun",
-    "fct_summary",
-    "loss_rate_summary",
-    "run_flow_campaign",
-    "run_local_testbed",
-    "run_single_flow",
-    "sweep_summaries",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "FlowResult": "runner",
+    "LocalRun": "runner",
+    "fct_summary": "runner",
+    "loss_rate_summary": "runner",
+    "run_flow_campaign": "runner",
+    "run_local_testbed": "runner",
+    "run_single_flow": "runner",
+    "sweep_summaries": "runner",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

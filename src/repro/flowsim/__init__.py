@@ -16,36 +16,29 @@ million-flow SUSS studies (see DESIGN.md §9 "Fidelity tiers"):
   harness backing the golden tolerance suite.
 """
 
+from repro._lazy import lazy_exports
+
+# Eager for their side effect: each module registers its model in
+# ``repro.flowsim.model.MODELS``, which ``create_model`` /
+# ``available_models`` read, whichever ``repro.flowsim`` module a caller
+# imports first.
 from repro.flowsim import csa00 as _csa00          # noqa: F401 (registers)
 from repro.flowsim import suss_term as _suss_term  # noqa: F401 (registers)
-from repro.flowsim.driver import (
-    FleetResult,
-    SweepConfig,
-    SweepResult,
-    estimate_fleet,
-    poisson_arrivals,
-    run_sweep,
-    shard_seed,
-)
-from repro.flowsim.model import (
-    FlowEstimate,
-    FlowModel,
-    PathParams,
-    available_models,
-    create_model,
-)
 
-__all__ = [
-    "FleetResult",
-    "FlowEstimate",
-    "FlowModel",
-    "PathParams",
-    "SweepConfig",
-    "SweepResult",
-    "available_models",
-    "create_model",
-    "estimate_fleet",
-    "poisson_arrivals",
-    "run_sweep",
-    "shard_seed",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "FleetResult": "driver",
+    "FlowEstimate": "model",
+    "FlowModel": "model",
+    "PathParams": "model",
+    "SweepConfig": "driver",
+    "SweepResult": "driver",
+    "available_models": "model",
+    "create_model": "model",
+    "estimate_fleet": "driver",
+    "poisson_arrivals": "driver",
+    "run_sweep": "driver",
+    "shard_seed": "driver",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,29 +1,20 @@
 """Measurement and aggregation: flow series, fairness, summaries."""
 
-from repro.metrics.collector import FlowCollector, FlowTrace
-from repro.metrics.fairness import fairness_over_time, jain_index
-from repro.metrics.queuemon import QueueMonitor
-from repro.metrics.summary import (
-    Summary,
-    improvement,
-    summarize,
-)
-from repro.metrics.timeseries import (
-    TimeSeries,
-    write_multi_timeseries,
-    write_timeseries,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QueueMonitor",
-    "FlowCollector",
-    "FlowTrace",
-    "fairness_over_time",
-    "jain_index",
-    "Summary",
-    "improvement",
-    "summarize",
-    "TimeSeries",
-    "write_multi_timeseries",
-    "write_timeseries",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "QueueMonitor": "queuemon",
+    "FlowCollector": "collector",
+    "FlowTrace": "collector",
+    "fairness_over_time": "fairness",
+    "jain_index": "fairness",
+    "Summary": "summary",
+    "improvement": "summary",
+    "summarize": "summary",
+    "TimeSeries": "timeseries",
+    "write_multi_timeseries": "timeseries",
+    "write_timeseries": "timeseries",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

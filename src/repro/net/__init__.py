@@ -1,44 +1,29 @@
 """Network substrate: packets, queues, links, nodes, topologies, impairments."""
 
-from repro.net.link import Link
-from repro.net.netem import (
-    BandwidthProfile,
-    ConstantBandwidth,
-    JitterModel,
-    LossModel,
-    RandomWalkBandwidth,
-    SteppedBandwidth,
-)
-from repro.net.node import Host, Router
-from repro.net.packet import DEFAULT_MSS, HEADER_BYTES, Packet, PacketKind
-from repro.net.queue import CoDelQueue, DropTailQueue
-from repro.net.topology import (
-    BOTTLENECK_PROP_DELAY,
-    Dumbbell,
-    bdp_bytes,
-    build_dumbbell,
-    build_path,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Link",
-    "BandwidthProfile",
-    "ConstantBandwidth",
-    "SteppedBandwidth",
-    "RandomWalkBandwidth",
-    "JitterModel",
-    "LossModel",
-    "Host",
-    "Router",
-    "Packet",
-    "PacketKind",
-    "DEFAULT_MSS",
-    "HEADER_BYTES",
-    "DropTailQueue",
-    "CoDelQueue",
-    "Dumbbell",
-    "bdp_bytes",
-    "build_dumbbell",
-    "build_path",
-    "BOTTLENECK_PROP_DELAY",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "Link": "link",
+    "BandwidthProfile": "netem",
+    "ConstantBandwidth": "netem",
+    "SteppedBandwidth": "netem",
+    "RandomWalkBandwidth": "netem",
+    "JitterModel": "netem",
+    "LossModel": "netem",
+    "Host": "node",
+    "Router": "node",
+    "Packet": "packet",
+    "PacketKind": "packet",
+    "DEFAULT_MSS": "packet",
+    "HEADER_BYTES": "packet",
+    "DropTailQueue": "queue",
+    "CoDelQueue": "queue",
+    "Dumbbell": "topology",
+    "bdp_bytes": "topology",
+    "build_dumbbell": "topology",
+    "build_path": "topology",
+    "BOTTLENECK_PROP_DELAY": "topology",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -16,42 +16,27 @@ multi-bottleneck paths, routed multi-path meshes, and LFN/satellite
 profiles where slow-start dominates.
 """
 
-from repro.net.topogen.build import BuiltTopology, build_topology
-from repro.net.topogen.builders import (
-    SCENARIO_CLASSES,
-    TOPO_SCENARIOS,
-    get_topo_scenario,
-    lfn_satellite,
-    mesh_diamond,
-    multi_bottleneck,
-    parking_lot,
-    registered_specs,
-)
-from repro.net.topogen.routing import routing_table_json, spf_routes
-from repro.net.topogen.spec import (
-    CrossTrafficPlan,
-    FlowPath,
-    LinkSpec,
-    NodeSpec,
-    TopologySpec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BuiltTopology",
-    "CrossTrafficPlan",
-    "FlowPath",
-    "LinkSpec",
-    "NodeSpec",
-    "SCENARIO_CLASSES",
-    "TOPO_SCENARIOS",
-    "TopologySpec",
-    "build_topology",
-    "get_topo_scenario",
-    "lfn_satellite",
-    "mesh_diamond",
-    "multi_bottleneck",
-    "parking_lot",
-    "registered_specs",
-    "routing_table_json",
-    "spf_routes",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "BuiltTopology": "build",
+    "CrossTrafficPlan": "spec",
+    "FlowPath": "spec",
+    "LinkSpec": "spec",
+    "NodeSpec": "spec",
+    "SCENARIO_CLASSES": "builders",
+    "TOPO_SCENARIOS": "builders",
+    "TopologySpec": "spec",
+    "build_topology": "build",
+    "get_topo_scenario": "builders",
+    "lfn_satellite": "builders",
+    "mesh_diamond": "builders",
+    "multi_bottleneck": "builders",
+    "parking_lot": "builders",
+    "registered_specs": "builders",
+    "routing_table_json": "routing",
+    "spf_routes": "routing",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

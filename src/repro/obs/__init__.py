@@ -7,74 +7,46 @@ dependency.  See DESIGN.md §7 for the record schema, the sink protocol,
 and the overhead contract.
 """
 
-from repro.obs.golden import (
-    Divergence,
-    digest_lines,
-    first_divergence,
-    load_digests,
-    load_stream,
-    record_lines,
-    save_golden,
-    trace_digest,
-)
-from repro.obs.export import MetricsServer, render_openmetrics, render_top
-from repro.obs.ledger import RunLedger, build_ledger, load_ledger, write_ledger
-from repro.obs.profile import EventProfiler
-from repro.obs.records import ALL_KINDS, TraceRecord, parse_kinds
-from repro.obs.runtime import (
-    JobSpan,
-    RunTelemetry,
-    add_engine_events,
-    add_flows_modelled,
-    resource_delta,
-    sample_resources,
-)
-from repro.obs.sinks import (
-    CsvTraceSink,
-    DigestSink,
-    JsonlSink,
-    MemorySink,
-    RingBufferSink,
-    TeeSink,
-    TraceSink,
-)
-from repro.obs.tracer import Observability, Tracer, from_env, tracing
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ALL_KINDS",
-    "CsvTraceSink",
-    "DigestSink",
-    "Divergence",
-    "EventProfiler",
-    "JobSpan",
-    "JsonlSink",
-    "MemorySink",
-    "MetricsServer",
-    "Observability",
-    "RingBufferSink",
-    "RunLedger",
-    "RunTelemetry",
-    "TeeSink",
-    "TraceRecord",
-    "TraceSink",
-    "Tracer",
-    "add_engine_events",
-    "add_flows_modelled",
-    "build_ledger",
-    "digest_lines",
-    "first_divergence",
-    "from_env",
-    "load_digests",
-    "load_ledger",
-    "load_stream",
-    "parse_kinds",
-    "record_lines",
-    "render_openmetrics",
-    "render_top",
-    "resource_delta",
-    "sample_resources",
-    "save_golden",
-    "trace_digest",
-    "tracing",
-    "write_ledger",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "ALL_KINDS": "records",
+    "CsvTraceSink": "sinks",
+    "DigestSink": "sinks",
+    "Divergence": "golden",
+    "EventProfiler": "profile",
+    "JobSpan": "runtime",
+    "JsonlSink": "sinks",
+    "MemorySink": "sinks",
+    "MetricsServer": "export",
+    "Observability": "tracer",
+    "RingBufferSink": "sinks",
+    "RunLedger": "ledger",
+    "RunTelemetry": "runtime",
+    "TeeSink": "sinks",
+    "TraceRecord": "records",
+    "TraceSink": "sinks",
+    "Tracer": "tracer",
+    "add_engine_events": "runtime",
+    "add_flows_modelled": "runtime",
+    "build_ledger": "ledger",
+    "digest_lines": "golden",
+    "first_divergence": "golden",
+    "from_env": "tracer",
+    "load_digests": "golden",
+    "load_ledger": "ledger",
+    "load_stream": "golden",
+    "parse_kinds": "records",
+    "record_lines": "golden",
+    "render_openmetrics": "export",
+    "render_top": "export",
+    "resource_delta": "runtime",
+    "sample_resources": "runtime",
+    "save_golden": "golden",
+    "trace_digest": "golden",
+    "tracing": "tracer",
+    "write_ledger": "ledger",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -8,58 +8,33 @@ findings.  ``repro analyze`` and ``repro explain`` are the CLI front
 ends; campaign jobs can attach the JSON form to their results.
 """
 
-from repro.obs.analyze.anomalies import (
-    AnomalyDetector,
-    CwndCollapseDetector,
-    PacingStallDetector,
-    RtoSpikeDetector,
-    SussAbortDetector,
-    default_detectors,
-)
-from repro.obs.analyze.classify import (
-    ALL_CLASSES,
-    RetxClassification,
-    classify_retransmissions,
-    tally,
-)
-from repro.obs.analyze.findings import SEVERITIES, Finding
-from repro.obs.analyze.phases import (
-    ALL_PHASES,
-    PhaseSegment,
-    phase_at,
-    segment_phases,
-)
-from repro.obs.analyze.report import (
-    FlowReport,
-    TraceAnalysis,
-    analyze_records,
-    load_trace,
-    render_flow,
-)
-from repro.obs.analyze.timeline import FlowTimeline, build_timelines
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ALL_CLASSES",
-    "ALL_PHASES",
-    "SEVERITIES",
-    "AnomalyDetector",
-    "CwndCollapseDetector",
-    "Finding",
-    "FlowReport",
-    "FlowTimeline",
-    "PacingStallDetector",
-    "PhaseSegment",
-    "RetxClassification",
-    "RtoSpikeDetector",
-    "SussAbortDetector",
-    "TraceAnalysis",
-    "analyze_records",
-    "build_timelines",
-    "classify_retransmissions",
-    "default_detectors",
-    "load_trace",
-    "phase_at",
-    "render_flow",
-    "segment_phases",
-    "tally",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "ALL_CLASSES": "classify",
+    "ALL_PHASES": "phases",
+    "SEVERITIES": "findings",
+    "AnomalyDetector": "anomalies",
+    "CwndCollapseDetector": "anomalies",
+    "Finding": "findings",
+    "FlowReport": "report",
+    "FlowTimeline": "timeline",
+    "PacingStallDetector": "anomalies",
+    "PhaseSegment": "phases",
+    "RetxClassification": "classify",
+    "RtoSpikeDetector": "anomalies",
+    "SussAbortDetector": "anomalies",
+    "TraceAnalysis": "report",
+    "analyze_records": "report",
+    "build_timelines": "timeline",
+    "classify_retransmissions": "classify",
+    "default_detectors": "anomalies",
+    "load_trace": "report",
+    "phase_at": "phases",
+    "render_flow": "report",
+    "segment_phases": "phases",
+    "tally": "classify",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

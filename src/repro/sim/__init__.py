@@ -1,31 +1,22 @@
 """Discrete-event simulation core: event loop, timers, seeded RNG streams."""
 
-from repro.sim.engine import (
-    EventRef,
-    SimulationError,
-    Simulator,
-    event_cancelled,
-    event_eid,
-    event_fired,
-    event_origin_eid,
-    event_parent_eid,
-    event_time,
-)
-from repro.sim.process import Process, spawn
-from repro.sim.rng import RngRegistry, derive_seed
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EventRef",
-    "SimulationError",
-    "Simulator",
-    "event_cancelled",
-    "event_eid",
-    "event_fired",
-    "event_origin_eid",
-    "event_parent_eid",
-    "event_time",
-    "Process",
-    "spawn",
-    "RngRegistry",
-    "derive_seed",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "EventRef": "engine",
+    "SimulationError": "engine",
+    "Simulator": "engine",
+    "event_cancelled": "engine",
+    "event_eid": "engine",
+    "event_fired": "engine",
+    "event_origin_eid": "engine",
+    "event_parent_eid": "engine",
+    "event_time": "engine",
+    "Process": "process",
+    "spawn": "process",
+    "RngRegistry": "rng",
+    "derive_seed": "rng",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

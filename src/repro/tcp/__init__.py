@@ -1,21 +1,19 @@
 """Simulated TCP stack: sender, receiver, RTT estimation, pacing, wiring."""
 
-from repro.tcp.connection import Transfer, open_transfer
-from repro.tcp.pacer import Pacer
-from repro.tcp.receiver import TcpReceiver
-from repro.tcp.rtt import RttEstimator
-from repro.tcp.sender import DEFAULT_IW_SEGMENTS, DUPACK_THRESHOLD, TcpSender
-from repro.tcp.stream import StreamingSource, open_stream
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StreamingSource",
-    "open_stream",
-    "Transfer",
-    "open_transfer",
-    "Pacer",
-    "TcpReceiver",
-    "RttEstimator",
-    "TcpSender",
-    "DEFAULT_IW_SEGMENTS",
-    "DUPACK_THRESHOLD",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "StreamingSource": "stream",
+    "open_stream": "stream",
+    "Transfer": "connection",
+    "open_transfer": "connection",
+    "Pacer": "pacer",
+    "TcpReceiver": "receiver",
+    "RttEstimator": "rtt",
+    "TcpSender": "sender",
+    "DEFAULT_IW_SEGMENTS": "sender",
+    "DUPACK_THRESHOLD": "sender",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -23,48 +23,29 @@ Entry point: ``repro validate`` (see :mod:`repro.cli`), or
 :func:`run_validation` directly.
 """
 
-from repro.validate.baseline import (
-    BaselineStore,
-    detect_drift,
-    resolve_fingerprint,
-)
-from repro.validate.claims import (
-    CLAIMS,
-    MODES,
-    Claim,
-    get_claim,
-    iter_claims,
-    register_claim,
-)
-from repro.validate.driver import fold_claim, plan_jobs, run_validation
-from repro.validate.report import (
-    FAIL,
-    INCONCLUSIVE,
-    PASS,
-    ClaimVerdict,
-    ValidationReport,
-    load_report,
-    report_json,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BaselineStore",
-    "CLAIMS",
-    "Claim",
-    "ClaimVerdict",
-    "FAIL",
-    "INCONCLUSIVE",
-    "MODES",
-    "PASS",
-    "ValidationReport",
-    "detect_drift",
-    "fold_claim",
-    "get_claim",
-    "iter_claims",
-    "load_report",
-    "plan_jobs",
-    "register_claim",
-    "report_json",
-    "resolve_fingerprint",
-    "run_validation",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "BaselineStore": "baseline",
+    "CLAIMS": "claims",
+    "Claim": "claims",
+    "ClaimVerdict": "report",
+    "FAIL": "report",
+    "INCONCLUSIVE": "report",
+    "MODES": "claims",
+    "PASS": "report",
+    "ValidationReport": "report",
+    "detect_drift": "baseline",
+    "fold_claim": "driver",
+    "get_claim": "claims",
+    "iter_claims": "claims",
+    "load_report": "report",
+    "plan_jobs": "driver",
+    "register_claim": "claims",
+    "report_json": "report",
+    "resolve_fingerprint": "baseline",
+    "run_validation": "driver",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

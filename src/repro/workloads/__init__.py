@@ -1,47 +1,28 @@
 """Workloads: flow specs, launch helpers, and the paper's scenario catalogue."""
 
-from repro.workloads.crosstraffic import CrossTraffic
-from repro.workloads.flows import (
-    MB,
-    FlowSpec,
-    launch_flows,
-    stability_workload,
-    staggered_joiners,
-)
-from repro.workloads.scenarios import (
-    FIG9_SCENARIO,
-    FIG11_SCENARIOS,
-    FIG13_SCENARIO,
-    FIG14_SCENARIO,
-    INTERNET_SCENARIOS,
-    LINK_NAMES,
-    LINK_TYPES,
-    MBPS,
-    SERVER_NAMES,
-    SERVERS,
-    LocalTestbedConfig,
-    PathScenario,
-    get_scenario,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CrossTraffic",
-    "MB",
-    "FlowSpec",
-    "launch_flows",
-    "stability_workload",
-    "staggered_joiners",
-    "FIG9_SCENARIO",
-    "FIG11_SCENARIOS",
-    "FIG13_SCENARIO",
-    "FIG14_SCENARIO",
-    "INTERNET_SCENARIOS",
-    "LINK_NAMES",
-    "LINK_TYPES",
-    "MBPS",
-    "SERVER_NAMES",
-    "SERVERS",
-    "LocalTestbedConfig",
-    "PathScenario",
-    "get_scenario",
-]
+#: public name -> defining submodule, in ``__all__`` order
+_EXPORTS = {
+    "CrossTraffic": "crosstraffic",
+    "MB": "flows",
+    "FlowSpec": "flows",
+    "launch_flows": "flows",
+    "stability_workload": "flows",
+    "staggered_joiners": "flows",
+    "FIG9_SCENARIO": "scenarios",
+    "FIG11_SCENARIOS": "scenarios",
+    "FIG13_SCENARIO": "scenarios",
+    "FIG14_SCENARIO": "scenarios",
+    "INTERNET_SCENARIOS": "scenarios",
+    "LINK_NAMES": "scenarios",
+    "LINK_TYPES": "scenarios",
+    "MBPS": "scenarios",
+    "SERVER_NAMES": "scenarios",
+    "SERVERS": "scenarios",
+    "LocalTestbedConfig": "scenarios",
+    "PathScenario": "scenarios",
+    "get_scenario": "scenarios",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
