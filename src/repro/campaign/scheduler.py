@@ -19,11 +19,8 @@ contract:
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -162,6 +159,13 @@ def _run_inline(spec_list, pending, results, jobs, store, timeout, retries,
 
 def _run_pool(spec_list, pending, results, jobs, store, timeout, retries,
               telemetry) -> None:
+    # The pool machinery loads here: a run with no miss, or with
+    # ``jobs <= 1``, never gets this far.
+    import multiprocessing
+    from concurrent.futures import (FIRST_COMPLETED, Future,
+                                    ProcessPoolExecutor, wait)
+    from concurrent.futures.process import BrokenProcessPool
+
     if "fork" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("fork")
     else:  # pragma: no cover — non-POSIX fallback

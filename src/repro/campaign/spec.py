@@ -17,11 +17,13 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Union
 
 from repro.core.units import MILLIS_PER_SECOND, Bytes, PerSecond, Seconds
 from repro.workloads.scenarios import INTERNET_SCENARIOS, PathScenario
-from repro.workloads.topo import TopologySpec, resolve_topo
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.workloads.topo import TopologySpec
 
 
 def canonical_json(value: Any) -> str:
@@ -128,6 +130,9 @@ def topo_flow_job(scenario: Union[str, TopologySpec, Mapping[str, Any]],
     the default, runs them as declared) and is added to ``params`` only
     when non-default so unscaled job hashes stay stable.
     """
+    # topogen (and through it net / sim / tcp) loads only for a topo job
+    from repro.workloads.topo import resolve_topo
+
     spec = resolve_topo(scenario)
     params: Dict[str, Any] = {
         "topo": spec.canonical(),

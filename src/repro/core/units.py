@@ -18,7 +18,9 @@ raw ``rtt * 1000`` is flagged (UNIT004).
 
 This module is a dependency-free leaf: any layer (``sim``, ``net``,
 ``tcp``, ...) may import it, which the layering checker permits through
-an explicit ``core.units`` waiver (see DESIGN.md §6).
+an explicit ``core.units`` waiver (see DESIGN.md §6).  That is also why
+:func:`bdp_bytes` — arithmetic on a rate and a delay — is defined here:
+scenario data sizes buffers with it without importing :mod:`repro.net`.
 """
 
 from __future__ import annotations
@@ -58,9 +60,17 @@ MICROS_PER_SECOND = 1e6
 #: (:data:`repro.net.packet.DEFAULT_MSS` re-exports this value).
 MSS = 1448
 
+
+
+def bdp_bytes(rate_bytes_per_sec: BytesPerSec, rtt_seconds: Seconds) -> Bytes:
+    """Bandwidth-delay product in bytes (:data:`repro.net.bdp_bytes` is
+    this function)."""
+    return max(int(rate_bytes_per_sec * rtt_seconds), 2 * 1500)
+
+
 __all__ = [
     "Seconds", "Millis", "Bytes", "Bits", "Segments",
     "BytesPerSec", "BitsPerSec", "PerSecond",
     "MBPS", "BITS_PER_BYTE", "MB", "MBIT",
-    "MILLIS_PER_SECOND", "MICROS_PER_SECOND", "MSS",
+    "MILLIS_PER_SECOND", "MICROS_PER_SECOND", "MSS", "bdp_bytes",
 ]

@@ -15,10 +15,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.campaign.scheduler import collect_values, run_campaign
 from repro.campaign.spec import single_flow_job
 from repro.campaign.store import ResultStore
+from repro.core.units import MB, Seconds
 from repro.experiments.report import pct, render_table
 from repro.metrics.summary import Summary, improvement, summarize
 from repro.obs.runtime import RunTelemetry
-from repro.workloads.flows import MB
 from repro.workloads.scenarios import (
     INTERNET_SCENARIOS,
     LINK_NAMES,
@@ -59,7 +59,7 @@ def run_matrix(servers: Sequence[str] = tuple(SERVER_NAMES),
                iterations: int = 3, base_seed: int = 0,
                schemes: Sequence[str] = SCHEMES, *,
                jobs: int = 1, store: Optional[ResultStore] = None,
-               timeout: Optional[float] = None,
+               timeout: Optional[Seconds] = None,
                retries: int = 2,
                telemetry: Optional[RunTelemetry] = None
                ) -> List[ScenarioRow]:

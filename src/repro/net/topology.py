@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
-from repro.core.units import Bytes, BytesPerSec, Seconds
+from repro.core.units import Bytes, BytesPerSec, Seconds, bdp_bytes  # noqa: F401 (re-exported)
 from repro.net.link import Link
 from repro.net.netem import BandwidthProfile, ConstantBandwidth, JitterModel, LossModel
 from repro.net.node import Host, Router
@@ -28,11 +28,6 @@ from repro.sim.engine import Simulator
 
 #: Propagation delay of each bottleneck link direction (seconds).
 BOTTLENECK_PROP_DELAY: Seconds = 0.001
-
-
-def bdp_bytes(rate_bytes_per_sec: BytesPerSec, rtt_seconds: Seconds) -> Bytes:
-    """Bandwidth-delay product in bytes."""
-    return max(int(rate_bytes_per_sec * rtt_seconds), 2 * 1500)
 
 
 @dataclass

@@ -16,24 +16,25 @@ links" (Section 6.3).
 
 **Local testbed**: five client-server pairs over two routers in a dumbbell
 with a 50 Mbps netem-shaped bottleneck (Figs. 2, 15, 16, Table 1).
+
+The catalogue is data: importing this module loads neither the engine nor
+the network substrate, so specs can be built, hashed and looked up in a
+result store without them.  ``build()`` / ``bandwidth_profile()`` import
+``repro.net`` and ``repro.sim`` when a scenario is instantiated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.units import MBPS, Bytes, BytesPerSec, Seconds
-from repro.net.netem import (
-    BandwidthProfile,
-    ConstantBandwidth,
-    JitterModel,
-    LossModel,
-    RandomWalkBandwidth,
-)
-from repro.net.topology import Dumbbell, bdp_bytes, build_dumbbell, build_path
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
+from repro.core.units import MBPS, Bytes, BytesPerSec, Seconds, bdp_bytes
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.netem import BandwidthProfile
+    from repro.net.topology import Dumbbell
+    from repro.sim.engine import Simulator
+    from repro.sim.rng import RngRegistry
 
 #: Client location per last-hop link type (paper Fig. 18).
 CLIENT_LOCATION = {"5g": "sweden", "wired": "sweden",
@@ -98,6 +99,9 @@ class PathScenario:
 
     def bandwidth_profile(self, rng: Optional[RngRegistry] = None
                           ) -> BandwidthProfile:
+        from repro.net.netem import ConstantBandwidth, RandomWalkBandwidth
+        from repro.sim.rng import RngRegistry
+
         if self.bw_variation <= 0:
             return ConstantBandwidth(self.btl_bw)
         stream = (rng or RngRegistry(0)).stream(f"bw:{self.name}")
@@ -107,6 +111,10 @@ class PathScenario:
     def build(self, sim: Simulator, rng: Optional[RngRegistry] = None
               ) -> Dumbbell:
         """Instantiate this scenario's network in ``sim``."""
+        from repro.net.netem import JitterModel, LossModel
+        from repro.net.topology import build_path
+        from repro.sim.rng import RngRegistry
+
         rng = rng or RngRegistry(0)
         jitter = (JitterModel(self.jitter, rng.stream(f"jitter:{self.name}"))
                   if self.jitter > 0 else None)
@@ -193,6 +201,10 @@ class LocalTestbedConfig:
 
     def build(self, sim: Simulator, rng: Optional[RngRegistry] = None
               ) -> Dumbbell:
+        from repro.net.netem import JitterModel
+        from repro.net.topology import build_dumbbell
+        from repro.sim.rng import RngRegistry
+
         rng = rng or RngRegistry(0)
         jitter = (JitterModel(self.jitter, rng.stream("jitter:local"))
                   if self.jitter > 0 else None)
