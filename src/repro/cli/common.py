@@ -1,0 +1,118 @@
+"""What the subcommand modules share: argument types, the cache /
+observer flags, and opening and closing a run."""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from typing import List, Optional
+
+from repro.workloads.scenarios import INTERNET_SCENARIOS
+
+
+def no_arguments(parser: argparse.ArgumentParser) -> None:
+    """``add_arguments`` of a subcommand that takes none."""
+
+
+def scenario(name: str):
+    if name not in INTERNET_SCENARIOS:
+        known = ", ".join(sorted(INTERNET_SCENARIOS))
+        raise SystemExit(f"unknown scenario {name!r}; known: {known}")
+    return INTERNET_SCENARIOS[name]
+
+
+# -- argparse ``type=`` callables: a bad value is a usage error (exit 2) --
+def cc_name(text: str) -> str:
+    """A congestion-control name :func:`repro.cc.create` will accept."""
+    from repro.cc.base import available
+
+    if text.lower() not in available():
+        raise argparse.ArgumentTypeError(
+            f"unknown congestion control {text!r}; "
+            f"known: {', '.join(available())}")
+    return text
+
+
+def cc_names(text: str) -> List[str]:
+    return [cc_name(name) for name in text.split(",")]
+
+
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
+def sizes(text: str) -> List[int]:
+    """Comma-separated flow sizes in bytes."""
+    return [positive_int(size) for size in text.split(",")]
+
+
+def add_campaign_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (1 = run inline)")
+    parser.add_argument("--cache-dir", default=None,
+                        help="cache results on disk; re-runs only compute "
+                             "misses")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress per-job progress on stderr")
+
+
+def open_run(args: argparse.Namespace,
+             tool: str = "campaign") -> argparse.Namespace:
+    """Runner kwargs from the shared flags: ``--jobs``, the ``--cache-dir``
+    store, and the run's one observer — narrating to stderr unless
+    ``--quiet``, keeping ``status.json`` current under ``--ledger-dir``
+    (for ``repro top``), scraped at ``--metrics-port``.  Pair with
+    :func:`close_run`."""
+    from repro.campaign.store import ResultStore
+    from repro.obs.runtime import RunTelemetry
+
+    store = None
+    if getattr(args, "cache_dir", None) and not getattr(args, "no_cache",
+                                                         False):
+        store = ResultStore(args.cache_dir)
+    status_path = None
+    if getattr(args, "ledger_dir", None):
+        os.makedirs(args.ledger_dir, exist_ok=True)
+        status_path = os.path.join(args.ledger_dir, "status.json")
+    telemetry = RunTelemetry(
+        tool=tool, status_path=status_path, min_interval=0.5,
+        stream=None if getattr(args, "quiet", False) else sys.stderr)
+    server = None
+    if getattr(args, "metrics_port", None) is not None:
+        from repro.obs.export import MetricsServer, render_openmetrics
+        server = MetricsServer(
+            lambda: render_openmetrics(telemetry.snapshot()),
+            port=args.metrics_port)
+        server.start()
+        print(f"serving OpenMetrics at {server.url}", file=sys.stderr)
+    return argparse.Namespace(
+        telemetry=telemetry, server=server,
+        kwargs={"jobs": args.jobs, "store": store, "telemetry": telemetry})
+
+
+def close_run(args: argparse.Namespace, run: argparse.Namespace, *,
+              mode: Optional[str] = None, fingerprint: str = "",
+              base_seed: int = 0, summary: Optional[dict] = None) -> None:
+    """Stop the scrape endpoint; for a run that completed (``mode`` given)
+    under ``--ledger-dir``, write the run ledger + execution sidecar."""
+    if run.server is not None:
+        run.server.close()
+    if mode is None or not getattr(args, "ledger_dir", None):
+        return
+    from repro.obs.ledger import build_ledger, write_ledger
+
+    telemetry = run.telemetry
+    ledger = build_ledger(telemetry.tool, mode, fingerprint, base_seed,
+                          telemetry.jobs, telemetry.values, summary=summary)
+    path = write_ledger(ledger, args.ledger_dir,
+                        execution=telemetry.execution_record())
+    print(f"run ledger: {path} (id {ledger.ledger_id[:16]})",
+          file=sys.stderr)

@@ -69,6 +69,60 @@ class TestSweep:
         assert "SUSS improvement" not in capsys.readouterr().out
 
 
+class TestUsageErrors:
+    """A bad ``--cc`` / ``--ccs`` / ``--sizes`` / ``--iterations`` is the
+    parser's error — exit status 2, before anything runs."""
+
+    FLOW = ["--scenario", "google-tokyo/wired", "--size", "100000"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", *FLOW, "--cc", "nosuchcc"],
+        ["sweep", "--scenario", "google-tokyo/wired", "--sizes", "100000",
+         "--iterations", "1", "--ccs", "cubic,nosuchcc"],
+        ["topo", "run", "--scenario", "parking-lot-3", "--cc", "nosuchcc"],
+        ["trace", *FLOW, "--cc", "nosuchcc"],
+        ["profile", "single", *FLOW, "--cc", "nosuchcc"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_congestion_control(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown congestion control 'nosuchcc'; known: " in err
+        assert "cubic+suss-k2" in err
+
+    def test_unknown_cc_schedules_no_campaign_job(self, tmp_path, capsys):
+        """Not three failed attempts per job and a half-filled store."""
+        cache, stats = tmp_path / "cache", tmp_path / "stats.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--servers", "google-tokyo", "--links", "wired",
+                  "--sizes", "100000", "--ccs", "cubic,nosuchcc",
+                  "--iterations", "1", "--quiet",
+                  "--cache-dir", str(cache), "--stats-json", str(stats)])
+        assert exc.value.code == 2
+        assert "repro campaign: error: argument --ccs: unknown congestion " \
+               "control 'nosuchcc'" in capsys.readouterr().err
+        assert not cache.exists() and not stats.exists()
+
+    def test_cc_names_are_case_insensitive_like_create(self, capsys):
+        assert main(["run", *self.FLOW, "--cc", "CUBIC"]) == 0
+        assert "cc:              CUBIC" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["campaign", "sweep"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--sizes", "abc"), ("--sizes", "100000,"), ("--sizes", "0"),
+        ("--iterations", "0"), ("--iterations", "-1")])
+    def test_bad_sizes_and_iterations(self, command, flag, value, capsys):
+        argv = [command, flag, value]
+        if command == "sweep":
+            argv += ["--scenario", "google-tokyo/wired"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"repro {command}: error: argument {flag}: expected a " \
+               f"positive integer" in capsys.readouterr().err
+
+
 class TestCampaign:
     ARGS = ["campaign", "--servers", "google-tokyo", "--links", "wired",
             "--sizes", "400000", "--ccs", "cubic,cubic+suss",
