@@ -1,0 +1,45 @@
+"""What a cached ``repro campaign`` may not import, by module name.
+
+One predicate, two users: ``tests/test_import_budget.py`` applies it to
+``sys.modules`` after a warm run, CI's ``campaign-smoke`` to the names in
+a ``python -X importtime`` log.  Stdlib only, so the CI step needs no
+test dependency.  Names and counts, never time.
+"""
+
+from __future__ import annotations
+
+import re
+from typing import Iterable, List
+
+#: the executing tier, package by package (DESIGN.md §6)
+FORBIDDEN_PACKAGES = ("repro.sim", "repro.net", "repro.tcp", "repro.flowsim",
+                      "repro.analysis", "repro.validate")
+#: a package whose ``__init__`` and one declarative module are allowed
+ALLOWED_IN = {"repro.cc": "repro.cc.base", "repro.core": "repro.core.units"}
+FORBIDDEN_MODULES = frozenset({
+    "repro.experiments.runner", "repro.metrics.collector",
+    "repro.obs.export", "http.server", "ssl", "multiprocessing",
+    "concurrent.futures.process"})
+
+#: at most this many modules, and this many of them ``repro.*``, per warm run
+MAX_MODULES = 140
+MAX_REPRO_MODULES = 25
+
+
+def forbidden(modules: Iterable[str]) -> List[str]:
+    """The names among ``modules`` a warm campaign must not have loaded."""
+    bad = []
+    for name in modules:
+        package = name.rpartition(".")[0]
+        if (name in FORBIDDEN_MODULES
+                or any(name == p or name.startswith(p + ".")
+                       for p in FORBIDDEN_PACKAGES)
+                or ALLOWED_IN.get(package, name) != name):
+            bad.append(name)
+    return sorted(bad)
+
+
+def importtime_modules(log: str) -> List[str]:
+    """Module names in a ``-X importtime`` log (stderr of the run)."""
+    return re.findall(r"^import time:\s+\d+ \|\s+\d+ \| +([\w.]+)$", log,
+                      re.MULTILINE)
