@@ -9,12 +9,12 @@ import os
 import sys
 
 from repro.cli.common import (
-    cc_names,
+    cc_name,
     close_run,
+    comma_separated,
     open_run,
     positive_int,
     scenario,
-    sizes,
 )
 from repro.workloads.scenarios import LINK_NAMES, SERVER_NAMES
 
@@ -29,9 +29,9 @@ def add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cross-load", type=float, default=1.0,
                         help="scale each topo spec's declared cross-traffic "
                              "load (with --topo; 0 disables)")
-    parser.add_argument("--sizes", type=sizes,
+    parser.add_argument("--sizes", type=comma_separated(positive_int),
                         default="1000000,2000000,4000000")
-    parser.add_argument("--ccs", type=cc_names,
+    parser.add_argument("--ccs", type=comma_separated(cc_name),
                         default="bbr,cubic+suss,cubic")
     parser.add_argument("--iterations", type=positive_int, default=3)
     parser.add_argument("--seed", type=int, default=0)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Optional
 
 from repro.workloads.scenarios import INTERNET_SCENARIOS
 
@@ -34,24 +34,16 @@ def cc_name(text: str) -> str:
     return text
 
 
-def cc_names(text: str) -> List[str]:
-    return [cc_name(name) for name in text.split(",")]
-
-
 def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
+    if not (text.isdecimal() and int(text) >= 1):
         raise argparse.ArgumentTypeError(
             f"expected a positive integer, got {text!r}")
-    return value
+    return int(text)
 
 
-def sizes(text: str) -> List[int]:
-    """Comma-separated flow sizes in bytes."""
-    return [positive_int(size) for size in text.split(",")]
+def comma_separated(item: Callable[[str], Any]) -> Callable[[str], list]:
+    """``type=`` for a comma-separated list whose parts ``item`` parses."""
+    return lambda text: [item(part) for part in text.split(",")]
 
 
 def add_campaign_flags(parser: argparse.ArgumentParser) -> None:

@@ -10,12 +10,11 @@ from typing import List
 from repro.cli.common import (
     add_campaign_flags,
     cc_name,
-    cc_names,
+    comma_separated,
     no_arguments,
     open_run,
     positive_int,
     scenario,
-    sizes,
 )
 from repro.core.units import BITS_PER_BYTE, MB, MBIT, MBPS, MILLIS_PER_SECOND
 from repro.experiments.report import pct, render_table
@@ -87,8 +86,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True)
-    parser.add_argument("--ccs", type=cc_names, default="cubic,cubic+suss")
-    parser.add_argument("--sizes", type=sizes,
+    parser.add_argument("--ccs", type=comma_separated(cc_name),
+                        default="cubic,cubic+suss")
+    parser.add_argument("--sizes", type=comma_separated(positive_int),
                         default="1000000,2000000,4000000")
     parser.add_argument("--iterations", type=positive_int, default=3)
     parser.add_argument("--seed", type=int, default=0)

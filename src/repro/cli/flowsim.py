@@ -11,6 +11,7 @@ import sys
 from repro.cli.common import scenario
 from repro.core.units import MBPS
 from repro.experiments.report import pct, render_table
+from repro.flowsim.model import PathParams, available_models, create_model
 
 #: default location of the committed cross-validation golden report.
 FLOWSIM_GOLDEN = os.path.join("tests", "golden", "flowsim_crossval.json")
@@ -60,8 +61,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _flowsim_path(args: argparse.Namespace):
     """Resolve --scenario / --rtt / --bw / --loss into PathParams."""
-    from repro.flowsim.model import PathParams
-
     if args.scenario:
         return PathParams.from_scenario(scenario(args.scenario),
                                         delayed_ack=args.delayed_ack)
@@ -71,8 +70,6 @@ def _flowsim_path(args: argparse.Namespace):
 
 def run(args: argparse.Namespace) -> int:
     """The analytical fidelity tier: model query, fleet sweep, crossval."""
-    from repro.flowsim.model import available_models, create_model
-
     if args.cross_validate:
         return _flowsim_crossval(args)
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
-from repro.core.units import Bytes, BytesPerSec, Seconds, bdp_bytes  # noqa: F401 (re-exported)
+from repro.core.units import Bytes, BytesPerSec, Seconds
+from repro.core.units import bdp_bytes  # noqa: F401 (repro.net.bdp_bytes)
 from repro.net.link import Link
 from repro.net.netem import BandwidthProfile, ConstantBandwidth, JitterModel, LossModel
 from repro.net.node import Host, Router

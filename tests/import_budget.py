@@ -3,13 +3,20 @@
 One predicate, two users: ``tests/test_import_budget.py`` applies it to
 ``sys.modules`` after a warm run, CI's ``campaign-smoke`` to the names in
 a ``python -X importtime`` log.  Stdlib only, so the CI step needs no
-test dependency.  Names and counts, never time.
+test dependency.  Names and counts, never time.  :func:`fresh_python`
+is the interpreter both test files start to look at ``sys.modules``.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from typing import Iterable, List
+
+REPO = Path(__file__).resolve().parent.parent
 
 #: the executing tier, package by package (DESIGN.md §6)
 FORBIDDEN_PACKAGES = ("repro.sim", "repro.net", "repro.tcp", "repro.flowsim",
@@ -26,20 +33,30 @@ MAX_MODULES = 140
 MAX_REPRO_MODULES = 25
 
 
+def _is_forbidden(name: str) -> bool:
+    package = name.rpartition(".")[0]
+    if package in ALLOWED_IN:
+        return name != ALLOWED_IN[package]
+    return name in FORBIDDEN_MODULES or any(
+        name == p or name.startswith(p + ".") for p in FORBIDDEN_PACKAGES)
+
+
 def forbidden(modules: Iterable[str]) -> List[str]:
     """The names among ``modules`` a warm campaign must not have loaded."""
-    bad = []
-    for name in modules:
-        package = name.rpartition(".")[0]
-        if (name in FORBIDDEN_MODULES
-                or any(name == p or name.startswith(p + ".")
-                       for p in FORBIDDEN_PACKAGES)
-                or ALLOWED_IN.get(package, name) != name):
-            bad.append(name)
-    return sorted(bad)
+    return sorted(name for name in modules if _is_forbidden(name))
 
 
 def importtime_modules(log: str) -> List[str]:
     """Module names in a ``-X importtime`` log (stderr of the run)."""
     return re.findall(r"^import time:\s+\d+ \|\s+\d+ \| +([\w.]+)$", log,
                       re.MULTILINE)
+
+
+def fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    """``python *argv`` in a new interpreter that can import ``repro``;
+    asserts it exited 0."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, *argv], env=env, cwd=REPO,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc

@@ -9,29 +9,20 @@ holds what ``importlib.import_module`` loaded.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from tests.import_budget import MAX_MODULES, MAX_REPRO_MODULES, forbidden
-
-REPO = Path(__file__).resolve().parent.parent
+from tests.import_budget import (
+    MAX_MODULES,
+    MAX_REPRO_MODULES,
+    forbidden,
+    fresh_python as python,
+)
 
 #: 2 scenarios x 2 schemes, small enough to execute in well under a second
 CAMPAIGN = ["campaign", "--servers", "google-tokyo", "--links", "wired,wifi",
             "--sizes", "100000", "--ccs", "cubic,cubic+suss",
             "--iterations", "1", "--seed", "1", "--jobs", "1", "--quiet"]
-
-
-def python(*argv: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED="0")
-    proc = subprocess.run([sys.executable, *argv], env=env, cwd=REPO,
-                          capture_output=True, text=True, check=False)
-    assert proc.returncode == 0, proc.stderr
-    return proc
 
 
 def report(stdout: str) -> str:

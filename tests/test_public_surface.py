@@ -13,16 +13,13 @@ import, not how the package finds it:
 """
 
 import importlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from tests.import_budget import REPO, fresh_python
 
-REPO = Path(__file__).resolve().parent.parent
 HELP_DIR = Path(__file__).resolve().parent / "data" / "cli_help"
 
 #: package -> {public name: defining submodule}, keys in ``__all__`` order.
@@ -322,14 +319,6 @@ CC_NAMES = [
     "cubic-stateful", "halfback", "jumpstart", "reno",
 ]
 
-def run_python(*argv):
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run([sys.executable, *argv], env=env,
-                          capture_output=True, text=True, check=False)
-    assert proc.returncode == 0, proc.stderr
-    return proc
-
-
 SUBCOMMANDS = [
     "list-scenarios", "list-cc", "run", "sweep", "experiment", "campaign",
     "topo", "flowsim", "trace", "analyze", "explain", "profile", "validate",
@@ -407,7 +396,7 @@ class TestCongestionControlRegistry:
             assert (made.__module__, made.__name__) == (module, cls), name
 
     def test_a_built_in_name_is_refused_before_its_module_loads(self):
-        proc = run_python("-c", """if True:
+        proc = fresh_python("-c", """if True:
             import sys
             from repro.cc.base import register
             try:
@@ -419,7 +408,7 @@ class TestCongestionControlRegistry:
             "congestion control 'cubic' already registered", "False"]
 
     def test_custom_cca_example_runs(self):
-        proc = run_python(str(REPO / "examples" / "custom_cca.py"))
+        proc = fresh_python(str(REPO / "examples" / "custom_cca.py"))
         assert "gentle-aimd" in proc.stdout
 
 
