@@ -137,18 +137,19 @@ def run(args: argparse.Namespace) -> int:
         value["elapsed"] = elapsed
         print(json.dumps(value, sort_keys=True))
         return 0
+    # The table reads the digest: each fleet is summarised once per run.
     rows = []
     for name in models:
-        fleet = result.fleets[name]
-        s = fleet.fct_summary()
-        rows.append([name, f"{s.mean:.4f}", f"{s.median:.4f}",
-                     f"{s.p95:.4f}", f"{fleet.mean_rounds_saved:.2f}"])
+        fleet = value["models"][name]
+        rows.append([name, f"{fleet['fct_mean']:.4f}",
+                     f"{fleet['fct_median']:.4f}", f"{fleet['fct_p95']:.4f}",
+                     f"{fleet['rounds_saved_mean']:.2f}"])
     print(render_table(
         ["model", "mean FCT (s)", "median", "p95", "rounds saved"], rows,
         title=f"flowsim sweep — {args.flows} {args.dist} flows, "
               f"seed={args.seed}"))
-    if "csa00" in result.fleets and "csa00+suss" in result.fleets:
-        print(f"SUSS mean-FCT improvement: {pct(result.improvement())}")
+    if "improvement" in value:
+        print(f"SUSS mean-FCT improvement: {pct(value['improvement'])}")
     modelled = args.flows * len(models)
     print(f"modelled {modelled} flows in {elapsed:.2f}s "
           f"({modelled / elapsed:,.0f} flows/sec)")

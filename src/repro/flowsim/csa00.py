@@ -29,7 +29,8 @@ paper's framing that slow-start time is the term SUSS compresses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.core.units import Bytes, Seconds
 from repro.flowsim.model import (
@@ -37,6 +38,7 @@ from repro.flowsim.model import (
     FlowModel,
     PathParams,
     register_model,
+    rounds_for_data,
 )
 # The packet tier's retransmission-timeout floor; sharing the constant
 # keeps the analytical ladder's RTO arithmetic in lock-step with the
@@ -51,8 +53,7 @@ from repro.tcp.rtt import RTO_MIN
 SATURATION_BDP_FRACTION = 1.25
 
 
-@dataclass(frozen=True)
-class _Ladder:
+class _Ladder(NamedTuple):
     """Outcome of walking the slow-start round ladder."""
 
     rounds: int               # rounds spent in slow start
@@ -65,10 +66,24 @@ class _Ladder:
     rounds_saved: int         # rounds a gamma-only ladder would have added
 
 
+#: one rung per slow-start round count ``r``, as the walk's loop
+#: variables stood after ``r`` rounds: ``(cwnd, final_window,
+#: prev_window, sent_before_final, baseline_rounds)``.
+_Rung = Tuple[float, float, float, float, int]
+
+
 class Csa00Model(FlowModel):
     """The CSA00 closed-form FCT model (traditional slow start)."""
 
     name = "csa00"
+
+    def __init__(self) -> None:
+        # The round ladder of the last path estimated: the cumulative
+        # segments sent after 0, 1, … rounds and the rung reached at
+        # each (see ``_ladder``).
+        self._rungs_path: Optional[PathParams] = None
+        self._rungs_sent: List[float] = []
+        self._rungs: List[_Rung] = []
 
     # -- the growth schedule hooks ------------------------------------
     def growth_factor(self, cwnd: float, round_index: int,
@@ -79,7 +94,9 @@ class Csa00Model(FlowModel):
 
         Traditional slow start grows by the delayed-ACK factor
         ``gamma`` every round regardless of the window's position in
-        the pipe.
+        the pipe.  An override must be a function of its arguments and
+        of what the model was constructed with, and exceed 1: the rounds
+        are walked once per path, up to saturation.
         """
         return path.gamma
 
@@ -100,9 +117,40 @@ class Csa00Model(FlowModel):
 
     # -- slow-start ladder --------------------------------------------
     def _ladder(self, segments: float, path: PathParams) -> _Ladder:
-        """Walk slow-start rounds until ``segments`` are covered or the
-        pipe saturates.  ``segments`` may be fractional (an expectation
-        from the loss-episode analysis)."""
+        """Slow-start rounds until ``segments`` are covered or the pipe
+        saturates.  ``segments`` may be fractional (an expectation from
+        the loss-episode analysis).
+
+        The rounds themselves depend on the path and the growth schedule
+        only — ``segments`` decides where the walk stops — so they are
+        walked once per path and a flow finds its rung by bisecting the
+        cumulative-sent column: the first round count whose data covers
+        ``segments``, or the saturating one.
+        """
+        if path is not self._rungs_path and path != self._rungs_path:
+            self._rungs_sent, self._rungs = self._walk_rungs(path)
+            self._rungs_path = path
+        rounds = min(bisect_left(self._rungs_sent, segments),
+                     len(self._rungs) - 1)
+        sent = self._rungs_sent[rounds]
+        cwnd, final, prev, before_final, baseline_rounds = self._rungs[rounds]
+        saturated = sent < segments
+        saved = max(baseline_rounds - rounds, 0) if saturated else 0
+        if not saturated and rounds > 0:
+            # Data ran out: compare against the gamma-only round count
+            # for the same amount of data.
+            base = rounds_for_data(path.iw_segments, path.gamma, segments)
+            saved = max(base - rounds, 0)
+        return _Ladder(rounds=rounds, sent=min(sent, segments), cwnd=cwnd,
+                       final_window=final, prev_window=prev,
+                       sent_before_final=before_final,
+                       saturated=saturated, rounds_saved=saved)
+
+    def _walk_rungs(self, path: PathParams) -> Tuple[List[float], List[_Rung]]:
+        """Walk ``path``'s slow-start rounds from ``iw`` until the window
+        reaches the saturation cap (no round at all when ``iw`` already
+        does): the cumulative-sent column and the rung after each round
+        count, index 0 being the state before the first round."""
         cap = min(path.bdp_segments * SATURATION_BDP_FRACTION,
                   path.rwnd_segments)
         cwnd = float(path.iw_segments)
@@ -113,7 +161,9 @@ class Csa00Model(FlowModel):
         rounds = 0
         baseline_cwnd = float(path.iw_segments)
         baseline_rounds = 0
-        while sent < segments and cwnd < cap:
+        sent_column = [sent]
+        rungs = [(cwnd, final, prev, before_final, baseline_rounds)]
+        while cwnd < cap:
             rounds += 1
             prev = final
             final = cwnd
@@ -127,18 +177,9 @@ class Csa00Model(FlowModel):
             while baseline_cwnd < min(cwnd, cap) - 1e-9:
                 baseline_cwnd *= path.gamma
                 baseline_rounds += 1
-        saturated = sent < segments
-        saved = max(baseline_rounds - rounds, 0) if saturated else 0
-        if not saturated and rounds > 0:
-            # Data ran out: compare against the gamma-only round count
-            # for the same amount of data.
-            from repro.flowsim.model import rounds_for_data
-            base = rounds_for_data(path.iw_segments, path.gamma, segments)
-            saved = max(base - rounds, 0)
-        return _Ladder(rounds=rounds, sent=min(sent, segments), cwnd=cwnd,
-                       final_window=final, prev_window=prev,
-                       sent_before_final=before_final,
-                       saturated=saturated, rounds_saved=saved)
+            sent_column.append(sent)
+            rungs.append((cwnd, final, prev, before_final, baseline_rounds))
+        return sent_column, rungs
 
     # -- CSA00 loss machinery -----------------------------------------
     @staticmethod

@@ -4,11 +4,21 @@ The driver is where the analytical tier earns its keep: a
 :class:`~repro.flowsim.model.FlowModel` is a pure function of
 ``(segment count, path)``, so a fleet of a million flows drawn from a
 flow-size distribution collapses to one closed-form evaluation per
-*distinct* segment count plus a dictionary lookup per flow.  Internet
+*distinct* segment count plus a table lookup per flow.  Internet
 mixes are heavy-tailed but quantised by the MSS — a 100 MB ceiling is
 only ~69k distinct segment counts — so the sweep the acceptance
 criteria time (10^6 flows, both schemes) does a few tens of thousands
 of model evaluations, not two million.
+
+"Vectorised" without numpy (the package is stdlib-only) means that no
+statement of this module runs once per flow: the fleet is a handful of
+columns (sizes, segment counts, FCTs) and every per-flow step is one
+``map`` / ``sum`` / ``reduce`` over a column, its loop inside the
+interpreter's C code.  A sweep quantises the fleet once for all its
+models (:func:`_quantise`); a model then costs its distinct estimates
+and up to three lookups per flow (:func:`_model_fleet`; a column whose
+table is all zeros is not walked).  DESIGN.md §9,
+"Fleet sweeps are column passes", has the accounting.
 
 Flow sizes come from :mod:`repro.workloads.distributions` (the same
 mix vocabulary the packet tier's cross-traffic uses) and arrival times
@@ -18,19 +28,24 @@ reproducible and independent per purpose.
 
 When an :class:`~repro.obs.tracer.Observability` bundle is supplied the
 driver emits one ``flowsim.flow`` record per flow through the ordinary
-sink machinery — same tooling, different fidelity tier.  For
-million-flow sweeps leave ``obs`` unset; the record stream, not the
-model, would dominate the run.
+sink machinery — same tooling, different fidelity tier — in one extra
+pass over the same columns (the only per-flow Python loop left, and
+only in that mode).  For million-flow sweeps leave ``obs`` unset; the
+record stream, not the model, would dominate the run.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat, tee
+from operator import add, floordiv, neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.units import Bytes, PerSecond, Seconds, Segments
-from repro.flowsim.model import FlowEstimate, FlowModel, PathParams, create_model
+from repro.flowsim.model import FlowModel, PathParams, create_model
 from repro.metrics.summary import Summary, summarize
 from repro.obs.records import FLOWSIM_FLOW
 from repro.obs.runtime import add_flows_modelled
@@ -88,6 +103,77 @@ class FleetResult:
         return self.rounds_saved_total / self.n_flows
 
 
+@dataclass(frozen=True)
+class _FleetColumns:
+    """A fleet quantised for one MSS — what every model of a sweep shares."""
+
+    sizes: List[Bytes]
+    segments: List[Segments]          # per flow, one int object per count
+    first_size: Dict[Segments, Bytes]  # per distinct count, first-seen order
+    total_bytes: Bytes
+    total_segments: Segments
+
+
+def _quantise(sizes: List[int], mss: int) -> _FleetColumns:
+    """Segment counts ``-(-size // mss)`` of a fleet, as one column.
+
+    Interning the counts through ``setdefault`` keeps the column at one
+    pointer per flow (a fleet has ~10^4 distinct counts, not 10^6 int
+    objects) and leaves the distinct counts in first-seen order; the
+    reversed ``zip`` then lets each count's *first* size win.
+    """
+    counts, keys = tee(map(neg, map(floordiv, sizes, repeat(-mss))))
+    distinct: Dict[int, int] = {}
+    segments = list(map(distinct.setdefault, counts, keys))
+    first = dict(zip(reversed(segments), reversed(sizes)))
+    return _FleetColumns(
+        sizes=sizes, segments=segments,
+        first_size={d: first[d] for d in distinct},
+        total_bytes=sum(sizes), total_segments=sum(segments))
+
+
+def _model_fleet(model: FlowModel, columns: _FleetColumns, path: PathParams,
+                 arrivals: Optional[Sequence[float]],
+                 obs: Optional[Observability], flow_base: int) -> FleetResult:
+    """One model over a quantised fleet: ``estimate`` per distinct count,
+    everything per flow a table lookup over the segment-count column."""
+    estimate = model.estimate
+    estimates = {d: estimate(size, path)
+                 for d, size in columns.first_size.items()}
+    segments = columns.segments
+
+    def per_count(field_name: str) -> Dict[int, float]:
+        return {d: getattr(est, field_name) for d, est in estimates.items()}
+
+    def total(field_name: str, zero: float) -> float:
+        """The field's per-flow column summed left to right from
+        ``zero``, as a ``+=`` per flow would.  Not ``sum()``: it is
+        compensated for floats since 3.12, which moves the last digit
+        on lossy paths."""
+        table = per_count(field_name)
+        if not any(table.values()):
+            return zero     # a loss-free path, a base model: all zeros
+        return reduce(add, map(table.__getitem__, segments), zero)
+
+    if obs is not None:
+        emit, name = obs.emit, model.name
+        times = arrivals if arrivals is not None else repeat(0.0)
+        for flow, (t, size, d) in enumerate(
+                zip(times, columns.sizes, segments), flow_base):
+            est = estimates[d]
+            emit(t, FLOWSIM_FLOW, flow=flow, model=name,
+                 size=size, fct=est.fct, rounds=est.ss_rounds,
+                 rounds_saved=est.rounds_saved, retx=est.retransmits)
+    return FleetResult(
+        model=model.name, n_flows=len(segments),
+        fcts=list(map(per_count("fct").__getitem__, segments)),
+        sizes=columns.sizes, total_bytes=columns.total_bytes,
+        total_segments=columns.total_segments,
+        expected_retransmits=total("retransmits", 0.0),
+        rounds_saved_total=total("rounds_saved", 0),
+        distinct_segment_counts=len(estimates))
+
+
 def estimate_fleet(model: FlowModel, sizes: Sequence[int], path: PathParams,
                    *, arrivals: Optional[Sequence[float]] = None,
                    obs: Optional[Observability] = None,
@@ -103,37 +189,8 @@ def estimate_fleet(model: FlowModel, sizes: Sequence[int], path: PathParams,
     """
     if arrivals is not None and len(arrivals) != len(sizes):
         raise ValueError("arrivals must parallel sizes")
-    mss = path.mss
-    cache: Dict[int, FlowEstimate] = {}
-    estimate = model.estimate
-    fcts: List[float] = []
-    append = fcts.append
-    total_bytes = 0
-    total_segments = 0
-    retx = 0.0
-    saved = 0
-    emit = obs.emit if obs is not None else None
-    for i, size in enumerate(sizes):
-        d = -(-size // mss)
-        est = cache.get(d)
-        if est is None:
-            est = estimate(size, path)
-            cache[d] = est
-        append(est.fct)
-        total_bytes += size
-        total_segments += d
-        retx += est.retransmits
-        saved += est.rounds_saved
-        if emit is not None:
-            t = arrivals[i] if arrivals is not None else 0.0
-            emit(t, FLOWSIM_FLOW, flow=flow_base + i, model=model.name,
-                 size=size, fct=est.fct, rounds=est.ss_rounds,
-                 rounds_saved=est.rounds_saved, retx=est.retransmits)
-    return FleetResult(model=model.name, n_flows=len(sizes), fcts=fcts,
-                       sizes=list(sizes), total_bytes=total_bytes,
-                       total_segments=total_segments,
-                       expected_retransmits=retx, rounds_saved_total=saved,
-                       distinct_segment_counts=len(cache))
+    return _model_fleet(model, _quantise(list(sizes), path.mss), path,
+                        arrivals, obs, flow_base)
 
 
 @dataclass(frozen=True)
@@ -173,18 +230,21 @@ class SweepResult:
         regime SUSS cannot compress, so the median is often identical
         while the mean captures the tail SUSS accelerates.
         """
-        base_summary = self.fleets[baseline].fct_summary()
-        treat_summary = self.fleets[treatment].fct_summary()
-        base = getattr(base_summary, stat)
-        treat = getattr(treat_summary, stat)
-        if base == 0.0:
-            return 0.0
-        return (base - treat) / base
+        return _relative_improvement(
+            getattr(self.fleets[baseline].fct_summary(), stat),
+            getattr(self.fleets[treatment].fct_summary(), stat))
+
+
+def _relative_improvement(base: float, treat: float) -> float:
+    return (base - treat) / base if base else 0.0
 
 
 def fleet_to_value(fleet: FleetResult) -> Dict[str, object]:
     """JSON-serialisable digest of one fleet (campaign result unit)."""
-    s = fleet.fct_summary()
+    return _fleet_value(fleet, fleet.fct_summary())
+
+
+def _fleet_value(fleet: FleetResult, s: Summary) -> Dict[str, object]:
     return {
         "n": fleet.n_flows,
         "fct_mean": s.mean,
@@ -202,18 +262,22 @@ def fleet_to_value(fleet: FleetResult) -> Dict[str, object]:
 
 
 def sweep_to_value(result: SweepResult) -> Dict[str, object]:
-    """JSON-serialisable digest of a whole sweep."""
+    """JSON-serialisable digest of a whole sweep: each fleet summarised
+    once, the headline improvement read off the same summaries."""
     cfg = result.config
+    summaries = {name: fleet.fct_summary()
+                 for name, fleet in result.fleets.items()}
     value: Dict[str, object] = {
         "flows": cfg.flows,
         "size_dist": cfg.size_dist,
         "seed": cfg.seed,
         "arrival_rate": cfg.arrival_rate,
-        "models": {name: fleet_to_value(fleet)
+        "models": {name: _fleet_value(fleet, summaries[name])
                    for name, fleet in result.fleets.items()},
     }
-    if "csa00" in result.fleets and "csa00+suss" in result.fleets:
-        value["improvement"] = result.improvement()
+    if "csa00" in summaries and "csa00+suss" in summaries:
+        value["improvement"] = _relative_improvement(
+            summaries["csa00"].mean, summaries["csa00+suss"].mean)
     return value
 
 
@@ -222,7 +286,10 @@ def merge_sweep_values(values: Sequence[Dict[str, object]]
     """Merge per-shard sweep digests (from :func:`sweep_to_value`).
 
     Counts, byte totals, retransmit expectations and extremes merge
-    exactly; means merge as flow-weighted averages.  Medians and p95s
+    exactly; means merge as flow-weighted averages, and the standard
+    deviation as the pooled one — ``(n, mean, std)`` per shard determine
+    the concatenated fleet's variance, within-shard plus between-shard:
+    ``[Σ(nᵢ−1)·sᵢ² + Σ nᵢ·(mᵢ−m)²] / (n−1)``.  Medians and p95s
     are flow-weighted averages of the shard statistics — each shard
     draws i.i.d. from the same size distribution, so shard quantiles
     estimate the same population quantile and averaging them is an
@@ -236,10 +303,13 @@ def merge_sweep_values(values: Sequence[Dict[str, object]]
         shards = [v["models"][name] for v in values]  # type: ignore[index]
         n = sum(s["n"] for s in shards)
         weighted = lambda key: sum(s[key] * s["n"] for s in shards) / n
+        mean = weighted("fct_mean")
+        squares = sum((s["n"] - 1) * s["fct_std"] ** 2
+                      + s["n"] * (s["fct_mean"] - mean) ** 2 for s in shards)
         merged_models[name] = {
             "n": n,
-            "fct_mean": weighted("fct_mean"),
-            "fct_std": weighted("fct_std"),
+            "fct_mean": mean,
+            "fct_std": math.sqrt(squares / (n - 1)) if n > 1 else 0.0,
             "fct_median": weighted("fct_median"),
             "fct_p95": weighted("fct_p95"),
             "fct_min": min(s["fct_min"] for s in shards),
@@ -261,9 +331,9 @@ def merge_sweep_values(values: Sequence[Dict[str, object]]
         "models": merged_models,
     }
     if "csa00" in merged_models and "csa00+suss" in merged_models:
-        base = merged_models["csa00"]["fct_mean"]
-        treat = merged_models["csa00+suss"]["fct_mean"]
-        merged["improvement"] = (base - treat) / base if base else 0.0
+        merged["improvement"] = _relative_improvement(
+            merged_models["csa00"]["fct_mean"],
+            merged_models["csa00+suss"]["fct_mean"])
     return merged
 
 
@@ -280,11 +350,10 @@ def run_sweep(config: SweepConfig,
     sizes = sample_flow_sizes(config.size_dist, config.flows, size_rng)
     arrivals = (poisson_arrivals(config.flows, config.arrival_rate, arr_rng)
                 if obs is not None else None)
-    fleets: Dict[str, FleetResult] = {}
-    for name in config.models:
-        model = create_model(name)
-        fleets[name] = estimate_fleet(model, sizes, config.path,
-                                      arrivals=arrivals, obs=obs)
+    columns = _quantise(sizes, config.path.mss)
+    fleets = {name: _model_fleet(create_model(name), columns, config.path,
+                                 arrivals, obs, flow_base=1)
+              for name in config.models}
     # One process-counter add per sweep (not per flow): run telemetry
     # reports flows/sec without touching the memoised estimate path.
     add_flows_modelled(config.flows * len(config.models))

@@ -51,6 +51,7 @@ class SussCsa00Model(Csa00Model):
     def __init__(self, k_max: int = DEFAULT_K_MAX) -> None:
         if k_max < 0:
             raise ValueError("k_max must be non-negative")
+        super().__init__()
         self.k_max = k_max
 
     def growth_factor(self, cwnd: float, round_index: int,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 from typing import Sequence
 
 
@@ -19,7 +21,10 @@ def percentile(samples: Sequence[float], q: float) -> float:
         raise ValueError("need at least one sample")
     if not 0.0 <= q <= 100.0:
         raise ValueError("q must be within [0, 100]")
-    ordered = sorted(samples)
+    return _percentile_of_sorted(sorted(samples), q)
+
+
+def _percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -54,13 +59,16 @@ def summarize(samples: Sequence[float]) -> Summary:
     n = len(samples)
     mean = sum(samples) / n
     if n > 1:
-        var = sum((x - mean) ** 2 for x in samples) / (n - 1)
+        # (x - mean) ** 2 summed in sample order, the loop inside map().
+        var = sum(map(pow, map(sub, samples, repeat(mean)),
+                      repeat(2))) / (n - 1)
     else:
         var = 0.0
+    ordered = sorted(samples)
     return Summary(n=n, mean=mean, std=math.sqrt(var),
                    minimum=min(samples), maximum=max(samples),
-                   median=percentile(samples, 50.0),
-                   p95=percentile(samples, 95.0))
+                   median=_percentile_of_sorted(ordered, 50.0),
+                   p95=_percentile_of_sorted(ordered, 95.0))
 
 
 def improvement(baseline: float, improved: float) -> float:

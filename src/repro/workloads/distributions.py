@@ -18,7 +18,14 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from itertools import repeat, starmap
+from operator import add, mul, sub, truediv
 from typing import Callable, Dict, List, Sequence, Tuple
+
+#: uniforms :meth:`EmpiricalCdf.sample_sizes` holds at a time: the draws
+#: are floats only within a chunk, so a 10^6-flow fleet never exists as
+#: a 10^6-float list beside its sizes.
+SAMPLE_CHUNK = 1 << 15
 
 
 def web_object_sizes(n: int, rng: random.Random,
@@ -85,14 +92,14 @@ class EmpiricalCdf:
         return v0 + frac * (v1 - v0)
 
     def sample_many(self, n: int, rng: random.Random) -> List[float]:
-        """Batched inverse-transform draws — the million-flow fast path.
+        """Batched inverse-transform draws, as floats.
 
         Consumes exactly ``n`` values from ``rng``'s ``random()`` stream,
         in the same order as ``n`` successive :meth:`sample` calls, so a
-        batched fleet and a one-at-a-time fleet built from the same seed
-        see identical sizes (property-tested).  The speedup comes from
-        hoisting the attribute lookups and the bound methods out of the
-        per-draw loop.
+        batched draw and a one-at-a-time draw from the same seed see
+        identical values (property-tested).  Integer flow sizes for a
+        fleet come from :meth:`sample_sizes`, which does not pass through
+        here.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
@@ -115,7 +122,54 @@ class EmpiricalCdf:
         return out
 
     def sample_sizes(self, n: int, rng: random.Random) -> List[int]:
-        return [max(int(v), 1) for v in self.sample_many(n, rng)]
+        """``n`` integer flow sizes: ``max(int(sample()), 1)`` per draw.
+
+        Same draws, same order and the same arithmetic as ``n``
+        :meth:`sample` calls, but as whole-column passes whose per-draw
+        loop runs inside ``map``: the uniforms of a chunk are drawn,
+        bracketed with ``bisect_left`` and pushed through ``v0 + (u - p0)
+        / (p1 - p0) * (v1 - v0)`` one operator at a time, the operands
+        looked up in a per-bracket table (:meth:`_bracket_operands`).
+        """
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        p0, dp, dv, v0 = self._bracket_operands()
+        probs = self.probs
+        uniform = rng.random
+        out: List[int] = []
+        for start in range(0, n, SAMPLE_CHUNK):
+            us = list(starmap(uniform,
+                              repeat((), min(SAMPLE_CHUNK, n - start))))
+            idx = list(map(bisect.bisect_left, repeat(probs), us))
+            frac = map(truediv, map(sub, us, map(p0.__getitem__, idx)),
+                       map(dp.__getitem__, idx))
+            sizes = list(map(int, map(
+                add, map(v0.__getitem__, idx),
+                map(mul, frac, map(dv.__getitem__, idx)))))
+            if min(sizes) < 1:
+                sizes = [max(size, 1) for size in sizes]
+            out += sizes
+        return out
+
+    def _bracket_operands(self) -> List[list]:
+        """``(p0, p1 - p0, v1 - v0, v0)`` columns indexed by the *raw*
+        ``bisect_left(probs, u)`` — 0 and ``len(probs)`` included, so the
+        clamp of :meth:`sample` is in the table and not a pass.  A flat
+        bracket (``p1 == p0``, where :meth:`sample` returns ``v1``) reads
+        ``v1 + (u - p0) / 1.0 * 0``.  Lists, not tuples: ``list.__getitem__``
+        is a C method, ``tuple.__getitem__`` a slot wrapper that ``map``
+        calls at half the speed.
+        """
+        probs, values = self.probs, self.values
+        top = len(probs) - 1
+        rows = []
+        for raw in range(len(probs) + 1):
+            idx = min(max(raw, 1), top)
+            p0, p1 = probs[idx - 1], probs[idx]
+            v0, v1 = values[idx - 1], values[idx]
+            rows.append((p0, 1.0, 0, v1) if p1 == p0
+                        else (p0, p1 - p0, v1 - v0, v0))
+        return [list(column) for column in zip(*rows)]
 
 
 #: Approximate campus internet flow-size CDF (log-domain breakpoints),
@@ -137,8 +191,7 @@ CAMPUS_FLOW_CDF = EmpiricalCdf([
 
 #: named flow-size samplers, each ``(n, rng) -> List[int]`` — the mix
 #: vocabulary shared by the flowsim driver and the CLI.  All three are
-#: batch samplers already; ``sample_many`` keeps the empirical-CDF entry
-#: on the same fast path.
+#: batch samplers; the empirical-CDF entry is the column-pass one.
 SIZE_SAMPLERS: Dict[str, Callable[[int, random.Random], List[int]]] = {
     "web": web_object_sizes,
     "heavy_tailed": heavy_tailed_flow_sizes,

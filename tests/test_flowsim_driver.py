@@ -1,6 +1,7 @@
 """Tests for the vectorised fleet driver and sweep machinery."""
 
 import random
+import statistics
 
 import pytest
 
@@ -176,6 +177,26 @@ class TestSweepValues:
                          for s in shards) / 1000
         assert model["fct_mean"] == pytest.approx(exact_mean)
         assert merged["improvement"] >= 0.0
+
+    def test_merge_std_is_the_pooled_std(self):
+        """``(n, mean, std)`` per shard determine the concatenated
+        fleet's standard deviation exactly: within-shard variance plus
+        the spread of the shard means (a flow-weighted average of the
+        shard stds reads 2.4520 here against 2.4637)."""
+        shards, fcts = [], {"csa00": [], "csa00+suss": []}
+        for shard in range(8):
+            result = run_sweep(SweepConfig(path=PATH, flows=2500,
+                                           seed=shard_seed(1, shard)))
+            for name, fleet in result.fleets.items():
+                fcts[name].extend(fleet.fcts)
+            shards.append(sweep_to_value(result))
+        merged = merge_sweep_values(shards)
+        for name, concatenated in fcts.items():
+            assert merged["models"][name]["fct_std"] == pytest.approx(
+                statistics.stdev(concatenated), rel=1e-12)
+        # one single-flow shard has no variance of its own to pool
+        solo = sweep_to_value(run_sweep(SweepConfig(path=PATH, flows=1)))
+        assert merge_sweep_values([solo])["models"]["csa00"]["fct_std"] == 0.0
 
     def test_merge_quantiles_near_pooled(self):
         """Shard-averaged quantiles estimate the pooled quantile (the

@@ -140,7 +140,7 @@ class TestTrafficMixExperiment:
 
 
 class TestSampleMany:
-    """The vectorised sampler path behind million-flow flowsim sweeps."""
+    """The batched float sampler, and the integer one that mirrors it."""
 
     @given(st.integers(min_value=0, max_value=2 ** 31),
            st.integers(min_value=0, max_value=400))
@@ -162,7 +162,7 @@ class TestSampleMany:
             CAMPUS_FLOW_CDF.sample(b)
         assert a.random() == b.random()
 
-    def test_sample_sizes_uses_batched_path(self):
+    def test_sample_sizes_equal_truncated_sample_many(self):
         sizes = CAMPUS_FLOW_CDF.sample_sizes(100, random.Random(5))
         values = CAMPUS_FLOW_CDF.sample_many(100, random.Random(5))
         assert sizes == [max(int(v), 1) for v in values]
