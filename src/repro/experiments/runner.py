@@ -19,6 +19,7 @@ from repro.metrics.summary import Summary, summarize
 from repro.net.topology import Dumbbell
 from repro.obs.runtime import RunTelemetry
 from repro.obs.tracer import Observability
+from repro.obs.tracer import from_env as obs_from_env
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.tcp.connection import Transfer, open_transfer
@@ -51,13 +52,22 @@ class FlowResult:
         return self.drops / self.data_packets_sent
 
 
-def _new_sim(obs: Optional[Observability], collect: bool) -> Simulator:
-    """A simulator carrying ``obs`` (else the environment's default);
-    a collecting run gets a bare bundle when neither supplies one."""
-    sim = Simulator() if obs is None else Simulator(obs=obs)
-    if collect and sim.obs is None:
-        sim.obs = Observability()
-    return sim
+def _new_sim(obs: Optional[Observability], collect: bool = False) -> Simulator:
+    """A simulator carrying ``obs``, else the environment's bundle, else
+    — for a collecting run — a bare one.  Chosen first, built once: what
+    a simulator is instrumented with is fixed at construction."""
+    if obs is None:
+        obs = obs_from_env()
+        if obs is None and collect:
+            obs = Observability()
+    return Simulator(obs=obs)
+
+
+def _end_run(sim: Simulator) -> None:
+    """The epilogue every harness run shares: a sanitized run must end
+    with every packet it sent delivered, dropped or still in flight."""
+    if sim.sanitizer is not None:
+        sim.sanitizer.verify_conservation(sim.pending_events)
 
 
 def _deadline(scenario: PathScenario, size_bytes: int) -> float:
@@ -99,8 +109,7 @@ def run_single_flow(scenario: PathScenario, cc: str, size_bytes: int,
                              size_bytes=size_bytes, cc=cc,
                              delayed_ack=delayed_ack, ecn=ecn)
     sim.run(until=_deadline(scenario, size_bytes))
-    if sim.sanitizer is not None:
-        sim.sanitizer.verify_conservation(sim.pending_events)
+    _end_run(sim)
     sender = transfer.sender
     return FlowResult(
         scenario=scenario.name, cc=cc, size_bytes=size_bytes, seed=seed,
@@ -125,7 +134,7 @@ def run_topo_flow(scenario, cc: str, size_bytes: int, seed: int = 0,
     run doubles as the ``topo_flow`` campaign job.
     """
     spec = resolve_topo(scenario)
-    sim = Simulator() if obs is None else Simulator(obs=obs)
+    sim = _new_sim(obs)
     rng = RngRegistry(seed)
     built = build_topology(sim, spec, rng)
     flow = spec.flows[0]
@@ -152,8 +161,7 @@ def run_topo_flow(scenario, cc: str, size_bytes: int, seed: int = 0,
         sim.run(until=min(sim.now + step, deadline))
     for generator in generators:
         generator.stop()
-    if sim.sanitizer is not None:
-        sim.sanitizer.verify_conservation(sim.pending_events)
+    _end_run(sim)
     sender = transfer.sender
     drops = bottleneck.queue.flow_drops.get(1, 0)
     return {
@@ -281,8 +289,7 @@ def run_local_testbed(config: LocalTestbedConfig, specs: Sequence[FlowSpec],
     telemetry = FlowCollector(sim.obs) if collect else None
     transfers = launch_flows(sim, net, specs)
     sim.run(until=until)
-    if sim.sanitizer is not None:
-        sim.sanitizer.verify_conservation(sim.pending_events)
+    _end_run(sim)
     return LocalRun(sim=sim, net=net, transfers=transfers,
                     telemetry=telemetry)
 

@@ -36,16 +36,18 @@ class Link:
 
     A packet costs one engine event per hop: its arrival at ``dst``.
     The instant its last bit leaves the serialiser is computed when
-    serialisation *starts* (``_start_next``), not discovered by an event:
+    serialisation *starts* (``_transmit``), not discovered by an event:
     ``finish = now + size / rate_at(now)``; loss and jitter are drawn
     there and then, in start order — which is finish order, the link
     being FIFO — and the arrival is scheduled straight at
     ``max(finish + delay + jitter, previous arrival)``.  The link wakes
     itself at ``finish`` only when a packet is waiting in the queue; one
-    that finds the link idle starts at once.  ``_busy_until`` is the
-    finish time of the packet in service (or of the last one), ``_wake``
-    the pending wake if any; the queue holds exactly the waiting
-    packets, and *queue non-empty ⇒ a wake is armed* is the invariant.
+    that finds the link idle starts at once, in the frame that offered
+    it — the queue is told with one ``pass_through`` and never holds it.
+    ``_busy_until`` is the finish time of the packet in service (or of
+    the last one), ``_wake`` the pending wake if any; the queue holds
+    exactly the waiting packets, and *queue non-empty ⇒ a wake is armed*
+    is the invariant.
 
     Ties.  A packet offered at exactly ``_busy_until`` with nothing
     waiting starts immediately (the serialiser is free at that instant);
@@ -111,30 +113,35 @@ class Link:
         """Offer a packet to the link; False means the queue dropped it."""
         sim = self.sim
         now = sim.now
-        if self._set_now is not None:
-            self._set_now(now)
-        if not self.queue.push(packet):
-            if sim.sanitizer is not None:
-                sim.sanitizer.note_network_drop(f"{self.name}: queue full")
-            if self._drop_obs is not None:
-                self._note_drop(packet, "queue_full")
-            return False
-        if self._tracing:
-            # The packet may be started by a wake that some other
-            # packet's send armed; its records must still cite the event
-            # that offered *it*.
-            packet._origin = sim._sched_origin
-        if self._wake is None:
-            if now >= self._busy_until:
-                self._start_next(now)
-            else:
-                self._wake = sim.schedule_at(
-                    self._busy_until, self._start_next, self._busy_until)
-        return True
+        if self._wake is None and now >= self._busy_until:
+            # Free serialiser, no wake armed — so nothing is waiting:
+            # the packet starts in this frame, under the scheduling
+            # origin of the event that offered it.
+            if self.queue.pass_through(packet, now):
+                self._transmit(packet, now)
+                return True
+        else:
+            if self._set_now is not None:
+                self._set_now(now)
+            if self.queue.push(packet):
+                if self._tracing:
+                    # The wake that starts the packet was armed by some
+                    # other packet's send; its records must still cite
+                    # the event that offered *it*.
+                    packet._origin = sim._sched_origin
+                if self._wake is None:
+                    self._wake = sim.schedule_at(
+                        self._busy_until, self._start_next, self._busy_until)
+                return True
+        if sim.sanitizer is not None:
+            sim.sanitizer.note_network_drop(f"{self.name}: queue full")
+        if self._drop_obs is not None:
+            self._note_drop(packet, "queue_full")
+        return False
 
     # ------------------------------------------------------------------
     def _start_next(self, now: Seconds) -> None:
-        """Put the head packet on the wire at ``now`` (== ``sim.now``)."""
+        """The wake: put the head packet on the wire at ``now``."""
         sim = self.sim
         queue = self.queue
         self._wake = None
@@ -151,6 +158,16 @@ class Link:
                                     count=queue.drops - drops_before)
         if packet is None:
             return
+        if self._tracing:
+            sim._sched_origin = packet._origin
+        self._transmit(packet, now)
+        if queue._q:  # the deque itself: no __len__ call per packet per hop
+            finish = self._busy_until
+            self._wake = sim.schedule_at(finish, self._start_next, finish)
+
+    def _transmit(self, packet: Packet, now: Seconds) -> None:
+        """Start serialising ``packet`` at ``now`` (== ``sim.now``) and
+        schedule what becomes of it."""
         size = packet.size
         # The same two float operations the finish event's
         # ``schedule(size / rate, …)`` used to perform.
@@ -159,10 +176,8 @@ class Link:
         self._started += 1
         self._started_bytes += size
         self._tx_size = size
-        if self._tracing:
-            sim._sched_origin = packet._origin
         if self.loss is not None and self.loss.drops():
-            sim.schedule_at(finish, self._lose, packet)
+            self.sim.schedule_at(finish, self._lose, packet)
         else:
             prop = self.delay
             if self.jitter is not None:
@@ -175,9 +190,7 @@ class Link:
                 arrival = self._last_arrival
             else:
                 self._last_arrival = arrival
-            sim.schedule_at(arrival, self.dst.receive, packet)
-        if queue._q:  # the deque itself: no __len__ call per packet per hop
-            self._wake = sim.schedule_at(finish, self._start_next, finish)
+            self.sim.schedule_at(arrival, self.dst.receive, packet)
 
     def _lose(self, packet: Packet) -> None:
         """Random loss, at the instant the packet's last bit left."""

@@ -42,10 +42,13 @@ class Host:
     @uplink.setter
     def uplink(self, link: Optional[Link]) -> None:
         # The host meets its simulator through its uplink, so what the
-        # per-packet paths need from it is resolved here, once.  Stub
-        # uplinks in unit tests may lack .sim: unsanitized, untraced.
+        # per-packet paths need from it — its sanitizer and its obs
+        # gate, both fixed when the simulator was built — is resolved
+        # here, once.  Stub uplinks in unit tests may lack .sim:
+        # unsanitized, untraced.
         self._uplink = link
         sim = self._sim = getattr(link, "sim", None)
+        self._sanitizer = sim.sanitizer if sim is not None else None
         obs = sim.obs if sim is not None else None
         self._recv_obs = None if obs is None else obs.gate(obsrec.PKT_RECV)
 
@@ -61,23 +64,20 @@ class Host:
         """Send a packet out of this host's uplink."""
         if self._uplink is None:
             raise RuntimeError(f"host {self.name} has no uplink")
-        sim = self._sim
-        if sim is not None and sim.sanitizer is not None:
+        if self._sanitizer is not None:
             # Conservation accounting: this is the only way packets enter
             # the network; router hops re-enter links but not here.
-            sim.sanitizer.note_network_send()
+            self._sanitizer.note_network_send()
         return self._uplink.send(packet)
 
     def receive(self, packet: Packet) -> None:
         self.packets_received += 1
-        sim = self._sim
-        if sim is not None:
-            if sim.sanitizer is not None:
-                sim.sanitizer.note_network_deliver()
-            if self._recv_obs is not None:
-                self._recv_obs.emit(sim.now, obsrec.PKT_RECV, packet.flow_id,
-                                    host=self.name, ptype=packet.kind.name,
-                                    seq=packet.seq, size=packet.size)
+        if self._sanitizer is not None:
+            self._sanitizer.note_network_deliver()
+        if self._recv_obs is not None:
+            self._recv_obs.emit(self._sim.now, obsrec.PKT_RECV, packet.flow_id,
+                                host=self.name, ptype=packet.kind.name,
+                                seq=packet.seq, size=packet.size)
         endpoint = self._endpoints.get(packet.flow_id)
         if endpoint is None:
             self.unroutable += 1

@@ -98,11 +98,14 @@ class Packet:
     #: ``Link._start_next`` restores it), so a wait in a queue does not
     #: re-attribute the packet to whatever woke the link.
     _origin: int = field(default=0, repr=False, compare=False)
+    #: total wire size in bytes (payload plus header overhead).  Links
+    #: and queues read it at every hop, so it is stored beside
+    #: ``payload`` by the only two writers of that — construction and
+    #: the pool — rather than computed per read.
+    size: Bytes = field(init=False, repr=False, compare=False)
 
-    @property
-    def size(self) -> Bytes:
-        """Total wire size in bytes (payload plus header overhead)."""
-        return self.payload + HEADER_BYTES
+    def __post_init__(self) -> None:
+        self.size = self.payload + HEADER_BYTES
 
     @property
     def end_seq(self) -> int:
@@ -181,6 +184,7 @@ class PacketPool:
             p.kind = PacketKind.DATA
             p.seq = seq
             p.payload = payload
+            p.size = payload + HEADER_BYTES
             p.ack_seq = 0
             p.sent_time = sent_time
             p.ts_echo = None
@@ -213,6 +217,7 @@ class PacketPool:
             p.kind = PacketKind.ACK
             p.seq = 0
             p.payload = 0
+            p.size = HEADER_BYTES
             p.ack_seq = ack_seq
             p.sent_time = sent_time
             p.ts_echo = ts_echo

@@ -69,6 +69,20 @@ class DropTailQueue:
         self._bytes -= packet.size
         return packet
 
+    def pass_through(self, packet: Packet, now: Seconds) -> bool:
+        """``push`` then ``pop`` of ``packet`` on an *empty* queue, for a
+        link that will start it at once: the same admission and the same
+        statistics without the packet ever being held.  False (a drop,
+        counted) when even an empty buffer is too small for it."""
+        size = packet.size
+        if size > self.capacity_bytes:
+            self._count_drop(packet)
+            return False
+        if size > self.bytes_peak:
+            self.bytes_peak = size
+        self.enqueued += 1
+        return True
+
     def _count_drop(self, packet: Packet) -> None:
         self.drops += 1
         flow = packet.flow_id
@@ -114,6 +128,13 @@ class CoDelQueue(DropTailQueue):
 
     def set_now(self, now: Seconds) -> None:
         self._now_hint = now
+
+    def pass_through(self, packet: Packet, now: Seconds) -> bool:
+        # The real push and pop: the control law sees the zero-sojourn
+        # packet it has always seen (which ends a dropping episode), and
+        # a lone head at sojourn 0 is never dropped, so pop returns it.
+        self._now_hint = now
+        return self.push(packet) and self.pop(now) is packet
 
     def _sojourn_ok(self, now: Seconds) -> bool:
         """Return True when the head packet should be delivered (not dropped)."""

@@ -37,7 +37,9 @@ Layout
   — and assigning the closures as *instance* attributes skips
   bound-method creation on every call.  :meth:`Simulator.run` itself is
   an ordinary method (called once per run, not per event) that delegates
-  to the installed loop.
+  to the installed loop.  The clock alone lives twice: the loops store
+  :attr:`Simulator.now` beside their cell on every event, so a read from
+  outside is one attribute load, not a property over a getter.
 * **Single-slot fast path.** The schedule-one-fire-one pattern (chained
   timers) never touches the heap: one record is parked in a ``slot``
   cell; the pop side compares ``heap[0] < slot`` (a C list comparison,
@@ -56,9 +58,10 @@ Layout
   is +∞ to it, and only a bounded run pushes the clock on to its
   bound); a sanitized, profiled or ``max_events`` run takes
   ``_run_generic``, which keeps the reference engine's exact check
-  ordering.  Setting :attr:`Simulator.sanitizer` or
-  :attr:`Simulator.obs` re-installs the closures so the choice stays
-  correct.
+  ordering.  The choice is made once: what a simulator is instrumented
+  with is fixed when it is built (links, hosts and senders resolve their
+  gates from it at *their* construction), and ``run()`` / ``step()``
+  refuse to go on if ``now``, ``sanitizer`` or ``obs`` was assigned over.
 
 An explicit preallocated free-list for event records was evaluated and
 rejected: records double as caller-visible handles, so recycling a fired
@@ -154,45 +157,65 @@ class Simulator:
     ``cancel_event`` (idempotent) / ``event_pending``.  ``step()`` fires
     the next pending event (False when the queue is empty) and
     ``clear()`` drops all pending events, leaving the clock where it is.
+
+    Three plain attributes are the engine's to write and everyone's to
+    read: ``now``, the simulation time in seconds; ``sanitizer``, the
+    runtime invariant checker (default: per ``REPRO_SANITIZE``); ``obs``,
+    the observability bundle (default: per ``REPRO_TRACE`` /
+    ``REPRO_PROFILE``).  With either None every hook site is a single
+    pointer test.  Both are fixed at construction.
     """
 
     def __init__(self, sanitizer: Optional[SimSanitizer] = _FROM_ENV,
                  obs: Optional[Observability] = _FROM_ENV) -> None:
         self._heap: List[EventRef] = []
-        self._sanitizer = from_env() if sanitizer is _FROM_ENV else sanitizer
-        self._obs = obs_from_env() if obs is _FROM_ENV else obs
-        if self._obs is not None:
+        self.now: Seconds = 0.0
+        self.sanitizer = from_env() if sanitizer is _FROM_ENV else sanitizer
+        self.obs = obs_from_env() if obs is _FROM_ENV else obs
+        if self.obs is not None:
             # Bind this engine as the bundle's provenance source so every
             # record it emits carries (eid, parent_eid).  The attribute is
             # duck-typed — obs stays a dependency-free leaf layer.
-            self._obs.provenance = self
-        self._install(now=0.0, eid_src=0, cancelled_q=0, cancelled_total=0,
-                      cur_eid=0, cur_origin=0, slot=None)
+            self.obs.provenance = self
+        self._install()
 
     # ------------------------------------------------------------------
     # closure factory
     # ------------------------------------------------------------------
-    def _install(self, now: Seconds, eid_src: int, cancelled_q: int,
-                 cancelled_total: int, cur_eid: int, cur_origin: int,
-                 slot: Optional[EventRef]) -> None:
-        """(Re)build the hot closures around the given engine state.
+    def _install(self) -> None:
+        """Build the hot closures, once, around a fresh engine state.
 
-        Called at construction and whenever :attr:`sanitizer` / :attr:`obs`
-        change, because the closures specialise on whether those hooks are
+        The closures specialise on whether a sanitizer / obs bundle is
         present.  All mutable engine state lives in the nonlocal cells
-        below; ``_snapshot`` reads it back out for the next install.
-        ``eid_src`` starts at 0 because eid 0 is the root context; it
-        doubles as the same-instant FIFO tie-break.  ``cur_eid`` /
-        ``cur_origin`` are the provenance pair: the executing event's eid
-        and the origin newly scheduled events inherit (the executing
-        event's nearest record-emitting ancestor until it emits its first
-        record, its own eid afterwards — ``Observability.emit`` performs
-        that promotion through the ``_sched_origin`` property).
+        below.  ``eid_src`` starts at 0 because eid 0 is the root
+        context; it doubles as the same-instant FIFO tie-break.
+        ``cur_eid`` / ``cur_origin`` are the provenance pair: the
+        executing event's eid and the origin newly scheduled events
+        inherit (the executing event's nearest record-emitting ancestor
+        until it emits its first record, its own eid afterwards —
+        ``Observability.emit`` performs that promotion through the
+        ``_sched_origin`` property).  Every write to the ``now`` cell is
+        paired with one to ``self.now``, which the rest of the stack reads.
         """
         heap = self._heap
-        san = self._sanitizer
-        obs = self._obs
+        san = self.sanitizer
+        obs = self.obs
+        now = self.now
+        eid_src = cancelled_q = cancelled_total = cur_eid = cur_origin = 0
+        slot: Optional[EventRef] = None
         running = False
+
+        def check_untouched() -> None:
+            """Per ``run()`` / ``step()``, not per event: the public
+            attributes still hold the very objects the engine put there
+            (a clock write stores one float in both places)."""
+            for name, mine in (("now", now), ("sanitizer", san), ("obs", obs)):
+                if getattr(self, name) is not mine:
+                    raise SimulationError(
+                        f"Simulator.{name} was assigned from outside: the "
+                        "clock is the engine's to write, and sanitizer / obs "
+                        "are fixed when a simulator is built — pass them to "
+                        "Simulator(...)")
 
         # -------------------------------------------------- scheduling
         if san is None:
@@ -307,7 +330,7 @@ class Simulator:
                         slot = None
                     if san is not None:
                         san.note_fire(when)
-                    now = when
+                    self.now = now = when
                     rec[2] = 1
                     cur_eid = rec[1]
                     cur_origin = rec[6]
@@ -321,70 +344,64 @@ class Simulator:
                 cur_eid = 0
                 cur_origin = 0
             if until is not None and now < until:
-                now = until
+                self.now = now = until
 
-        if san is None:
-            def run(until: Optional[Seconds], max_events: Optional[int]) -> None:
-                nonlocal now, slot, cur_eid, cur_origin, cancelled_q, running
-                if running:
-                    raise SimulationError("Simulator.run is not reentrant")
-                running = True
-                if max_events is not None or (
-                        obs is not None and obs.profiler is not None):
-                    _run_generic(until, max_events)
-                    return
-                # No bound means +inf: the one loop below serves both, and
-                # only a bounded run pushes the clock on to its bound.
-                bound = float("inf") if until is None else until
-                try:
-                    while True:
-                        s = slot
-                        if s is not None:
-                            if heap and heap[0] < s:
-                                rec = heap[0]
-                                from_heap = True
-                            else:
-                                rec = s
-                                from_heap = False
-                        elif heap:
+        def run(until: Optional[Seconds], max_events: Optional[int]) -> None:
+            nonlocal now, slot, cur_eid, cur_origin, cancelled_q, running
+            if running:
+                raise SimulationError("Simulator.run is not reentrant")
+            check_untouched()
+            running = True
+            if san is not None or max_events is not None or (
+                    obs is not None and obs.profiler is not None):
+                _run_generic(until, max_events)
+                return
+            # No bound means +inf: the one loop below serves both, and
+            # only a bounded run pushes the clock on to its bound.
+            bound = float("inf") if until is None else until
+            try:
+                while True:
+                    s = slot
+                    if s is not None:
+                        if heap and heap[0] < s:
                             rec = heap[0]
                             from_heap = True
                         else:
-                            break
-                        if rec[2]:
-                            if from_heap:
-                                heappop(heap)
-                            else:
-                                slot = None
-                            cancelled_q -= 1
-                            continue
-                        if rec[0] > bound:
-                            break
+                            rec = s
+                            from_heap = False
+                    elif heap:
+                        rec = heap[0]
+                        from_heap = True
+                    else:
+                        break
+                    if rec[2]:
                         if from_heap:
                             heappop(heap)
                         else:
                             slot = None
-                        now = rec[0]
-                        rec[2] = 1
-                        cur_eid = rec[1]
-                        cur_origin = rec[6]
-                        rec[3](*rec[4])
-                finally:
-                    running = False
-                    cur_eid = 0
-                    cur_origin = 0
-                if until is not None and now < until:
-                    now = until
-        else:
-            def run(until: Optional[Seconds], max_events: Optional[int]) -> None:
-                nonlocal running
-                if running:
-                    raise SimulationError("Simulator.run is not reentrant")
-                running = True
-                _run_generic(until, max_events)
+                        cancelled_q -= 1
+                        continue
+                    if rec[0] > bound:
+                        break
+                    if from_heap:
+                        heappop(heap)
+                    else:
+                        slot = None
+                    self.now = now = rec[0]
+                    rec[2] = 1
+                    cur_eid = rec[1]
+                    cur_origin = rec[6]
+                    rec[3](*rec[4])
+            finally:
+                running = False
+                cur_eid = 0
+                cur_origin = 0
+            if until is not None and now < until:
+                self.now = now = until
 
         def step() -> bool:
             nonlocal now, slot, cur_eid, cur_origin, cancelled_q
+            check_untouched()
             profiler = obs.profiler if obs is not None else None
             while True:
                 s = slot
@@ -404,7 +421,7 @@ class Simulator:
                 when = rec[0]
                 if san is not None:
                     san.note_fire(when)
-                now = when
+                self.now = now = when
                 rec[2] = 1
                 cur_eid = rec[1]
                 cur_origin = rec[6]
@@ -437,16 +454,6 @@ class Simulator:
             cancelled_q = 0
 
         # -------------------------------------------------- state bridge
-        def _snapshot() -> tuple:
-            if running:
-                raise SimulationError(
-                    "cannot reconfigure the engine while run() is active")
-            return (now, eid_src, cancelled_q, cancelled_total,
-                    cur_eid, cur_origin, slot)
-
-        def _get_now() -> Seconds:
-            return now
-
         def _get_cur_eid() -> int:
             return cur_eid
 
@@ -473,8 +480,6 @@ class Simulator:
         self._run = run
         self.step = step
         self.clear = clear
-        self._snapshot = _snapshot
-        self._get_now = _get_now
         self._get_cur_eid = _get_cur_eid
         self._get_origin = _get_origin
         self._set_origin = _set_origin
@@ -512,11 +517,6 @@ class Simulator:
     # read-only views of the closure cells
     # ------------------------------------------------------------------
     @property
-    def now(self) -> Seconds:
-        """Current simulation time in seconds."""
-        return self._get_now()
-
-    @property
     def events_processed(self) -> int:
         """Number of events that have fired so far (cancelled ones excluded)."""
         return self._get_processed()
@@ -544,44 +544,6 @@ class Simulator:
     @_sched_origin.setter
     def _sched_origin(self, value: int) -> None:
         self._set_origin(value)
-
-    # ------------------------------------------------------------------
-    # hook reconfiguration (re-specialises the closures)
-    # ------------------------------------------------------------------
-    @property
-    def sanitizer(self) -> Optional[SimSanitizer]:
-        """Runtime invariant checker; assigning re-installs the hot path.
-
-        Defaults to one created from ``REPRO_SANITIZE`` (None when
-        disabled).  Other layers (net, tcp) consult this attribute for
-        their hooks.
-        """
-        return self._sanitizer
-
-    @sanitizer.setter
-    def sanitizer(self, value: Optional[SimSanitizer]) -> None:
-        state = self._snapshot()
-        self._sanitizer = value
-        self._install(*state)
-
-    @property
-    def obs(self) -> Optional[Observability]:
-        """Observability bundle; assigning re-installs the hot path.
-
-        Defaults to one created from ``REPRO_TRACE`` / ``REPRO_PROFILE``
-        (None when neither is set).  Other layers (net, tcp, cc, core)
-        consult this attribute for their emit hooks; with ``obs=None``
-        every hook site is a single pointer test.
-        """
-        return self._obs
-
-    @obs.setter
-    def obs(self, value: Optional[Observability]) -> None:
-        state = self._snapshot()
-        self._obs = value
-        if value is not None:
-            value.provenance = self
-        self._install(*state)
 
 
 # ----------------------------------------------------------------------

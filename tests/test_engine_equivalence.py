@@ -295,6 +295,112 @@ class TestHeapProperties:
 
 
 # ----------------------------------------------------------------------
+# the clock, the sanitizer and the bundle are attributes of the engine
+# ----------------------------------------------------------------------
+def _clock_walk(engine, sanitizer):
+    """Every place the clock is written, read through ``sim.now``: inside
+    callbacks, after a bounded run pushes it on to its bound, after
+    ``step()``, after ``clear()``, after a raising callback."""
+    sim = engine(sanitizer=sanitizer, obs=None)
+    seen = []
+
+    def read(tag):
+        seen.append((tag, sim.now))
+
+    def nested():
+        read("outer")
+        sim.schedule(0.25, read, "inner")
+        sim.schedule_at(sim.now, read, "same instant")
+
+    def boom():
+        read("before boom")
+        raise _Boom
+
+    sim.schedule(1.0, nested)
+    sim.schedule(2.0, read, "two")
+    sim.schedule(3.0, boom)
+    sim.schedule(4.0, read, "four")
+    sim.schedule(9.0, read, "dropped by clear")
+    read("fresh")
+    sim.run(until=0.5)
+    read("pushed to 0.5 with nothing fired")
+    sim.run(until=1.5)
+    read("pushed past the last event fired")
+    assert sim.step()
+    read("after step")
+    try:
+        sim.run()
+    except _Boom:
+        read("after a raising callback under run")
+    sim.schedule(0.0, boom)
+    try:
+        sim.step()
+    except _Boom:
+        read("after a raising callback under step")
+    sim.run(max_events=1)
+    read("after max_events")
+    sim.clear()
+    read("after clear")
+    sim.run(until=20.0)
+    read("pushed on with an empty queue")
+    assert not sim.step()
+    read("after an empty step")
+    return seen
+
+
+class TestEngineAttributes:
+    @pytest.mark.parametrize("sanitized", [False, True])
+    def test_the_clock_reads_the_same_everywhere(self, sanitized):
+        """The shipped loops write ``sim.now`` beside their cell; the
+        sanitized leg is ``_run_generic``, the other the direct loop."""
+        fast, classic = (
+            _clock_walk(engine, SimSanitizer() if sanitized else None)
+            for engine in (ENGINES["fast"], ENGINES["classic"]))
+        assert fast == classic
+        assert [when for _, when in fast] == [
+            0.0, 0.5, 1.0, 1.0, 1.25, 1.5, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0,
+            4.0, 4.0, 4.0, 20.0, 20.0]
+
+    def test_they_are_plain_instance_attributes(self):
+        """One attribute load per read — not a property over a getter."""
+        sanitizer, obs = SimSanitizer(), Observability()
+        sim = Simulator(sanitizer=sanitizer, obs=obs)
+        for name, value in (("now", 0.0), ("sanitizer", sanitizer),
+                            ("obs", obs)):
+            assert vars(sim)[name] is getattr(sim, name)
+            assert getattr(sim, name) == value
+            assert not hasattr(Simulator, name)
+        assert obs.provenance is sim
+
+    @pytest.mark.parametrize("name, value", [
+        ("now", 5.0), ("now", math.nan), ("sanitizer", SimSanitizer()),
+        ("sanitizer", None), ("obs", Observability()), ("obs", None)])
+    @pytest.mark.parametrize("drive", ["run", "run_until", "run_max", "step"])
+    def test_an_outside_assignment_is_reported_by_the_next_run(
+            self, name, value, drive):
+        """The clock is the engine's to write, and what a simulator is
+        instrumented with is fixed when it is built (links, hosts and
+        senders resolved their gates from it at *their* construction)."""
+        from repro.sim import SimulationError
+
+        sim = Simulator(sanitizer=SimSanitizer(), obs=Observability())
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        sim.schedule(2.0, fired.append, 2)
+        sim.run(until=1.0)
+        was = getattr(sim, name)
+        setattr(sim, name, value)
+        with pytest.raises(SimulationError, match=rf"Simulator\.{name} "):
+            {"run": sim.run, "run_until": lambda: sim.run(until=9.0),
+             "run_max": lambda: sim.run(max_events=1),
+             "step": sim.step}[drive]()
+        assert fired == [1]                 # refused before anything fired
+        setattr(sim, name, was)             # put back: the engine carries on
+        sim.run()
+        assert fired == [1, 2] and sim.now == 2.0
+
+
+# ----------------------------------------------------------------------
 # packet pool: aliasing safety and deterministic reuse
 # ----------------------------------------------------------------------
 def _acquire(pool, i):

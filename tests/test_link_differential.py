@@ -132,8 +132,15 @@ def drive(link_cls, case):
     samples = []
 
     def offer(packet):
-        waiting = len(link.queue)
-        accepted.append((packet.seq, sim.now, waiting, link.send(packet)))
+        queue = link.queue
+        waiting = len(queue)
+        ok = link.send(packet)
+        # the queue's own books after *every* offer: a packet that starts
+        # at once never sits in the shipped link's queue, and must count
+        # exactly as the oracle's push-then-pop counts it
+        accepted.append((packet.seq, sim.now, waiting, ok, queue.enqueued,
+                         queue.bytes_peak, queue.drops,
+                         dict(queue.flow_drops)))
 
     def sample():
         samples.append((sim.now, link.busy, link.packets_sent,
@@ -174,7 +181,7 @@ def burst_on_a_free_instant(reference, oracle):
     """
     first_waiting = {}
     offers = {}
-    for _, when, waiting, _ in reference["accepted"]:
+    for _, when, waiting, *_ in reference["accepted"]:
         first_waiting.setdefault(when, waiting)
         offers[when] = offers.get(when, 0) + 1
     return any(offers[when] > 1 and first_waiting[when] == 0
@@ -191,11 +198,16 @@ def assert_same_link(case, skip=lambda reference, oracle: False):
             f"{key} differ on {case}\n shipped   {shipped[key]}\n"
             f" reference {reference[key]}")
     assert len(shipped["samples"]) == len(reference["samples"])
+    offered = {when for _, when, *_ in reference["accepted"]}
     for ours, theirs in zip(shipped["samples"], reference["samples"]):
         if ours[0] in oracle.finishes:
             # an exact tie with a finish: whether that packet counts yet
-            # is the eid order's call in the oracle; the queue is not
-            ours, theirs = ours[:1] + ours[5:], theirs[:1] + theirs[5:]
+            # is the eid order's call in the oracle; the queue is not —
+            # unless an offer landed on that instant too, which the
+            # oracle holds until its finish event comes round and the
+            # shipped link, finding nothing waiting, has started already
+            keep = 7 if ours[0] in offered else 5
+            ours, theirs = ours[:1] + ours[keep:], theirs[:1] + theirs[keep:]
         assert ours == theirs, (
             f"mid-run read differs on {case}\n shipped   {ours}\n"
             f" reference {theirs}")
@@ -267,6 +279,10 @@ def test_grid_hits_are_exact_ties_with_a_finish():
 @example({**ON_GRID, "queue": ("codel", 7500, 0.005, 0.1, True)})
 @example({**ON_GRID, "bandwidth": ("step", 1500.0, 2.0, 0.75),
           "loss": (0.3, 7), "jitter": (0.5, 3), "delay": 0.05})
+# one offer and one mid-run read on the very instant the link frees up
+@example({**ON_GRID, "bandwidth": ("const", 1_250_000.0),
+          "queue": ("droptail", 10**9),
+          "segments": [(0.0012, [698, 1448], [(1, 0)])], "samples": [0.003]})
 def test_bare_link_matches_the_reference(case):
     shipped, _ = assert_same_link(case, skip=burst_on_a_free_instant)
     assume(shipped is not None)
@@ -313,6 +329,231 @@ def test_burst_on_a_free_instant():
     reference, oracle = drive(FinishLoggingReference, case)
     assert burst_on_a_free_instant(reference, oracle)
     assert reference["queue"][0] == 1
+
+
+# ----------------------------------------------------------------------
+# the idle path: packets the shipped link starts without queueing them
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("link_cls", [Link, ReferenceLink],
+                         ids=["shipped", "reference"])
+def test_sub_packet_buffer_refuses_an_idle_offer(link_cls):
+    """Nothing waits, nothing is in service — and the packet still does
+    not fit: refused by the queue's own capacity check, counted once
+    everywhere, and released by the caller (here a router) exactly once."""
+    from repro.analysis.sanitize import SimSanitizer
+    from repro.net import Router
+    from repro.net.packet import POOL
+
+    obs = Observability()
+    drops = []
+    obs.subscribe(obsrec.PKT_DROP,
+                  lambda time, flow, fields: drops.append((time, flow, fields)))
+    sanitizer = SimSanitizer()
+    sim = Simulator(sanitizer=sanitizer, obs=obs)
+    arrivals = []
+
+    class FarEnd:
+        def receive(self, packet):
+            arrivals.append(packet.seq)
+
+    queue = DropTailQueue(1499)
+    router = Router("r")
+    router.add_route("b", link_cls(sim, FarEnd(), 1500.0, 0.0, queue=queue,
+                                   name="dut"))
+    sanitizer.note_network_send()               # what Host.transmit does
+    # no reference kept here: the engine's args tuple and the frames
+    # under it are all RELEASE_FLOOR allows
+    sim.schedule_at(0.5, router.receive, POOL.acquire_data(
+        flow_id=7, src="a", dst="b", seq=2896, payload=1448, sent_time=0.5,
+        retransmit=False, ect=False, cwr=False))
+    free, retained = len(POOL), POOL.retained
+    sim.run()
+    assert arrivals == []
+    assert (queue.drops, queue.flow_drops, queue.enqueued,
+            queue.bytes_peak, len(queue)) == (1, {7: 1}, 0, 0, 0)
+    assert drops == [(0.5, 7, {"link": "dut", "reason": "queue_full",
+                               "seq": 2896, "size": 1500})]
+    assert sanitizer.packets_dropped == 1
+    sanitizer.verify_conservation(sim.pending_events)
+    assert router.packets_forwarded == 1
+    assert (len(POOL), POOL.retained) == (free + 1, retained)
+    assert POOL._free[-1].seq == 2896 and POOL._free[-1]._pool_state == 2
+
+
+def codel_state(queue):
+    return (queue._count, queue._dropping, queue._first_above_time,
+            queue._drop_next, queue.marks, queue.drops, queue.enqueued,
+            queue.bytes_peak, len(queue), len(queue._enqueue_time))
+
+
+def drive_codel_episode(link_cls, ecn):
+    """Jumbo packets (4500 B at 4500 B/s: 1.0 s each; one alone is above
+    CoDel's 2-MTU floor) so that the buffer can *empty* while the control
+    law is still in its dropping state — and the next packet finds the
+    link idle."""
+    sim = Simulator(sanitizer=None, obs=None)
+    arrivals = []
+
+    class FarEnd:
+        def receive(self, packet):
+            arrivals.append((packet.seq, sim.now, packet.ce))
+
+    queue = CoDelQueue(10**9, target=0.005, interval=0.1, ecn=ecn)
+    link = link_cls(sim, FarEnd(), 4500.0, 0.0, queue=queue)
+    states = []
+
+    def offer(seq):
+        before = (link.busy, codel_state(queue))
+        ok = link.send(Packet(flow_id=1, src="a", dst="b",
+                              kind=PacketKind.DATA, seq=seq, payload=4448,
+                              ect=True))
+        states.append((sim.now, seq, before, ok, codel_state(queue)))
+
+    for seq in range(4):
+        sim.schedule_at(0.0, offer, seq)
+    sim.schedule_at(4.5, offer, 4)      # idle, inside the episode
+    sim.schedule_at(4.75, offer, 5)     # waits behind it
+    sim.schedule_at(9.0, offer, 6)      # idle again, episode over
+    sim.run()
+    return states, arrivals, codel_state(queue)
+
+
+@pytest.mark.parametrize("ecn", [False, True], ids=["drop", "mark"])
+def test_codel_law_cannot_tell_an_idle_start_from_push_then_pop(ecn):
+    shipped = drive_codel_episode(Link, ecn)
+    reference = drive_codel_episode(ReferenceLink, ecn)
+    assert shipped == reference
+    states, arrivals, _ = shipped
+    when, seq, (busy, before), ok, after = states[4]
+    # the offer at 4.5 found the link idle and the law mid-episode ...
+    assert (when, seq, busy, ok) == (4.5, 4, False, True)
+    count, dropping, first_above, drop_next = before[:4]
+    assert dropping and count >= 1 and first_above > 0.0 and drop_next > 0.0
+    assert before[8] == 0                       # nothing was waiting
+    # ... which its zero-sojourn pass through the queue ended, as a real
+    # push + pop would: the state moved, and moved the same way
+    assert after[1] is False and after[2] == 0.0
+    assert after[0] == count and after[3] == drop_next
+    assert after[6] == before[6] + 1            # enqueued
+    assert (4, 5.5, False) in arrivals
+    if ecn:
+        assert after[4] == before[4] >= 2       # marks, none added
+        assert [a for a in arrivals if a[2]]    # CE was delivered
+    else:
+        assert after[5] == before[5] >= 1       # drops, none added
+
+
+class CountingConstant(ConstantBandwidth):
+    """A subclass may do anything in ``rate_at``: this one halves the
+    rate from t = 2 on (and counts), so a link that read ``.rate`` once
+    and stopped asking would serialise too fast."""
+
+    def __init__(self, rate):
+        super().__init__(rate)
+        self.calls = []
+
+    def rate_at(self, now):
+        self.calls.append(now)
+        return self.rate if now < 2.0 else self.rate / 2
+
+
+class CountingStepped(SteppedBandwidth):
+    def __init__(self, steps):
+        super().__init__(steps)
+        self.calls = []
+
+    def rate_at(self, now):
+        self.calls.append(now)
+        return super().rate_at(now)
+
+
+class CountingWalk(RandomWalkBandwidth):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def rate_at(self, now):
+        self.calls.append(now)
+        return super().rate_at(now)
+
+
+PROFILES = {
+    "constant-subclass": lambda: CountingConstant(1500.0),
+    "stepped": lambda: CountingStepped([(0.0, 1500.0), (2.5, 3000.0)]),
+    "walk": lambda: CountingWalk(1500.0, span=0.5, hold_time=0.2,
+                                 rng=random.Random(11)),
+}
+
+
+def drive_profile(link_cls, make_profile):
+    sim = Simulator(sanitizer=None, obs=None)
+    arrivals = []
+
+    class FarEnd:
+        def receive(self, packet):
+            arrivals.append((packet.seq, sim.now))
+
+    profile = make_profile()
+    link = link_cls(sim, FarEnd(), profile, 0.001)
+    # idle starts (0.0, 6.0, 12.0) and starts from a wake (the bursts)
+    offers = [0.0, 0.0, 0.0, 6.0, 6.0, 12.0]
+    for seq, when in enumerate(offers):
+        sim.schedule_at(when, link.send, Packet(
+            flow_id=1, src="a", dst="b", kind=PacketKind.DATA, seq=seq,
+            payload=1448))
+    sim.run()
+    return arrivals, profile.calls
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_a_varying_profile_is_asked_for_its_rate_at_every_start(profile):
+    shipped, calls = drive_profile(Link, PROFILES[profile])
+    reference, reference_calls = drive_profile(ReferenceLink,
+                                               PROFILES[profile])
+    assert shipped == reference                 # float ==
+    assert calls == reference_calls             # same instants, same order
+    assert len(calls) == 6                      # one per start, idle or not
+    assert calls[0] == 0.0 and 6.0 in calls and calls[-1] == 12.0
+
+
+def test_idle_start_keeps_the_packets_own_origin():
+    """Traced: whether a packet starts in the frame that offered it or
+    from a wake some other packet's send armed, and whatever it did at
+    the hop before, its arrival cites the event that sent *it*."""
+    sink = MemorySink()
+    obs = Observability(tracer=Tracer(sink))
+    sim = Simulator(sanitizer=None, obs=obs)
+
+    class FarEnd:
+        def receive(self, packet):
+            obs.emit(sim.now, obsrec.PKT_RECV, packet.flow_id,
+                     seq=packet.seq)
+
+    class Forward:
+        def receive(self, packet):
+            second.send(packet)
+
+    # second is twice as fast: a burst waits at first, then finds
+    # second idle every time
+    second = Link(sim, FarEnd(), 3000.0, 0.001, name="second")
+    first = Link(sim, Forward(), 1500.0, 0.001, name="first")
+
+    def send(seq):
+        obs.emit(sim.now, obsrec.PKT_SEND, 1, seq=seq)
+        first.send(Packet(flow_id=1, src="a", dst="b", kind=PacketKind.DATA,
+                          seq=seq, payload=1448))
+
+    offers = [0.0, 0.1, 0.2, 7.0, 7.0, 20.0]
+    for seq, when in enumerate(offers):
+        sim.schedule_at(when, send, seq)
+    sim.run()
+    assert first._started == second._started == len(offers)
+    sent_by = {r.fields["seq"]: r.eid for r in sink.records
+               if r.kind == obsrec.PKT_SEND}
+    arrivals = [r for r in sink.records if r.kind == obsrec.PKT_RECV]
+    assert len(arrivals) == len(offers)
+    assert [(r.fields["seq"], r.parent_eid) for r in arrivals] == \
+        sorted(sent_by.items())
 
 
 # ----------------------------------------------------------------------

