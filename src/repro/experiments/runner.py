@@ -56,11 +56,9 @@ def _new_sim(obs: Optional[Observability], collect: bool = False) -> Simulator:
     """A simulator carrying ``obs``, else the environment's bundle, else
     — for a collecting run — a bare one.  Chosen first, built once: what
     a simulator is instrumented with is fixed at construction."""
-    if obs is None:
-        obs = obs_from_env()
-        if obs is None and collect:
-            obs = Observability()
-    return Simulator(obs=obs)
+    if obs is None and collect:
+        obs = obs_from_env() or Observability()
+    return Simulator() if obs is None else Simulator(obs=obs)
 
 
 def _end_run(sim: Simulator) -> None:

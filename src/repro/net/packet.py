@@ -100,8 +100,10 @@ class Packet:
     _origin: int = field(default=0, repr=False, compare=False)
     #: total wire size in bytes (payload plus header overhead).  Links
     #: and queues read it at every hop, so it is stored beside
-    #: ``payload`` by the only two writers of that — construction and
-    #: the pool — rather than computed per read.
+    #: ``payload`` by the only writers of that — construction and the
+    #: pool's two recycling paths, all in this file (CI's retired-names
+    #: scan refuses a ``.payload =`` anywhere else) — rather than
+    #: computed per read.
     size: Bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

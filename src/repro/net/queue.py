@@ -36,6 +36,17 @@ class DropTailQueue:
         #: high-water mark of queued bytes over the queue's lifetime
         self.bytes_peak = 0
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # ``pass_through`` below is push-then-pop written out: a subclass
+        # that changes either must say what a packet that waits for
+        # nothing sees, or an idle link would silently bypass it.
+        if (cls.pass_through is DropTailQueue.pass_through
+                and (cls.push is not DropTailQueue.push
+                     or cls.pop is not DropTailQueue.pop)):
+            raise TypeError(f"{cls.__name__} overrides push/pop and must "
+                            "override pass_through too")
+
     def __len__(self) -> int:
         return len(self._q)
 

@@ -59,6 +59,28 @@ class TestDropTail:
             pushed += 1
         assert pushed == 10
 
+    def test_subclass_changing_push_or_pop_must_say_what_passes_through(self):
+        """An idle link offers through ``pass_through`` alone, so a new
+        discipline that inherited drop-tail's copy would be bypassed."""
+        with pytest.raises(TypeError, match="pass_through"):
+            class Lifo(DropTailQueue):
+                __slots__ = ()
+
+                def pop(self, now=0.0):
+                    return self._q.pop() if self._q else None
+
+        class Counting(DropTailQueue):      # neither changed: fine
+            __slots__ = ()
+
+        class Red(CoDelQueue):              # CoDel's is its real push + pop
+            __slots__ = ()
+
+            def push(self, packet):
+                return super().push(packet)
+
+        assert Counting(3000).pass_through(pkt(), 0.0)
+        assert Red(3000).pass_through(pkt(), 0.0)
+
 
 class TestCoDel:
     def test_below_target_no_drops(self):
