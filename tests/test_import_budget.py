@@ -3,7 +3,9 @@ the code that executes one.  Names and counts, never time.
 
 Every check runs in a fresh interpreter (``PYTHONHASHSEED=0``) and
 reads ``sys.modules``, which — unlike a ``-X importtime`` log — also
-holds what ``importlib.import_module`` loaded.
+holds what ``importlib.import_module`` loaded.  The warm campaign runs
+under ``python -S``, so a start-up hook of the machine's ``site`` is
+not counted as the program's (``tests/import_budget.py``).
 """
 
 from __future__ import annotations
@@ -66,19 +68,29 @@ print(json.dumps({
 """
 
 
-@pytest.fixture(scope="module")
-def warm_run(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("budget")
+def warm_campaign(tmp, path=()):
+    """A cold campaign into a new store under ``tmp``, then
+    :data:`WARM_THEN_REFILL`, both under ``python -S`` with ``path``
+    ahead of ``src`` on ``PYTHONPATH``."""
     store = ["--cache-dir", str(tmp / "cache"),
              "--stats-json", str(tmp / "stats.json")]
-    cold = python("-m", "repro", *CAMPAIGN, *store).stdout
+    cold = python("-S", "-m", "repro", *CAMPAIGN, *store, path=path).stdout
     cold_stats = json.loads((tmp / "stats.json").read_text())
     assert cold_stats["executed"] == cold_stats["total"] == 4
-    run = json.loads(python("-c", WARM_THEN_REFILL, str(tmp / "cache"),
-                            str(tmp / "stats.json"), *CAMPAIGN,
-                            *store).stdout)
+    run = json.loads(python("-S", "-c", WARM_THEN_REFILL, str(tmp / "cache"),
+                            str(tmp / "stats.json"), *CAMPAIGN, *store,
+                            path=path).stdout)
     run["cold"] = cold
     return run
+
+
+@pytest.fixture(scope="module")
+def warm_run(tmp_path_factory):
+    return warm_campaign(tmp_path_factory.mktemp("budget"))
+
+
+#: a start-up hook that loads what the budget forbids and counts
+SITECUSTOMIZE = "import ssl, tempfile, zipfile\n"
 
 
 class TestWarmCampaign:
@@ -96,6 +108,19 @@ class TestWarmCampaign:
         ours = [m for m in modules if m.split(".")[0] == "repro"]
         assert len(ours) <= MAX_REPRO_MODULES, ours
         assert len(modules) <= MAX_MODULES, len(modules)
+
+    def test_a_start_up_hook_is_not_counted(self, warm_run, tmp_path):
+        """A ``sitecustomize`` first on ``PYTHONPATH`` runs at every start
+        without ``-S`` and changes nothing the budget reads under it."""
+        hook = tmp_path / "hook"
+        hook.mkdir()
+        (hook / "sitecustomize.py").write_text(SITECUSTOMIZE)
+        live = python("-c", "import sys; print('ssl' in sys.modules)",
+                      path=[hook]).stdout
+        assert live == "True\n"
+        hooked = warm_campaign(tmp_path, path=[hook])["after_warm"]
+        assert hooked == warm_run["after_warm"]
+        assert forbidden(hooked) == []
 
     def test_misses_load_the_simulator_and_refill_the_store(self, warm_run):
         """Lazy -> eager in one process: the same interpreter that served
