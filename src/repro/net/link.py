@@ -19,7 +19,7 @@ from typing import Optional, Protocol
 
 from repro.core.units import Bytes, BytesPerSec, Seconds
 from repro.net.netem import BandwidthProfile, ConstantBandwidth, JitterModel, LossModel
-from repro.net.packet import POOL, Packet
+from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.obs import records as obsrec
 from repro.sim.engine import EventRef, Simulator
@@ -55,11 +55,11 @@ class Link:
     fires at that same instant, drains the queue in order.
 
     What happens to a packet at ``finish`` rather than at start — a
-    random loss being counted, traced, reported to the sanitizer and the
-    packet rejoining the pool — is stamped there by the one ``_lose``
-    event a lost packet gets in place of its arrival.  ``packets_sent`` /
-    ``bytes_sent`` / ``busy`` read as of the current simulated time: the
-    packet in service is counted from ``finish`` on, not from its start.
+    random loss being counted, traced and reported to the sanitizer — is
+    stamped there by the one ``_lose`` event a lost packet gets in place
+    of its arrival.  ``packets_sent`` / ``bytes_sent`` / ``busy`` read as
+    of the current simulated time: the packet in service is counted from
+    ``finish`` on, not from its start.
     """
 
     __slots__ = ("sim", "dst", "bandwidth", "delay", "queue", "jitter",
@@ -199,10 +199,6 @@ class Link:
             self.sim.sanitizer.note_network_drop(f"{self.name}: random loss")
         if self._drop_obs is not None:
             self._note_drop(packet, "random_loss")
-        # The packet dies mid-path: pooled packets rejoin the free list
-        # here instead of waiting for end-host delivery that will never
-        # come (refcount-guarded).
-        POOL.release(packet)
 
     def _note_drop(self, packet: Packet, reason: str) -> None:
         self._drop_obs.emit(self.sim.now, obsrec.PKT_DROP, packet.flow_id,

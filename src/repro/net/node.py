@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Protocol
 
 from repro.net.link import Link
-from repro.net.packet import POOL, Packet
+from repro.net.packet import Packet
 from repro.obs import records as obsrec
 from repro.sim.engine import SimulationError
 
@@ -81,13 +81,8 @@ class Host:
         endpoint = self._endpoints.get(packet.flow_id)
         if endpoint is None:
             self.unroutable += 1
-            POOL.release(packet)
             return
         endpoint.on_packet(packet)
-        # Final delivery: the endpoint has copied out everything it needs,
-        # so the packet can rejoin the pool (refcount-guarded — retained
-        # packets stay alive and are simply not recycled).
-        POOL.release(packet)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Host {self.name}>"
@@ -133,16 +128,11 @@ class Router:
         link = self._routes.get(packet.dst, self.default_route)
         if link is None:
             self.unroutable += 1
-            POOL.release(packet)
             if self.strict:
                 raise self._no_route_error(packet.dst)
             return
         self.packets_forwarded += 1
-        if not link.send(packet):
-            # Queue-full drop at this hop: the link counted the drop and
-            # the packet's life ends here, so pooled packets rejoin the
-            # free list (refcount-guarded, like end-host delivery).
-            POOL.release(packet)
+        link.send(packet)  # a queue-full drop is the link's to count
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Router {self.name}>"

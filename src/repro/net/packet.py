@@ -5,29 +5,22 @@ control packets used by the simplified connection handshake.  Sizes are in
 bytes and include a fixed IP+TCP header overhead so link serialisation and
 buffer occupancy are realistic.
 
-Packet pooling
---------------
-A dumbbell transfer allocates one :class:`Packet` per segment and per ACK
-— the dominant allocation in the hot path.  :class:`PacketPool` recycles
-delivered packets instead: the TCP endpoints acquire data/ACK packets
-from the process-wide :data:`POOL`, and :meth:`repro.net.node.Host.receive`
-releases them at end of life.  Recycling is *refcount-guarded*: a packet
-is only returned to the free list when ``sys.getrefcount`` proves the
-transient dispatch frames hold the last references, so code that retains
-a packet (telemetry, test stubs, trace tooling) transparently keeps it —
-the pool never aliases a live object.  Acquired packets always draw a
-fresh ``packet_id`` from the same global counter as direct construction,
-so the id stream is identical however many acquisitions the free list
-serves; golden traces cannot tell the difference.
+Packet lifetime
+---------------
+A packet is a plain value.  The TCP endpoints construct one per segment
+and one per ACK; links, queues and routers pass that object along and
+never copy it, and its life ends with its last reference — at end-host
+delivery, at a drop, or wherever a test or trace tool stops holding it.
+The simulator writes no field after construction except the ECN ``ce``
+mark a queue may set and a link's ``_origin`` bookkeeping on traced
+runs.
 """
 
 from __future__ import annotations
 
-import itertools
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.units import MSS, Bytes, Seconds
 
@@ -36,8 +29,6 @@ HEADER_BYTES: Bytes = 52
 
 #: Default maximum segment size (payload bytes), 1500 MTU minus headers.
 DEFAULT_MSS: Bytes = MSS
-
-_packet_ids = itertools.count(1)
 
 
 class PacketKind(Enum):
@@ -89,10 +80,6 @@ class Packet:
     ce: bool = False
     ece: bool = False
     cwr: bool = False
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    #: pool bookkeeping: 0 = direct construction (never recycled),
-    #: 1 = live, acquired from a pool, 2 = parked in a pool's free list.
-    _pool_state: int = field(default=0, repr=False, compare=False)
     #: traced runs only: scheduling origin of the event that offered the
     #: packet to the link it is queued at (``Link.send`` writes it,
     #: ``Link._start_next`` restores it), so a wait in a queue does not
@@ -100,10 +87,9 @@ class Packet:
     _origin: int = field(default=0, repr=False, compare=False)
     #: total wire size in bytes (payload plus header overhead).  Links
     #: and queues read it at every hop, so it is stored beside
-    #: ``payload`` by the only writers of that — construction and the
-    #: pool's two recycling paths, all in this file (CI's retired-names
-    #: scan refuses a ``.payload =`` anywhere else) — rather than
-    #: computed per read.
+    #: ``payload`` by construction, the only writer of that (CI's
+    #: retired-names scan refuses any later assignment to ``payload``)
+    #: — rather than computed per read.
     size: Bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -130,132 +116,3 @@ class Packet:
         else:
             body = self.kind.value
         return f"<Packet f{self.flow_id} {self.src}->{self.dst} {body}>"
-
-
-#: Reference floor for :meth:`PacketPool.release` at an end-of-life call
-#: site reached through engine dispatch: the event's args tuple, the
-#: consuming frame (``Host.receive``), the ``release`` frame, and
-#: ``sys.getrefcount``'s own argument.  Any retention beyond these
-#: transient references (telemetry, a capturing test stub, trace tooling)
-#: pushes the count past the floor and vetoes recycling.
-RELEASE_FLOOR = 4
-
-
-class PacketPool:
-    """LIFO free-list of :class:`Packet` objects with an aliasing guard.
-
-    ``acquire_data`` / ``acquire_ack`` either pop the most recently
-    released packet (deterministic LIFO reuse order) or construct a new
-    one; every acquisition resets all fields and draws a fresh
-    ``packet_id``, so pooled and unpooled runs are indistinguishable.
-    ``release`` recycles only packets this pool handed out (direct
-    constructions have ``_pool_state == 0`` and are ignored) and only
-    when the refcount proves no one else still holds them.
-    """
-
-    __slots__ = ("_free", "allocated", "reused", "retained")
-
-    def __init__(self, prealloc: int = 0) -> None:
-        self.allocated = 0  # constructions the pool performed
-        self.reused = 0     # acquisitions served from the free list
-        self.retained = 0   # releases vetoed by the refcount guard
-        self._free: List[Packet] = []
-        for _ in range(prealloc):
-            # packet_id=0 keeps preallocation from consuming ids: the
-            # global id stream must not depend on pool configuration.
-            blank = Packet(flow_id=-1, src="", dst="",
-                           kind=PacketKind.DATA, packet_id=0,
-                           _pool_state=2)
-            self._free.append(blank)
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    # ------------------------------------------------------------------
-    def acquire_data(self, flow_id: int, src: str, dst: str, seq: int,
-                     payload: Bytes, sent_time: Seconds, retransmit: bool,
-                     ect: bool, cwr: bool) -> Packet:
-        """A DATA segment, recycled when possible."""
-        free = self._free
-        if free:
-            p = free.pop()
-            self.reused += 1
-            p.flow_id = flow_id
-            p.src = src
-            p.dst = dst
-            p.kind = PacketKind.DATA
-            p.seq = seq
-            p.payload = payload
-            p.size = payload + HEADER_BYTES
-            p.ack_seq = 0
-            p.sent_time = sent_time
-            p.ts_echo = None
-            p.retransmit = retransmit
-            p.sack = None
-            p.ect = ect
-            p.ce = False
-            p.ece = False
-            p.cwr = cwr
-            p.packet_id = next(_packet_ids)
-            p._pool_state = 1
-            return p
-        self.allocated += 1
-        return Packet(flow_id=flow_id, src=src, dst=dst, kind=PacketKind.DATA,
-                      seq=seq, payload=payload, sent_time=sent_time,
-                      retransmit=retransmit, ect=ect, cwr=cwr, _pool_state=1)
-
-    def acquire_ack(self, flow_id: int, src: str, dst: str, ack_seq: int,
-                    sent_time: Seconds, ts_echo: Optional[Seconds],
-                    sack: Optional[Tuple[Tuple[int, int], ...]],
-                    ece: bool) -> Packet:
-        """A pure ACK, recycled when possible."""
-        free = self._free
-        if free:
-            p = free.pop()
-            self.reused += 1
-            p.flow_id = flow_id
-            p.src = src
-            p.dst = dst
-            p.kind = PacketKind.ACK
-            p.seq = 0
-            p.payload = 0
-            p.size = HEADER_BYTES
-            p.ack_seq = ack_seq
-            p.sent_time = sent_time
-            p.ts_echo = ts_echo
-            p.retransmit = False
-            p.sack = sack
-            p.ect = False
-            p.ce = False
-            p.ece = ece
-            p.cwr = False
-            p.packet_id = next(_packet_ids)
-            p._pool_state = 1
-            return p
-        self.allocated += 1
-        return Packet(flow_id=flow_id, src=src, dst=dst, kind=PacketKind.ACK,
-                      ack_seq=ack_seq, sent_time=sent_time, ts_echo=ts_echo,
-                      sack=sack, ece=ece, _pool_state=1)
-
-    # ------------------------------------------------------------------
-    def release(self, packet: Packet, refs_ok: int = RELEASE_FLOOR) -> bool:
-        """Offer a packet back; True when it actually joined the free list.
-
-        Safe to call on any packet: direct constructions and packets from
-        other pools are ignored, and a packet whose refcount exceeds
-        ``refs_ok`` (someone besides the transient dispatch frames still
-        holds it) is left alive untouched.
-        """
-        if packet._pool_state != 1:
-            return False
-        if sys.getrefcount(packet) > refs_ok:
-            self.retained += 1
-            return False
-        packet._pool_state = 2
-        self._free.append(packet)
-        return True
-
-
-#: Process-wide packet pool used by the TCP endpoints and released by
-#: ``Host.receive``.
-POOL = PacketPool(prealloc=64)

@@ -13,8 +13,6 @@ _EXPORTS = {
     "event_origin_eid": "engine",
     "event_parent_eid": "engine",
     "event_time": "engine",
-    "Process": "process",
-    "spawn": "process",
     "RngRegistry": "rng",
     "derive_seed": "rng",
 }

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.net.node import Host
-from repro.net.packet import Packet, PacketKind, POOL
+from repro.net.packet import Packet, PacketKind
 from repro.obs import records as obsrec
 from repro.sim.engine import Simulator
 from repro.tcp.intervals import Interval, IntervalSet
@@ -163,9 +163,9 @@ class TcpReceiver:
         if self._delack_timer is not None:
             self.sim.cancel_event(self._delack_timer)
         sack = self._sack_blocks()
-        ack = POOL.acquire_ack(self.flow_id, self.host.name, self.peer,
-                               self.rcv_nxt, self.sim.now, echo, sack,
-                               self._ece_latched)
+        ack = Packet(self.flow_id, self.host.name, self.peer, PacketKind.ACK,
+                     ack_seq=self.rcv_nxt, sent_time=self.sim.now,
+                     ts_echo=echo, sack=sack, ece=self._ece_latched)
         self.acks_sent += 1
         self.host.transmit(ack)
 

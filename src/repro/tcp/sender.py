@@ -31,7 +31,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.cc.base import AckInfo, CongestionControl
 from repro.net.node import Host
-from repro.net.packet import DEFAULT_MSS, Packet, PacketKind, POOL
+from repro.net.packet import DEFAULT_MSS, Packet, PacketKind
 from repro.obs import records as obsrec
 from repro.sim.engine import EventRef, Simulator, event_time
 from repro.tcp.intervals import Interval, IntervalSet
@@ -497,9 +497,10 @@ class TcpSender:
 
     def _send_segment(self, seq: int, size: int, retransmit: bool) -> None:
         now = self.sim.now
-        pkt = POOL.acquire_data(self.flow_id, self.host.name, self.peer,
-                                seq, size, now, retransmit,
-                                self.ecn, self._cwr_pending)
+        pkt = Packet(self.flow_id, self.host.name, self.peer, PacketKind.DATA,
+                     seq=seq, payload=size, sent_time=now,
+                     retransmit=retransmit, ect=self.ecn,
+                     cwr=self._cwr_pending)
         self._cwr_pending = False
         self.data_packets_sent += 1
         if retransmit:

@@ -23,7 +23,7 @@ from repro.core.units import Bytes, BytesPerSec, Seconds
 from repro.net import topology
 from repro.net.link import Receiver
 from repro.net.netem import BandwidthProfile, ConstantBandwidth, JitterModel, LossModel
-from repro.net.packet import POOL, Packet
+from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.net.topogen import build as topogen_build
 from repro.obs import records as obsrec
@@ -116,10 +116,6 @@ class ReferenceLink:
                 self.sim.sanitizer.note_network_drop(f"{self.name}: random loss")
             if self._drop_obs is not None:
                 self._note_drop(packet, "random_loss")
-            # The packet dies mid-path: pooled packets rejoin the free
-            # list here instead of waiting for end-host delivery that
-            # will never come (refcount-guarded).
-            POOL.release(packet)
         else:
             prop = self.delay
             if self.jitter is not None:

@@ -12,8 +12,6 @@ which survives as ``tests/reference_engine.py``.  This suite is the proof:
   interleaved, raising callbacks — comparing clock, eid, pending and
   processed after every step, and check heap invariants (non-decreasing
   fire order, FIFO at equal times, cancel-then-pop skips);
-* the packet pool is shown never to alias a live packet and to reuse in
-  deterministic LIFO order;
 * sanitizer rules and ``repro explain`` causal chains behave identically
   on both engines.
 """
@@ -28,15 +26,10 @@ from hypothesis import strategies as st
 from repro.analysis.sanitize import SanitizeError, SimSanitizer, from_env
 from repro.experiments import goldens
 from repro.experiments.runner import run_single_flow
-from repro.net.link import Link
-from repro.net.node import Host
-from repro.net.packet import POOL, Packet, PacketKind, PacketPool
-from repro.net.queue import DropTailQueue
 from repro.obs.causal import CausalIndex, explain_event
 from repro.obs.sinks import DigestSink, MemorySink
 from repro.obs.tracer import Observability, Tracer
 from repro.sim import RngRegistry, Simulator
-from repro.tcp import open_transfer
 from repro.workloads import INTERNET_SCENARIOS
 from tests.reference_engine import ENGINES
 
@@ -398,102 +391,6 @@ class TestEngineAttributes:
         setattr(sim, name, was)             # put back: the engine carries on
         sim.run()
         assert fired == [1, 2] and sim.now == 2.0
-
-
-# ----------------------------------------------------------------------
-# packet pool: aliasing safety and deterministic reuse
-# ----------------------------------------------------------------------
-def _acquire(pool, i):
-    return pool.acquire_data(flow_id=1, src="a", dst="b", seq=i * 1448,
-                             payload=1448, sent_time=0.0, retransmit=False,
-                             ect=False, cwr=False)
-
-
-class TestPoolProperties:
-    def test_release_requires_refcount_proof(self):
-        """A packet someone still holds is retained, never recycled."""
-        pool = PacketPool()
-        p = _acquire(pool, 0)
-        # Two extra live references beyond what the RELEASE_FLOOR call
-        # shape (args tuple + consuming frame) accounts for.
-        keeper, another = p, p
-        assert pool.release(p) is False
-        assert pool.retained == 1
-        assert p._pool_state == 1  # still live, still owned by the caller
-        assert keeper.seq == 0 and another is p
-
-    def test_reuse_is_lifo_and_never_aliases_live_packets(self):
-        pool = PacketPool()
-        a, b = _acquire(pool, 1), _acquire(pool, 2)
-        ida, idb = id(a), id(b)
-        # refs_ok=5: this frame's locals add one reference vs. the
-        # engine-dispatch call shape the default floor models.
-        assert pool.release(a, refs_ok=5)
-        assert pool.release(b, refs_ok=5)
-        del a, b
-        c = _acquire(pool, 3)
-        d = _acquire(pool, 4)
-        e = _acquire(pool, 5)  # free list empty: fresh construction
-        assert (id(c), id(d)) == (idb, ida)  # LIFO: b back first
-        assert id(e) not in (ida, idb)
-        # Reused packets are fully reset and freshly identified.
-        assert (c.seq, d.seq, e.seq) == (3 * 1448, 4 * 1448, 5 * 1448)
-        assert len({c.packet_id, d.packet_id, e.packet_id}) == 3
-
-    @settings(max_examples=50, deadline=None)
-    @given(ops=st.lists(st.sampled_from(["acquire", "release"]),
-                        min_size=1, max_size=60))
-    def test_random_acquire_release_never_aliases(self, ops):
-        """No interleaving hands out a packet that is still live."""
-        pool = PacketPool()
-        live = []
-        n = 0
-        for op in ops:
-            if op == "acquire" or not live:
-                p = _acquire(pool, n)
-                n += 1
-                assert all(q is not p for q in live), "pool aliased a live packet"
-                assert p._pool_state == 1
-                live.append(p)
-            else:
-                p = live.pop()
-                assert pool.release(p, refs_ok=5)
-                assert p._pool_state == 2
-                del p
-        assert pool.reused + pool.allocated == n
-
-    def test_prealloc_does_not_consume_packet_ids(self):
-        before = Packet(flow_id=1, src="a", dst="b",
-                        kind=PacketKind.DATA).packet_id
-        PacketPool(prealloc=32)
-        after = Packet(flow_id=1, src="a", dst="b",
-                       kind=PacketKind.DATA).packet_id
-        assert after == before + 1
-
-    def test_id_stream_is_pool_independent(self):
-        """Recycled acquisitions and direct ``Packet(...)`` constructions
-        draw from one id stream — the invariant that keeps golden traces
-        pool-blind."""
-        pool = PacketPool(prealloc=4)
-        gap = [_acquire(pool, i).packet_id if i % 2 == 0 else
-               Packet(flow_id=1, src="a", dst="b",
-                      kind=PacketKind.DATA).packet_id
-               for i in range(4)]
-        assert pool.reused == 2
-        assert gap == list(range(gap[0], gap[0] + 4))
-
-    def test_process_pool_recycles_in_a_real_transfer(self):
-        """End-to-end: Host.receive feeds delivered packets back to POOL."""
-        reused_before = POOL.reused
-        sim = Simulator(sanitizer=None, obs=None)
-        a, b = Host("a"), Host("b")
-        a.uplink = Link(sim, b, 1.25e6, 0.02, queue=DropTailQueue(100_000))
-        b.uplink = Link(sim, a, 1.25e6, 0.02, queue=DropTailQueue(100_000))
-        transfer = open_transfer(sim, a, b, flow_id=1,
-                                 size_bytes=200_000, cc="cubic")
-        sim.run(until=30.0)
-        assert transfer.completed
-        assert POOL.reused > reused_before
 
 
 # ----------------------------------------------------------------------

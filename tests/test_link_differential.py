@@ -350,11 +350,10 @@ def test_burst_on_a_free_instant():
                          ids=["shipped", "reference"])
 def test_sub_packet_buffer_refuses_an_idle_offer(link_cls):
     """Nothing waits, nothing is in service — and the packet still does
-    not fit: refused by the queue's own capacity check, counted once
-    everywhere, and released by the caller (here a router) exactly once."""
+    not fit: refused by the queue's own capacity check and counted once
+    everywhere, with the caller (here a router) forwarding it once."""
     from repro.analysis.sanitize import SimSanitizer
     from repro.net import Router
-    from repro.net.packet import POOL
 
     obs = Observability()
     drops = []
@@ -373,12 +372,9 @@ def test_sub_packet_buffer_refuses_an_idle_offer(link_cls):
     router.add_route("b", link_cls(sim, FarEnd(), 1500.0, 0.0, queue=queue,
                                    name="dut"))
     sanitizer.note_network_send()               # what Host.transmit does
-    # no reference kept here: the engine's args tuple and the frames
-    # under it are all RELEASE_FLOOR allows
-    sim.schedule_at(0.5, router.receive, POOL.acquire_data(
-        flow_id=7, src="a", dst="b", seq=2896, payload=1448, sent_time=0.5,
-        retransmit=False, ect=False, cwr=False))
-    free, retained = len(POOL), POOL.retained
+    sim.schedule_at(0.5, router.receive, Packet(
+        flow_id=7, src="a", dst="b", kind=PacketKind.DATA, seq=2896,
+        payload=1448, sent_time=0.5))
     sim.run()
     assert arrivals == []
     assert (queue.drops, queue.flow_drops, queue.enqueued,
@@ -388,8 +384,6 @@ def test_sub_packet_buffer_refuses_an_idle_offer(link_cls):
     assert sanitizer.packets_dropped == 1
     sanitizer.verify_conservation(sim.pending_events)
     assert router.packets_forwarded == 1
-    assert (len(POOL), POOL.retained) == (free + 1, retained)
-    assert POOL._free[-1].seq == 2896 and POOL._free[-1]._pool_state == 2
 
 
 def codel_state(queue):

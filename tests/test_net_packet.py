@@ -23,10 +23,6 @@ class TestPacket:
         pkt = data_packet(seq=1000, payload=500)
         assert pkt.end_seq == 1500
 
-    def test_packet_ids_unique(self):
-        a, b = data_packet(), data_packet()
-        assert a.packet_id != b.packet_id
-
     def test_default_not_retransmit(self):
         assert not data_packet().retransmit
 
@@ -36,28 +32,3 @@ class TestPacket:
     def test_kind_flags(self):
         syn = Packet(flow_id=1, src="a", dst="b", kind=PacketKind.SYN)
         assert not syn.is_data and not syn.is_ack
-
-    def test_size_is_kept_beside_payload_through_the_pool(self):
-        """``size`` is a stored field (links read it per hop), written by
-        the two writers of ``payload``: a recycled packet must not keep
-        the wire size of its previous life."""
-        from repro.net.packet import PacketPool
-
-        pool = PacketPool()
-        data = pool.acquire_data(flow_id=1, src="a", dst="b", seq=0,
-                                 payload=1000, sent_time=0.0,
-                                 retransmit=False, ect=False, cwr=False)
-        assert data.size == 1000 + HEADER_BYTES
-        assert pool.release(data, refs_ok=5)
-        was = id(data)
-        del data
-        ack = pool.acquire_ack(flow_id=1, src="b", dst="a", ack_seq=1000,
-                               sent_time=0.0, ts_echo=None, sack=None,
-                               ece=False)
-        assert id(ack) == was and (ack.payload, ack.size) == (0, HEADER_BYTES)
-        assert pool.release(ack, refs_ok=5)
-        del ack
-        short = pool.acquire_data(flow_id=1, src="a", dst="b", seq=1000,
-                                  payload=500, sent_time=0.0,
-                                  retransmit=False, ect=False, cwr=False)
-        assert id(short) == was and short.size == 500 + HEADER_BYTES

@@ -291,55 +291,6 @@ class TestRouterForward:
         assert router.unroutable == 1
 
 
-class TestRouterPoolRelease:
-    """Satellite: pooled packets die cleanly at router hops too."""
-
-    def test_unroutable_pooled_packet_rejoins_free_list(self):
-        from repro.net.packet import POOL
-        router = Router("r")
-        before = len(POOL)
-        retained = POOL.retained
-        # Passing the acquisition straight in keeps the refcount at the
-        # release floor: no caller frame retains the packet.
-        router.receive(POOL.acquire_ack(1, "a", "nowhere", 0, 0.0, None,
-                                        None, False))
-        # acquire popped one packet, release pushed it straight back
-        assert len(POOL) == before
-        assert POOL.retained == retained
-
-    def test_full_queue_at_router_hop_releases(self):
-        from repro.net import ConstantBandwidth, Link
-        from repro.net.packet import HEADER_BYTES, POOL
-        from repro.net.queue import DropTailQueue
-        # Packets enter at the router, bypassing Host.transmit's
-        # conservation accounting, so the run opts out of the sanitizer.
-        sim = Simulator(sanitizer=None)
-        router = Router("r")
-        h = Host("h")
-        # Tiny buffer: one ACK serialising, one queued, the third drops.
-        q = DropTailQueue(HEADER_BYTES, name="tiny")
-        link = Link(sim, h, ConstantBandwidth(10.0), 0.0, queue=q)
-        router.add_route("h", link)
-        for seq in range(2):
-            router.receive(POOL.acquire_ack(1, "a", "h", seq, 0.0, None,
-                                            None, False))
-        before = len(POOL)
-        retained = POOL.retained
-        router.receive(POOL.acquire_ack(1, "a", "h", 2, 0.0, None,
-                                        None, False))
-        assert q.drops == 1
-        # the dropped packet rejoined the free list (acquire -1, +1 back)
-        assert len(POOL) == before
-        assert POOL.retained == retained
-
-    def test_directly_constructed_packet_is_ignored(self):
-        from repro.net.packet import POOL
-        router = Router("r")
-        before = len(POOL)
-        router.receive(pkt("nowhere"))
-        assert len(POOL) == before
-
-
 class TestDumbbellEdges:
     """Satellite: build_dumbbell edge cases."""
 
