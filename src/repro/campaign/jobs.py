@@ -33,47 +33,9 @@ def register(kind: str):
     return decorate
 
 
-def _run_analytical_flow(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """The ``fidelity="analytical"`` arm of a single-flow job: the same
-    (scenario, cc, size) cell evaluated by the paired closed-form model
-    instead of the packet simulator.  The result dict keeps the packet
-    schema — ``retransmissions`` and ``drops`` become rounded
-    expectations — so downstream aggregation is tier-agnostic."""
-    from repro.flowsim.crossval import SCHEME_PAIRS
-    from repro.flowsim.model import PathParams, create_model
-    from repro.workloads.scenarios import PathScenario
-
-    scenario = PathScenario(**params["scenario"])
-    cc = params["cc"]
-    model_name = SCHEME_PAIRS.get(cc, cc)
-    path = PathParams.from_scenario(
-        scenario, delayed_ack=params.get("delayed_ack", False))
-    est = create_model(model_name).estimate(params["size_bytes"], path)
-    return {
-        "scenario": scenario.name,
-        "cc": cc,
-        "size_bytes": params["size_bytes"],
-        "seed": params["seed"],
-        "fct": est.fct,
-        "completed": True,
-        "retransmissions": round(est.retransmits),
-        "rto_count": 0,
-        "data_packets_sent": est.segments,
-        "drops": round(est.retransmits),
-        "loss_rate": est.loss_rate,
-        "fidelity": "analytical",
-        "model": est.model,
-        "ss_rounds": est.ss_rounds,
-        "rounds_saved": est.rounds_saved,
-    }
-
-
 @register("single_flow")
 def run_single_flow_job(params: Mapping[str, Any]) -> Dict[str, Any]:
     """One seeded download; mirrors :func:`repro.experiments.runner.run_single_flow`."""
-    if params.get("fidelity", "packet") == "analytical":
-        return _run_analytical_flow(params)
-
     from repro.experiments.runner import run_single_flow
     from repro.workloads.scenarios import PathScenario
 
@@ -189,32 +151,18 @@ def run_fairness_cell_job(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 @register("flowsim_sweep")
 def run_flowsim_sweep_job(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """One analytical fleet sweep (or one shard of a sharded sweep)."""
-    from repro.flowsim.driver import (
-        SweepConfig,
-        run_sweep,
-        shard_seed,
-        sweep_to_value,
-    )
+    """One analytical fleet sweep."""
+    from repro.flowsim.driver import SweepConfig, run_sweep, sweep_to_value
     from repro.flowsim.model import PathParams
 
-    seed = params["seed"]
-    shard = params.get("shard")
-    if shard is not None:
-        seed = shard_seed(seed, shard)
     config = SweepConfig(
         path=PathParams(**params["path"]),
         flows=params["flows"],
         size_dist=params.get("size_dist", "campus"),
         arrival_rate=params.get("arrival_rate", 1000.0),
-        seed=seed,
+        seed=params["seed"],
         models=tuple(params.get("models", ("csa00", "csa00+suss"))))
-    value = sweep_to_value(run_sweep(config))
-    value["seed"] = params["seed"]  # report the sweep seed, not the derived
-    if shard is not None:
-        value["shard"] = shard
-        value["shards"] = params["shards"]
-    return value
+    return sweep_to_value(run_sweep(config))
 
 
 @contextlib.contextmanager

@@ -73,7 +73,6 @@ def single_flow_job(scenario: Union[str, PathScenario], cc: str,
                     delayed_ack: bool = False, ecn: bool = False,
                     trace_digest: bool = False,
                     analyze: bool = False,
-                    fidelity: str = "packet",
                     knobs: Optional[Mapping[str, Any]] = None) -> JobSpec:
     """Spec for one seeded download (the :func:`run_single_flow` unit).
 
@@ -86,15 +85,10 @@ def single_flow_job(scenario: Union[str, PathScenario], cc: str,
     ``jobs=1`` against ``jobs=N`` runs).  ``analyze=True`` traces the
     run in memory, feeds it through :func:`repro.obs.analyze.analyze_records`,
     and attaches each flow's summary plus any anomaly findings to the
-    result.  ``fidelity`` picks the tier: ``"packet"`` (the default
-    event-level simulation) or ``"analytical"`` (the closed-form
-    :mod:`repro.flowsim` model paired with ``cc``).  All three keys are
-    added to ``params`` only when non-default, so pre-existing job
-    hashes — and therefore cached results — are unaffected.
+    result.  Both keys are added to ``params`` only when set, so
+    pre-existing job hashes — and therefore cached results — are
+    unaffected.
     """
-    if fidelity not in ("packet", "analytical"):
-        raise ValueError(f"unknown fidelity {fidelity!r}; "
-                         f"known: packet, analytical")
     sc = _resolve_scenario(scenario)
     params: Dict[str, Any] = {
         "scenario": dataclasses.asdict(sc),
@@ -108,13 +102,10 @@ def single_flow_job(scenario: Union[str, PathScenario], cc: str,
         params["trace_digest"] = True
     if analyze:
         params["analyze"] = True
-    if fidelity != "packet":
-        params["fidelity"] = fidelity
     if knobs:
         params["knobs"] = dict(knobs)
     return JobSpec(kind="single_flow", params=params,
-                   label=f"{sc.name} {cc} {size_bytes}B seed={seed}"
-                         + ("" if fidelity == "packet" else f" [{fidelity}]"))
+                   label=f"{sc.name} {cc} {size_bytes}B seed={seed}")
 
 
 def topo_flow_job(scenario: Union[str, TopologySpec, Mapping[str, Any]],
@@ -154,45 +145,30 @@ def flowsim_sweep_job(path: Mapping[str, Any], flows: int, *,
                       size_dist: str = "campus",
                       models: Sequence[str] = ("csa00", "csa00+suss"),
                       seed: int = 1, arrival_rate: PerSecond = 1000.0,
-                      shard: int = 0, shards: int = 1,
                       knobs: Optional[Mapping[str, Any]] = None) -> JobSpec:
     """Spec for one analytical fleet sweep (the :mod:`repro.flowsim` tier).
 
     ``path`` is the field mapping of a
     :class:`repro.flowsim.model.PathParams` (``dataclasses.asdict`` of
     one, or a hand-written dict) — embedded by value like scenarios so
-    the job hashes and replays standalone.  Million-flow sweeps shard
-    like any other campaign work: ``shards > 1`` splits ``flows`` into
-    near-equal pieces whose size streams are derived per shard from the
-    sweep seed, so the union of shard fleets is a deterministic function
-    of ``(seed, shards)`` and results merge with
-    :func:`repro.flowsim.driver.merge_sweep_values`.  The shard keys are
-    added to ``params`` only when sharded, so unsharded sweep hashes
-    stay stable.
+    the job hashes and replays standalone.  A million-flow sweep is one
+    job: :func:`repro.flowsim.driver.run_sweep` models 10^6 flows in a
+    few seconds in one process.
     """
     if flows <= 0:
         raise ValueError("flows must be positive")
-    if not 0 <= shard < shards:
-        raise ValueError("need 0 <= shard < shards")
-    base = flows // shards
-    shard_flows = base + (1 if shard < flows % shards else 0)
     params: Dict[str, Any] = {
         "path": dict(path),
-        "flows": int(shard_flows),
+        "flows": int(flows),
         "size_dist": size_dist,
         "models": list(models),
         "seed": int(seed),
         "arrival_rate": float(arrival_rate),
     }
-    if shards > 1:
-        params["shard"] = int(shard)
-        params["shards"] = int(shards)
     if knobs:
         params["knobs"] = dict(knobs)
-    shard_tag = f" shard {shard + 1}/{shards}" if shards > 1 else ""
     return JobSpec(kind="flowsim_sweep", params=params,
-                   label=(f"flowsim {size_dist} x{shard_flows} "
-                          f"seed={seed}{shard_tag}"))
+                   label=f"flowsim {size_dist} x{flows} seed={seed}")
 
 
 def stability_job(large_cc: str, buffer_bdp: float, large_rtt: Seconds,

@@ -88,8 +88,8 @@ def run_single_flow(scenario: PathScenario, cc: str, size_bytes: int,
     customised topology (e.g. a CoDel bottleneck) while keeping the
     scenario's bookkeeping.  ``obs`` wires an explicit observability
     bundle into the simulator (the caller owns its sinks and closes
-    them); when omitted, the ``REPRO_TRACE`` / ``REPRO_PROFILE``
-    environment default applies.  ``collect`` subscribes a
+    them); when omitted, the ``REPRO_TRACE`` environment default (and
+    any installed global profiler) applies.  ``collect`` subscribes a
     :class:`FlowCollector` to the simulator's bundle and returns it as
     ``telemetry``; a pre-built ``sim`` must then carry one.
     """

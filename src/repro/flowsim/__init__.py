@@ -38,7 +38,6 @@ _EXPORTS = {
     "estimate_fleet": "driver",
     "poisson_arrivals": "driver",
     "run_sweep": "driver",
-    "shard_seed": "driver",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

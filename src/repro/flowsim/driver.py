@@ -36,7 +36,6 @@ record stream, not the model, would dominate the run.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from functools import reduce
@@ -55,12 +54,6 @@ from repro.workloads.distributions import sample_flow_sizes
 
 #: default offered load for the synthetic arrival process, flows/sec.
 DEFAULT_ARRIVAL_RATE: PerSecond = 1000.0
-
-
-def shard_seed(seed: int, shard: int) -> int:
-    """Seed for one shard of a sharded sweep: a distinct derived stream
-    per shard so the union of shard fleets is one deterministic fleet."""
-    return derive_seed(seed, f"flowsim.shard:{shard}")
 
 
 def poisson_arrivals(n: int, rate: PerSecond, rng: random.Random) -> List[Seconds]:
@@ -279,62 +272,6 @@ def sweep_to_value(result: SweepResult) -> Dict[str, object]:
         value["improvement"] = _relative_improvement(
             summaries["csa00"].mean, summaries["csa00+suss"].mean)
     return value
-
-
-def merge_sweep_values(values: Sequence[Dict[str, object]]
-                       ) -> Dict[str, object]:
-    """Merge per-shard sweep digests (from :func:`sweep_to_value`).
-
-    Counts, byte totals, retransmit expectations and extremes merge
-    exactly; means merge as flow-weighted averages, and the standard
-    deviation as the pooled one — ``(n, mean, std)`` per shard determine
-    the concatenated fleet's variance, within-shard plus between-shard:
-    ``[Σ(nᵢ−1)·sᵢ² + Σ nᵢ·(mᵢ−m)²] / (n−1)``.  Medians and p95s
-    are flow-weighted averages of the shard statistics — each shard
-    draws i.i.d. from the same size distribution, so shard quantiles
-    estimate the same population quantile and averaging them is an
-    unbiased combination, not an exact pooled quantile.
-    """
-    if not values:
-        raise ValueError("need at least one shard value")
-    model_names = list(values[0]["models"])  # type: ignore[arg-type]
-    merged_models: Dict[str, Dict[str, float]] = {}
-    for name in model_names:
-        shards = [v["models"][name] for v in values]  # type: ignore[index]
-        n = sum(s["n"] for s in shards)
-        weighted = lambda key: sum(s[key] * s["n"] for s in shards) / n
-        mean = weighted("fct_mean")
-        squares = sum((s["n"] - 1) * s["fct_std"] ** 2
-                      + s["n"] * (s["fct_mean"] - mean) ** 2 for s in shards)
-        merged_models[name] = {
-            "n": n,
-            "fct_mean": mean,
-            "fct_std": math.sqrt(squares / (n - 1)) if n > 1 else 0.0,
-            "fct_median": weighted("fct_median"),
-            "fct_p95": weighted("fct_p95"),
-            "fct_min": min(s["fct_min"] for s in shards),
-            "fct_max": max(s["fct_max"] for s in shards),
-            "total_bytes": sum(s["total_bytes"] for s in shards),
-            "total_segments": sum(s["total_segments"] for s in shards),
-            "expected_retransmits": sum(s["expected_retransmits"]
-                                        for s in shards),
-            "rounds_saved_mean": weighted("rounds_saved_mean"),
-            "distinct_segment_counts": max(s["distinct_segment_counts"]
-                                           for s in shards),
-        }
-    merged: Dict[str, object] = {
-        "flows": sum(v["flows"] for v in values),  # type: ignore[misc]
-        "size_dist": values[0]["size_dist"],
-        "seed": values[0]["seed"],
-        "arrival_rate": values[0]["arrival_rate"],
-        "shards": len(values),
-        "models": merged_models,
-    }
-    if "csa00" in merged_models and "csa00+suss" in merged_models:
-        merged["improvement"] = _relative_improvement(
-            merged_models["csa00"]["fct_mean"],
-            merged_models["csa00+suss"]["fct_mean"])
-    return merged
 
 
 def run_sweep(config: SweepConfig,

@@ -16,17 +16,13 @@ Environment activation (mirrors ``REPRO_SANITIZE``):
     stream canonical JSONL to ``PATH`` — one stream per process: the
     first ``Simulator`` truncates the file, every later one appends to
     the same open stream, whole lines in emission order;
-``REPRO_TRACE=ring[:N]``
-    keep the newest ``N`` (default 65536) records in memory;
-``REPRO_TRACE=mem``
-    keep every record in memory;
-``REPRO_TRACE=digest``
-    maintain a streaming digest only (golden/determinism checks);
 ``REPRO_TRACE_KINDS=pkt.send,cc.cwnd``
     restrict emission to the listed kinds (default: all).
 
-CSV output is not an environment mode — construct a
-:class:`repro.obs.sinks.CsvTraceSink` programmatically.
+A file is the only environment mode: nothing reads a sink that the
+environment built, so an in-memory one would be filled and thrown
+away.  Memory, ring, digest and CSV sinks are built programmatically
+(:mod:`repro.obs.sinks`) and passed as ``Simulator(obs=...)``.
 """
 
 from __future__ import annotations
@@ -36,13 +32,7 @@ from typing import IO, Any, Callable, Dict, FrozenSet, List, Optional, Set
 
 from repro.obs import profile as _profile
 from repro.obs.records import TraceRecord, parse_kinds
-from repro.obs.sinks import (
-    DigestSink,
-    JsonlSink,
-    MemorySink,
-    RingBufferSink,
-    TraceSink,
-)
+from repro.obs.sinks import JsonlSink, TraceSink
 
 #: environment variable that switches tracing on for new Simulators
 ENV_VAR = "REPRO_TRACE"
@@ -190,32 +180,20 @@ def _sink_from_spec(spec: str) -> TraceSink:
         if stream is None:
             stream = _ambient_streams[arg] = open(arg, "w", encoding="utf-8")
         return JsonlSink(stream)
-    if mode == "ring":
-        return RingBufferSink(int(arg) if arg else 65536)
-    if mode == "mem":
-        return MemorySink()
-    if mode == "digest":
-        return DigestSink()
     raise ValueError(
-        f"unknown REPRO_TRACE mode {mode!r}; "
-        f"known: jsonl:PATH, ring[:N], mem, digest")
-
-
-def trace_enabled() -> bool:
-    """True when ``REPRO_TRACE`` requests traced runs."""
-    return bool(os.environ.get(ENV_VAR, "").strip())
+        f"unknown REPRO_TRACE mode {mode!r}; known: jsonl:PATH")
 
 
 def from_env() -> Optional[Observability]:
     """Observability per the environment, or None when fully disabled.
 
     Tracing comes from ``REPRO_TRACE``/``REPRO_TRACE_KINDS``; profiling
-    from an installed global profiler or ``REPRO_PROFILE`` (see
-    :mod:`repro.obs.profile`).  With neither requested the result is
-    None and instrumented code paths reduce to one pointer test.
+    from the profiler :func:`repro.obs.profile.install_global` installed
+    (``repro profile`` does).  With neither the result is None and
+    instrumented code paths reduce to one pointer test.
     """
     spec = os.environ.get(ENV_VAR, "").strip()
-    profiler = _profile.from_env()
+    profiler = _profile.global_profiler()
     if not spec and profiler is None:
         return None
     tracer = None

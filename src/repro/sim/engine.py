@@ -104,7 +104,7 @@ from repro.obs.tracer import Observability
 from repro.obs.tracer import from_env as obs_from_env
 
 #: constructor sentinel: "no sanitizer/obs argument given, consult the
-#: environment (REPRO_SANITIZE / REPRO_TRACE / REPRO_PROFILE)".  Passing
+#: environment (REPRO_SANITIZE / REPRO_TRACE)".  Passing
 #: sanitizer=None or obs=None explicitly opts out even in instrumented
 #: runs (unit tests that drive links directly, bypassing Host.transmit
 #: accounting).
@@ -142,6 +142,19 @@ def _raise_bad_when(when: Any, now: float) -> None:
     )
 
 
+_INF = float("inf")
+
+
+def _raise_bad_until(until: Any) -> None:
+    if until != until:  # NaN: ``when > until`` would never stop the loop
+        raise SimulationError(
+            f"invalid run bound until={until!r}: NaN is not a time")
+    # ±inf: the clock would be pushed to the bound, and every later
+    # schedule() would land there.
+    raise SimulationError(
+        f"invalid run bound until={until!r}: not a finite time")
+
+
 class Simulator:
     """Event loop with a virtual clock.
 
@@ -152,18 +165,18 @@ class Simulator:
         sim.run()
 
     The clock starts at ``0.0`` and only advances when :meth:`run` (or
-    :meth:`run_until` / ``step``) processes events.  ``schedule`` /
-    ``schedule_at`` return an :data:`EventRef`; cancel or poll it with
-    ``cancel_event`` (idempotent) / ``event_pending``.  ``step()`` fires
+    ``step``) processes events.  ``schedule`` / ``schedule_at`` return
+    an :data:`EventRef`; cancel or poll it with ``cancel_event``
+    (idempotent) / ``event_pending``.  ``step()`` fires
     the next pending event (False when the queue is empty) and
     ``clear()`` drops all pending events, leaving the clock where it is.
 
     Three plain attributes are the engine's to write and everyone's to
     read: ``now``, the simulation time in seconds; ``sanitizer``, the
     runtime invariant checker (default: per ``REPRO_SANITIZE``); ``obs``,
-    the observability bundle (default: per ``REPRO_TRACE`` /
-    ``REPRO_PROFILE``).  With either None every hook site is a single
-    pointer test.  Both are fixed at construction.
+    the observability bundle (default: per ``REPRO_TRACE`` and the
+    installed global profiler).  With either None every hook site is a
+    single pointer test.  Both are fixed at construction.
     """
 
     def __init__(self, sanitizer: Optional[SimSanitizer] = _FROM_ENV,
@@ -358,7 +371,7 @@ class Simulator:
                 return
             # No bound means +inf: the one loop below serves both, and
             # only a bounded run pushes the clock on to its bound.
-            bound = float("inf") if until is None else until
+            bound = _INF if until is None else until
             try:
                 while True:
                     s = slot
@@ -497,10 +510,10 @@ class Simulator:
         still fire.  When the run stops because of ``until``, the clock is
         advanced to ``until`` even if no event fired there, so repeated
         ``run(until=...)`` calls behave like a progressing wall clock.
+        A bound that is not finite is refused before any event fires.
         """
-        if until != until:  # NaN: ``when > until`` would never stop the loop
-            raise SimulationError(
-                f"invalid run bound until={until!r}: NaN is not a time")
+        if until is not None and not -_INF < until < _INF:
+            _raise_bad_until(until)
         before = self._get_processed()
         try:
             self._run(until, max_events)
@@ -508,10 +521,6 @@ class Simulator:
             # One process-counter add per run(), not per event: run-level
             # telemetry sees engine throughput at zero hot-loop cost.
             add_engine_events(self._get_processed() - before)
-
-    def run_until(self, when: Seconds) -> None:
-        """Alias for ``run(until=when)``."""
-        self.run(until=when)
 
     # ------------------------------------------------------------------
     # read-only views of the closure cells

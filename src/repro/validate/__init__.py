@@ -3,8 +3,8 @@
 The subsystem answers one question with evidence: *does this tree still
 reproduce the paper's claims?*  It has four pieces:
 
-* :mod:`~repro.validate.stats` — pure-stdlib estimators (t and BCa
-  bootstrap CIs, Mann-Whitney U, permutation test, Cliff's delta), all
+* :mod:`~repro.validate.stats` — pure-stdlib estimators (BCa bootstrap
+  CIs, Mann-Whitney U, permutation test, Cliff's delta), all
   deterministic via seeded streams;
 * :mod:`~repro.validate.claims` — the declarative registry binding each
   paper assertion to an experiment harness, seed counts, and a

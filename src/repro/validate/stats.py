@@ -8,9 +8,6 @@ byte-identical across runs.
 
 Contents:
 
-* :func:`t_interval` — Student-t confidence interval for a mean (the
-  t quantile is computed from the regularized incomplete beta function,
-  no SciPy needed);
 * :func:`bootstrap_ci_bca` — bias-corrected-and-accelerated bootstrap CI
   for an arbitrary statistic over one or more sample arms;
 * :func:`mann_whitney_u` — rank-sum test with tie correction and
@@ -36,107 +33,6 @@ def normal_ppf(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError("p must be strictly inside (0, 1)")
     return _NORMAL.inv_cdf(p)
-
-
-# ----------------------------------------------------------------------
-# Student's t distribution via the regularized incomplete beta function.
-
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Continued-fraction evaluation for the incomplete beta (Lentz)."""
-    tiny = 1e-30
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 200):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-14:
-            break
-    return h
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """``I_x(a, b)``: CDF of the Beta(a, b) distribution at ``x``."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must be within [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return x
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
-def t_cdf(t: float, df: float) -> float:
-    """CDF of Student's t distribution with ``df`` degrees of freedom."""
-    if df <= 0:
-        raise ValueError("df must be positive")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
-
-
-def t_ppf(p: float, df: float) -> float:
-    """Quantile of Student's t distribution (bisection on :func:`t_cdf`)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be strictly inside (0, 1)")
-    if p == 0.5:
-        return 0.0
-    lo, hi = -1e3, 1e3
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if t_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
-def t_interval(samples: Sequence[float], confidence: float = 0.95
-               ) -> Tuple[float, float]:
-    """Two-sided t-based confidence interval for the mean of ``samples``.
-
-    A single sample (or zero spread) degenerates to a point interval.
-    """
-    if not samples:
-        raise ValueError("need at least one sample")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be strictly inside (0, 1)")
-    n = len(samples)
-    mean = sum(samples) / n
-    if n == 1:
-        return (mean, mean)
-    var = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    if var == 0.0:
-        return (mean, mean)
-    half = t_ppf(0.5 + confidence / 2.0, n - 1) * math.sqrt(var / n)
-    return (mean - half, mean + half)
 
 
 # ----------------------------------------------------------------------

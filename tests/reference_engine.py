@@ -17,6 +17,7 @@ seven-field list records the shipped engine returns, so the
 
 import heapq
 import itertools
+import math
 
 from repro.sim import SimulationError, Simulator
 
@@ -119,6 +120,9 @@ class ReferenceSimulator:
         if until != until:
             raise SimulationError(
                 f"invalid run bound until={until!r}: NaN is not a time")
+        if until is not None and math.isinf(until):
+            raise SimulationError(
+                f"invalid run bound until={until!r}: not a finite time")
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
@@ -144,9 +148,6 @@ class ReferenceSimulator:
             self._sched_origin = 0
         if until is not None and self._now < until:
             self._now = until
-
-    def run_until(self, when):
-        self.run(until=when)
 
     def clear(self):
         for _, _, handle in self._heap:

@@ -1,7 +1,6 @@
 """Tests for the vectorised fleet driver and sweep machinery."""
 
 import random
-import statistics
 
 import pytest
 
@@ -10,10 +9,8 @@ from repro.flowsim.driver import (
     SweepConfig,
     estimate_fleet,
     fleet_to_value,
-    merge_sweep_values,
     poisson_arrivals,
     run_sweep,
-    shard_seed,
     sweep_to_value,
 )
 from repro.flowsim.model import PathParams, create_model
@@ -151,69 +148,6 @@ class TestSweepValues:
         solo = sweep_to_value(run_sweep(
             SweepConfig(path=PATH, flows=50, models=("csa00",))))
         assert "improvement" not in solo
-
-    def test_merge_reconstructs_exact_totals(self):
-        """Sharded union == unsharded fleet for everything that merges
-        exactly (counts, totals, extremes, flow-weighted mean)."""
-        shards = []
-        all_sizes = []
-        for shard in range(4):
-            result = run_sweep(SweepConfig(path=PATH, flows=250,
-                                           seed=shard_seed(1, shard)))
-            all_sizes.extend(result.fleets["csa00"].sizes)
-            shards.append(sweep_to_value(result))
-        merged = merge_sweep_values(shards)
-        assert merged["flows"] == 1000
-        assert merged["shards"] == 4
-        model = merged["models"]["csa00"]
-        assert model["n"] == 1000
-        assert model["total_bytes"] == sum(all_sizes)
-        assert model["fct_min"] == min(s["models"]["csa00"]["fct_min"]
-                                       for s in shards)
-        assert model["fct_max"] == max(s["models"]["csa00"]["fct_max"]
-                                       for s in shards)
-        exact_mean = sum(s["models"]["csa00"]["fct_mean"]
-                         * s["models"]["csa00"]["n"]
-                         for s in shards) / 1000
-        assert model["fct_mean"] == pytest.approx(exact_mean)
-        assert merged["improvement"] >= 0.0
-
-    def test_merge_std_is_the_pooled_std(self):
-        """``(n, mean, std)`` per shard determine the concatenated
-        fleet's standard deviation exactly: within-shard variance plus
-        the spread of the shard means (a flow-weighted average of the
-        shard stds reads 2.4520 here against 2.4637)."""
-        shards, fcts = [], {"csa00": [], "csa00+suss": []}
-        for shard in range(8):
-            result = run_sweep(SweepConfig(path=PATH, flows=2500,
-                                           seed=shard_seed(1, shard)))
-            for name, fleet in result.fleets.items():
-                fcts[name].extend(fleet.fcts)
-            shards.append(sweep_to_value(result))
-        merged = merge_sweep_values(shards)
-        for name, concatenated in fcts.items():
-            assert merged["models"][name]["fct_std"] == pytest.approx(
-                statistics.stdev(concatenated), rel=1e-12)
-        # one single-flow shard has no variance of its own to pool
-        solo = sweep_to_value(run_sweep(SweepConfig(path=PATH, flows=1)))
-        assert merge_sweep_values([solo])["models"]["csa00"]["fct_std"] == 0.0
-
-    def test_merge_quantiles_near_pooled(self):
-        """Shard-averaged quantiles estimate the pooled quantile (the
-        documented approximation), so they must land close to the
-        single-sweep value on iid shards."""
-        shards = [sweep_to_value(run_sweep(
-            SweepConfig(path=PATH, flows=2000, seed=seed)))
-            for seed in (11, 12, 13)]
-        merged = merge_sweep_values(shards)
-        pooled = sweep_to_value(run_sweep(
-            SweepConfig(path=PATH, flows=6000, seed=99)))
-        assert merged["models"]["csa00"]["fct_median"] == pytest.approx(
-            pooled["models"]["csa00"]["fct_median"], rel=0.1)
-
-    def test_merge_requires_at_least_one_shard(self):
-        with pytest.raises(ValueError):
-            merge_sweep_values([])
 
 
 class TestFleetResult:

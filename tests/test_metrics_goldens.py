@@ -30,6 +30,7 @@ from repro.experiments.runner import run_fairness_cell, run_single_flow
 from repro.net import CoDelQueue, bdp_bytes, build_dumbbell
 from repro.obs import DigestSink, MemorySink, TeeSink, load_digests, tracing
 from repro.obs import records as obsrec
+from repro.obs import tracer as tracer_module
 from repro.sim import RngRegistry, Simulator
 from repro.tcp import open_transfer
 from repro.workloads import (
@@ -169,11 +170,13 @@ def test_collector_leaves_the_trace_alone(name):
     assert not result.telemetry.flow(1).cwnd.empty
 
 
-def test_collect_under_an_environment_tracer(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE", "digest")
+def test_collect_under_an_environment_tracer(monkeypatch, tmp_path):
+    path = tmp_path / "env.jsonl"
+    monkeypatch.setenv("REPRO_TRACE", f"jsonl:{path}")
     scenario = INTERNET_SCENARIOS["google-tokyo/wired"]
     result = run_single_flow(scenario, "cubic", 400_000, seed=1,
                              collect=True)
+    tracer_module._ambient_streams.pop(str(path)).close()
     trace = result.telemetry.flow(1)
     assert trace.delivered.max_value() == 400_000
     assert not trace.cwnd.empty and not trace.rtt.empty

@@ -5,6 +5,7 @@ import pytest
 from repro.obs import profile as obs_profile
 from repro.obs.profile import EventProfiler
 from repro.obs.tracer import Observability
+from repro.obs.tracer import from_env as obs_from_env
 from repro.sim.engine import Simulator
 
 
@@ -109,21 +110,10 @@ class TestGlobalProfiler:
         assert obs_profile.global_profiler() is None
 
     def test_from_env_prefers_installed_global(self, monkeypatch):
-        monkeypatch.delenv(obs_profile.ENV_VAR, raising=False)
-        assert obs_profile.from_env() is None
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        assert obs_from_env() is None
         prof = obs_profile.install_global()
-        assert obs_profile.from_env() is prof
-
-    def test_env_var_lazily_installs_shared_instance(self, monkeypatch):
-        monkeypatch.setenv(obs_profile.ENV_VAR, "1")
-        assert obs_profile.profile_enabled()
-        first = obs_profile.from_env()
-        assert first is not None
-        assert obs_profile.from_env() is first  # shared across Simulators
-
-    def test_env_var_falsy_values(self, monkeypatch):
-        monkeypatch.setenv(obs_profile.ENV_VAR, "0")
-        assert not obs_profile.profile_enabled()
+        assert obs_from_env().profiler is prof
 
 
 class TestEngineIntegration:
@@ -145,14 +135,7 @@ class TestEngineIntegration:
         assert sim.step()
         assert prof.events == 1
 
-    def test_simulator_picks_up_env_profiler(self, monkeypatch):
-        monkeypatch.setenv(obs_profile.ENV_VAR, "1")
-        sim = Simulator(sanitizer=None)
-        assert sim.obs is not None
-        assert sim.obs.profiler is obs_profile.global_profiler()
-
     def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(obs_profile.ENV_VAR, raising=False)
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         assert Simulator(sanitizer=None).obs is None
 

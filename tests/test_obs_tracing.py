@@ -7,14 +7,13 @@ from repro.net import build_path
 from repro.obs import records as obsrec
 from repro.obs import tracer as tracer_module
 from repro.obs.golden import record_lines
-from repro.obs.sinks import DigestSink, JsonlSink, MemorySink, RingBufferSink
+from repro.obs.sinks import JsonlSink, MemorySink
 from repro.obs.tracer import (
     ENV_VAR,
     KINDS_ENV_VAR,
     Observability,
     Tracer,
     from_env,
-    trace_enabled,
     tracing,
 )
 from repro.sim.engine import Simulator
@@ -66,23 +65,7 @@ class TestTracer:
 class TestFromEnv:
     def test_disabled_when_unset(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        assert not trace_enabled()
         assert from_env() is None
-
-    def test_mem_mode(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "mem")
-        obs = from_env()
-        assert isinstance(obs.tracer.sink, MemorySink)
-
-    def test_ring_mode_with_capacity(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "ring:128")
-        sink = from_env().tracer.sink
-        assert isinstance(sink, RingBufferSink) and sink.capacity == 128
-
-    def test_digest_mode(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "digest")
-        assert isinstance(from_env().tracer.sink, DigestSink)
 
     def test_jsonl_mode(self, monkeypatch, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -99,16 +82,16 @@ class TestFromEnv:
         with pytest.raises(ValueError, match="unknown REPRO_TRACE mode"):
             from_env()
 
-    def test_kinds_filter_from_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "mem")
+    def test_kinds_filter_from_env(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(ENV_VAR, f"jsonl:{tmp_path / 't.jsonl'}")
         monkeypatch.setenv(KINDS_ENV_VAR, "cc.cwnd,suss.decision")
         obs = from_env()
         assert obs.tracer.kinds == {"cc.cwnd", "suss.decision"}
 
-    def test_simulator_consults_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "mem")
+    def test_simulator_consults_env(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(ENV_VAR, f"jsonl:{tmp_path / 't.jsonl'}")
         sim = Simulator(sanitizer=None)
-        assert isinstance(sim.obs.tracer.sink, MemorySink)
+        assert isinstance(sim.obs.tracer.sink, JsonlSink)
         # explicit opt-out beats the environment
         assert Simulator(sanitizer=None, obs=None).obs is None
 
@@ -250,7 +233,6 @@ class TestInstrumentationCoverage:
 
     def test_disabled_run_allocates_nothing(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
         bench = make_transfer("cubic", size=50 * MSS)
         assert bench.sim.obs is None
         assert bench.sender.obs is None

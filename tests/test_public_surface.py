@@ -121,7 +121,6 @@ SURFACE = {
         "estimate_fleet": "driver",
         "poisson_arrivals": "driver",
         "run_sweep": "driver",
-        "shard_seed": "driver",
     },
     "repro.metrics": {
         "QueueMonitor": "queuemon",

@@ -274,6 +274,20 @@ class TestRunControl:
         sim.run(until=2.0)  # the refused call left the engine usable
         assert fired == [1] and sim.now == 2.0
 
+    @pytest.mark.parametrize("until", [float("inf"), float("-inf")],
+                             ids=["inf", "-inf"])
+    def test_infinite_until_rejected_before_the_loop(self, backend, until):
+        """An infinite bound would push the clock to ±inf, where every
+        later ``schedule(1.0, ...)`` would land."""
+        sim = make_sim(backend)
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        with pytest.raises(SimulationError, match="not a finite time"):
+            sim.run(until=until)
+        assert fired == [] and sim.now == 0.0 and sim.pending_events == 1
+        sim.run(until=2.0)
+        assert fired == [1] and sim.now == 2.0
+
     def test_max_events(self, backend):
         sim = make_sim(backend)
         fired = []
