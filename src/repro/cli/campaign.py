@@ -96,7 +96,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     failure = None
     try:
         if args.topo:
-            rows = topo_suite.run_suite(
+            rows = topo_suite.run(
                 scenarios=names, sizes=args.sizes,
                 cross_load=args.cross_load, **kwargs)
             for size in args.sizes:
@@ -104,13 +104,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                     [row for row in rows if row.size == size]))
                 print()
         else:
-            rows = fig17_18_all_scenarios.run_matrix(
+            rows = fig17_18_all_scenarios.run(
                 servers=servers, links=links, sizes=args.sizes,
                 schemes=tuple(args.ccs), **kwargs)
-            if all(s in rows[0].fct for s in ("cubic", "cubic+suss")):
-                print(fig17_18_all_scenarios.format_fct_report(rows))
-                print()
-            print(fig17_18_all_scenarios.format_loss_report(rows))
+            print(fig17_18_all_scenarios.format_report(rows))
     except RuntimeError as exc:
         failure = exc
         close_run(args, run)

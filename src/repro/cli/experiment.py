@@ -10,58 +10,59 @@ import sys
 from repro.cli.common import add_campaign_flags, cc_name, open_run, scenario
 from repro.core.units import MB
 
-#: experiment name -> module under ``repro.experiments``
+#: experiment name -> (module under ``repro.experiments``, whether its
+#: ``run`` takes the campaign runner's ``jobs`` / ``store`` / ``telemetry``).
+#: Every module exposes ``run(...)`` (results, printing nothing) and
+#: ``format_report(results) -> str``.
 EXPERIMENTS = {
-    "fig01": "fig01_motivation",
-    "fig02": "fig02_competition",
-    "fig09": "fig09_cwnd_rtt",
-    "fig10": "fig10_delivered",
-    "fig11": "fig11_12_fct",
-    "fig13": "fig13_large_flow",
-    "fig14": "fig14_loss",
-    "fig15": "fig15_fairness",
-    "fig16": "fig16_stability_trace",
-    "table1": "table1_stability",
-    "fig18": "fig17_18_all_scenarios",
-    "topo": "topo_suite",
-    "kmax": "ablation_kmax",
-    "btlbw": "ablation_btlbw",
-    "aqm": "ablation_aqm",
-    "delack": "ablation_delack",
-    "related-work": "ext_related_work",
-    "burstiness": "ext_burstiness",
-    "crosstraffic": "ext_crosstraffic",
-    "traffic-mix": "ext_traffic_mix",
+    "fig01": ("fig01_motivation", False),
+    "fig02": ("fig02_competition", False),
+    "fig09": ("fig09_cwnd_rtt", False),
+    "fig10": ("fig10_delivered", False),
+    "fig11": ("fig11_12_fct", False),
+    "fig13": ("fig13_large_flow", False),
+    "fig14": ("fig14_loss", False),
+    "fig15": ("fig15_fairness", False),
+    "fig16": ("fig16_stability_trace", False),
+    "table1": ("table1_stability", True),
+    "fig18": ("fig17_18_all_scenarios", True),
+    "topo": ("topo_suite", True),
+    "kmax": ("ablation_kmax", False),
+    "btlbw": ("ablation_btlbw", False),
+    "aqm": ("ablation_aqm", False),
+    "delack": ("ablation_delack", False),
+    "related-work": ("ext_related_work", False),
+    "burstiness": ("ext_burstiness", False),
+    "crosstraffic": ("ext_crosstraffic", False),
+    "traffic-mix": ("ext_traffic_mix", False),
+    "bbr-suss": ("ext_bbr_suss", False),
 }
 
 
 def _run_experiment(args: argparse.Namespace):
     """Run the harness ``args.name`` names; ``(module, results)``.  The
-    campaign-backed ones take the shared ``--jobs`` / cache / observer."""
-    module = importlib.import_module(
-        f"repro.experiments.{EXPERIMENTS[args.name]}")
-    if args.name == "fig02":
-        return module, module.run_comparison()
-    if args.name == "fig18":
-        return module, module.run_matrix(**open_run(args).kwargs)
-    if args.name in ("table1", "topo"):
-        return module, module.run(**open_run(args).kwargs)
-    return module, module.run()
+    campaign-backed ones take the shared ``--jobs`` / cache / observer;
+    the others run inline and refuse those flags (exit 2)."""
+    module_name, campaign = EXPERIMENTS[args.name]
+    if not campaign and (args.jobs != 1 or args.cache_dir or args.quiet):
+        takers = ", ".join(name for name, (_, takes) in EXPERIMENTS.items()
+                           if takes)
+        args.usage_error(f"{args.name} runs inline; --jobs, --cache-dir "
+                         f"and --quiet apply only to {takers}")
+    module = importlib.import_module(f"repro.experiments.{module_name}")
+    kwargs = open_run(args).kwargs if campaign else {}
+    return module, module.run(**kwargs)
 
 
 def add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("name", choices=sorted(EXPERIMENTS))
     add_campaign_flags(parser)
+    parser.set_defaults(usage_error=parser.error)
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     module, results = _run_experiment(args)
-    if args.name == "fig18":
-        print(module.format_fct_report(results))
-        print()
-        print(module.format_loss_report(results))
-    elif args.name != "topo":  # topo_suite.run prints its own table
-        print(module.format_report(results))
+    print(module.format_report(results))
     return 0
 
 
@@ -82,6 +83,7 @@ def add_profile_arguments(parser: argparse.ArgumentParser) -> None:
                         help="emit flamegraph folded-stack lines instead "
                              "of the table")
     add_campaign_flags(parser)
+    parser.set_defaults(usage_error=parser.error)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:

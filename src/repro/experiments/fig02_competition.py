@@ -31,10 +31,10 @@ class Fig2Result:
     time_to_fair_share: Optional[Seconds]   # after join, or None
 
 
-def run(cc: str, join_time: Seconds = 20.0, horizon: Seconds = 50.0,
-        bottleneck_mbps: float = 50.0, rtt: Seconds = 0.050,
-        buffer_bdp: float = 2.0, seed: int = 0,
-        share_fraction: float = 0.8) -> Fig2Result:
+def run_one(cc: str, join_time: Seconds = 20.0, horizon: Seconds = 50.0,
+            bottleneck_mbps: float = 50.0, rtt: Seconds = 0.050,
+            buffer_bdp: float = 2.0, seed: int = 0,
+            share_fraction: float = 0.8) -> Fig2Result:
     """Run the five-flow competition for one CCA (all flows use ``cc``)."""
     config = LocalTestbedConfig(bottleneck_mbps=bottleneck_mbps,
                                 rtts=(rtt,) * 5, buffer_bdp=buffer_bdp)
@@ -61,9 +61,9 @@ def run(cc: str, join_time: Seconds = 20.0, horizon: Seconds = 50.0,
                       time_to_fair_share=time_to_share)
 
 
-def run_comparison(ccas: Tuple[str, ...] = ("cubic", "bbr"),
-                   **kwargs) -> Dict[str, Fig2Result]:
-    return {cc: run(cc, **kwargs) for cc in ccas}
+def run(ccas: Tuple[str, ...] = ("cubic", "bbr"),
+        **kwargs) -> Dict[str, Fig2Result]:
+    return {cc: run_one(cc, **kwargs) for cc in ccas}
 
 
 def format_report(results: Dict[str, Fig2Result]) -> str:

@@ -42,27 +42,21 @@ class FctSweep:
                            self.fct["cubic+suss"][size].mean)
 
 
-def run_scenario(scenario: PathScenario,
-                 sizes: Sequence[int] = DEFAULT_SIZES,
-                 iterations: int = 5, base_seed: int = 0,
-                 schemes: Sequence[str] = SCHEMES) -> FctSweep:
-    sweep = FctSweep(scenario=scenario, sizes=tuple(sizes))
-    for scheme in schemes:
-        sweep.fct[scheme] = {}
-        for size in sizes:
-            sweep.fct[scheme][size] = fct_summary(
-                scenario, scheme, size, iterations, base_seed)
-    return sweep
-
-
 def run(links: Sequence[str] = ("5g", "wired", "wifi", "4g"),
         server: str = "google-tokyo", sizes: Sequence[int] = DEFAULT_SIZES,
         iterations: int = 5, base_seed: int = 0,
         schemes: Sequence[str] = SCHEMES) -> Dict[str, FctSweep]:
     """The four Fig. 11 sub-figures (one per link type)."""
-    return {link: run_scenario(get_scenario(server, link), sizes,
-                               iterations, base_seed, schemes)
-            for link in links}
+    sweeps: Dict[str, FctSweep] = {}
+    for link in links:
+        scenario = get_scenario(server, link)
+        sweep = sweeps[link] = FctSweep(scenario=scenario, sizes=tuple(sizes))
+        for scheme in schemes:
+            sweep.fct[scheme] = {
+                size: fct_summary(scenario, scheme, size, iterations,
+                                  base_seed)
+                for size in sizes}
+    return sweeps
 
 
 def format_report(sweeps: Dict[str, FctSweep]) -> str:

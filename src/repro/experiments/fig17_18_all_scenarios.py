@@ -48,21 +48,16 @@ class ScenarioRow:
     def suss_beats_cubic(self) -> bool:
         return self.fct["cubic+suss"].mean <= self.fct["cubic"].mean
 
-    @property
-    def suss_beats_bbr(self) -> bool:
-        return self.fct["cubic+suss"].mean <= self.fct["bbr"].mean
 
-
-def run_matrix(servers: Sequence[str] = tuple(SERVER_NAMES),
-               links: Sequence[str] = tuple(LINK_NAMES),
-               sizes: Sequence[int] = DEFAULT_SIZES,
-               iterations: int = 3, base_seed: int = 0,
-               schemes: Sequence[str] = SCHEMES, *,
-               jobs: int = 1, store: Optional[ResultStore] = None,
-               timeout: Optional[Seconds] = None,
-               retries: int = 2,
-               telemetry: Optional[RunTelemetry] = None
-               ) -> List[ScenarioRow]:
+def run(servers: Sequence[str] = tuple(SERVER_NAMES),
+        links: Sequence[str] = tuple(LINK_NAMES),
+        sizes: Sequence[int] = DEFAULT_SIZES,
+        iterations: int = 3, base_seed: int = 0,
+        schemes: Sequence[str] = SCHEMES, *,
+        jobs: int = 1, store: Optional[ResultStore] = None,
+        timeout: Optional[Seconds] = None,
+        retries: int = 2,
+        telemetry: Optional[RunTelemetry] = None) -> List[ScenarioRow]:
     """Run the (sub-)matrix; default covers all 28 scenarios.
 
     The full matrix is flattened into one campaign (scenario × size ×
@@ -118,35 +113,27 @@ def win_counts(rows: Sequence[ScenarioRow]) -> Tuple[int, int, int]:
     return beats_cubic, beats_bbr, len(by_scenario)
 
 
-def format_fct_report(rows: Sequence[ScenarioRow]) -> str:
-    table_rows = []
-    for row in rows:
-        table_rows.append([
-            row.scenario, row.size / MB,
-            f"{row.fct['bbr'].mean:.2f}" if "bbr" in row.fct else "-",
-            f"{row.fct['cubic'].mean:.2f}",
-            f"{row.fct['cubic+suss'].mean:.2f}",
-            pct(row.suss_improvement)])
-    table = render_table(
+def format_report(rows: Sequence[ScenarioRow]) -> str:
+    """Fig. 18's FCT table (when both CUBIC arms ran), then Fig. 17's
+    loss table."""
+    loss = render_table(
+        ["scenario", "size (MB)", "BBR loss", "CUBIC off loss",
+         "CUBIC on loss"],
+        [[row.scenario, row.size / MB] + [
+            f"{row.loss[scheme].mean * 100:.3f}%" if scheme in row.loss
+            else "-" for scheme in ("bbr", "cubic", "cubic+suss")]
+         for row in rows],
+        title="Fig. 17 — packet loss across internet scenarios")
+    if not all(s in rows[0].fct for s in ("cubic", "cubic+suss")):
+        return loss
+    fct = render_table(
         ["scenario", "size (MB)", "BBR", "CUBIC off", "CUBIC on",
-         "improvement"], table_rows,
+         "improvement"],
+        [[row.scenario, row.size / MB,
+          f"{row.fct['bbr'].mean:.2f}" if "bbr" in row.fct else "-",
+          f"{row.fct['cubic'].mean:.2f}", f"{row.fct['cubic+suss'].mean:.2f}",
+          pct(row.suss_improvement)] for row in rows],
         title="Fig. 18 — FCT across internet scenarios")
     wins_cubic, wins_bbr, total = win_counts(rows)
-    return (f"{table}\nSUSS beats CUBIC in {wins_cubic}/{total} scenarios, "
-            f"beats BBR in {wins_bbr}/{total}")
-
-
-def format_loss_report(rows: Sequence[ScenarioRow]) -> str:
-    table_rows = []
-    for row in rows:
-        cells = [row.scenario, row.size / MB]
-        for scheme in ("bbr", "cubic", "cubic+suss"):
-            if scheme in row.loss:
-                cells.append(f"{row.loss[scheme].mean * 100:.3f}%")
-            else:
-                cells.append("-")
-        table_rows.append(cells)
-    return render_table(
-        ["scenario", "size (MB)", "BBR loss", "CUBIC off loss",
-         "CUBIC on loss"], table_rows,
-        title="Fig. 17 — packet loss across internet scenarios")
+    return (f"{fct}\nSUSS beats CUBIC in {wins_cubic}/{total} scenarios, "
+            f"beats BBR in {wins_bbr}/{total}\n\n{loss}")

@@ -61,11 +61,14 @@ def _new_sim(obs: Optional[Observability], collect: bool = False) -> Simulator:
     return Simulator() if obs is None else Simulator(obs=obs)
 
 
-def _end_run(sim: Simulator) -> None:
+def _end_run(sim: Simulator, close_obs: bool) -> None:
     """The epilogue every harness run shares: a sanitized run must end
-    with every packet it sent delivered, dropped or still in flight."""
+    with every packet it sent delivered, dropped or still in flight, and
+    a bundle the run built (not the caller's) is closed."""
     if sim.sanitizer is not None:
         sim.sanitizer.verify_conservation(sim.pending_events)
+    if close_obs and sim.obs is not None:
+        sim.obs.close()
 
 
 def _deadline(scenario: PathScenario, size_bytes: int) -> float:
@@ -95,6 +98,7 @@ def run_single_flow(scenario: PathScenario, cc: str, size_bytes: int,
     """
     if (net is None) != (sim is None):
         raise ValueError("supply both net and sim, or neither")
+    close_obs = sim is None and obs is None
     if sim is None:
         sim = _new_sim(obs, collect)
         rng = RngRegistry(seed)
@@ -107,7 +111,7 @@ def run_single_flow(scenario: PathScenario, cc: str, size_bytes: int,
                              size_bytes=size_bytes, cc=cc,
                              delayed_ack=delayed_ack, ecn=ecn)
     sim.run(until=_deadline(scenario, size_bytes))
-    _end_run(sim)
+    _end_run(sim, close_obs)
     sender = transfer.sender
     return FlowResult(
         scenario=scenario.name, cc=cc, size_bytes=size_bytes, seed=seed,
@@ -159,7 +163,7 @@ def run_topo_flow(scenario, cc: str, size_bytes: int, seed: int = 0,
         sim.run(until=min(sim.now + step, deadline))
     for generator in generators:
         generator.stop()
-    _end_run(sim)
+    _end_run(sim, close_obs=obs is None)
     sender = transfer.sender
     drops = bottleneck.queue.flow_drops.get(1, 0)
     return {
@@ -287,7 +291,7 @@ def run_local_testbed(config: LocalTestbedConfig, specs: Sequence[FlowSpec],
     telemetry = FlowCollector(sim.obs) if collect else None
     transfers = launch_flows(sim, net, specs)
     sim.run(until=until)
-    _end_run(sim)
+    _end_run(sim, close_obs=True)
     return LocalRun(sim=sim, net=net, transfers=transfers,
                     telemetry=telemetry)
 

@@ -52,12 +52,6 @@ class Table1Cell:
     def small_improvement(self) -> float:
         return (self.small_fct_off - self.small_fct_on) / self.small_fct_off
 
-    @property
-    def large_regression(self) -> float:
-        """Relative change in large-flow FCT when SUSS turns on (positive
-        means the large flow got slower)."""
-        return (self.large_fct_on - self.large_fct_off) / self.large_fct_off
-
 
 def _aggregate(values: List[dict], horizon: float) -> Tuple[float, float]:
     """Mean (large FCT, mean small FCT) over one config's iterations."""

@@ -56,12 +56,12 @@ class TopoRow:
                            self.fct["cubic+suss"].mean)
 
 
-def run_suite(scenarios: Optional[Sequence[str]] = None,
-              sizes: Sequence[int] = (DEFAULT_SIZE,), iterations: int = 3,
-              base_seed: int = 0, *, cross_load: float = 1.0,
-              jobs: int = 1, store: Optional[ResultStore] = None,
-              timeout: Optional[float] = None, retries: int = 2,
-              telemetry: Optional[RunTelemetry] = None) -> List[TopoRow]:
+def run(scenarios: Optional[Sequence[str]] = None,
+        sizes: Sequence[int] = (DEFAULT_SIZE,), iterations: int = 3,
+        base_seed: int = 0, *, cross_load: float = 1.0,
+        jobs: int = 1, store: Optional[ResultStore] = None,
+        timeout: Optional[float] = None, retries: int = 2,
+        telemetry: Optional[RunTelemetry] = None) -> List[TopoRow]:
     """Run the size x scenario x scheme x seed matrix as one cached
     campaign; the rows come back in that (size-major) order."""
     chosen = (list(scenarios) if scenarios is not None
@@ -110,11 +110,3 @@ def format_report(rows: Sequence[TopoRow]) -> str:
         table_rows,
         title="Topogen suite — SUSS FCT effect per scenario class")
 
-
-def run(size: int = DEFAULT_SIZE, iterations: int = 3, base_seed: int = 0,
-        **campaign_kwargs) -> List[TopoRow]:
-    """CLI entry: run the full registered suite and print the table."""
-    rows = run_suite(sizes=(size,), iterations=iterations,
-                     base_seed=base_seed, **campaign_kwargs)
-    print(format_report(rows))
-    return rows

@@ -13,9 +13,9 @@ optionally carries a profiler.
 Environment activation (mirrors ``REPRO_SANITIZE``):
 
 ``REPRO_TRACE=jsonl:PATH``
-    stream canonical JSONL to ``PATH`` — one stream per process: the
-    first ``Simulator`` truncates the file, every later one appends to
-    the same open stream, whole lines in emission order;
+    stream canonical JSONL to ``PATH`` — one file per process: the
+    first ``Simulator`` truncates it, every later one appends, whole
+    lines in emission order (a harness run closes what it built);
 ``REPRO_TRACE_KINDS=pkt.send,cc.cwnd``
     restrict emission to the listed kinds (default: all).
 
@@ -28,7 +28,7 @@ away.  Memory, ring, digest and CSV sinks are built programmatically
 from __future__ import annotations
 
 import os
-from typing import IO, Any, Callable, Dict, FrozenSet, List, Optional, Set
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set
 
 from repro.obs import profile as _profile
 from repro.obs.records import TraceRecord, parse_kinds
@@ -163,8 +163,37 @@ def tracing(sink: TraceSink, kinds: Optional[FrozenSet[str]] = None,
     return Observability(tracer=Tracer(sink, kinds), profiler=profiler)
 
 
-#: the open ``REPRO_TRACE=jsonl:PATH`` streams of this process, by path
-_ambient_streams: Dict[str, IO[str]] = {}
+#: the open ``REPRO_TRACE=jsonl:PATH`` streams of this process, by path,
+#: each with the number of sinks borrowing it; and every path truncated
+_ambient_streams: Dict[str, List[Any]] = {}
+_ambient_started: Set[str] = set()
+
+
+class _AmbientSink(JsonlSink):
+    """A sink borrowing the process's one stream for ``path``: sinks that
+    each owned the path would truncate each other's traces.  The last
+    borrower to close closes the stream; the next sink reopens the file
+    for appending, so it is truncated once per process."""
+
+    def __init__(self, path: str) -> None:
+        if path not in _ambient_streams:
+            mode = "a" if path in _ambient_started else "w"
+            _ambient_started.add(path)
+            _ambient_streams[path] = [open(path, mode, encoding="utf-8"), 0]
+        entry = _ambient_streams[path]
+        entry[1] += 1
+        super().__init__(entry[0])
+        self._borrowed: Optional[str] = path
+
+    def close(self) -> None:
+        path, self._borrowed = self._borrowed, None
+        if path is not None:
+            super().close()
+            entry = _ambient_streams[path]
+            entry[1] -= 1
+            if not entry[1]:
+                del _ambient_streams[path]
+                entry[0].close()
 
 
 def _sink_from_spec(spec: str) -> TraceSink:
@@ -173,13 +202,7 @@ def _sink_from_spec(spec: str) -> TraceSink:
     if mode == "jsonl":
         if not arg:
             raise ValueError("REPRO_TRACE=jsonl:PATH needs a path")
-        # Every Simulator builds its own sink from the same spec; one
-        # that owned the path would truncate the previous one's trace.
-        # They borrow one stream (a sink's close() flushes, never closes).
-        stream = _ambient_streams.get(arg)
-        if stream is None:
-            stream = _ambient_streams[arg] = open(arg, "w", encoding="utf-8")
-        return JsonlSink(stream)
+        return _AmbientSink(arg)
     raise ValueError(
         f"unknown REPRO_TRACE mode {mode!r}; known: jsonl:PATH")
 

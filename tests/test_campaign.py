@@ -242,12 +242,10 @@ class TestDeterminism:
     def test_matrix_reports_byte_identical_jobs1_vs_jobs4(self):
         kwargs = dict(servers=("google-tokyo",), links=("wired", "wifi"),
                       sizes=(SIZE,), iterations=2)
-        rows1 = fig17_18_all_scenarios.run_matrix(jobs=1, **kwargs)
-        rows4 = fig17_18_all_scenarios.run_matrix(jobs=4, **kwargs)
-        assert fig17_18_all_scenarios.format_fct_report(rows1) == \
-            fig17_18_all_scenarios.format_fct_report(rows4)
-        assert fig17_18_all_scenarios.format_loss_report(rows1) == \
-            fig17_18_all_scenarios.format_loss_report(rows4)
+        rows1 = fig17_18_all_scenarios.run(jobs=1, **kwargs)
+        rows4 = fig17_18_all_scenarios.run(jobs=4, **kwargs)
+        assert fig17_18_all_scenarios.format_report(rows1) == \
+            fig17_18_all_scenarios.format_report(rows4)
 
 
 class TestRunnerIntegration:

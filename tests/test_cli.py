@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
+import importlib
 import json
 import re
 
 import pytest
 
 from repro.cli import main
+from repro.cli.experiment import EXPERIMENTS
 
 
 @pytest.fixture(autouse=True)
@@ -460,6 +462,22 @@ class TestExperimentDispatch:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_every_name_resolves_to_the_protocol(self, name):
+        module_name, _ = EXPERIMENTS[name]
+        module = importlib.import_module(f"repro.experiments.{module_name}")
+        assert callable(module.run) and callable(module.format_report)
+
+    def test_inline_harness_refuses_campaign_flags(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        for flag in (["--jobs", "4"], ["--cache-dir", str(store)],
+                     ["--quiet"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["experiment", "delack", *flag])
+            assert exc.value.code == 2
+            assert "delack runs inline" in capsys.readouterr().err
+        assert not store.exists()
 
 
 class TestValidate:

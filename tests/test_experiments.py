@@ -10,6 +10,7 @@ from repro.experiments import (
     ablation_btlbw,
     ablation_kmax,
     fig01_motivation,
+    fig02_competition,
     fig09_cwnd_rtt,
     fig10_delivered,
     fig11_12_fct,
@@ -76,11 +77,25 @@ class TestReport:
 
 class TestFig1:
     def test_slow_start_deficit_positive(self):
-        results = fig01_motivation.run(size_bytes=25 * MB, ccas=("cubic",))
-        r = results["cubic"]
-        assert r.theta > 0
-        # Early on, slow start delivers well under the optimal line.
-        assert r.early_deficit > 0.2
+        results = fig01_motivation.run(size_bytes=25 * MB)
+        assert results["cubic"].theta > 0
+        # Early on, slow start delivers well under the optimal line —
+        # for BBRv2's startup as much as for CUBIC's.
+        for r in results.values():
+            assert r.early_deficit > 0.2
+
+
+class TestFig2:
+    def test_bbr_newcomer_converges_first(self):
+        results = fig02_competition.run(join_time=6.0, horizon=15.0,
+                                        bottleneck_mbps=20.0)
+        cubic, bbr = results["cubic"], results["bbr"]
+        # The CUBIC newcomer converges far more slowly than BBR's (here
+        # not at all within the horizon).
+        assert bbr.time_to_fair_share is not None
+        assert cubic.time_to_fair_share is None or \
+            bbr.time_to_fair_share <= cubic.time_to_fair_share
+        assert "Fig. 2" in fig02_competition.format_report(results)
 
 
 class TestFig9and10:
@@ -105,16 +120,24 @@ class TestFig9and10:
         results = fig10_delivered.run(size_bytes=12 * MB)
         ratio = fig10_delivered.delivered_ratio_at(results, 1.5)
         assert ratio > 1.2
+        assert fig10_delivered.delivered_ratio_at(results, 2.0) > 1.3
         assert "Fig. 10" in fig10_delivered.format_report(results)
 
 
 class TestFig11:
     def test_sweep_shape(self):
-        sweep = fig11_12_fct.run_scenario(
-            get_scenario("google-tokyo", "wired"),
-            sizes=(1 * MB, 2 * MB), iterations=1)
-        assert sweep.improvement_at(1 * MB) > 0.15
-        report = fig11_12_fct.format_report({"wired": sweep})
+        sweeps = fig11_12_fct.run(links=("wired", "wifi", "4g"),
+                                  sizes=(1 * MB, 2 * MB, 8 * MB),
+                                  iterations=1)
+        assert sweeps["wired"].improvement_at(1 * MB) > 0.15
+        for sweep in sweeps.values():
+            assert sweep.improvement_at(2 * MB) > 0.0
+        # Fig. 12: > 10 % at 2 MB, tapering as flows grow.
+        for link in ("wired", "wifi"):
+            small = sweeps[link].improvement_at(2 * MB)
+            assert small > 0.10
+            assert sweeps[link].improvement_at(8 * MB) <= small + 0.10
+        report = fig11_12_fct.format_report(sweeps)
         assert "Fig. 11/12" in report
 
 
@@ -124,6 +147,7 @@ class TestFig13:
                                       milestones_mb=(1, 5, 15, 30))
         assert result.early_improvement > result.late_improvement
         assert result.early_improvement > 0.15
+        assert result.total_improvement < result.early_improvement
         assert "Fig. 13" in fig13_large_flow.format_report(result)
 
 
@@ -134,6 +158,7 @@ class TestFig14:
             off = result.loss["cubic"][size].mean
             on = result.loss["cubic+suss"][size].mean
             assert on <= off + 0.002
+        assert result.converged()
         assert "Fig. 14" in fig14_loss.format_report(result)
 
     def test_off_curve_decreases_with_size(self):
@@ -146,7 +171,7 @@ class TestFig14:
 
 class TestFig17_18:
     def test_submatrix_runs(self):
-        rows = fig17_18_all_scenarios.run_matrix(
+        rows = fig17_18_all_scenarios.run(
             servers=("google-tokyo",), links=("wired", "wifi"),
             sizes=(1 * MB,), iterations=1)
         assert len(rows) == 2
@@ -155,8 +180,22 @@ class TestFig17_18:
         beats_cubic, beats_bbr, total = \
             fig17_18_all_scenarios.win_counts(rows)
         assert total == 2 and beats_cubic == 2
-        assert "Fig. 18" in fig17_18_all_scenarios.format_fct_report(rows)
-        assert "Fig. 17" in fig17_18_all_scenarios.format_loss_report(rows)
+        report = fig17_18_all_scenarios.format_report(rows)
+        assert "Fig. 18" in report and "Fig. 17" in report
+
+    def test_all_28_scenarios(self):
+        rows = fig17_18_all_scenarios.run(sizes=(2 * MB,), iterations=1)
+        beats_cubic, beats_bbr, total = \
+            fig17_18_all_scenarios.win_counts(rows)
+        # Fig. 18 (paper: 28/28 and 27/28): jittery 4G paths give one
+        # seed a little noise.
+        assert total == 28
+        assert beats_cubic >= 26
+        assert beats_bbr >= 20
+        # Fig. 17: SUSS never raises CUBIC's loss rate materially.
+        for row in rows:
+            assert row.loss["cubic+suss"].mean <= \
+                row.loss["cubic"].mean + 0.005
 
 
 class TestAblations:
@@ -165,6 +204,9 @@ class TestAblations:
             scenarios=(get_scenario("google-tokyo", "wired"),),
             size=1 * MB, iterations=1)
         assert results[0].improvement_over_cubic("cubic+suss") > 0
+        # Stable path: deeper look-ahead is at least not harmful.
+        fct = results[0].fct
+        assert fct["cubic+suss-k3"].mean <= fct["cubic+suss"].mean * 1.10
         assert "k_max" in ablation_kmax.format_report(results)
 
     def test_btlbw_drop_is_safe(self):
@@ -173,4 +215,5 @@ class TestAblations:
         # SUSS must not lose meaningfully more than plain CUBIC under a
         # mid-ramp bandwidth drop (Appendix B).
         assert r.loss_regression <= 0.01
+        assert r.suss_improvement > -0.10
         assert "Appendix B" in ablation_btlbw.format_report(results)

@@ -61,3 +61,7 @@ class TestCliExperiments:
     def test_delack_dispatch(self, capsys):
         assert main(["experiment", "delack"]) == 0
         assert "delayed ACK" in capsys.readouterr().out
+
+    def test_bbr_suss_dispatch(self, capsys):
+        assert main(["experiment", "bbr-suss"]) == 0
+        assert "BBR+SUSS" in capsys.readouterr().out

@@ -3,6 +3,7 @@
 import pytest
 
 from tests.helpers import MSS, make_transfer
+from repro.experiments.runner import run_single_flow
 from repro.net import build_path
 from repro.obs import records as obsrec
 from repro.obs import tracer as tracer_module
@@ -18,16 +19,7 @@ from repro.obs.tracer import (
 )
 from repro.sim.engine import Simulator
 from repro.tcp import open_transfer
-
-
-@pytest.fixture(autouse=True)
-def _close_ambient_streams():
-    """``REPRO_TRACE=jsonl:PATH`` streams outlive their Simulators by
-    design; a test's must not outlive the test."""
-    yield
-    for stream in tracer_module._ambient_streams.values():
-        stream.close()
-    tracer_module._ambient_streams.clear()
+from repro.workloads.scenarios import INTERNET_SCENARIOS
 
 
 class TestTracer:
@@ -70,7 +62,10 @@ class TestFromEnv:
     def test_jsonl_mode(self, monkeypatch, tmp_path):
         path = tmp_path / "t.jsonl"
         monkeypatch.setenv(ENV_VAR, f"jsonl:{path}")
-        assert isinstance(from_env().tracer.sink, JsonlSink)
+        obs = from_env()
+        assert isinstance(obs.tracer.sink, JsonlSink)
+        obs.close()
+        assert tracer_module._ambient_streams == {}
 
     def test_jsonl_requires_path(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "jsonl")
@@ -87,11 +82,13 @@ class TestFromEnv:
         monkeypatch.setenv(KINDS_ENV_VAR, "cc.cwnd,suss.decision")
         obs = from_env()
         assert obs.tracer.kinds == {"cc.cwnd", "suss.decision"}
+        obs.close()
 
     def test_simulator_consults_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv(ENV_VAR, f"jsonl:{tmp_path / 't.jsonl'}")
         sim = Simulator(sanitizer=None)
         assert isinstance(sim.obs.tracer.sink, JsonlSink)
+        sim.obs.close()
         # explicit opt-out beats the environment
         assert Simulator(sanitizer=None, obs=None).obs is None
 
@@ -136,7 +133,7 @@ class TestAmbientJsonl:
             sim, transfer = self._download(flow, size)
             sim.run(until=60.0)
             assert transfer.completed
-            sim.obs.close()  # flushes the shared stream, never closes it
+            sim.obs.close()  # the last borrower: closes the stream
         lines, flows = self._lines_by_flow()
         # the second Simulator appended; it did not truncate the first run
         assert lines == first + second
@@ -152,12 +149,28 @@ class TestAmbientJsonl:
             sim_b.run(until=step * 0.01)
         assert done_a.completed and done_b.completed
         sim_a.obs.close()
+        assert str(self.path) in tracer_module._ambient_streams
         sim_b.obs.close()
+        assert tracer_module._ambient_streams == {}
         lines, flows = self._lines_by_flow()
         assert len(lines) == len(first) + len(second)
         assert flows == {1: first, 2: second}
         # genuinely interleaved, not one run after the other
         assert lines != first + second
+
+    def test_a_harness_run_releases_the_stream(self):
+        """``_end_run`` closes the bundle the run built from the
+        environment; the next run reopens the file and appends."""
+        scenario = INTERNET_SCENARIOS["google-tokyo/wired"]
+        run_single_flow(scenario, "cubic", 50_000, seed=1)
+        assert tracer_module._ambient_streams == {}
+        first = self.path.read_text()
+        run_single_flow(scenario, "cubic", 50_000, seed=2)
+        assert tracer_module._ambient_streams == {}
+        both = self.path.read_text()
+        assert first and both.startswith(first) and len(both) > len(first)
+        assert all(obsrec.TraceRecord.from_line(line)
+                   for line in both.splitlines())
 
 
 # ----------------------------------------------------------------------

@@ -130,8 +130,9 @@ class TestEmpiricalCdf:
 class TestTrafficMixExperiment:
     def test_mix_mostly_improves(self):
         result = ext_traffic_mix.run(n_flows=12, max_size=5_000_000)
-        assert result.mean_improvement > 0.0
-        assert 0.0 <= result.fraction_improved <= 1.0
+        assert result.mean_improvement > 0.03
+        assert 0.35 < result.fraction_improved <= 1.0
+        assert result.percentile(5) > -0.15  # no pathological tail
         assert "traffic mix" in ext_traffic_mix.format_report(result)
 
     def test_percentiles_ordered(self):
