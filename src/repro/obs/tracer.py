@@ -163,10 +163,9 @@ def tracing(sink: TraceSink, kinds: Optional[FrozenSet[str]] = None,
     return Observability(tracer=Tracer(sink, kinds), profiler=profiler)
 
 
-#: the open ``REPRO_TRACE=jsonl:PATH`` streams of this process, by path,
-#: each with the number of sinks borrowing it; and every path truncated
+#: ``REPRO_TRACE=jsonl:PATH`` paths this process opened, each with its
+#: one shared stream and the number of sinks borrowing it
 _ambient_streams: Dict[str, List[Any]] = {}
-_ambient_started: Set[str] = set()
 
 
 class _AmbientSink(JsonlSink):
@@ -176,23 +175,22 @@ class _AmbientSink(JsonlSink):
     for appending, so it is truncated once per process."""
 
     def __init__(self, path: str) -> None:
-        if path not in _ambient_streams:
-            mode = "a" if path in _ambient_started else "w"
-            _ambient_started.add(path)
-            _ambient_streams[path] = [open(path, mode, encoding="utf-8"), 0]
-        entry = _ambient_streams[path]
+        entry = _ambient_streams.get(path)
+        if entry is None:
+            entry = _ambient_streams[path] = [
+                open(path, "w", encoding="utf-8"), 0]
+        elif entry[0].closed:
+            entry[0] = open(path, "a", encoding="utf-8")
         entry[1] += 1
         super().__init__(entry[0])
-        self._borrowed: Optional[str] = path
+        self._borrowed: Optional[List[Any]] = entry
 
     def close(self) -> None:
-        path, self._borrowed = self._borrowed, None
-        if path is not None:
+        entry, self._borrowed = self._borrowed, None
+        if entry is not None:
             super().close()
-            entry = _ambient_streams[path]
             entry[1] -= 1
             if not entry[1]:
-                del _ambient_streams[path]
                 entry[0].close()
 
 

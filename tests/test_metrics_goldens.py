@@ -184,7 +184,7 @@ def test_collect_under_an_environment_tracer(monkeypatch, tmp_path):
     scenario = INTERNET_SCENARIOS["google-tokyo/wired"]
     result = run_single_flow(scenario, "cubic", 400_000, seed=1,
                              collect=True)
-    assert str(path) not in tracer_module._ambient_streams  # released
+    assert tracer_module._ambient_streams[str(path)][0].closed
     trace = result.telemetry.flow(1)
     assert trace.delivered.max_value() == 400_000
     assert not trace.cwnd.empty and not trace.rtt.empty

@@ -65,7 +65,7 @@ class TestFromEnv:
         obs = from_env()
         assert isinstance(obs.tracer.sink, JsonlSink)
         obs.close()
-        assert tracer_module._ambient_streams == {}
+        assert tracer_module._ambient_streams[str(path)][0].closed
 
     def test_jsonl_requires_path(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "jsonl")
@@ -148,10 +148,11 @@ class TestAmbientJsonl:
             sim_a.run(until=step * 0.01)
             sim_b.run(until=step * 0.01)
         assert done_a.completed and done_b.completed
+        stream = tracer_module._ambient_streams[str(self.path)][0]
         sim_a.obs.close()
-        assert str(self.path) in tracer_module._ambient_streams
+        assert not stream.closed
         sim_b.obs.close()
-        assert tracer_module._ambient_streams == {}
+        assert stream.closed
         lines, flows = self._lines_by_flow()
         assert len(lines) == len(first) + len(second)
         assert flows == {1: first, 2: second}
@@ -162,11 +163,12 @@ class TestAmbientJsonl:
         """``_end_run`` closes the bundle the run built from the
         environment; the next run reopens the file and appends."""
         scenario = INTERNET_SCENARIOS["google-tokyo/wired"]
+        streams = tracer_module._ambient_streams
         run_single_flow(scenario, "cubic", 50_000, seed=1)
-        assert tracer_module._ambient_streams == {}
+        assert streams[str(self.path)][0].closed
         first = self.path.read_text()
         run_single_flow(scenario, "cubic", 50_000, seed=2)
-        assert tracer_module._ambient_streams == {}
+        assert streams[str(self.path)][0].closed
         both = self.path.read_text()
         assert first and both.startswith(first) and len(both) > len(first)
         assert all(obsrec.TraceRecord.from_line(line)
