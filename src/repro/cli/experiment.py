@@ -39,16 +39,23 @@ EXPERIMENTS = {
 }
 
 
-def _run_experiment(args: argparse.Namespace):
-    """Run the harness ``args.name`` names; ``(module, results)``.  The
-    campaign-backed ones take the shared ``--jobs`` / cache / observer;
-    the others run inline and refuse those flags (exit 2)."""
-    module_name, campaign = EXPERIMENTS[args.name]
+def _takes_campaign_flags(args: argparse.Namespace) -> bool:
+    """Whether ``args.name`` runs through the campaign runner and so
+    takes the shared ``--jobs`` / cache / observer.  Every other name
+    (``single`` too) runs inline and refuses those flags (exit 2)."""
+    campaign = args.name in EXPERIMENTS and EXPERIMENTS[args.name][1]
     if not campaign and (args.jobs != 1 or args.cache_dir or args.quiet):
         takers = ", ".join(name for name, (_, takes) in EXPERIMENTS.items()
                            if takes)
         args.usage_error(f"{args.name} runs inline; --jobs, --cache-dir "
                          f"and --quiet apply only to {takers}")
+    return campaign
+
+
+def _run_experiment(args: argparse.Namespace):
+    """Run the harness ``args.name`` names; ``(module, results)``."""
+    campaign = _takes_campaign_flags(args)
+    module_name = EXPERIMENTS[args.name][0]
     module = importlib.import_module(f"repro.experiments.{module_name}")
     kwargs = open_run(args).kwargs if campaign else {}
     return module, module.run(**kwargs)
@@ -102,6 +109,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
             if not args.scenario:
                 raise SystemExit("repro profile single: --scenario required")
+            _takes_campaign_flags(args)
             result = run_single_flow(scenario(args.scenario), args.cc,
                                      args.size, seed=args.seed)
             if not result.completed:

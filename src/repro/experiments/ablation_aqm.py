@@ -62,6 +62,8 @@ def run(size: int = 4 * MB, seed: int = 0,
             result = run_single_flow(scenario, cc, size, seed=seed,
                                      ecn=(queue_kind == "codel-ecn"),
                                      net=net, sim=sim)
+            if sim.obs is not None:
+                sim.obs.close()
             if result.fct is None:
                 raise RuntimeError(f"{cc}/{queue_kind} did not finish")
             cells.append(AqmCell(queue_kind=queue_kind, cc=cc,

@@ -15,7 +15,7 @@ from repro.experiments.report import pct, render_table
 from repro.experiments.runner import fct_summary
 from repro.metrics.summary import Summary, improvement
 from repro.workloads.flows import MB
-from repro.workloads.scenarios import FIG9_SCENARIO, PathScenario, get_scenario
+from repro.workloads.scenarios import FIG9_SCENARIO, get_scenario
 
 
 @dataclass
@@ -31,17 +31,18 @@ class BbrSussRow:
         return improvement(self.bbr.mean, self.suss.mean)
 
 
-def run(sizes: Sequence[int] = (1 * MB, 2 * MB, 4 * MB),
-        iterations: int = 1, base_seed: int = 0,
-        scenarios: Sequence[PathScenario] = ()) -> List[BbrSussRow]:
-    scenarios = scenarios or (get_scenario("google-tokyo", "wired"),
-                              FIG9_SCENARIO)
+#: the stable wired path and Fig. 9's jittery 4G path
+SCENARIOS = (get_scenario("google-tokyo", "wired"), FIG9_SCENARIO)
+SIZES = (1 * MB, 2 * MB, 4 * MB)
+
+
+def run() -> List[BbrSussRow]:
+    """One seed-0 download per path, size and algorithm."""
     return [BbrSussRow(scenario=scenario.name, size=size,
-                       bbr=fct_summary(scenario, "bbr", size, iterations,
-                                       base_seed),
+                       bbr=fct_summary(scenario, "bbr", size, iterations=1),
                        suss=fct_summary(scenario, "bbr+suss", size,
-                                        iterations, base_seed))
-            for scenario in scenarios for size in sizes]
+                                         iterations=1))
+            for scenario in SCENARIOS for size in SIZES]
 
 
 def format_report(rows: Sequence[BbrSussRow]) -> str:

@@ -51,6 +51,8 @@ def run(size: int = 3 * MB, seed: int = 0,
         result = run_single_flow(scenario, cc, size, seed=seed,
                                  net=net, sim=sim)
         monitor.stop()
+        if sim.obs is not None:
+            sim.obs.close()
         if result.fct is None:
             raise RuntimeError(f"{cc} did not finish")
         # Queue pressure over the ramp (first 60% of the flow's life).

@@ -47,6 +47,8 @@ def _one(cc: str, load: float, size: int, seed: int,
                                flow_id=1, size_bytes=size, cc=cc,
                                start_time=fg_start)
     sim.run(until=horizon)
+    if sim.obs is not None:
+        sim.obs.close()
     if not foreground.completed:
         raise RuntimeError(f"foreground {cc} did not finish under load")
     cross_fcts = [f.fct for f in cross.flows if f.fct is not None]

@@ -155,6 +155,8 @@ def packet_fct(scenario: PathScenario, cc: str, size_bytes: Bytes,
                              size_bytes=size_bytes, cc=cc)
     deadline = 60.0 + 40.0 * size_bytes / scenario.btl_bw + 200.0 * scenario.rtt
     sim.run(until=deadline)
+    if sim.obs is not None:
+        sim.obs.close()
     if not transfer.completed or transfer.fct is None:
         raise RuntimeError(
             f"packet reference flow did not complete: {scenario.name} "

@@ -477,6 +477,11 @@ class TestExperimentDispatch:
                 main(["experiment", "delack", *flag])
             assert exc.value.code == 2
             assert "delack runs inline" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exc:
+                main(["profile", "single", "--scenario",
+                      "google-tokyo/wired", *flag])
+            assert exc.value.code == 2
+            assert "single runs inline" in capsys.readouterr().err
         assert not store.exists()
 
 

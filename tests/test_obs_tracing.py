@@ -3,7 +3,9 @@
 import pytest
 
 from tests.helpers import MSS, make_transfer
+from repro.experiments import ablation_aqm, ext_burstiness, ext_crosstraffic
 from repro.experiments.runner import run_single_flow
+from repro.flowsim.crossval import packet_fct
 from repro.net import build_path
 from repro.obs import records as obsrec
 from repro.obs import tracer as tracer_module
@@ -173,6 +175,21 @@ class TestAmbientJsonl:
         assert first and both.startswith(first) and len(both) > len(first)
         assert all(obsrec.TraceRecord.from_line(line)
                    for line in both.splitlines())
+
+    @pytest.mark.parametrize("harness", [
+        lambda: ablation_aqm.run(size=100_000, queue_kinds=("codel",),
+                                 ccs=("cubic",)),
+        lambda: ext_burstiness.run(size=100_000, ccs=("cubic",)),
+        lambda: ext_crosstraffic._one("cubic", 0.3, 100_000, 0, 50.0,
+                                      fg_start=0.5, horizon=2.0),
+        lambda: packet_fct(INTERNET_SCENARIOS["google-tokyo/wired"],
+                           "cubic", 50_000, 1),
+    ], ids=["aqm", "burstiness", "crosstraffic", "crossval"])
+    def test_a_harness_built_simulator_releases_the_stream(self, harness):
+        """Harnesses that build their own Simulator close its bundle."""
+        harness()
+        assert tracer_module._ambient_streams[str(self.path)][0].closed
+        assert self.path.read_text()
 
 
 # ----------------------------------------------------------------------
