@@ -26,15 +26,12 @@ from repro.analysis.lint import lint_paths
 from repro.analysis.units import check_units_paths
 
 
-def run_lint(paths: List[str], layering: bool = True,
-             units: bool = True) -> List[Finding]:
+def run_lint(paths: List[str]) -> List[Finding]:
     """All findings for ``paths``: determinism, layering and unit rules."""
     findings = list(lint_paths(paths))
-    if units:
-        findings.extend(check_units_paths(paths))
-    if layering:
-        for root in find_package_roots([Path(p) for p in paths]):
-            findings.extend(check_layering(root))
+    findings.extend(check_units_paths(paths))
+    for root in find_package_roots([Path(p) for p in paths]):
+        findings.extend(check_layering(root))
     return sort_findings(findings)
 
 
@@ -46,10 +43,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default: src tests)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit findings as JSON")
-    parser.add_argument("--no-layering", action="store_true",
-                        help="skip the import-graph layering check")
-    parser.add_argument("--no-units", action="store_true",
-                        help="skip the unit/dimension checker")
     parser.add_argument("--explain", metavar="RULE",
                         help="print the catalogue entry for a rule ID "
                              "(e.g. DET003, UNIT002) and exit")
@@ -70,8 +63,7 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if missing:
         parser.error(f"no such path(s): {', '.join(missing)}")
 
-    findings = run_lint(paths, layering=not args.no_layering,
-                        units=not args.no_units)
+    findings = run_lint(paths)
     if args.as_json:
         print(render_json(findings))
     elif findings:

@@ -71,7 +71,13 @@ def run_campaign(specs: Iterable[JobSpec], *, jobs: int = 1,
     the cache hit below, :func:`_finish`, :func:`_retry` — as a span with
     queue-wait / exec-time / worker attribution, and ``complete`` gets
     the spec-ordered results.  It never alters scheduling decisions.
+    A negative ``retries`` or a ``timeout`` that is not above zero is a
+    :class:`ValueError` before any job runs.
     """
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if timeout is not None and not timeout > 0:
+        raise ValueError(f"timeout must be > 0 seconds, got {timeout}")
     spec_list = list(specs)
     if telemetry is None:
         telemetry = RunTelemetry()

@@ -9,7 +9,8 @@ in the ``repro`` package, so editing any simulator/CC/experiment code
 invalidates the whole cache (stale results can never leak across code
 versions), while re-running an unchanged tree is pure cache hits.  The
 ``REPRO_CAMPAIGN_FINGERPRINT`` environment variable overrides the
-computed fingerprint (used by tests and by CI smoke runs).
+computed fingerprint (used by tests and for local cache reuse across
+edits).
 
 Only successful job results are stored — failures and timeouts stay
 uncached so an interrupted or partially failed campaign retries exactly

@@ -12,7 +12,9 @@ from repro.cli.common import (
     cc_name,
     close_run,
     comma_separated,
+    non_negative_int,
     open_run,
+    positive_float,
     positive_int,
     scenario,
 )
@@ -35,7 +37,7 @@ def add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
                         default="bbr,cubic+suss,cubic")
     parser.add_argument("--iterations", type=positive_int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=positive_int, default=1,
                         help="worker processes (1 = run inline)")
     parser.add_argument("--cache-dir", default=".repro-cache",
                         help="result cache; re-runs only compute misses")
@@ -44,9 +46,9 @@ def add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resume", action="store_true",
                         help="continue an interrupted campaign from "
                              "--cache-dir (errors if it does not exist)")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=positive_float, default=None,
                         help="per-job wall-clock timeout in seconds")
-    parser.add_argument("--retries", type=int, default=2,
+    parser.add_argument("--retries", type=non_negative_int, default=2,
                         help="retries per job after a failure/crash")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-job progress on stderr")
@@ -55,10 +57,6 @@ def add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ledger-dir",
                         help="write a content-addressed run ledger (plus a "
                              "live status.json for `repro top`) here")
-    parser.add_argument("--metrics-port", type=int, default=None,
-                        metavar="PORT",
-                        help="serve live OpenMetrics on this port while the "
-                             "campaign runs (0 = ephemeral)")
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -110,7 +108,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(fig17_18_all_scenarios.format_report(rows))
     except RuntimeError as exc:
         failure = exc
-        close_run(args, run)
     else:
         close_run(args, run, mode="topo" if args.topo else "matrix",
                   fingerprint=code_fingerprint(), base_seed=args.seed)

@@ -4,6 +4,7 @@ observer flags, and opening and closing a run."""
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Any, Callable, Optional
@@ -41,13 +42,31 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def comma_separated(item: Callable[[str], Any]) -> Callable[[str], list]:
     """``type=`` for a comma-separated list whose parts ``item`` parses."""
     return lambda text: [item(part) for part in text.split(",")]
 
 
 def add_campaign_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=positive_int, default=1,
                         help="worker processes (1 = run inline)")
     parser.add_argument("--cache-dir", default=None,
                         help="cache results on disk; re-runs only compute "
@@ -61,7 +80,7 @@ def open_run(args: argparse.Namespace,
     """Runner kwargs from the shared flags: ``--jobs``, the ``--cache-dir``
     store, and the run's one observer — narrating to stderr unless
     ``--quiet``, keeping ``status.json`` current under ``--ledger-dir``
-    (for ``repro top``), scraped at ``--metrics-port``.  Pair with
+    (for ``repro top``).  A run that completes ends with
     :func:`close_run`."""
     from repro.campaign.store import ResultStore
     from repro.obs.runtime import RunTelemetry
@@ -77,27 +96,17 @@ def open_run(args: argparse.Namespace,
     telemetry = RunTelemetry(
         tool=tool, status_path=status_path, min_interval=0.5,
         stream=None if getattr(args, "quiet", False) else sys.stderr)
-    server = None
-    if getattr(args, "metrics_port", None) is not None:
-        from repro.obs.export import MetricsServer, render_openmetrics
-        server = MetricsServer(
-            lambda: render_openmetrics(telemetry.snapshot()),
-            port=args.metrics_port)
-        server.start()
-        print(f"serving OpenMetrics at {server.url}", file=sys.stderr)
     return argparse.Namespace(
-        telemetry=telemetry, server=server,
+        telemetry=telemetry,
         kwargs={"jobs": args.jobs, "store": store, "telemetry": telemetry})
 
 
 def close_run(args: argparse.Namespace, run: argparse.Namespace, *,
-              mode: Optional[str] = None, fingerprint: str = "",
-              base_seed: int = 0, summary: Optional[dict] = None) -> None:
-    """Stop the scrape endpoint; for a run that completed (``mode`` given)
-    under ``--ledger-dir``, write the run ledger + execution sidecar."""
-    if run.server is not None:
-        run.server.close()
-    if mode is None or not getattr(args, "ledger_dir", None):
+              mode: str, fingerprint: str = "", base_seed: int = 0,
+              summary: Optional[dict] = None) -> None:
+    """For a run that completed under ``--ledger-dir``, write the run
+    ledger + execution sidecar."""
+    if not getattr(args, "ledger_dir", None):
         return
     from repro.obs.ledger import build_ledger, write_ledger
 

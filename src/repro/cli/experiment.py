@@ -7,7 +7,13 @@ import argparse
 import importlib
 import sys
 
-from repro.cli.common import add_campaign_flags, cc_name, open_run, scenario
+from repro.cli.common import (
+    add_campaign_flags,
+    cc_name,
+    open_run,
+    positive_int,
+    scenario,
+)
 from repro.core.units import MB
 
 #: experiment name -> (module under ``repro.experiments``, whether its
@@ -79,7 +85,7 @@ def add_profile_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario",
                         help="scenario name (with name='single')")
     parser.add_argument("--cc", type=cc_name, default="cubic+suss")
-    parser.add_argument("--size", type=int, default=2 * MB)
+    parser.add_argument("--size", type=positive_int, default=2 * MB)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--top", type=int, default=15,
                         help="show only the hottest N event types")

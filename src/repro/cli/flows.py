@@ -47,7 +47,7 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True,
                         help="scenario name, e.g. google-tokyo/wired")
     parser.add_argument("--cc", type=cc_name, default="cubic+suss")
-    parser.add_argument("--size", type=int, default=2 * MB,
+    parser.add_argument("--size", type=positive_int, default=2 * MB,
                         help="flow size in bytes")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--csv", help="write cwnd/rtt/delivered trace CSV")

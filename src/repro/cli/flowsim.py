@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from repro.cli.common import scenario
+from repro.cli.common import positive_int, scenario
 from repro.core.units import MBPS
 from repro.experiments.report import pct, render_table
 from repro.flowsim.model import PathParams, available_models, create_model
@@ -28,11 +28,11 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--loss", type=float, default=0.0,
                         help="random loss probability")
     parser.add_argument("--delayed-ack", action="store_true")
-    parser.add_argument("--size", type=int,
+    parser.add_argument("--size", type=positive_int,
                         help="single-model query: flow size in bytes")
     parser.add_argument("--model", default="csa00+suss",
                         help="model for --size queries")
-    parser.add_argument("--flows", type=int, default=100_000,
+    parser.add_argument("--flows", type=positive_int, default=100_000,
                         help="fleet sweep: flows per model")
     parser.add_argument("--dist", default="campus",
                         choices=["campus", "web", "heavy_tailed"],

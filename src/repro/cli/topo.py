@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from repro.cli.common import cc_name
+from repro.cli.common import cc_name, positive_int
 from repro.core.units import MB, MILLIS_PER_SECOND
 from repro.experiments.report import render_table
 from repro.workloads.topo import (
@@ -39,7 +39,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="load the TopologySpec from a JSON file "
                              "instead of the registry")
     parser.add_argument("--cc", type=cc_name, default="cubic+suss")
-    parser.add_argument("--size", type=int, default=2 * MB,
+    parser.add_argument("--size", type=positive_int, default=2 * MB,
                         help="foreground flow size in bytes (with run)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cross-load", type=float, default=1.0,

@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from repro.cli.common import cc_name, scenario
+from repro.cli.common import cc_name, positive_int, scenario
 from repro.core.units import MB
 
 
@@ -16,7 +16,7 @@ def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario",
                         help="scenario name, e.g. google-tokyo/wired")
     parser.add_argument("--cc", type=cc_name, default="cubic+suss")
-    parser.add_argument("--size", type=int, default=2 * MB,
+    parser.add_argument("--size", type=positive_int, default=2 * MB,
                         help="flow size in bytes")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="write canonical JSONL to this path")

@@ -6,7 +6,13 @@ import argparse
 import dataclasses
 import sys
 
-from repro.cli.common import add_campaign_flags, close_run, open_run
+from repro.cli.common import (
+    add_campaign_flags,
+    close_run,
+    non_negative_int,
+    open_run,
+    positive_float,
+)
 from repro.validate import (
     FAIL,
     INCONCLUSIVE,
@@ -33,9 +39,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="list registered claims and exit")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed for the multi-seed fan-out")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=positive_float, default=None,
                         help="per-job wall-clock timeout in seconds")
-    parser.add_argument("--retries", type=int, default=1,
+    parser.add_argument("--retries", type=non_negative_int, default=1,
                         help="retries per job after a failure/crash")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the ValidationReport as canonical JSON "
@@ -59,10 +65,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ledger-dir",
                         help="write a content-addressed run ledger (plus a "
                              "live status.json for `repro top`) here")
-    parser.add_argument("--metrics-port", type=int, default=None,
-                        metavar="PORT",
-                        help="serve live OpenMetrics on this port while the "
-                             "validation runs (0 = ephemeral)")
     add_campaign_flags(parser)
 
 
@@ -87,7 +89,6 @@ def run(args: argparse.Namespace) -> int:
             claim_ids, mode=mode, base_seed=args.seed,
             timeout=args.timeout, retries=args.retries, **session.kwargs)
     except RuntimeError as exc:
-        close_run(args, session)
         raise SystemExit(f"repro validate: {exc}")
 
     # Ledger of the as-run verdicts (pre drift patching — that is an

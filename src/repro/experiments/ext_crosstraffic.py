@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.experiments.report import pct, render_table
+from repro.experiments.runner import end_run
 from repro.metrics.summary import summarize
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -47,8 +48,7 @@ def _one(cc: str, load: float, size: int, seed: int,
                                flow_id=1, size_bytes=size, cc=cc,
                                start_time=fg_start)
     sim.run(until=horizon)
-    if sim.obs is not None:
-        sim.obs.close()
+    end_run(sim)
     if not foreground.completed:
         raise RuntimeError(f"foreground {cc} did not finish under load")
     cross_fcts = [f.fct for f in cross.flows if f.fct is not None]

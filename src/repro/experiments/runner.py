@@ -17,9 +17,9 @@ from repro.campaign.store import ResultStore
 from repro.metrics.collector import FlowCollector
 from repro.metrics.summary import Summary, summarize
 from repro.net.topology import Dumbbell
+from repro.obs.profile import global_profiler
 from repro.obs.runtime import RunTelemetry
 from repro.obs.tracer import Observability
-from repro.obs.tracer import from_env as obs_from_env
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.tcp.connection import Transfer, open_transfer
@@ -53,22 +53,20 @@ class FlowResult:
 
 
 def _new_sim(obs: Optional[Observability], collect: bool = False) -> Simulator:
-    """A simulator carrying ``obs``, else the environment's bundle, else
-    — for a collecting run — a bare one.  Chosen first, built once: what
-    a simulator is instrumented with is fixed at construction."""
+    """A simulator carrying ``obs``, else — for a collecting run — a
+    bundle for the collector (with the installed profiler, if any), else
+    the default.  Chosen first, built once: what a simulator is
+    instrumented with is fixed at construction."""
     if obs is None and collect:
-        obs = obs_from_env() or Observability()
+        obs = Observability(profiler=global_profiler())
     return Simulator() if obs is None else Simulator(obs=obs)
 
 
-def _end_run(sim: Simulator, close_obs: bool) -> None:
+def end_run(sim: Simulator) -> None:
     """The epilogue every harness run shares: a sanitized run must end
-    with every packet it sent delivered, dropped or still in flight, and
-    a bundle the run built (not the caller's) is closed."""
+    with every packet it sent delivered, dropped or still in flight."""
     if sim.sanitizer is not None:
         sim.sanitizer.verify_conservation(sim.pending_events)
-    if close_obs and sim.obs is not None:
-        sim.obs.close()
 
 
 def _deadline(scenario: PathScenario, size_bytes: int) -> float:
@@ -91,14 +89,13 @@ def run_single_flow(scenario: PathScenario, cc: str, size_bytes: int,
     customised topology (e.g. a CoDel bottleneck) while keeping the
     scenario's bookkeeping.  ``obs`` wires an explicit observability
     bundle into the simulator (the caller owns its sinks and closes
-    them); when omitted, the ``REPRO_TRACE`` environment default (and
-    any installed global profiler) applies.  ``collect`` subscribes a
+    them); when omitted, the simulator traces nothing and carries only
+    an installed global profiler, if any.  ``collect`` subscribes a
     :class:`FlowCollector` to the simulator's bundle and returns it as
     ``telemetry``; a pre-built ``sim`` must then carry one.
     """
     if (net is None) != (sim is None):
         raise ValueError("supply both net and sim, or neither")
-    close_obs = sim is None and obs is None
     if sim is None:
         sim = _new_sim(obs, collect)
         rng = RngRegistry(seed)
@@ -111,7 +108,7 @@ def run_single_flow(scenario: PathScenario, cc: str, size_bytes: int,
                              size_bytes=size_bytes, cc=cc,
                              delayed_ack=delayed_ack, ecn=ecn)
     sim.run(until=_deadline(scenario, size_bytes))
-    _end_run(sim, close_obs)
+    end_run(sim)
     sender = transfer.sender
     return FlowResult(
         scenario=scenario.name, cc=cc, size_bytes=size_bytes, seed=seed,
@@ -163,7 +160,7 @@ def run_topo_flow(scenario, cc: str, size_bytes: int, seed: int = 0,
         sim.run(until=min(sim.now + step, deadline))
     for generator in generators:
         generator.stop()
-    _end_run(sim, close_obs=obs is None)
+    end_run(sim)
     sender = transfer.sender
     drops = bottleneck.queue.flow_drops.get(1, 0)
     return {
@@ -291,7 +288,7 @@ def run_local_testbed(config: LocalTestbedConfig, specs: Sequence[FlowSpec],
     telemetry = FlowCollector(sim.obs) if collect else None
     transfers = launch_flows(sim, net, specs)
     sim.run(until=until)
-    _end_run(sim, close_obs=True)
+    end_run(sim)
     return LocalRun(sim=sim, net=net, transfers=transfers,
                     telemetry=telemetry)
 

@@ -12,14 +12,12 @@ from repro._lazy import lazy_exports
 #: public name -> defining submodule, in ``__all__`` order
 _EXPORTS = {
     "ALL_KINDS": "records",
-    "CsvTraceSink": "sinks",
     "DigestSink": "sinks",
     "Divergence": "golden",
     "EventProfiler": "profile",
     "JobSpan": "runtime",
     "JsonlSink": "sinks",
     "MemorySink": "sinks",
-    "MetricsServer": "export",
     "Observability": "tracer",
     "RingBufferSink": "sinks",
     "RunLedger": "ledger",
@@ -33,7 +31,6 @@ _EXPORTS = {
     "build_ledger": "ledger",
     "digest_lines": "golden",
     "first_divergence": "golden",
-    "from_env": "tracer",
     "load_digests": "golden",
     "load_ledger": "ledger",
     "load_stream": "golden",

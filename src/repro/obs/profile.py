@@ -161,8 +161,7 @@ def install_global(profiler: Optional[EventProfiler] = None) -> EventProfiler:
     """Install (or create) the process-global profiler and return it.
 
     Every subsequently-constructed :class:`repro.sim.engine.Simulator`
-    that resolves its observability from the environment aggregates into
-    this instance.
+    that is given no ``obs=`` aggregates into this instance.
     """
     global _GLOBAL
     _GLOBAL = profiler if profiler is not None else EventProfiler()

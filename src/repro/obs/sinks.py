@@ -11,19 +11,15 @@ sinks cover the three consumption modes of the evaluation:
 * :class:`DigestSink` — a streaming SHA-256 over the canonical line
   encoding, used by the golden-trace suite and the ``jobs=1`` vs
   ``jobs=4`` determinism cross-check without buffering the stream;
-* :class:`CsvTraceSink` — ``time,flow,kind,<chosen fields>`` rows for
-  spreadsheets and plotting scripts;
 * :class:`TeeSink` — fan one stream out to several sinks.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from collections import deque
-from pathlib import Path
-from typing import (Deque, Iterable, Iterator, List, Optional, Protocol,
-                    Sequence, TextIO, Union, runtime_checkable)
+from typing import (Deque, Iterator, List, Optional, Protocol, Sequence,
+                    TextIO, runtime_checkable)
 
 from repro.obs.records import TraceRecord
 
@@ -140,8 +136,8 @@ class JsonlSink:
 
     def emit(self, record: TraceRecord) -> None:
         stream = self._stream if self._stream is not None else self._open()
-        # One write per record: simulators sharing a stream interleave
-        # whole lines, and what is pending sits in the file's own buffer.
+        # One write per record; what is pending sits in the file's own
+        # buffer.
         stream.write(record.to_line() + "\n")
         self.lines += 1
 
@@ -177,44 +173,6 @@ class DigestSink:
 
     def digest(self) -> str:
         return self._hash.hexdigest()
-
-
-class CsvTraceSink:
-    """Write records as ``time,flow,kind,<extra fields>`` CSV rows.
-
-    Extra fields not present on a record are written as empty cells.
-    The provenance columns ``eid`` and ``peid`` may be requested in
-    ``field_names``; they resolve from the record's provenance slots,
-    not its fields mapping.
-    """
-
-    def __init__(self, out: Union[str, Path, TextIO],
-                 field_names: Iterable[str] = ()) -> None:
-        self.field_names = list(field_names)
-        self._owns_stream = isinstance(out, (str, Path))
-        self._stream: TextIO = (open(out, "w", newline="")
-                                if self._owns_stream else out)
-        self._writer = csv.writer(self._stream)
-        self._writer.writerow(["time", "flow", "kind"] + self.field_names)
-        self.rows = 0
-
-    def emit(self, record: TraceRecord) -> None:
-        row = [f"{record.time:.9f}", record.flow, record.kind]
-        for name in self.field_names:
-            if name == "eid":
-                row.append(record.eid)
-            elif name == "peid":
-                row.append(record.parent_eid)
-            else:
-                row.append(record.fields.get(name, ""))
-        self._writer.writerow(row)
-        self.rows += 1
-
-    def close(self) -> None:
-        if self._owns_stream:
-            self._stream.close()
-        else:
-            self._stream.flush()
 
 
 class TeeSink:

@@ -52,16 +52,16 @@ Layout
   derived from the eid high-water mark, heap length, and two
   cancellation counters, so the per-event loop maintains *no* counters
   at all.  Both remain O(1) reads.
-* **Two run loops.** ``run()`` / ``run(until=…)`` with no sanitizer, no
-  profiler and no ``max_events`` — every experiment, campaign job and
-  benchmark workload — takes one direct-dispatch loop (a missing bound
-  is +∞ to it, and only a bounded run pushes the clock on to its
-  bound); a sanitized, profiled or ``max_events`` run takes
-  ``_run_generic``, which keeps the reference engine's exact check
-  ordering.  The choice is made once: what a simulator is instrumented
-  with is fixed when it is built (links, hosts and senders resolve their
-  gates from it at *their* construction), and ``run()`` / ``step()``
-  refuse to go on if ``now``, ``sanitizer`` or ``obs`` was assigned over.
+* **Two run loops.** ``run()`` / ``run(until=…)`` with no sanitizer and
+  no profiler — every experiment, campaign job and benchmark workload —
+  takes one direct-dispatch loop (a missing bound is +∞ to it, and only
+  a bounded run pushes the clock on to its bound); a sanitized or
+  profiled run takes ``_run_generic``, which keeps the reference
+  engine's exact check ordering.  The choice is made once: what a
+  simulator is instrumented with is fixed when it is built (links, hosts
+  and senders resolve their gates from it at *their* construction), and
+  ``run()`` refuses to go on if ``now``, ``sanitizer`` or ``obs`` was
+  assigned over.
 
 An explicit preallocated free-list for event records was evaluated and
 rejected: records double as caller-visible handles, so recycling a fired
@@ -99,16 +99,16 @@ from typing import Any, Callable, List, Optional
 
 from repro.analysis.sanitize import SimSanitizer, from_env
 from repro.core.units import Seconds
+from repro.obs.profile import global_profiler
 from repro.obs.runtime import add_engine_events
 from repro.obs.tracer import Observability
-from repro.obs.tracer import from_env as obs_from_env
 
-#: constructor sentinel: "no sanitizer/obs argument given, consult the
-#: environment (REPRO_SANITIZE / REPRO_TRACE)".  Passing
-#: sanitizer=None or obs=None explicitly opts out even in instrumented
-#: runs (unit tests that drive links directly, bypassing Host.transmit
-#: accounting).
-_FROM_ENV: Any = object()
+#: constructor sentinel: "no sanitizer/obs argument given" — the
+#: sanitizer then follows ``REPRO_SANITIZE`` and the bundle carries the
+#: installed global profiler, if any.  Passing sanitizer=None or
+#: obs=None explicitly opts out even in instrumented runs (unit tests
+#: that drive links directly, bypassing Host.transmit accounting).
+_DEFAULT: Any = object()
 
 #: A scheduled event — the heap entry and the handle ``schedule``
 #: returns: ``[when, eid, status, callback, args, parent_eid,
@@ -164,27 +164,31 @@ class Simulator:
         sim.schedule(1.5, lambda: print("fires at t=1.5"))
         sim.run()
 
-    The clock starts at ``0.0`` and only advances when :meth:`run` (or
-    ``step``) processes events.  ``schedule`` / ``schedule_at`` return
-    an :data:`EventRef`; cancel or poll it with ``cancel_event``
-    (idempotent) / ``event_pending``.  ``step()`` fires
-    the next pending event (False when the queue is empty) and
-    ``clear()`` drops all pending events, leaving the clock where it is.
+    The clock starts at ``0.0`` and only advances when :meth:`run`
+    processes events.  ``schedule`` / ``schedule_at`` return an
+    :data:`EventRef`; cancel or poll it with ``cancel_event``
+    (idempotent) / ``event_pending``.  ``clear()`` drops all pending
+    events, leaving the clock where it is.
 
     Three plain attributes are the engine's to write and everyone's to
     read: ``now``, the simulation time in seconds; ``sanitizer``, the
     runtime invariant checker (default: per ``REPRO_SANITIZE``); ``obs``,
-    the observability bundle (default: per ``REPRO_TRACE`` and the
-    installed global profiler).  With either None every hook site is a
-    single pointer test.  Both are fixed at construction.
+    the observability bundle (default: none, or one carrying the
+    installed global profiler).  Tracing is the caller's:
+    ``Simulator(obs=tracing(sink))``.  With either None every hook site
+    is a single pointer test.  Both are fixed at construction.
     """
 
-    def __init__(self, sanitizer: Optional[SimSanitizer] = _FROM_ENV,
-                 obs: Optional[Observability] = _FROM_ENV) -> None:
+    def __init__(self, sanitizer: Optional[SimSanitizer] = _DEFAULT,
+                 obs: Optional[Observability] = _DEFAULT) -> None:
         self._heap: List[EventRef] = []
         self.now: Seconds = 0.0
-        self.sanitizer = from_env() if sanitizer is _FROM_ENV else sanitizer
-        self.obs = obs_from_env() if obs is _FROM_ENV else obs
+        self.sanitizer = from_env() if sanitizer is _DEFAULT else sanitizer
+        if obs is _DEFAULT:
+            profiler = global_profiler()
+            obs = None if profiler is None else Observability(
+                profiler=profiler)
+        self.obs = obs
         if self.obs is not None:
             # Bind this engine as the bundle's provenance source so every
             # record it emits carries (eid, parent_eid).  The attribute is
@@ -219,7 +223,7 @@ class Simulator:
         running = False
 
         def check_untouched() -> None:
-            """Per ``run()`` / ``step()``, not per event: the public
+            """Per ``run()``, not per event: the public
             attributes still hold the very objects the engine put there
             (a clock write stores one float in both places)."""
             for name, mine in (("now", now), ("sanitizer", san), ("obs", obs)):
@@ -302,12 +306,10 @@ class Simulator:
             return rec[2] == 0
 
         # -------------------------------------------------- execution
-        def _run_generic(until: Optional[Seconds],
-                         max_events: Optional[int]) -> None:
-            """Reference-ordered loop for sanitized/profiled/bounded runs."""
+        def _run_generic(until: Optional[Seconds]) -> None:
+            """Reference-ordered loop for sanitized or profiled runs."""
             nonlocal now, slot, cur_eid, cur_origin, cancelled_q, running
             profiler = obs.profiler if obs is not None else None
-            fired = 0
             try:
                 while True:
                     s = slot
@@ -335,8 +337,6 @@ class Simulator:
                     when = rec[0]
                     if until is not None and when > until:
                         break
-                    if max_events is not None and fired >= max_events:
-                        break
                     if from_heap:
                         heappop(heap)
                     else:
@@ -351,7 +351,6 @@ class Simulator:
                         rec[3](*rec[4])
                     else:
                         profiler.fire(rec[3], rec[4])
-                    fired += 1
             finally:
                 running = False
                 cur_eid = 0
@@ -359,15 +358,15 @@ class Simulator:
             if until is not None and now < until:
                 self.now = now = until
 
-        def run(until: Optional[Seconds], max_events: Optional[int]) -> None:
+        def run(until: Optional[Seconds]) -> None:
             nonlocal now, slot, cur_eid, cur_origin, cancelled_q, running
             if running:
                 raise SimulationError("Simulator.run is not reentrant")
             check_untouched()
             running = True
-            if san is not None or max_events is not None or (
+            if san is not None or (
                     obs is not None and obs.profiler is not None):
-                _run_generic(until, max_events)
+                _run_generic(until)
                 return
             # No bound means +inf: the one loop below serves both, and
             # only a bounded run pushes the clock on to its bound.
@@ -412,42 +411,6 @@ class Simulator:
             if until is not None and now < until:
                 self.now = now = until
 
-        def step() -> bool:
-            nonlocal now, slot, cur_eid, cur_origin, cancelled_q
-            check_untouched()
-            profiler = obs.profiler if obs is not None else None
-            while True:
-                s = slot
-                if s is not None:
-                    if heap and heap[0] < s:
-                        rec = heappop(heap)
-                    else:
-                        rec = s
-                        slot = None
-                elif heap:
-                    rec = heappop(heap)
-                else:
-                    return False
-                if rec[2]:
-                    cancelled_q -= 1
-                    continue
-                when = rec[0]
-                if san is not None:
-                    san.note_fire(when)
-                self.now = now = when
-                rec[2] = 1
-                cur_eid = rec[1]
-                cur_origin = rec[6]
-                try:
-                    if profiler is None:
-                        rec[3](*rec[4])
-                    else:
-                        profiler.fire(rec[3], rec[4])
-                finally:
-                    cur_eid = 0
-                    cur_origin = 0
-                return True
-
         def clear() -> None:
             nonlocal slot, cancelled_q, cancelled_total
             # Mark dropped records cancelled so handles report the truth
@@ -491,7 +454,6 @@ class Simulator:
         self.cancel_event = cancel_event
         self.event_pending = event_pending
         self._run = run
-        self.step = step
         self.clear = clear
         self._get_cur_eid = _get_cur_eid
         self._get_origin = _get_origin
@@ -502,9 +464,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[Seconds] = None,
-            max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
+    def run(self, until: Optional[Seconds] = None) -> None:
+        """Run until the queue drains or ``until`` is reached.
 
         ``until`` is an absolute simulation time; events at exactly ``until``
         still fire.  When the run stops because of ``until``, the clock is
@@ -516,7 +477,7 @@ class Simulator:
             _raise_bad_until(until)
         before = self._get_processed()
         try:
-            self._run(until, max_events)
+            self._run(until)
         finally:
             # One process-counter add per run(), not per event: run-level
             # telemetry sees engine throughput at zero hot-loop cost.

@@ -102,21 +102,7 @@ class ReferenceSimulator:
         else:
             profiler.fire(handle[3], handle[4])
 
-    def step(self):
-        profiler = self.obs.profiler if self.obs is not None else None
-        while self._heap:
-            when, _, handle = heapq.heappop(self._heap)
-            if handle[2] == 2:
-                continue
-            try:
-                self._fire(when, handle, profiler)
-            finally:
-                self.current_eid = 0
-                self._sched_origin = 0
-            return True
-        return False
-
-    def run(self, until=None, max_events=None):
+    def run(self, until=None):
         if until != until:
             raise SimulationError(
                 f"invalid run bound until={until!r}: NaN is not a time")
@@ -126,7 +112,6 @@ class ReferenceSimulator:
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
-        fired = 0
         profiler = self.obs.profiler if self.obs is not None else None
         heap = self._heap
         try:
@@ -137,11 +122,8 @@ class ReferenceSimulator:
                     continue
                 if until is not None and when > until:
                     break
-                if max_events is not None and fired >= max_events:
-                    break
                 heapq.heappop(heap)
                 self._fire(when, handle, profiler)
-                fired += 1
         finally:
             self._running = False
             self.current_eid = 0

@@ -193,6 +193,18 @@ class TestFaultTolerance:
         assert not results[0].ok
         assert "crash" in results[0].error or "broke" in results[0].error
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"retries": -1}, "retries must be >= 0"),
+        ({"timeout": 0.0}, "timeout must be > 0"),
+        ({"timeout": -1.0}, "timeout must be > 0"),
+        ({"timeout": float("nan")}, "timeout must be > 0")])
+    def test_out_of_range_budgets_are_refused_before_any_job(
+            self, kwargs, message):
+        telemetry = RunTelemetry()
+        with pytest.raises(ValueError, match=message):
+            run_campaign([spec_for(0)], telemetry=telemetry, **kwargs)
+        assert telemetry.stats()["total"] == 0
+
     def test_per_job_timeout(self):
         spec = spec_for(0, knobs={"_sleep": 5.0})
         results = run_campaign([spec], timeout=0.2, retries=0)

@@ -143,6 +143,35 @@ class TestUsageErrors:
         assert f"repro {command}: error: argument {flag}: expected a " \
                f"positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--retries", "-1"],
+        ["validate", "--retries", "-1"],
+        ["campaign", "--timeout", "-1"],
+        ["campaign", "--timeout", "0"],
+        ["validate", "--timeout", "nan"],
+        ["campaign", "--jobs", "-2"],
+        ["validate", "--jobs", "0"],
+        ["sweep", "--scenario", "google-tokyo/wired", "--jobs", "-2"],
+        ["experiment", "table1", "--jobs", "-2"],
+        ["run", "--scenario", "google-tokyo/wired", "--size", "0"],
+        ["run", "--scenario", "google-tokyo/wired", "--size", "-5"],
+        ["trace", "--scenario", "google-tokyo/wired", "--size", "0"],
+        ["topo", "run", "--scenario", "parking-lot-3", "--size", "0"],
+        ["flowsim", "--flows", "0"],
+        ["flowsim", "--size", "-1"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_out_of_range_numbers_are_usage_errors(self, argv, capsys):
+        """Refused by the parser (exit 2), not by the engine mid-run."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        flag, value = argv[-2:]
+        expected = {"--retries": "a non-negative integer",
+                    "--timeout": "a positive finite number"}.get(
+                        flag, "a positive integer")
+        assert f"repro {argv[0]}: error: argument {flag}: expected " \
+               f"{expected}, got {value!r}" in capsys.readouterr().err
+
 
 class TestCampaign:
     ARGS = ["campaign", "--servers", "google-tokyo", "--links", "wired",
@@ -223,33 +252,6 @@ class TestCampaign:
         assert "campaign: 2 jobs on 1 worker(s)" in err
         assert "[2/2] ok " in err
         assert "campaign done: executed=2 cached=0 failed=0" in err
-
-    def test_metrics_port_serves_without_ledger_dir(self, monkeypatch,
-                                                    capsys):
-        """The observer always exists, so the endpoint does not need
-        ``--ledger-dir``; scrape it while the run is open."""
-        import re
-        import urllib.request
-
-        from repro.obs.export import MetricsServer
-
-        scraped = []
-        close = MetricsServer.close
-
-        def scrape_then_close(server):
-            with urllib.request.urlopen(server.url) as resp:
-                scraped.append(resp.read().decode())
-            close(server)
-
-        monkeypatch.setattr(MetricsServer, "close", scrape_then_close)
-        assert main(self.ARGS + ["--no-cache", "--metrics-port", "0"]) == 0
-        err = capsys.readouterr().err
-        assert re.search(r"serving OpenMetrics at http://127\.0\.0\.1:\d+"
-                         r"/metrics", err)
-        (body,) = scraped
-        assert 'repro_run_jobs_total{status="executed"} 2' in body
-        assert "repro_run_finished 1" in body
-        assert body.endswith("# EOF\n")
 
 
 class TestSweepCampaignFlags:
@@ -930,7 +932,7 @@ class TestLint:
             helps.append(text[text.index("positional arguments:"):])
         assert helps[0] == helps[1]
         assert set(re.findall(r"^  (--[\w-]+)", helps[0], re.M)) == {
-            "--json", "--no-layering", "--no-units", "--explain"}
+            "--json", "--explain"}
 
     def test_unknown_rule_exits_2_through_both(self, capsys):
         for entry in self._entry_points():

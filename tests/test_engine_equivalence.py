@@ -8,8 +8,8 @@ which survives as ``tests/reference_engine.py``.  This suite is the proof:
   and compares full-trace SHA-256 digests (eids included);
 * hypothesis property tests mirror random programs on both engines —
   nested ``schedule`` / ``schedule_at``, ``cancel_event`` and ``clear()``
-  from inside callbacks, ``run(until)`` / ``run(max_events)`` / ``step()``
-  interleaved, raising callbacks — comparing clock, eid, pending and
+  from inside callbacks, ``run()`` / ``run(until)`` interleaved, raising
+  callbacks — comparing clock, eid, pending and
   processed after every step, and check heap invariants (non-decreasing
   fire order, FIFO at equal times, cancel-then-pop skips);
 * sanitizer rules and ``repro explain`` causal chains behave identically
@@ -150,10 +150,8 @@ _program = st.lists(
         st.tuples(st.just("sched_at"), _delay, _action),
         st.tuples(st.just("cancel"), st.integers(0, 40)),
         st.just(("clear",)),
-        st.just(("step",)),
         st.just(("run",)),
         st.tuples(st.just("run_until"), _delay),
-        st.tuples(st.just("run_max"), st.integers(0, 5)),
     ),
     min_size=1, max_size=25)
 
@@ -194,14 +192,10 @@ def _execute(engine, program, sanitizer):
 
     for op in program:
         try:
-            if op[0] == "step":
-                log.append(("stepped", sim.step()))
-            elif op[0] == "run":
+            if op[0] == "run":
                 sim.run()
             elif op[0] == "run_until":
                 sim.run(until=sim.now + op[1])
-            elif op[0] == "run_max":
-                sim.run(max_events=op[1])
             else:
                 perform(op)
         except _Boom:
@@ -242,8 +236,7 @@ class TestHeapProperties:
     @given(program=_program)
     def test_fuzzed_programs_leave_identical_state(self, sanitized, program):
         """Nested scheduling, cancel and ``clear()`` from inside callbacks,
-        ``run(until)`` / ``run(max_events)`` / ``step()`` interleaved, and
-        callbacks that raise: clock, eids, provenance, handle status and
+        ``run()`` / ``run(until)`` interleaved, and callbacks that raise: clock, eids, provenance, handle status and
         both counters agree after every step.  The sanitized leg drives
         the generic loop (``note_fire`` / ``check_schedule`` hook order)
         instead of the specialised ones."""
@@ -292,8 +285,9 @@ class TestHeapProperties:
 # ----------------------------------------------------------------------
 def _clock_walk(engine, sanitizer):
     """Every place the clock is written, read through ``sim.now``: inside
-    callbacks, after a bounded run pushes it on to its bound, after
-    ``step()``, after ``clear()``, after a raising callback."""
+    callbacks, after a bounded run pushes it on to its bound, after a
+    bound an event sits on, after ``clear()``, after a raising callback
+    under an unbounded and a bounded run."""
     sim = engine(sanitizer=sanitizer, obs=None)
     seen = []
 
@@ -319,25 +313,25 @@ def _clock_walk(engine, sanitizer):
     read("pushed to 0.5 with nothing fired")
     sim.run(until=1.5)
     read("pushed past the last event fired")
-    assert sim.step()
-    read("after step")
+    sim.run(until=2.0)
+    read("stopped on a bound an event sits on")
     try:
         sim.run()
     except _Boom:
         read("after a raising callback under run")
     sim.schedule(0.0, boom)
     try:
-        sim.step()
+        sim.run(until=3.5)
     except _Boom:
-        read("after a raising callback under step")
-    sim.run(max_events=1)
-    read("after max_events")
+        read("after a raising callback under a bounded run")
+    sim.run(until=4.0)
+    read("after the bound")
     sim.clear()
     read("after clear")
     sim.run(until=20.0)
     read("pushed on with an empty queue")
-    assert not sim.step()
-    read("after an empty step")
+    sim.run()
+    read("after an empty run")
     return seen
 
 
@@ -368,7 +362,7 @@ class TestEngineAttributes:
     @pytest.mark.parametrize("name, value", [
         ("now", 5.0), ("now", math.nan), ("sanitizer", SimSanitizer()),
         ("sanitizer", None), ("obs", Observability()), ("obs", None)])
-    @pytest.mark.parametrize("drive", ["run", "run_until", "run_max", "step"])
+    @pytest.mark.parametrize("drive", ["run", "run_until"])
     def test_an_outside_assignment_is_reported_by_the_next_run(
             self, name, value, drive):
         """The clock is the engine's to write, and what a simulator is
@@ -384,9 +378,8 @@ class TestEngineAttributes:
         was = getattr(sim, name)
         setattr(sim, name, value)
         with pytest.raises(SimulationError, match=rf"Simulator\.{name} "):
-            {"run": sim.run, "run_until": lambda: sim.run(until=9.0),
-             "run_max": lambda: sim.run(max_events=1),
-             "step": sim.step}[drive]()
+            {"run": sim.run,
+             "run_until": lambda: sim.run(until=9.0)}[drive]()
         assert fired == [1]                 # refused before anything fired
         setattr(sim, name, was)             # put back: the engine carries on
         sim.run()

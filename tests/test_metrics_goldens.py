@@ -28,9 +28,15 @@ from repro.experiments import (
 )
 from repro.experiments.runner import run_fairness_cell, run_single_flow
 from repro.net import CoDelQueue, bdp_bytes, build_dumbbell
-from repro.obs import DigestSink, MemorySink, TeeSink, load_digests, tracing
+from repro.obs import (
+    DigestSink,
+    JsonlSink,
+    MemorySink,
+    TeeSink,
+    load_digests,
+    tracing,
+)
 from repro.obs import records as obsrec
-from repro.obs import tracer as tracer_module
 from repro.sim import RngRegistry, Simulator
 from repro.tcp import open_transfer
 from repro.workloads import (
@@ -178,13 +184,20 @@ def test_collector_leaves_the_trace_alone(name):
     assert not result.telemetry.flow(1).cwnd.empty
 
 
-def test_collect_under_an_environment_tracer(monkeypatch, tmp_path):
-    path = tmp_path / "env.jsonl"
-    monkeypatch.setenv("REPRO_TRACE", f"jsonl:{path}")
+def test_collect_beside_a_callers_tracer(tmp_path):
+    """The collector subscribes to the bundle the caller passed: one
+    bundle feeds the figure series and the caller's JSONL file."""
+    path = tmp_path / "run.jsonl"
+    sink = JsonlSink(str(path))
     scenario = INTERNET_SCENARIOS["google-tokyo/wired"]
     result = run_single_flow(scenario, "cubic", 400_000, seed=1,
-                             collect=True)
-    assert tracer_module._ambient_streams[str(path)][0].closed
+                             collect=True, obs=tracing(sink))
+    sink.close()
+    lines = path.read_text().splitlines()
+    assert len(lines) == sink.lines > 0
+    sends = [line for line in lines
+             if obsrec.TraceRecord.from_line(line).kind == obsrec.PKT_SEND]
+    assert len(sends) == result.data_packets_sent
     trace = result.telemetry.flow(1)
     assert trace.delivered.max_value() == 400_000
     assert not trace.cwnd.empty and not trace.rtt.empty

@@ -119,7 +119,7 @@ class TestHostResolvesItsSimulatorOnce:
         """What a simulator is instrumented with is fixed when it is
         built: the host resolved its sanitizer with its uplink, so a
         late assignment could only ever be half-honoured — the engine
-        reports it, by name, at the next ``run()`` / ``step()``."""
+        reports it, by name, at the next ``run()``."""
         from repro.analysis.sanitize import SimSanitizer
         from repro.sim import SimulationError
 
@@ -130,8 +130,7 @@ class TestHostResolvesItsSimulatorOnce:
         assert counted.sanitizer.packets_sent == 1
         assert counted.sanitizer.packets_delivered == 1
 
-        for drive in (lambda sim: sim.run(), lambda sim: sim.run(until=1.0),
-                      lambda sim: sim.step()):
+        for drive in (lambda sim: sim.run(), lambda sim: sim.run(until=1.0)):
             sim = Simulator(sanitizer=None)
             host = self._host(sim)
             late = SimSanitizer()

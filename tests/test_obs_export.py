@@ -2,23 +2,16 @@
 
 Checks the OpenMetrics text-format contract (``# TYPE`` lines, counter
 ``_total`` suffix, cumulative histogram buckets, terminating ``# EOF``),
-the snapshot → exposition rendering (live and from ``status.json``), the
-dashboard renderer, and the stdlib scrape endpoint.
+the snapshot → exposition rendering (live and from ``status.json``) and
+the dashboard renderer.
 """
 
 import json
-import urllib.request
 from pathlib import Path
 
 import pytest
 
-from repro.obs.export import (
-    OPENMETRICS_CONTENT_TYPE,
-    MetricsServer,
-    metric_name,
-    render_openmetrics,
-    render_top,
-)
+from repro.obs.export import metric_name, render_openmetrics, render_top
 from repro.obs.runtime import RunTelemetry
 
 
@@ -112,9 +105,9 @@ class TestStatusRegistry:
         assert 'repro_run_jobs_total{status="executed"} 1' in text
 
     def test_live_and_status_file_views_agree(self, tmp_path):
-        """The ``--metrics-port`` endpoint renders the collector's
-        snapshot, ``repro top --metrics-out`` the one in ``status.json``:
-        after a finished run they are the same families and samples."""
+        """The collector's live snapshot and the one ``repro top
+        --metrics-out`` reads from ``status.json`` render the same
+        families and samples after a finished run."""
         path = tmp_path / "status.json"
         t = RunTelemetry(status_path=str(path))
         t.start(total=3, workers=2)
@@ -172,27 +165,3 @@ class TestRenderTop:
     def test_empty_status_renders(self):
         frame = render_top({"tool": "campaign", "total": 0})
         assert "0/0" in frame
-
-
-class TestMetricsServer:
-    def test_scrape_and_404(self):
-        server = MetricsServer(lambda: render_openmetrics({"executed": 2}))
-        try:
-            port = server.start()
-            with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/metrics") as resp:
-                assert resp.headers["Content-Type"] == \
-                    OPENMETRICS_CONTENT_TYPE
-                body = resp.read().decode()
-            assert 'repro_run_jobs_total{status="executed"} 2' in body
-            assert body.endswith("# EOF\n")
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/nope")
-        finally:
-            server.close()
-
-    def test_port_before_start_raises(self):
-        server = MetricsServer(lambda: "")
-        with pytest.raises(RuntimeError):
-            server.port

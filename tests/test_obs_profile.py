@@ -5,7 +5,6 @@ import pytest
 from repro.obs import profile as obs_profile
 from repro.obs.profile import EventProfiler
 from repro.obs.tracer import Observability
-from repro.obs.tracer import from_env as obs_from_env
 from repro.sim.engine import Simulator
 
 
@@ -109,11 +108,16 @@ class TestGlobalProfiler:
         obs_profile.clear_global()
         assert obs_profile.global_profiler() is None
 
-    def test_from_env_prefers_installed_global(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert obs_from_env() is None
+    def test_from_env_prefers_installed_global(self):
+        """The default bundle carries the installed profiler and no
+        tracer: ``repro profile`` reaches harness-built simulators this
+        way."""
+        assert Simulator(sanitizer=None).obs is None
         prof = obs_profile.install_global()
-        assert obs_from_env().profiler is prof
+        sim = Simulator(sanitizer=None)
+        assert sim.obs.profiler is prof and sim.obs.tracer is None
+        # a caller's bundle is used as given
+        assert Simulator(sanitizer=None, obs=None).obs is None
 
 
 class TestEngineIntegration:
@@ -128,15 +132,7 @@ class TestEngineIntegration:
         assert fired == [0, 1, 2, 3, 4]
         assert prof.events == 5
 
-    def test_step_also_profiles(self):
-        prof = EventProfiler()
-        sim = Simulator(sanitizer=None, obs=Observability(profiler=prof))
-        sim.schedule(0.0, lambda: None)
-        assert sim.step()
-        assert prof.events == 1
-
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
+    def test_disabled_by_default(self):
         assert Simulator(sanitizer=None).obs is None
 
 

@@ -1,6 +1,5 @@
 """Unit tests for repro.obs.sinks and the TraceRecord encoding."""
 
-import csv
 import hashlib
 import io
 import json
@@ -8,13 +7,10 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from tests.helpers import MSS, make_transfer
-from repro.obs import records as obsrec
 from repro.obs.records import (ALL_KINDS, CAMPAIGN_SPAN, TraceRecord,
                                parse_kinds)
 from repro.obs.runtime import RunTelemetry
 from repro.obs.sinks import (
-    CsvTraceSink,
     DigestSink,
     JsonlSink,
     MemorySink,
@@ -259,51 +255,6 @@ class TestDigestSink:
         empty = sink.digest()
         sink.emit(rec(1))
         assert sink.digest() != empty
-
-
-class TestCsvTraceSink:
-    def test_header_and_rows(self):
-        out = io.StringIO()
-        sink = CsvTraceSink(out, field_names=["seq", "size"])
-        sink.emit(rec(0.5, seq=0, size=1448))
-        sink.emit(rec(1.0, "cc.cwnd", cwnd=28960))  # no seq/size fields
-        sink.close()
-        rows = list(csv.reader(io.StringIO(out.getvalue())))
-        assert rows[0] == ["time", "flow", "kind", "seq", "size"]
-        assert rows[1] == ["0.500000000", "1", "pkt.send", "0", "1448"]
-        assert rows[2] == ["1.000000000", "1", "cc.cwnd", "", ""]
-        assert sink.rows == 2
-
-    def test_satisfies_sink_protocol(self):
-        assert isinstance(CsvTraceSink(io.StringIO()), TraceSink)
-
-    def test_owns_stream_when_given_path(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        sink = CsvTraceSink(path)
-        sink.emit(rec(1))
-        sink.close()
-        content = path.read_text()
-        assert content.startswith("time,flow,kind")
-        assert sink._stream.closed
-
-    def test_borrowed_stream_is_flushed_not_closed(self):
-        out = io.StringIO()
-        sink = CsvTraceSink(out)
-        sink.emit(rec(1))
-        sink.close()
-        assert not out.closed  # caller keeps ownership
-
-    def test_wired_into_observability(self):
-        out = io.StringIO()
-        sink = CsvTraceSink(out, field_names=["cwnd"])
-        bench = make_transfer("cubic", size=50 * MSS,
-                              obs=tracing(sink)).run()
-        assert bench.transfer.completed
-        rows = list(csv.reader(io.StringIO(out.getvalue())))
-        kinds = {row[2] for row in rows[1:]}
-        assert obsrec.PKT_SEND in kinds and obsrec.CC_CWND in kinds
-        cwnd_rows = [row for row in rows[1:] if row[2] == obsrec.CC_CWND]
-        assert all(row[3] for row in cwnd_rows)  # cwnd column populated
 
 
 class TestTeeSink:

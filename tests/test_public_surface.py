@@ -178,14 +178,12 @@ SURFACE = {
     },
     "repro.obs": {
         "ALL_KINDS": "records",
-        "CsvTraceSink": "sinks",
         "DigestSink": "sinks",
         "Divergence": "golden",
         "EventProfiler": "profile",
         "JobSpan": "runtime",
         "JsonlSink": "sinks",
         "MemorySink": "sinks",
-        "MetricsServer": "export",
         "Observability": "tracer",
         "RingBufferSink": "sinks",
         "RunLedger": "ledger",
@@ -199,7 +197,6 @@ SURFACE = {
         "build_ledger": "ledger",
         "digest_lines": "golden",
         "first_divergence": "golden",
-        "from_env": "tracer",
         "load_digests": "golden",
         "load_ledger": "ledger",
         "load_stream": "golden",

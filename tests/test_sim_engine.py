@@ -288,24 +288,6 @@ class TestRunControl:
         sim.run(until=2.0)
         assert fired == [1] and sim.now == 2.0
 
-    def test_max_events(self, backend):
-        sim = make_sim(backend)
-        fired = []
-        for i in range(10):
-            sim.schedule(float(i + 1), fired.append, i)
-        sim.run(max_events=4)
-        assert fired == [0, 1, 2, 3]
-
-    def test_step(self, backend):
-        sim = make_sim(backend)
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.schedule(2.0, fired.append, 2)
-        assert sim.step()
-        assert fired == [1]
-        assert sim.step()
-        assert not sim.step()
-
     def test_clear_drops_pending(self, backend):
         sim = make_sim(backend)
         fired = []
@@ -359,7 +341,7 @@ class TestPendingEvents:
         sim = make_sim(backend)
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        sim.step()
+        sim.run(until=1.0)
         assert sim.pending_events == 1
         sim.run()
         assert sim.pending_events == 0
@@ -379,7 +361,7 @@ class TestPendingEvents:
         sim = make_sim(backend)
         handle = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        sim.step()
+        sim.run(until=1.0)
         sim.cancel_event(handle)
         assert sim.pending_events == 1
 
