@@ -8,8 +8,6 @@ This package makes both enforceable:
 
 * :mod:`repro.analysis.lint` — AST determinism rules (DET0xx);
 * :mod:`repro.analysis.layering` — import-graph DAG checker (LAY0xx);
-* :mod:`repro.analysis.units` — flow-sensitive unit/dimension checker
-  (UNIT0xx) anchored on the :mod:`repro.core.units` annotations;
 * :mod:`repro.analysis.sanitize` — runtime invariant checks (SAN0xx),
   wired into the engine/net/tcp layers behind ``REPRO_SANITIZE=1``;
 * :mod:`repro.analysis.cli` — the ``repro lint`` subcommand.
@@ -33,10 +31,6 @@ _EXPORTS = {
     "applicable_rules": "lint",
     "lint_paths": "lint",
     "lint_source": "lint",
-    "applicable_unit_rules": "units",
-    "check_units_paths": "units",
-    "check_units_source": "units",
-    "check_units_sources": "units",
     "ENV_VAR": "sanitize",
     "SanitizeError": "sanitize",
     "SimSanitizer": "sanitize",

@@ -1,11 +1,11 @@
-"""Entry point for ``repro lint``: determinism, layering and unit checks.
+"""Entry point for ``repro lint``: determinism and layering checks.
 
-Runs the AST determinism rules and the flow-sensitive unit checker over
-every ``.py`` file under the given paths and, for each ``repro`` package
-found among them (e.g. ``src``), the import-graph layering checker.
-Exit status is 0 for a clean tree and 1 when there are findings, so CI
-can gate on it directly.  ``--explain RULE`` prints the catalogue entry
-for any DET/LAY/SAN/UNIT code and exits.
+Runs the AST determinism rules over every ``.py`` file under the given
+paths and, for each ``repro`` package found among them (e.g. ``src``),
+the import-graph layering checker.  Exit status is 0 for a clean tree
+and 1 when there are findings, so CI can gate on it directly.
+``--explain RULE`` prints the catalogue entry for any DET/LAY/SAN code
+and exits.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from repro.analysis.findings import (
 )
 from repro.analysis.layering import check_layering, find_package_roots
 from repro.analysis.lint import lint_paths
-from repro.analysis.units import check_units_paths
 
 
 def run_lint(paths: List[str]) -> List[Finding]:
-    """All findings for ``paths``: determinism, layering and unit rules."""
+    """All findings for ``paths``: determinism and layering rules."""
     findings = list(lint_paths(paths))
-    findings.extend(check_units_paths(paths))
     for root in find_package_roots([Path(p) for p in paths]):
         findings.extend(check_layering(root))
     return sort_findings(findings)
@@ -45,7 +43,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="emit findings as JSON")
     parser.add_argument("--explain", metavar="RULE",
                         help="print the catalogue entry for a rule ID "
-                             "(e.g. DET003, UNIT002) and exit")
+                             "(e.g. DET003, LAY001) and exit")
 
 
 def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -76,7 +74,7 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="determinism/layering/unit linter for the SUSS "
+        description="determinism/layering linter for the SUSS "
                     "reproduction")
     add_arguments(parser)
     return run(parser.parse_args(argv), parser)

@@ -41,16 +41,6 @@ RULES: Dict[str, str] = {
     "SAN005": "pacing rate is non-finite or not positive",
     "SAN006": "SACK scoreboard / reassembly buffer out of order, miscounted, "
               "or retransmit cursor past the highest SACKed byte",
-    "UNIT001": "add/subtract/compare mixes values of different physical dimensions "
-               "(e.g. seconds with bytes)",
-    "UNIT002": "multiply/divide produces a dimensionally malformed quantity "
-               "(squared time, seconds*millis, bits*bytes)",
-    "UNIT003": "argument dimension contradicts the parameter's unit annotation",
-    "UNIT004": "raw conversion literal (* 8, * 1000, / 1e6, 125_000) on a "
-               "dimensioned value; use the named repro.core.units constant",
-    "UNIT005": "returned dimension contradicts the annotated return unit",
-    "UNIT006": "quantity-named parameter or field in an annotated module lacks "
-               "a unit annotation (bare float/int)",
 }
 
 #: rule ID -> multi-line catalogue entry for ``repro lint --explain``.
@@ -132,49 +122,6 @@ retransmit cursor at or below the highest SACKed byte -- a cursor
 beyond it would skip holes that were never retransmitted and leave them
 to the RTO.  A finding means an IntervalSet splice or a cursor update is
 wrong, not the run's inputs.""",
-    "UNIT001": """\
-An add, subtract or comparison mixes two different physical dimensions
-— e.g. `rtt + size_bytes`, `dt_at <= capacity_bytes`.  Both operand
-dimensions were inferred from unit annotations (repro.core.units
-aliases) or named conversion constants, so the conflict is real:
-convert one side explicitly (multiply by a conversion constant or a
-rate) or fix the annotation that is wrong.  Deliberate exceptions take
-`# noqa: UNIT001` with a justification comment.""",
-    "UNIT002": """\
-A multiply or divide produced a quantity no simulator value can have:
-squared time or bytes (`rtt / btl_bw` is sec^2/byte — almost always a
-flipped divide), or a product mixing two encodings of one dimension
-(seconds*millis, bits*bytes — a missing conversion constant).  Rewrite
-the expression so the dimensions cancel; the conversion constants in
-repro.core.units carry ratio dimensions precisely so correct
-conversions type out.""",
-    "UNIT003": """\
-A call passes a value of one dimension to a parameter annotated with
-another (e.g. a Seconds value into a Bytes parameter).  One of the two
-annotations is wrong, or a conversion is missing at the call site.""",
-    "UNIT004": """\
-A raw conversion literal (`* 8`, `* 1000`, `/ 1e6`, `125_000`) was
-applied to a value with a known dimension.  Named constants exist for
-every such factor (repro.core.units: BITS_PER_BYTE,
-MILLIS_PER_SECOND, MB, MBIT, MBPS) and they carry ratio dimensions, so
-using them both documents the conversion and lets the checker verify
-it.  Literals touching only dimensionless values (protocol parameters
-like CSA00's b) are never flagged.""",
-    "UNIT005": """\
-A return statement's inferred dimension contradicts the function's
-annotated return unit.  Either the computation or the annotation is
-wrong; fix whichever lies.  The rule only fires when the inferred
-dimension is itself a named unit — dimensionless results (ratios that
-carry an implicit unit, like byte/byte = segments) stay permissive.""",
-    "UNIT006": """\
-A public signature in an annotated module (one importing
-repro.core.units) has a quantity-named parameter or dataclass field
-(`rtt`, `interval`, `*_bytes`, `*_rate`, ...) that is unannotated or a
-bare float/int.  Annotated modules opt into full dimensioning: give
-the parameter a repro.core.units alias so inference has an anchor.
-Genuinely dimensionless names (probabilities like loss_rate) are
-exempt by the heuristic; anything else deliberate takes
-`# noqa: UNIT006` with a justification.""",
 }
 
 

@@ -82,8 +82,7 @@ DEFAULT_MODULE_EXCEPTIONS: Dict[str, Set[str]] = {
     # below the boundary.
     "flowsim": {"validate.stats"},
     # core.units is a dependency-free leaf of unit type aliases and
-    # conversion constants (the unit checker's annotation vocabulary);
-    # like analysis/obs it must be importable from every layer without
+    # conversion constants; like analysis/obs it must be importable from every layer without
     # inverting the DAG, but unlike them it lives in core because the
     # vocabulary is the paper's (Seconds/Bytes/Segments of Eq. 11/12).
     "sim": {"core.units"},

@@ -14,9 +14,9 @@ package turns them into a schedulable job system:
 
 A run has one observer, :class:`repro.obs.runtime.RunTelemetry`, passed
 as ``run_campaign(..., telemetry=)``: the scheduler reports each attempt
-outcome to it once, and the stderr narration, done/failed/cached counts,
-ETA, ``--stats-json``, ``status.json``, OpenMetrics and the run ledger
-are all reads of it (DESIGN.md §11).
+outcome to it once, and the stderr narration (done/failed/cached counts,
+ETA), ``--stats-json`` and the run ledger are all reads of it
+(DESIGN.md §11).
 """
 
 from repro._lazy import lazy_exports

@@ -55,8 +55,6 @@ SUBCOMMANDS: Dict[str, Tuple[str, str]] = {
     "validate": ("repro.cli.validate",
                  "statistical validation of the paper's claims "
                  "(exit 1 on FAIL)"),
-    "top": ("repro.cli.campaign",
-            "live dashboard over a --ledger-dir run's status.json"),
     "report": ("repro.cli.campaign",
                "render a run ledger (and its .run.json sidecar) post hoc"),
     # ``repro.analysis.cli`` is also ``python -m repro.analysis.cli``.

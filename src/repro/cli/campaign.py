@@ -1,17 +1,17 @@
-"""``repro campaign`` / ``repro top`` / ``repro report``: run a cached
-scenario-matrix campaign, watch one, read its ledger afterwards."""
+"""``repro campaign`` / ``repro report``: run a cached scenario-matrix
+campaign, read its ledger afterwards."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import os
-import sys
 
 from repro.cli.common import (
     cc_name,
     close_run,
     comma_separated,
+    non_negative_float,
     non_negative_int,
     open_run,
     positive_float,
@@ -28,7 +28,8 @@ def add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
                         help="run registered topogen scenarios instead of "
                              "the server/link matrix: a comma-separated "
                              "list or 'all' (see `repro topo list`)")
-    parser.add_argument("--cross-load", type=float, default=1.0,
+    parser.add_argument("--cross-load", type=non_negative_float,
+                        default=1.0,
                         help="scale each topo spec's declared cross-traffic "
                              "load (with --topo; 0 disables)")
     parser.add_argument("--sizes", type=comma_separated(positive_int),
@@ -55,8 +56,8 @@ def add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stats-json",
                         help="write executed/cached/failed counts to a file")
     parser.add_argument("--ledger-dir",
-                        help="write a content-addressed run ledger (plus a "
-                             "live status.json for `repro top`) here")
+                        help="write a content-addressed run ledger (and its "
+                             ".run.json sidecar) here")
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -123,65 +124,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
           f"cached={stats['cached']} failed={stats['failed']} "
           f"elapsed={stats['elapsed']:.1f}s")
     return 0
-
-
-def add_top_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("status", nargs="?",
-                        default=".repro-ledger/status.json",
-                        help="status.json path "
-                             "(default: .repro-ledger/status.json)")
-    parser.add_argument("--once", action="store_true",
-                        help="print one frame and exit (for CI logs)")
-    parser.add_argument("--interval", type=float, default=1.0,
-                        help="refresh interval in seconds")
-    parser.add_argument("--metrics-out", metavar="PATH",
-                        help="with --once: also write the snapshot as "
-                             "OpenMetrics text to PATH")
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    """Live single-screen dashboard over a run's ``status.json``.
-
-    Watches the file a ``--ledger-dir`` run keeps rewriting; ``--once``
-    prints a single frame (for CI logs) and ``--metrics-out`` addition-
-    ally writes the snapshot as OpenMetrics text for scrape smoke tests.
-    """
-    import time
-
-    from repro.obs.export import render_openmetrics, render_top
-
-    def read_status():
-        try:
-            with open(args.status, encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            # Mid-rewrite or not-yet-created: treat as "no frame yet".
-            return None
-
-    if args.once:
-        status = read_status()
-        if status is None:
-            print(f"repro top: no readable status at {args.status!r} "
-                  f"(runs write it under --ledger-dir)", file=sys.stderr)
-            return 1
-        print(render_top(status))
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(render_openmetrics(status))
-        return 0
-    try:
-        while True:
-            status = read_status()
-            frame = (render_top(status) if status is not None
-                     else f"repro top: waiting for {args.status} ...")
-            sys.stdout.write("\x1b[2J\x1b[H" + frame + "\n")
-            sys.stdout.flush()
-            if status is not None and status.get("finished"):
-                return 0
-            time.sleep(args.interval)  # noqa: DET001 — live dashboard refresh cadence, not simulation state
-    except KeyboardInterrupt:
-        print()
-        return 0
 
 
 def add_report_arguments(parser: argparse.ArgumentParser) -> None:
@@ -260,6 +202,5 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 COMMANDS = {
     "campaign": (add_campaign_arguments, cmd_campaign),
-    "top": (add_top_arguments, cmd_top),
     "report": (add_report_arguments, cmd_report),
 }

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import Any, Callable, Optional
 
@@ -49,14 +48,27 @@ def non_negative_int(text: str) -> int:
     return int(text)
 
 
-def positive_float(text: str) -> float:
+def _as_float(text: str) -> float:
+    """``float(text)``, or NaN (which no range admits) if unparsable."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        value = math.nan
+        return math.nan
+
+
+def positive_float(text: str) -> float:
+    value = _as_float(text)
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(
             f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    value = _as_float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative finite number, got {text!r}")
     return value
 
 
@@ -78,10 +90,8 @@ def add_campaign_flags(parser: argparse.ArgumentParser) -> None:
 def open_run(args: argparse.Namespace,
              tool: str = "campaign") -> argparse.Namespace:
     """Runner kwargs from the shared flags: ``--jobs``, the ``--cache-dir``
-    store, and the run's one observer — narrating to stderr unless
-    ``--quiet``, keeping ``status.json`` current under ``--ledger-dir``
-    (for ``repro top``).  A run that completes ends with
-    :func:`close_run`."""
+    store, and the run's one observer, narrating to stderr unless
+    ``--quiet``.  A run that completes ends with :func:`close_run`."""
     from repro.campaign.store import ResultStore
     from repro.obs.runtime import RunTelemetry
 
@@ -89,12 +99,8 @@ def open_run(args: argparse.Namespace,
     if getattr(args, "cache_dir", None) and not getattr(args, "no_cache",
                                                          False):
         store = ResultStore(args.cache_dir)
-    status_path = None
-    if getattr(args, "ledger_dir", None):
-        os.makedirs(args.ledger_dir, exist_ok=True)
-        status_path = os.path.join(args.ledger_dir, "status.json")
     telemetry = RunTelemetry(
-        tool=tool, status_path=status_path, min_interval=0.5,
+        tool=tool, min_interval=0.5,
         stream=None if getattr(args, "quiet", False) else sys.stderr)
     return argparse.Namespace(
         telemetry=telemetry,

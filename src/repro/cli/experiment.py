@@ -87,7 +87,7 @@ def add_profile_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cc", type=cc_name, default="cubic+suss")
     parser.add_argument("--size", type=positive_int, default=2 * MB)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--top", type=int, default=15,
+    parser.add_argument("--top", type=positive_int, default=15,
                         help="show only the hottest N event types")
     parser.add_argument("--sort", choices=["total", "count", "mean"],
                         default="total",

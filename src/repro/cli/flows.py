@@ -13,6 +13,7 @@ from repro.cli.common import (
     comma_separated,
     no_arguments,
     open_run,
+    positive_float,
     positive_int,
     scenario,
 )
@@ -51,7 +52,7 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="flow size in bytes")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--csv", help="write cwnd/rtt/delivered trace CSV")
-    parser.add_argument("--csv-interval", type=float, default=0.05)
+    parser.add_argument("--csv-interval", type=positive_float, default=0.05)
 
 
 def cmd_run(args: argparse.Namespace) -> int:

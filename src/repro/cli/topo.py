@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from repro.cli.common import cc_name, positive_int
+from repro.cli.common import cc_name, non_negative_float, positive_int
 from repro.core.units import MB, MILLIS_PER_SECOND
 from repro.experiments.report import render_table
 from repro.workloads.topo import (
@@ -42,7 +42,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--size", type=positive_int, default=2 * MB,
                         help="foreground flow size in bytes (with run)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cross-load", type=float, default=1.0,
+    parser.add_argument("--cross-load", type=non_negative_float,
+                        default=1.0,
                         help="scale the spec's declared cross-traffic "
                              "load (0 disables)")
     parser.add_argument("--json", action="store_true", dest="as_json",

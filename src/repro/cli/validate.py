@@ -63,8 +63,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="baseline generation to use when DIR holds "
                              "more than one (prefix accepted)")
     parser.add_argument("--ledger-dir",
-                        help="write a content-addressed run ledger (plus a "
-                             "live status.json for `repro top`) here")
+                        help="write a content-addressed run ledger (and its "
+                             ".run.json sidecar) here")
     add_campaign_flags(parser)
 
 

@@ -1,20 +1,15 @@
 """Unit type aliases and canonical conversion constants.
 
-Every quantity in the reproduction is a plain number at runtime; what
-keeps seconds, bytes and bytes-per-second from being mixed up is the
-static unit checker (:mod:`repro.analysis.units`, rules UNIT001-UNIT006)
-and the annotation vocabulary defined here.  Annotating a signature with
-one of these aliases both documents the quantity's dimension and anchors
-the checker's flow-sensitive inference:
+Every quantity in the reproduction is a plain number at runtime.  The
+aliases here are ordinary ``float`` aliases with no runtime cost or
+behaviour; annotating a signature with one documents the quantity's
+dimension:
 
 >>> def bdp_bytes(rate: BytesPerSec, rtt: Seconds) -> Bytes: ...
 
-The aliases are ordinary ``float`` aliases — they impose no runtime
-cost or behaviour — and the conversion constants are the single source
-of truth for the magic numbers that previously appeared inline
-(``* 8``, ``* 1000``, ``125_000``).  The checker knows each constant's
-dimension, so ``rtt * MILLIS_PER_SECOND`` infers as ``Millis`` while a
-raw ``rtt * 1000`` is flagged (UNIT004).
+The conversion constants are the single source of truth for the magic
+numbers that would otherwise appear inline (``* 8``, ``* 1000``,
+``125_000``), so ``rtt * MILLIS_PER_SECOND`` says what it converts.
 
 This module is a dependency-free leaf: any layer (``sim``, ``net``,
 ``tcp``, ...) may import it, which the layering checker permits through
@@ -28,18 +23,12 @@ from __future__ import annotations
 # -- unit type aliases (annotation vocabulary) -------------------------
 #: elapsed or absolute simulated time, in seconds.
 Seconds = float
-#: time in milliseconds (display/reporting only; simulate in seconds).
-Millis = float
 #: a byte count (sizes, windows, buffer capacities).
 Bytes = float
-#: a bit count (wire-rate arithmetic).
-Bits = float
 #: a count of MSS-sized segments (cwnd in packets, CSA00's ``d``).
 Segments = float
 #: a data rate in bytes per second (bandwidths, pacing rates).
 BytesPerSec = float
-#: a data rate in bits per second (paper-facing Mbit/s figures).
-BitsPerSec = float
 #: an event rate in 1/seconds (e.g. flow arrivals per second).
 PerSecond = float
 
@@ -61,7 +50,6 @@ MICROS_PER_SECOND = 1e6
 MSS = 1448
 
 
-
 def bdp_bytes(rate_bytes_per_sec: BytesPerSec, rtt_seconds: Seconds) -> Bytes:
     """Bandwidth-delay product in bytes (:data:`repro.net.bdp_bytes` is
     this function)."""
@@ -69,8 +57,7 @@ def bdp_bytes(rate_bytes_per_sec: BytesPerSec, rtt_seconds: Seconds) -> Bytes:
 
 
 __all__ = [
-    "Seconds", "Millis", "Bytes", "Bits", "Segments",
-    "BytesPerSec", "BitsPerSec", "PerSecond",
+    "Seconds", "Bytes", "Segments", "BytesPerSec", "PerSecond",
     "MBPS", "BITS_PER_BYTE", "MB", "MBIT",
     "MILLIS_PER_SECOND", "MICROS_PER_SECOND", "MSS", "bdp_bytes",
 ]

@@ -36,8 +36,6 @@ _EXPORTS = {
     "load_stream": "golden",
     "parse_kinds": "records",
     "record_lines": "golden",
-    "render_openmetrics": "export",
-    "render_top": "export",
     "resource_delta": "runtime",
     "sample_resources": "runtime",
     "save_golden": "golden",

@@ -1,4 +1,4 @@
-"""Run-level telemetry: campaign spans, resource accounting, live status.
+"""Run-level telemetry: campaign spans and resource accounting.
 
 The per-packet observability stack (records/sinks, DESIGN.md §7)
 answers "what did the simulation do?".  This module answers the same
@@ -22,10 +22,8 @@ Three pieces, all stdlib-only so any layer may depend on them:
   :class:`JobSpan` records with retry lineage (emitted through the
   existing :class:`~repro.obs.tracer.Observability` machinery as
   ``campaign.span`` trace records) and running totals, from which the
-  stderr narration, ``--stats-json``, the throttled atomic
-  ``status.json`` that ``repro top`` renders, OpenMetrics
-  (:func:`repro.obs.export.render_openmetrics`) and the run ledger are
-  all read (DESIGN.md §11).
+  stderr narration, ``--stats-json`` and the run ledger are all read
+  (DESIGN.md §11).
 
 Wall-clock use is deliberate and legal here: ``repro/obs/`` is exempt
 from DET001, and nothing this module produces participates in golden
@@ -35,10 +33,8 @@ keeps wall-clock strictly in the ``.run.json`` sidecar).
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import IO, Any, Dict, List, Mapping, Optional, Sequence
 
@@ -51,10 +47,6 @@ except ImportError:  # pragma: no cover
 
 #: schema version of the status snapshot and span dict encodings.
 STATUS_SCHEMA_VERSION = 1
-
-#: histogram buckets for queue-wait / exec-time spans (seconds).
-SPAN_BUCKETS = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0,
-                30.0, 100.0, 300.0, 1000.0)
 
 
 # ----------------------------------------------------------------------
@@ -194,23 +186,17 @@ class RunTelemetry:
     :class:`~repro.obs.tracer.Observability` hub is attached, and
     narrated on ``stream`` (at most one line per ``min_interval``
     seconds, except failures, retries and the last job).  Every other
-    report is a read of that state: :meth:`stats` (``--stats-json``),
-    :meth:`snapshot` (``status.json``, rewritten atomically at
-    ``status_path`` every ``status_interval`` for ``repro top``; and
-    OpenMetrics, via :func:`repro.obs.export.render_openmetrics`), and
-    :attr:`jobs` / :attr:`values`, the deterministic ledger body of
-    :mod:`repro.obs.ledger` — the only view that is not wall-clock.
+    report is a read of that state: :meth:`stats` (``--stats-json``) and
+    the run ledger — :attr:`jobs` / :attr:`values`, its deterministic
+    body (:mod:`repro.obs.ledger`), and :meth:`execution_record`, its
+    wall-clock ``.run.json`` sidecar.
     """
 
     def __init__(self, tool: str = "campaign", obs: Optional[Any] = None,
-                 status_path: Optional[str] = None,
-                 status_interval: float = 0.5,
                  stream: Optional[IO[str]] = None,
                  min_interval: float = 0.0) -> None:
         self.tool = tool
         self.obs = obs
-        self.status_path = status_path
-        self.status_interval = status_interval
         self.stream = stream
         self.min_interval = min_interval
         self.spans: List[JobSpan] = []
@@ -224,10 +210,6 @@ class RunTelemetry:
         self.queue_wait_total: float = 0.0
         self.exec_total: float = 0.0
         self.retry_seconds: float = 0.0
-        #: per-bucket counts over SPAN_BUCKETS (+ overflow) of every
-        #: non-cached span's queue wait / exec time
-        self.queue_wait_buckets = [0] * (len(SPAN_BUCKETS) + 1)
-        self.exec_buckets = [0] * (len(SPAN_BUCKETS) + 1)
         self.lanes: Dict[str, Dict[str, Any]] = {}
         self.resources: Dict[str, Any] = {
             "cpu_user": 0.0, "cpu_system": 0.0, "max_rss_kb": 0,
@@ -238,7 +220,6 @@ class RunTelemetry:
         self._last_span: Dict[str, str] = {}
         self._start: Optional[float] = None
         self._end: Optional[float] = None
-        self._last_status_write = 0.0
         self._last_print = 0.0
 
     # ------------------------------------------------------------------
@@ -249,7 +230,6 @@ class RunTelemetry:
         self._end = None
         self._print(f"campaign: {total} jobs on {self.workers} worker(s)",
                     force=True)
-        self.write_status(force=True)
 
     @property
     def finished(self) -> bool:
@@ -288,7 +268,7 @@ class RunTelemetry:
                     ) -> JobSpan:
         """Record one attempt outcome.  A cache hit carries the stored
         run's ``exec_time`` for the narration and :meth:`stats` but
-        spends none now, so it enters no busy / exec total or bucket."""
+        spends none now, so it enters no busy or exec total."""
         span = JobSpan(
             span_id=f"{job_hash[:12]}#{attempt}", job_hash=job_hash,
             kind=kind, label=label, status=status, cached=cached,
@@ -307,7 +287,6 @@ class RunTelemetry:
             self.obs.emit(self.elapsed, CAMPAIGN_SPAN, -1, **fields)
         if self.stream is not None:
             self._narrate(span)
-        self.write_status()
         return span
 
     def _aggregate(self, span: JobSpan) -> None:
@@ -338,9 +317,6 @@ class RunTelemetry:
                 # Retry attempts' time is already in retry_seconds;
                 # adding it here too would double-charge the ETA mean.
                 self.exec_total += span.exec_time
-            self.queue_wait_buckets[
-                bisect_left(SPAN_BUCKETS, span.queue_wait)] += 1
-            self.exec_buckets[bisect_left(SPAN_BUCKETS, span.exec_time)] += 1
         if span.resources:
             self._absorb_resources(span.resources)
 
@@ -371,7 +347,6 @@ class RunTelemetry:
             f"campaign done: executed={self.executed} "
             f"cached={self.cached} failed={self.failed} "
             f"elapsed={self.elapsed:.1f}s", force=True)
-        self.write_status(force=True)
 
     # ------------------------------------------------------------------
     def _narrate(self, span: JobSpan) -> None:
@@ -416,7 +391,8 @@ class RunTelemetry:
                 "job_records": records}
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-serialisable live view (the ``status.json`` payload)."""
+        """JSON-serialisable totals: the ``.run.json`` sidecar's
+        ``status`` payload, which ``repro report`` reads."""
         done, elapsed, eta = self.done, self.elapsed, self.eta
         return {
             "schema": STATUS_SCHEMA_VERSION,
@@ -438,27 +414,10 @@ class RunTelemetry:
             "queue_wait_total": round(self.queue_wait_total, 3),
             "exec_total": round(self.exec_total, 3),
             "retry_seconds": round(self.retry_seconds, 3),
-            "span_buckets": list(SPAN_BUCKETS),
-            "queue_wait_buckets": list(self.queue_wait_buckets),
-            "exec_buckets": list(self.exec_buckets),
             "workers": self.workers,
             "lanes": {k: dict(v) for k, v in sorted(self.lanes.items())},
             "resources": dict(self.resources),
         }
-
-    def write_status(self, force: bool = False) -> None:
-        """Atomically rewrite ``status_path`` (throttled unless forced)."""
-        if self.status_path is None:
-            return
-        now = time.monotonic()
-        if not force and now - self._last_status_write < self.status_interval:
-            return
-        self._last_status_write = now
-        tmp = f"{self.status_path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self.snapshot(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        os.replace(tmp, self.status_path)
 
     def execution_record(self) -> Dict[str, Any]:
         """The wall-clock sidecar payload for :func:`write_ledger`."""

@@ -33,7 +33,7 @@ FORBIDDEN_PACKAGES = ("repro.sim", "repro.net", "repro.tcp", "repro.flowsim",
 ALLOWED_IN = {"repro.cc": "repro.cc.base", "repro.core": "repro.core.units"}
 FORBIDDEN_MODULES = frozenset({
     "repro.experiments.runner", "repro.metrics.collector",
-    "repro.obs.export", "http.server", "ssl", "multiprocessing",
+    "http.server", "ssl", "multiprocessing",
     "concurrent.futures.process"})
 
 #: at most this many modules, and this many of them ``repro.*``, per warm

@@ -159,6 +159,15 @@ class TestUsageErrors:
         ["topo", "run", "--scenario", "parking-lot-3", "--size", "0"],
         ["flowsim", "--flows", "0"],
         ["flowsim", "--size", "-1"],
+        ["profile", "single", "--scenario", "google-tokyo/wired",
+         "--top", "0"],
+        ["profile", "single", "--scenario", "google-tokyo/wired",
+         "--top", "-1"],
+        ["topo", "run", "--scenario", "parking-lot-3", "--cross-load", "-1"],
+        ["topo", "run", "--scenario", "parking-lot-3",
+         "--cross-load", "nan"],
+        ["campaign", "--topo", "parking-lot-3", "--cross-load", "inf"],
+        ["campaign", "--topo", "parking-lot-3", "--cross-load", "-1"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_out_of_range_numbers_are_usage_errors(self, argv, capsys):
         """Refused by the parser (exit 2), not by the engine mid-run."""
@@ -167,10 +176,34 @@ class TestUsageErrors:
         assert exc.value.code == 2
         flag, value = argv[-2:]
         expected = {"--retries": "a non-negative integer",
-                    "--timeout": "a positive finite number"}.get(
+                    "--timeout": "a positive finite number",
+                    "--cross-load": "a non-negative finite number"}.get(
                         flag, "a positive integer")
         assert f"repro {argv[0]}: error: argument {flag}: expected " \
                f"{expected}, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_csv_interval_refused_before_the_download(self, value, tmp_path,
+                                                      capsys):
+        csv = tmp_path / "series.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *self.FLOW, "--csv", str(csv),
+                  "--csv-interval", value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "argument --csv-interval: expected a positive finite " \
+               f"number, got {value!r}" in err
+        assert out == "" and not csv.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["topo", "run", "--scenario", "parking-lot-3"],
+        ["campaign", "--topo", "parking-lot-3"],
+    ], ids=lambda argv: argv[0])
+    def test_zero_cross_load_still_means_disabled(self, argv):
+        from repro.cli import build_parser
+
+        args = build_parser(argv[0]).parse_args(argv + ["--cross-load", "0"])
+        assert args.cross_load == 0.0
 
 
 class TestCampaign:
@@ -663,14 +696,16 @@ class TestLedgerAndTop:
         ledger_dir, ledger_path = self._run_with_ledger(tmp_path, "a")
         err = capsys.readouterr().err
         assert "run ledger:" in err
-        from repro.obs.ledger import load_ledger
+        from repro.obs.ledger import load_ledger, sidecar_filename
         body, execution = load_ledger(str(ledger_path))
         assert body["tool"] == "campaign" and body["mode"] == "matrix"
         assert body["code_fingerprint"] == "test-fingerprint"
         assert len(body["jobs"]) == 2
         assert execution["status"]["finished"] is True
         assert len(execution["spans"]) == 2
-        assert (ledger_dir / "status.json").exists()
+        # the ledger and its sidecar are all a run leaves under --ledger-dir
+        assert sorted(map(str, ledger_dir.iterdir())) == [
+            str(ledger_path), sidecar_filename(str(ledger_path))]
 
     def test_ledger_bytes_stable_across_runs(self, tmp_path, capsys):
         _, first = self._run_with_ledger(tmp_path, "a")
@@ -678,25 +713,6 @@ class TestLedgerAndTop:
         capsys.readouterr()
         assert first.name == second.name
         assert first.read_bytes() == second.read_bytes()
-
-    def test_top_once_renders_status(self, tmp_path, capsys):
-        ledger_dir, _ = self._run_with_ledger(tmp_path, "a")
-        capsys.readouterr()
-        metrics_out = tmp_path / "metrics.txt"
-        rc = main(["top", "--once", str(ledger_dir / "status.json"),
-                   "--metrics-out", str(metrics_out)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "repro top — campaign [complete]" in out
-        assert "2/2 (100%)" in out
-        metrics = metrics_out.read_text()
-        assert metrics.endswith("# EOF\n")
-        assert 'repro_run_jobs_total{status="executed"} 2' in metrics
-
-    def test_top_once_missing_status_is_an_error(self, tmp_path, capsys):
-        rc = main(["top", "--once", str(tmp_path / "absent.json")])
-        assert rc == 1
-        assert "no readable status" in capsys.readouterr().err
 
     def test_report_renders_ledger(self, tmp_path, capsys):
         _, ledger_path = self._run_with_ledger(tmp_path, "a")

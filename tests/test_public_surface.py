@@ -36,10 +36,6 @@ SURFACE = {
         "applicable_rules": "lint",
         "lint_paths": "lint",
         "lint_source": "lint",
-        "applicable_unit_rules": "units",
-        "check_units_paths": "units",
-        "check_units_source": "units",
-        "check_units_sources": "units",
         "ENV_VAR": "sanitize",
         "SanitizeError": "sanitize",
         "SimSanitizer": "sanitize",
@@ -202,8 +198,6 @@ SURFACE = {
         "load_stream": "golden",
         "parse_kinds": "records",
         "record_lines": "golden",
-        "render_openmetrics": "export",
-        "render_top": "export",
         "resource_delta": "runtime",
         "sample_resources": "runtime",
         "save_golden": "golden",
@@ -316,7 +310,7 @@ CC_NAMES = [
 SUBCOMMANDS = [
     "list-scenarios", "list-cc", "run", "sweep", "experiment", "campaign",
     "topo", "flowsim", "trace", "analyze", "explain", "profile", "validate",
-    "top", "report", "lint",
+    "report", "lint",
 ]
 
 
