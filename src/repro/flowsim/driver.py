@@ -14,11 +14,14 @@ of model evaluations, not two million.
 statement of this module runs once per flow: the fleet is a handful of
 columns (sizes, segment counts, FCTs) and every per-flow step is one
 ``map`` / ``sum`` / ``reduce`` over a column, its loop inside the
-interpreter's C code.  A sweep quantises the fleet once for all its
-models (:func:`_quantise`); a model then costs its distinct estimates
-and up to three lookups per flow (:func:`_model_fleet`; a column whose
-table is all zeros is not walked).  DESIGN.md §9,
-"Fleet sweeps are column passes", has the accounting.
+interpreter's C code.  A column of values that differ per flow (the
+sizes, the arrivals) is an ``array``; one whose entries point into a
+small shared table (segment counts, FCTs) stays a ``list``.  A sweep
+quantises the fleet once for all its models (:func:`_quantise`); a
+model then costs its distinct estimates and up to three lookups per
+flow (:func:`_model_fleet`; a column whose table is all zeros is not
+walked).  DESIGN.md §9, "Fleet sweeps are column passes", has the
+accounting.
 
 Flow sizes come from :mod:`repro.workloads.distributions` (the same
 mix vocabulary the packet tier's cross-traffic uses) and arrival times
@@ -37,9 +40,10 @@ record stream, not the model, would dominate the run.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import repeat, tee
+from itertools import accumulate, islice, repeat, tee
 from operator import add, floordiv, neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,20 +60,18 @@ from repro.workloads.distributions import sample_flow_sizes
 DEFAULT_ARRIVAL_RATE: PerSecond = 1000.0
 
 
-def poisson_arrivals(n: int, rate: PerSecond, rng: random.Random) -> List[Seconds]:
-    """Arrival times of a Poisson process with ``rate`` flows/second."""
+def poisson_arrivals(n: int, rate: PerSecond,
+                     rng: random.Random) -> "array[float]":
+    """Arrival times of a Poisson process with ``rate`` flows/second: the
+    running sum of ``n`` exponential gaps, as one ``array('d')``.  The
+    sum starts from ``0.0`` as a ``t += gap`` loop's does, so a first gap
+    of ``-0.0`` (a draw of exactly 0) still arrives at ``0.0``."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    expo = rng.expovariate
-    t = 0.0
-    out: List[float] = []
-    append = out.append
-    for _ in range(n):
-        t += expo(rate)
-        append(t)
-    return out
+    gaps = map(rng.expovariate, repeat(rate, n))
+    return array("d", islice(accumulate(gaps, initial=0.0), 1, None))
 
 
 @dataclass
@@ -78,8 +80,11 @@ class FleetResult:
 
     model: str
     n_flows: int
+    # pointers onto the per-count estimate table's floats, 8 B a flow
     fcts: List[Seconds] = field(repr=False)
-    sizes: List[Bytes] = field(repr=False)
+    # array('q'): every flow's own value, 8 B a flow, shared by the
+    # fleets of one sweep
+    sizes: "array[Bytes]" = field(repr=False)
     total_bytes: Bytes = 0
     total_segments: Segments = 0
     expected_retransmits: float = 0.0
@@ -100,14 +105,14 @@ class FleetResult:
 class _FleetColumns:
     """A fleet quantised for one MSS — what every model of a sweep shares."""
 
-    sizes: List[Bytes]
+    sizes: "array[Bytes]"
     segments: List[Segments]          # per flow, one int object per count
     first_size: Dict[Segments, Bytes]  # per distinct count, first-seen order
     total_bytes: Bytes
     total_segments: Segments
 
 
-def _quantise(sizes: List[int], mss: int) -> _FleetColumns:
+def _quantise(sizes: "array[int]", mss: int) -> _FleetColumns:
     """Segment counts ``-(-size // mss)`` of a fleet, as one column.
 
     Interning the counts through ``setdefault`` keeps the column at one
@@ -182,8 +187,30 @@ def estimate_fleet(model: FlowModel, sizes: Sequence[int], path: PathParams,
     """
     if arrivals is not None and len(arrivals) != len(sizes):
         raise ValueError("arrivals must parallel sizes")
-    return _model_fleet(model, _quantise(list(sizes), path.mss), path,
-                        arrivals, obs, flow_base)
+    return _model_fleet(model, _quantise(_size_column(sizes), path.mss),
+                        path, arrivals, obs, flow_base)
+
+
+def _size_column(sizes: Sequence[int]) -> "array[int]":
+    """``sizes`` copied into the ``array('q')`` a sampled fleet arrives
+    in.  A size the column cannot hold — not an integer, or beyond
+    ±2^63 bytes — is a ``ValueError`` that names the first one, found by
+    a ``min()`` pass that runs only after the copy has failed.  (Sizes
+    of zero and below fit; ``model.estimate`` refuses them.)"""
+    try:
+        return array("q", sizes)
+    except (TypeError, OverflowError):
+        bad = min(sizes, key=_fits_size_column)
+        raise ValueError(f"flow size {bad!r} is not an integer that "
+                         f"fits 64 bits") from None
+
+
+def _fits_size_column(size: object) -> bool:
+    try:
+        array("q", (size,))
+    except (TypeError, OverflowError):
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -206,8 +206,6 @@ class RunTelemetry:
         self.cached = 0
         self.failed = 0
         self.retries = 0
-        self.by_kind: Dict[str, int] = {}
-        self.queue_wait_total: float = 0.0
         self.exec_total: float = 0.0
         self.retry_seconds: float = 0.0
         self.lanes: Dict[str, Dict[str, Any]] = {}
@@ -300,19 +298,12 @@ class RunTelemetry:
                 self.executed += 1
             else:
                 self.failed += 1
-            self.by_kind[span.kind] = self.by_kind.get(span.kind, 0) + 1
         lane_key = str(span.worker) if span.worker is not None else "inline"
-        lane = self.lanes.setdefault(
-            lane_key, {"attempts": 0, "jobs": 0, "busy": 0.0,
-                       "last": "", "last_status": ""})
-        lane["attempts"] += 1
+        lane = self.lanes.setdefault(lane_key, {"jobs": 0, "busy": 0.0})
         if span.status != "retry":
             lane["jobs"] += 1
-        lane["last"] = span.label
-        lane["last_status"] = "cached" if span.cached else span.status
         if not span.cached:
             lane["busy"] += span.exec_time
-            self.queue_wait_total += span.queue_wait
             if span.status != "retry":
                 # Retry attempts' time is already in retry_seconds;
                 # adding it here too would double-charge the ETA mean.
@@ -393,28 +384,22 @@ class RunTelemetry:
     def snapshot(self) -> Dict[str, Any]:
         """JSON-serialisable totals: the ``.run.json`` sidecar's
         ``status`` payload, which ``repro report`` reads."""
-        done, elapsed, eta = self.done, self.elapsed, self.eta
+        done, elapsed = self.done, self.elapsed
         return {
             "schema": STATUS_SCHEMA_VERSION,
             "tool": self.tool,
             "finished": self.finished,
             "total": self.total,
-            "done": done,
             "executed": self.executed,
             "cached": self.cached,
             "failed": self.failed,
             "retries": self.retries,
-            "by_kind": dict(sorted(self.by_kind.items())),
             "elapsed": round(elapsed, 3),
-            "eta": None if eta is None else round(eta, 3),
             "cache_ratio": round(self.cached / done, 4) if done else None,
             # finished jobs per wall-clock second so far
             "throughput": (round(done / elapsed, 4)
                            if done and elapsed > 0 else None),
-            "queue_wait_total": round(self.queue_wait_total, 3),
-            "exec_total": round(self.exec_total, 3),
             "retry_seconds": round(self.retry_seconds, 3),
-            "workers": self.workers,
             "lanes": {k: dict(v) for k, v in sorted(self.lanes.items())},
             "resources": dict(self.resources),
         }

@@ -11,6 +11,11 @@ module provides samplers for composing such mixes:
 * :class:`EmpiricalCdf` — sample any measured CDF given as breakpoints,
   with :data:`CAMPUS_FLOW_CDF` approximating the campus-traffic shape the
   paper cites (median in the tens of kilobytes, a long elephant tail).
+
+Each sampler returns its ``n`` sizes as one ``array('q')``: 8 bytes a
+flow, exact for any byte count below 2^63.  A ``list`` would cost 40 (a
+pointer and an ``int`` object, since no two sizes share one), and a
+10^6-flow fleet sweep holds the column for its whole run (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from array import array
 from itertools import repeat, starmap
 from operator import add, mul, sub, truediv
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -30,18 +36,18 @@ SAMPLE_CHUNK = 1 << 15
 
 def web_object_sizes(n: int, rng: random.Random,
                      median: float = 25_000.0, sigma: float = 1.6,
-                     max_size: int = 50_000_000) -> List[int]:
+                     max_size: int = 50_000_000) -> Sequence[int]:
     """Lognormal HTTP-object sizes (bytes), clamped to ``max_size``."""
     if n <= 0:
         raise ValueError("n must be positive")
     mu = math.log(median)
-    return [min(max(int(rng.lognormvariate(mu, sigma)), 100), max_size)
-            for _ in range(n)]
+    return array("q", (min(max(int(rng.lognormvariate(mu, sigma)), 100),
+                           max_size) for _ in range(n)))
 
 
 def heavy_tailed_flow_sizes(n: int, rng: random.Random,
                             alpha: float = 1.2, minimum: int = 10_000,
-                            maximum: int = 100_000_000) -> List[int]:
+                            maximum: int = 100_000_000) -> Sequence[int]:
     """Bounded-Pareto flow sizes (bytes): many mice, few elephants."""
     if n <= 0:
         raise ValueError("n must be positive")
@@ -51,12 +57,10 @@ def heavy_tailed_flow_sizes(n: int, rng: random.Random,
         raise ValueError("alpha must be positive")
     lo, hi = float(minimum), float(maximum)
     ratio = (lo / hi) ** alpha
-    sizes = []
-    for _ in range(n):
-        u = rng.random()
-        x = (-(u * (1.0 - ratio) - 1.0)) ** (-1.0 / alpha) * lo
-        sizes.append(int(min(max(x, lo), hi)))
-    return sizes
+    span, power = 1.0 - ratio, -1.0 / alpha
+    uniform = rng.random
+    return array("q", (int(min(max((-(uniform() * span - 1.0)) ** power * lo,
+                                   lo), hi)) for _ in range(n)))
 
 
 class EmpiricalCdf:
@@ -121,7 +125,7 @@ class EmpiricalCdf:
                 append(v0 + (u - p0) / (p1 - p0) * (v1 - v0))
         return out
 
-    def sample_sizes(self, n: int, rng: random.Random) -> List[int]:
+    def sample_sizes(self, n: int, rng: random.Random) -> Sequence[int]:
         """``n`` integer flow sizes: ``max(int(sample()), 1)`` per draw.
 
         Same draws, same order and the same arithmetic as ``n``
@@ -130,13 +134,15 @@ class EmpiricalCdf:
         bracketed with ``bisect_left`` and pushed through ``v0 + (u - p0)
         / (p1 - p0) * (v1 - v0)`` one operator at a time, the operands
         looked up in a per-bracket table (:meth:`_bracket_operands`).
+        Each chunk's ints are copied into one ``array('q')`` and freed;
+        a CDF value of 2^63 bytes or more is an ``OverflowError``.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
         p0, dp, dv, v0 = self._bracket_operands()
         probs = self.probs
         uniform = rng.random
-        out: List[int] = []
+        out = array("q")
         for start in range(0, n, SAMPLE_CHUNK):
             us = list(starmap(uniform,
                               repeat((), min(SAMPLE_CHUNK, n - start))))
@@ -148,7 +154,7 @@ class EmpiricalCdf:
                 map(mul, frac, map(dv.__getitem__, idx)))))
             if min(sizes) < 1:
                 sizes = [max(size, 1) for size in sizes]
-            out += sizes
+            out.fromlist(sizes)
         return out
 
     def _bracket_operands(self) -> List[list]:
@@ -189,17 +195,19 @@ CAMPUS_FLOW_CDF = EmpiricalCdf([
 ])
 
 
-#: named flow-size samplers, each ``(n, rng) -> List[int]`` — the mix
+#: named flow-size samplers, each ``(n, rng) -> Sequence[int]`` — the mix
 #: vocabulary shared by the flowsim driver and the CLI.  All three are
-#: batch samplers; the empirical-CDF entry is the column-pass one.
-SIZE_SAMPLERS: Dict[str, Callable[[int, random.Random], List[int]]] = {
+#: batch samplers returning one ``array('q')``; the empirical-CDF entry
+#: is the column-pass one.
+SIZE_SAMPLERS: Dict[str, Callable[[int, random.Random], Sequence[int]]] = {
     "web": web_object_sizes,
     "heavy_tailed": heavy_tailed_flow_sizes,
     "campus": CAMPUS_FLOW_CDF.sample_sizes,
 }
 
 
-def sample_flow_sizes(dist: str, n: int, rng: random.Random) -> List[int]:
+def sample_flow_sizes(dist: str, n: int,
+                      rng: random.Random) -> Sequence[int]:
     """Draw ``n`` flow sizes from the named distribution (see
     :data:`SIZE_SAMPLERS`)."""
     try:

@@ -505,4 +505,4 @@ class TestSchedulerTelemetry:
         assert all(s.queue_wait >= 0.0 for s in t.spans)
         assert {s.job_hash for s in t.spans} == \
             {s.job_hash for s in specs}
-        assert t.snapshot()["workers"] == 2
+        assert t.workers == 2

@@ -732,6 +732,21 @@ class TestLedgerAndTop:
         assert set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out,
                               re.M)) == {"--json"}
 
+    def test_report_renders_a_sidecar_with_the_dashboard_fields(self, capsys):
+        """A ledger and sidecar written while the status payload still
+        carried ``done``, ``eta``, ``by_kind``, ``workers``, the wait and
+        exec totals and each lane's last job render byte for byte as
+        ``repro report`` printed them then (``report.txt``)."""
+        from pathlib import Path
+        data = Path(__file__).parent / "data" / "full_status_sidecar"
+        sidecar = json.loads(
+            (data / "ledger-6da1b42fa29ff009.run.json").read_text())
+        assert {"done", "eta", "by_kind", "workers", "queue_wait_total",
+                "exec_total"} <= sidecar["status"].keys()
+        assert main(["report",
+                     str(data / "ledger-6da1b42fa29ff009.json")]) == 0
+        assert capsys.readouterr().out == (data / "report.txt").read_text()
+
     def test_report_json_mode(self, tmp_path, capsys):
         _, ledger_path = self._run_with_ledger(tmp_path, "a")
         capsys.readouterr()

@@ -1,6 +1,11 @@
 """Tests for the vectorised fleet driver and sweep machinery."""
 
+import gc
 import random
+import re
+import sys
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -25,6 +30,7 @@ PATH = PathParams(rtt=0.04, btl_bw=20.0 * MBPS)
 class TestPoissonArrivals:
     def test_monotone_nonnegative(self):
         times = poisson_arrivals(200, 1000.0, random.Random(7))
+        assert type(times) is array and times.typecode == "d"
         assert len(times) == 200
         assert times[0] > 0.0
         assert all(b > a for a, b in zip(times, times[1:]))
@@ -36,6 +42,17 @@ class TestPoissonArrivals:
     def test_mean_gap_tracks_rate(self):
         times = poisson_arrivals(5000, 100.0, random.Random(1))
         assert times[-1] / 5000 == pytest.approx(1 / 100.0, rel=0.1)
+
+    def test_running_sum_of_the_gaps(self):
+        """The ``t += expovariate(rate)`` loop, value for value, and the
+        rng left where that loop leaves it."""
+        a, b = random.Random(5), random.Random(5)
+        t, loop = 0.0, []
+        for _ in range(300):
+            t += b.expovariate(40.0)
+            loop.append(t)
+        assert poisson_arrivals(300, 40.0, a).tolist() == loop
+        assert a.random() == b.random()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -87,6 +104,22 @@ class TestEstimateFleet:
         assert fleet.n_flows == 0
         assert fleet.mean_rounds_saved == 0.0
 
+    @pytest.mark.parametrize("bad", [1.5, 10 ** 20, -10 ** 20, "1000"])
+    def test_size_the_column_cannot_hold_is_named(self, bad):
+        """A fractional size once gave a float ``total_segments`` and
+        10^20 B a 4e13-second FCT; both are refused, by value."""
+        with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not")):
+            estimate_fleet(create_model("csa00"), [1000, bad, 2000], PATH)
+
+    def test_first_unholdable_size_is_the_one_named(self):
+        with pytest.raises(ValueError, match=r"flow size 2\.5 "):
+            estimate_fleet(create_model("csa00"), [1000, 2.5, 10 ** 20], PATH)
+
+    @pytest.mark.parametrize("bad", [0, -5])
+    def test_non_positive_size_is_the_models_error(self, bad):
+        with pytest.raises(ValueError, match="size_bytes must be positive"):
+            estimate_fleet(create_model("csa00"), [1000, bad], PATH)
+
 
 class TestSweep:
     def test_config_validation(self):
@@ -130,6 +163,37 @@ class TestSweep:
                  if r.kind == FLOWSIM_FLOW]
         assert len(times) == 50
         assert all(b > a for a, b in zip(times, times[1:]))
+
+
+class TestSweepMemory:
+    def test_retained_bytes_are_the_columns(self):
+        """What a sweep's result keeps alive is its columns: 8 B of
+        ``array('q')`` size per flow, shared by every model, and one 8 B
+        pointer per flow per model in each ``fcts`` list (the floats it
+        points at are one per distinct segment count).  Slack: 1/8 for
+        list and array growth, one float per distinct count per model,
+        and 64 KiB for the result's own objects.  A ``list`` of sizes
+        costs 40 B per flow and breaks the bound."""
+        config = SweepConfig(path=PATH, flows=20_000, seed=1)
+        run_sweep(SweepConfig(path=PATH, flows=100, seed=1))  # warm
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_sweep(config)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        models = len(config.models)
+        distinct = result.fleets["csa00"].distinct_segment_counts
+        columns = config.flows * (8 + 8 * models)
+        bound = (columns * 9 // 8
+                 + distinct * models * sys.getsizeof(1.0) + 64 * 1024)
+        assert retained <= bound, (retained / config.flows, bound)
 
 
 class TestSweepValues:
