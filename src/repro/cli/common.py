@@ -72,6 +72,15 @@ def non_negative_float(text: str) -> float:
     return value
 
 
+def probability(text: str) -> float:
+    """A probability an event may have without being certain: ``[0, 1)``."""
+    value = _as_float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a probability in [0, 1), got {text!r}")
+    return value
+
+
 def comma_separated(item: Callable[[str], Any]) -> Callable[[str], list]:
     """``type=`` for a comma-separated list whose parts ``item`` parses."""
     return lambda text: [item(part) for part in text.split(",")]

@@ -8,7 +8,13 @@ import json
 import os
 import sys
 
-from repro.cli.common import positive_int, scenario
+from repro.cli.common import (
+    non_negative_float,
+    positive_float,
+    positive_int,
+    probability,
+    scenario,
+)
 from repro.core.units import MBPS
 from repro.experiments.report import pct, render_table
 from repro.flowsim.model import PathParams, available_models, create_model
@@ -21,11 +27,11 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario",
                         help="derive the path from a named scenario "
                              "(otherwise --rtt/--bw/--loss)")
-    parser.add_argument("--rtt", type=float, default=0.04,
+    parser.add_argument("--rtt", type=positive_float, default=0.04,
                         help="two-way propagation delay, seconds")
-    parser.add_argument("--bw", type=float, default=20.0,
+    parser.add_argument("--bw", type=positive_float, default=20.0,
                         help="bottleneck bandwidth, Mbit/s")
-    parser.add_argument("--loss", type=float, default=0.0,
+    parser.add_argument("--loss", type=probability, default=0.0,
                         help="random loss probability")
     parser.add_argument("--delayed-ack", action="store_true")
     parser.add_argument("--size", type=positive_int,
@@ -45,7 +51,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "instead of sweeping")
     parser.add_argument("--quick", action="store_true",
                         help="cross-validate the CI subset only")
-    parser.add_argument("--tolerance", type=float, default=0.15,
+    parser.add_argument("--tolerance", type=non_negative_float, default=0.15,
                         help="relative median-FCT error gate")
     parser.add_argument("--update-golden", nargs="?",
                         const=FLOWSIM_GOLDEN, default=None, metavar="PATH",

@@ -12,16 +12,18 @@ of model evaluations, not two million.
 
 "Vectorised" without numpy (the package is stdlib-only) means that no
 statement of this module runs once per flow: the fleet is a handful of
-columns (sizes, segment counts, FCTs) and every per-flow step is one
-``map`` / ``sum`` / ``reduce`` over a column, its loop inside the
-interpreter's C code.  A column of values that differ per flow (the
-sizes, the arrivals) is an ``array``; one whose entries point into a
-small shared table (segment counts, FCTs) stays a ``list``.  A sweep
-quantises the fleet once for all its models (:func:`_quantise`); a
-model then costs its distinct estimates and up to three lookups per
-flow (:func:`_model_fleet`; a column whose table is all zeros is not
-walked).  DESIGN.md §9, "Fleet sweeps are column passes", has the
-accounting.
+columns (sizes, first sizes per segment count, FCTs) and every per-flow
+step is one ``map`` / ``sum`` / ``reduce`` / ``Counter`` over a column,
+its loop inside the interpreter's C code.  A column of values that
+differ per flow (the sizes, the arrivals) is an ``array``; one whose
+entries point into a small shared table (first sizes, FCTs) stays a
+``list``.  A sweep quantises the fleet once for all its models
+(:func:`_quantise`: one ``setdefault`` pass and a histogram of
+flows per segment count, which gives the integer totals); a model then
+costs its distinct estimates, one lookup per flow for its FCT column
+and, on a lossy path only, one more for its float retransmit total
+(:func:`_model_fleet`).  DESIGN.md §9, "Fleet sweeps are column
+passes", has the accounting.
 
 Flow sizes come from :mod:`repro.workloads.distributions` (the same
 mix vocabulary the packet tier's cross-traffic uses) and arrival times
@@ -41,9 +43,10 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, islice, repeat, tee
+from itertools import accumulate, islice, repeat
 from operator import add, floordiv, neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -106,69 +109,81 @@ class _FleetColumns:
     """A fleet quantised for one MSS — what every model of a sweep shares."""
 
     sizes: "array[Bytes]"
-    segments: List[Segments]          # per flow, one int object per count
-    first_size: Dict[Segments, Bytes]  # per distinct count, first-seen order
+    # per flow, the first size seen with its segment count: a pointer
+    # onto one int per distinct count
+    first_sizes: List[Bytes]
+    # per distinct count, keyed by its first size in first-seen order:
+    # the number of flows that quantised to it
+    flows_per_count: Dict[Bytes, int]
     total_bytes: Bytes
     total_segments: Segments
 
 
 def _quantise(sizes: "array[int]", mss: int) -> _FleetColumns:
-    """Segment counts ``-(-size // mss)`` of a fleet, as one column.
+    """The fleet's sizes, each replaced by the first size seen with its
+    segment count ``-(-size // mss)``, as one column.
 
-    Interning the counts through ``setdefault`` keeps the column at one
-    pointer per flow (a fleet has ~10^4 distinct counts, not 10^6 int
-    objects) and leaves the distinct counts in first-seen order; the
-    reversed ``zip`` then lets each count's *first* size win.
+    One ``setdefault`` per flow keys the counts and leaves them in
+    first-seen order; the column it returns points at ~10^4 first sizes
+    (not 10^6 fresh ints), and two flows share an entry exactly when
+    they share a segment count, which is all a model's estimate
+    depends on.  The integer totals come from a histogram of that
+    column: a count times its flows, summed per distinct count, which
+    is exact in any order.
     """
-    counts, keys = tee(map(neg, map(floordiv, sizes, repeat(-mss))))
-    distinct: Dict[int, int] = {}
-    segments = list(map(distinct.setdefault, counts, keys))
-    first = dict(zip(reversed(segments), reversed(sizes)))
+    first: Dict[int, int] = {}
+    first_sizes = list(map(first.setdefault,
+                           map(neg, map(floordiv, sizes, repeat(-mss))),
+                           sizes))
+    flows = Counter(first_sizes)
     return _FleetColumns(
-        sizes=sizes, segments=segments,
-        first_size={d: first[d] for d in distinct},
-        total_bytes=sum(sizes), total_segments=sum(segments))
+        sizes=sizes, first_sizes=first_sizes, flows_per_count=flows,
+        total_bytes=sum(sizes),
+        total_segments=sum(d * flows[size] for d, size in first.items()))
 
 
 def _model_fleet(model: FlowModel, columns: _FleetColumns, path: PathParams,
                  arrivals: Optional[Sequence[float]],
                  obs: Optional[Observability], flow_base: int) -> FleetResult:
     """One model over a quantised fleet: ``estimate`` per distinct count,
-    everything per flow a table lookup over the segment-count column."""
+    integer totals off the count histogram, and the FCT column and the
+    float total as table lookups over the first-size column."""
     estimate = model.estimate
-    estimates = {d: estimate(size, path)
-                 for d, size in columns.first_size.items()}
-    segments = columns.segments
+    flows = columns.flows_per_count
+    estimates = {size: estimate(size, path) for size in flows}
+    first_sizes = columns.first_sizes
 
     def per_count(field_name: str) -> Dict[int, float]:
-        return {d: getattr(est, field_name) for d, est in estimates.items()}
+        return {s: getattr(est, field_name) for s, est in estimates.items()}
 
-    def total(field_name: str, zero: float) -> float:
-        """The field's per-flow column summed left to right from
-        ``zero``, as a ``+=`` per flow would.  Not ``sum()``: it is
-        compensated for floats since 3.12, which moves the last digit
-        on lossy paths."""
-        table = per_count(field_name)
-        if not any(table.values()):
-            return zero     # a loss-free path, a base model: all zeros
-        return reduce(add, map(table.__getitem__, segments), zero)
+    retransmits = per_count("retransmits")
+    if any(retransmits.values()):
+        # The per-flow column summed left to right from 0.0, as a ``+=``
+        # per flow would.  Not ``sum()``: it is compensated for floats
+        # since 3.12, which moves the last digit on lossy paths; nor a
+        # histogram, whose products regroup the additions.
+        expected_retransmits = reduce(
+            add, map(retransmits.__getitem__, first_sizes), 0.0)
+    else:
+        expected_retransmits = 0.0  # a loss-free path: all zeros
 
     if obs is not None:
         emit, name = obs.emit, model.name
         times = arrivals if arrivals is not None else repeat(0.0)
-        for flow, (t, size, d) in enumerate(
-                zip(times, columns.sizes, segments), flow_base):
-            est = estimates[d]
+        for flow, (t, size, first) in enumerate(
+                zip(times, columns.sizes, first_sizes), flow_base):
+            est = estimates[first]
             emit(t, FLOWSIM_FLOW, flow=flow, model=name,
                  size=size, fct=est.fct, rounds=est.ss_rounds,
                  rounds_saved=est.rounds_saved, retx=est.retransmits)
     return FleetResult(
-        model=model.name, n_flows=len(segments),
-        fcts=list(map(per_count("fct").__getitem__, segments)),
+        model=model.name, n_flows=len(first_sizes),
+        fcts=list(map(per_count("fct").__getitem__, first_sizes)),
         sizes=columns.sizes, total_bytes=columns.total_bytes,
         total_segments=columns.total_segments,
-        expected_retransmits=total("retransmits", 0.0),
-        rounds_saved_total=total("rounds_saved", 0),
+        expected_retransmits=expected_retransmits,
+        rounds_saved_total=sum(est.rounds_saved * flows[s]
+                               for s, est in estimates.items()),
         distinct_segment_counts=len(estimates))
 
 

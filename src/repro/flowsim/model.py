@@ -50,10 +50,10 @@ class PathParams:
     rwnd: Bytes = 1 << 30         # receive window
 
     def __post_init__(self) -> None:
-        if self.rtt <= 0:
-            raise ValueError("rtt must be positive")
-        if self.btl_bw <= 0:
-            raise ValueError("btl_bw must be positive")
+        if not self.rtt > 0 or not math.isfinite(self.rtt):
+            raise ValueError("rtt must be positive and finite")
+        if not self.btl_bw > 0 or not math.isfinite(self.btl_bw):
+            raise ValueError("btl_bw must be positive and finite")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be within [0, 1)")
         if self.mss <= 0 or self.iw_segments <= 0:
@@ -111,7 +111,7 @@ class PathParams:
         return -(-size_bytes // self.mss)
 
 
-@dataclass(frozen=True)
+@dataclass
 class FlowEstimate:
     """Closed-form outcome of one modelled flow.
 
@@ -119,6 +119,10 @@ class FlowEstimate:
     measured sender-side to the final cumulative ACK).  ``retransmits``
     and ``loss_episodes`` are expectations, not sampled counts: the
     analytical tier reports the mean field of the per-packet process.
+
+    Not frozen: a frozen dataclass sets each of its 15 fields through
+    ``object.__setattr__``, most of an ``estimate``'s cost, and a fleet
+    sweep builds ~10^4 of them.  Nothing hashes or mutates one.
     """
 
     model: str
@@ -157,6 +161,13 @@ class FlowModel:
     name: str = "abstract"
 
     def estimate(self, size_bytes: Bytes, path: PathParams) -> FlowEstimate:
+        """The closed-form outcome of a ``size_bytes`` flow on ``path``.
+
+        It depends on ``size_bytes`` only through the segment count
+        ``path.segments_of(size_bytes)``: two sizes with the same count
+        give estimates equal in every field but ``size_bytes``.  The
+        fleet driver rests on that, estimating once per distinct count.
+        """
         raise NotImplementedError
 
 

@@ -159,6 +159,15 @@ class TestUsageErrors:
         ["topo", "run", "--scenario", "parking-lot-3", "--size", "0"],
         ["flowsim", "--flows", "0"],
         ["flowsim", "--size", "-1"],
+        ["flowsim", "--flows", "10", "--rtt", "0"],
+        ["flowsim", "--flows", "10", "--rtt", "nan"],
+        ["flowsim", "--flows", "10", "--bw", "-1"],
+        ["flowsim", "--flows", "10", "--bw", "inf"],
+        ["flowsim", "--flows", "10", "--loss", "1.5"],
+        ["flowsim", "--flows", "10", "--loss", "1"],
+        ["flowsim", "--flows", "10", "--loss", "-0.1"],
+        ["flowsim", "--flows", "10", "--loss", "nan"],
+        ["flowsim", "--cross-validate", "--tolerance", "-1"],
         ["profile", "single", "--scenario", "google-tokyo/wired",
          "--top", "0"],
         ["profile", "single", "--scenario", "google-tokyo/wired",
@@ -177,6 +186,10 @@ class TestUsageErrors:
         flag, value = argv[-2:]
         expected = {"--retries": "a non-negative integer",
                     "--timeout": "a positive finite number",
+                    "--rtt": "a positive finite number",
+                    "--bw": "a positive finite number",
+                    "--loss": "a probability in [0, 1)",
+                    "--tolerance": "a non-negative finite number",
                     "--cross-load": "a non-negative finite number"}.get(
                         flag, "a positive integer")
         assert f"repro {argv[0]}: error: argument {flag}: expected " \

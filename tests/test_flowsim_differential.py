@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.flowsim.csa00 import Csa00Model
 from repro.flowsim.driver import SweepConfig, estimate_fleet, run_sweep
-from repro.flowsim.model import PathParams
+from repro.flowsim.model import PathParams, available_models, create_model
 from repro.flowsim.suss_term import SussCsa00Model
 from repro.obs.records import FLOWSIM_FLOW
 from repro.obs.sinks import MemorySink
@@ -29,6 +29,7 @@ from repro.workloads.distributions import (
     CAMPUS_FLOW_CDF,
     SAMPLE_CHUNK,
     EmpiricalCdf,
+    sample_flow_sizes,
 )
 
 from tests.reference_flowsim import (
@@ -192,6 +193,26 @@ class TestEstimate:
                             == oracle.estimate(size, path))
 
 
+class TestSameSegmentCount:
+    @settings(**SLOW)
+    @given(paths, k_maxes, st.data())
+    def test_estimate_depends_on_the_segment_count_only(self, path, k_max,
+                                                        data):
+        """The premise of memoising a fleet by segment count: for every
+        registered model, two sizes that quantise to the same count give
+        estimates equal in every field but ``size_bytes``."""
+        d = data.draw(st.integers(min_value=1, max_value=70_000))
+        low, high = (d - 1) * path.mss + 1, d * path.mss
+        a = data.draw(st.integers(min_value=low, max_value=high))
+        b = data.draw(st.sampled_from((low, high)))
+        for name in available_models():
+            model = (SussCsa00Model(k_max=k_max) if name == "csa00+suss"
+                     else create_model(name))
+            ea, eb = model.estimate(a, path), model.estimate(b, path)
+            assert ea.segments == eb.segments == d
+            assert (dataclasses.replace(ea, size_bytes=b) == eb), name
+
+
 # ----------------------------------------------------------------------
 # fleets: FleetResult field for field, and the record stream
 # ----------------------------------------------------------------------
@@ -282,6 +303,20 @@ class TestFleet:
             shipped, oracle, _, _ = fleet_pair(name, 1, flow_sizes, path)
             assert_same_fleet(shipped, oracle)
             assert shipped.expected_retransmits > 0.0
+
+    @pytest.mark.parametrize("dist", ["web", "heavy_tailed"])
+    @pytest.mark.parametrize("path", [
+        PathParams(rtt=0.04, btl_bw=2_500_000),
+        PathParams(rtt=0.04, btl_bw=2_500_000, loss_rate=0.02),
+    ], ids=["clean", "lossy"])
+    def test_totals_on_the_other_shipped_mixes(self, dist, path):
+        """The histogram totals and the flow-order float total on
+        fleets drawn from the ``web`` and ``heavy_tailed`` samplers,
+        whose count histograms differ from campus'."""
+        flow_sizes = sample_flow_sizes(dist, 20_000, random.Random(5))
+        for name in ("csa00", "csa00+suss"):
+            shipped, oracle, _, _ = fleet_pair(name, 1, flow_sizes, path)
+            assert_same_fleet(shipped, oracle)
 
     @pytest.mark.parametrize("path", [
         PathParams(rtt=0.04, btl_bw=2_500_000),

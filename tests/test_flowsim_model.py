@@ -31,6 +31,17 @@ class TestPathParams:
         with pytest.raises(ValueError):
             PathParams(rtt=0.1, btl_bw=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_nan_and_infinite_rtt_and_bw(self, bad):
+        """``nan <= 0`` is false, so a ``<= 0`` test once let NaN
+        through into NaN FCTs."""
+        with pytest.raises(ValueError, match="rtt must be positive and "
+                                             "finite"):
+            PathParams(rtt=bad, btl_bw=1e6)
+        with pytest.raises(ValueError, match="btl_bw must be positive and "
+                                             "finite"):
+            PathParams(rtt=0.1, btl_bw=bad)
+
     def test_rejects_bad_loss_rate(self):
         with pytest.raises(ValueError):
             PathParams(rtt=0.1, btl_bw=1e6, loss_rate=1.0)
