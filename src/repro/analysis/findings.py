@@ -34,7 +34,6 @@ RULES: Dict[str, str] = {
               "repro.experiments.runner",
     "LAY003": "runtime import of a layer that is allowed for typing only "
               "(guard it with typing.TYPE_CHECKING)",
-    "SAN001": "event scheduled into the past or at a non-finite time",
     "SAN002": "event fired behind the simulation clock (heap monotonicity broken)",
     "SAN003": "packet conservation violated (sent != delivered + dropped + in-flight)",
     "SAN004": "cwnd fell below 1 MSS or became non-finite",
@@ -93,10 +92,6 @@ campaign jobs execute experiment harnesses.""",
 A runtime import of a layer that is allowed for typing only.  Guard it
 with `if typing.TYPE_CHECKING:` so the API dependency stays
 compile-time only.""",
-    "SAN001": """\
-Runtime sanitizer: an event was scheduled into the past or at a
-non-finite time.  Almost always a negative delay computed from a unit
-mix-up or an uninitialised timestamp.""",
     "SAN002": """\
 Runtime sanitizer: the event heap dispatched an event behind the
 simulation clock — heap discipline or clock monotonicity is broken.""",

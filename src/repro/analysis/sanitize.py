@@ -3,13 +3,10 @@
 When enabled — ``REPRO_SANITIZE=1`` in the environment, or an explicit
 :class:`SimSanitizer` passed to :class:`repro.sim.engine.Simulator` —
 the engine, network substrate, and TCP stack feed this module their
-invariants on every event:
+invariants on every event.  (Causality — no event at a NaN, infinite
+or past time — is the engine's own refusal on every run, not a
+sanitizer check.)
 
-``SAN001``
-    Causality: no event may be scheduled in the past or at a NaN /
-    infinite time (the engine rejects NaN and past times outright; the
-    sanitizer additionally rejects ``inf`` and guards against engine
-    regressions).
 ``SAN002``
     Heap monotonicity: fired events must carry non-decreasing times.
 ``SAN003``
@@ -74,18 +71,7 @@ class SimSanitizer:
         self.packets_dropped = 0
         self.drop_sites: Dict[str, int] = {}
 
-    # -- SAN001 / SAN002: engine hooks ---------------------------------
-    def check_schedule(self, now: float, when: float) -> None:
-        """Validate an event's absolute target time against the clock."""
-        if not math.isfinite(when):
-            raise SanitizeError(
-                f"SAN001: event scheduled at non-finite time {when!r} "
-                f"(now={now!r})")
-        if when < now:
-            raise SanitizeError(
-                f"SAN001: event scheduled into the past "
-                f"(when={when!r} < now={now!r})")
-
+    # -- SAN002: engine hook -------------------------------------------
     def note_fire(self, when: float) -> None:
         """Record an event firing; times must be non-decreasing."""
         if when < self.last_fired:

@@ -42,20 +42,12 @@ def run_single_flow_job(params: Mapping[str, Any]) -> Dict[str, Any]:
     scenario = PathScenario(**params["scenario"])
     obs = None
     digest_sink = None
-    memory_sink = None
-    if params.get("trace_digest") or params.get("analyze"):
-        from repro.obs.sinks import DigestSink, MemorySink, TeeSink
+    if params.get("trace_digest"):
+        from repro.obs.sinks import DigestSink
         from repro.obs.tracer import Observability, Tracer
 
-        sinks = []
-        if params.get("trace_digest"):
-            digest_sink = DigestSink()
-            sinks.append(digest_sink)
-        if params.get("analyze"):
-            memory_sink = MemorySink()
-            sinks.append(memory_sink)
-        sink = sinks[0] if len(sinks) == 1 else TeeSink(sinks)
-        obs = Observability(tracer=Tracer(sink))
+        digest_sink = DigestSink()
+        obs = Observability(tracer=Tracer(digest_sink))
     result = run_single_flow(
         scenario, params["cc"], params["size_bytes"], seed=params["seed"],
         delayed_ack=params.get("delayed_ack", False),
@@ -73,20 +65,10 @@ def run_single_flow_job(params: Mapping[str, Any]) -> Dict[str, Any]:
         "drops": result.drops,
         "loss_rate": result.loss_rate,
     }
-    if obs is not None:
-        obs.close()
     if digest_sink is not None:
+        obs.close()
         value["trace_digest"] = digest_sink.digest()
         value["trace_records"] = digest_sink.records
-    if memory_sink is not None:
-        from repro.obs.analyze import analyze_records
-
-        analysis = analyze_records(memory_sink.records)
-        value["analysis"] = {
-            "flows": {str(flow): report.summary()
-                      for flow, report in analysis.flows.items()},
-            "findings": [f.to_dict() for f in analysis.findings],
-        }
     return value
 
 

@@ -72,7 +72,6 @@ def single_flow_job(scenario: Union[str, PathScenario], cc: str,
                     size_bytes: Bytes, seed: int = 0, *,
                     delayed_ack: bool = False, ecn: bool = False,
                     trace_digest: bool = False,
-                    analyze: bool = False,
                     knobs: Optional[Mapping[str, Any]] = None) -> JobSpec:
     """Spec for one seeded download (the :func:`run_single_flow` unit).
 
@@ -82,12 +81,9 @@ def single_flow_job(scenario: Union[str, PathScenario], cc: str,
     ``trace_digest=True`` makes the job run under a streaming
     :class:`repro.obs.DigestSink` and report the SHA-256 of its trace in
     the result (the determinism cross-check uses this to compare
-    ``jobs=1`` against ``jobs=N`` runs).  ``analyze=True`` traces the
-    run in memory, feeds it through :func:`repro.obs.analyze.analyze_records`,
-    and attaches each flow's summary plus any anomaly findings to the
-    result.  Both keys are added to ``params`` only when set, so
-    pre-existing job hashes — and therefore cached results — are
-    unaffected.
+    ``jobs=1`` against ``jobs=N`` runs).  The key is added to ``params``
+    only when set, so pre-existing job hashes — and therefore cached
+    results — are unaffected.
     """
     sc = _resolve_scenario(scenario)
     params: Dict[str, Any] = {
@@ -100,8 +96,6 @@ def single_flow_job(scenario: Union[str, PathScenario], cc: str,
     }
     if trace_digest:
         params["trace_digest"] = True
-    if analyze:
-        params["analyze"] = True
     if knobs:
         params["knobs"] = dict(knobs)
     return JobSpec(kind="single_flow", params=params,

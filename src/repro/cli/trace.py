@@ -8,7 +8,12 @@ import json
 import os
 import sys
 
-from repro.cli.common import cc_name, positive_int, scenario
+from repro.cli.common import (
+    cc_name,
+    non_negative_float,
+    positive_int,
+    scenario,
+)
 from repro.core.units import MB
 
 
@@ -47,7 +52,7 @@ def add_explain_arguments(parser: argparse.ArgumentParser) -> None:
                              "'-' reads stdin)")
     parser.add_argument("--flow", type=int,
                         help="restrict the narrative to one flow id")
-    parser.add_argument("--at", type=float,
+    parser.add_argument("--at", type=non_negative_float,
                         help="explain what was happening at this "
                              "simulation time")
     parser.add_argument("--event", type=int,

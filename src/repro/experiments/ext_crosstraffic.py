@@ -19,9 +19,24 @@ from repro.metrics.summary import summarize
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.tcp.connection import open_transfer
-from repro.workloads.crosstraffic import CrossTraffic
 from repro.workloads.flows import MB
+from repro.workloads.mixes import (
+    MixTraffic,
+    TrafficMix,
+    _log_uniform,
+    _log_uniform_mean,
+)
 from repro.workloads.scenarios import LocalTestbedConfig
+
+
+def _cross_size(rng: random.Random) -> int:
+    return _log_uniform(rng, 30_000, 3_000_000)
+
+
+#: web-like cross flows: one log-uniform 30 kB - 3 MB download per
+#: Poisson arrival.  Local to this experiment, not a registered mix.
+CROSS_MIX = TrafficMix("crosstraffic", _cross_size,
+                       mean_size=_log_uniform_mean(30_000, 3_000_000))
 
 
 @dataclass
@@ -40,9 +55,8 @@ def _one(cc: str, load: float, size: int, seed: int,
                                 rtts=(0.08,) * 5, buffer_bdp=1.5)
     sim = Simulator()
     net = config.build(sim, RngRegistry(seed))
-    cross = CrossTraffic(sim=sim, net=net, pair_index=4, target_load=load,
-                         bottleneck_rate=config.btl_bw,
-                         rng=random.Random(seed + 99))
+    cross = MixTraffic(sim, net.servers[4], net.clients[4], CROSS_MIX,
+                       load, config.btl_bw, random.Random(seed + 99))
     cross.start()
     foreground = open_transfer(sim, net.servers[0], net.clients[0],
                                flow_id=1, size_bytes=size, cc=cc,

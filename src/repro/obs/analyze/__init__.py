@@ -5,7 +5,7 @@ any record stream, segments each flow into congestion-control phases,
 classifies retransmissions (genuine / spurious / RTO-driven /
 unconfirmed), and runs pluggable anomaly detectors that emit structured
 findings.  ``repro analyze`` and ``repro explain`` are the CLI front
-ends; campaign jobs can attach the JSON form to their results.
+ends.
 """
 
 from repro._lazy import lazy_exports

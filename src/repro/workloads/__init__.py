@@ -4,7 +4,6 @@ from repro._lazy import lazy_exports
 
 #: public name -> defining submodule, in ``__all__`` order
 _EXPORTS = {
-    "CrossTraffic": "crosstraffic",
     "MB": "flows",
     "FlowSpec": "flows",
     "launch_flows": "flows",

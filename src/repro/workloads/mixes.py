@@ -12,11 +12,11 @@ archetypes the topogen scenario classes need:
   back-to-back *train* of small flows, the incast-flavoured pattern of
   RPC fan-outs.
 
-:class:`MixTraffic` generalises :class:`repro.workloads.crosstraffic.CrossTraffic`
-from "one dumbbell pair" to *any* server/client host pair, which is what
-topogen's per-scenario :class:`~repro.net.topogen.spec.CrossTrafficPlan`
-placement needs; :func:`place_cross_traffic` instantiates every plan of
-a built topology with independently derived RNG streams.
+:class:`MixTraffic` runs a mix between *any* server/client host pair —
+a dumbbell pair (``repro experiment crosstraffic``) or the endpoints of
+topogen's per-scenario :class:`~repro.net.topogen.spec.CrossTrafficPlan`;
+:func:`place_cross_traffic` instantiates every plan of a built topology
+with independently derived RNG streams.
 """
 
 from __future__ import annotations
@@ -104,11 +104,11 @@ def get_mix(name: str) -> TrafficMix:
 class MixTraffic:
     """Poisson (possibly bursty) background flows on one host pair.
 
-    Like :class:`repro.workloads.crosstraffic.CrossTraffic` but bound to
-    explicit :class:`~repro.net.node.Host` endpoints instead of a
-    dumbbell pair index, and parameterised by a named mix.  The RNG must
-    be injected (determinism: derive a stream per generator from the
-    experiment's :class:`~repro.sim.rng.RngRegistry`).
+    Bound to explicit :class:`~repro.net.node.Host` endpoints and
+    parameterised by a mix.  Each arrival draws its gap, then one size
+    per flow of the burst, then the next gap.  The RNG must be injected
+    (determinism: derive a stream per generator from the experiment's
+    :class:`~repro.sim.rng.RngRegistry`).
     """
 
     def __init__(self, sim: Simulator, server: Host, client: Host,

@@ -55,23 +55,23 @@ class ReferenceSimulator:
 
     # ------------------------------------------------------------------
     def schedule(self, delay, callback, *args):
-        if delay != delay:
+        if not math.isfinite(delay):
+            shown = "NaN" if math.isnan(delay) else repr(delay)
             raise SimulationError(
-                f"invalid delay {delay!r}: NaN is not a schedulable delay")
+                f"invalid delay: {shown} is not a finite time")
         if delay < 0:
             raise SimulationError(
                 f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(self, when, callback, *args):
-        if when != when:
+        if not math.isfinite(when):
+            shown = "NaN" if math.isnan(when) else repr(when)
             raise SimulationError(
-                f"invalid target time {when!r}: NaN is not a schedulable time")
+                f"invalid target time: {shown} is not a finite time")
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule into the past (when={when}, now={self._now})")
-        if self.sanitizer is not None:
-            self.sanitizer.check_schedule(self._now, when)
         eid = next(self._counter)
         handle = [when, eid, 0, callback, args,
                   self.current_eid, self._sched_origin]

@@ -14,7 +14,7 @@ from repro.analysis.sanitize import (
 )
 from repro.cc.base import CongestionControl
 from repro.experiments.goldens import reorder_deliveries
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 from repro.sim.rng import RngRegistry
 from repro.tcp.intervals import IntervalSet
 
@@ -22,25 +22,47 @@ from .helpers import MSS, make_transfer
 
 
 class TestSAN001Causality:
-    def test_infinite_time_rejected(self):
+    """Causality (SAN001) is the engine's own refusal, on every run: a
+    sanitized simulator refuses a bad time with the plain engine's
+    ``SimulationError`` and leaves the sanitizer untouched."""
+
+    @staticmethod
+    def _refused(schedule_bad, match):
         san = SimSanitizer()
-        with pytest.raises(SanitizeError, match="SAN001"):
-            san.check_schedule(now=1.0, when=math.inf)
+        sim = Simulator(sanitizer=san)
+        with pytest.raises(SimulationError, match=match):
+            schedule_bad(sim)
+        sim.run()  # nothing was queued, so nothing fires
+        assert sim.events_processed == 0 and san.events_checked == 0
+
+    def test_infinite_time_rejected(self):
+        self._refused(lambda sim: sim.schedule_at(math.inf, lambda: None),
+                      "inf is not a finite time")
 
     def test_nan_time_rejected(self):
-        san = SimSanitizer()
-        with pytest.raises(SanitizeError, match="SAN001"):
-            san.check_schedule(now=1.0, when=math.nan)
+        self._refused(lambda sim: sim.schedule_at(math.nan, lambda: None),
+                      "NaN is not a finite time")
 
     def test_past_time_rejected(self):
-        san = SimSanitizer()
-        with pytest.raises(SanitizeError, match="SAN001"):
-            san.check_schedule(now=5.0, when=4.0)
+        sim = Simulator(sanitizer=SimSanitizer())
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="into the past"):
+            sim.schedule_at(4.0, lambda: None)
 
     def test_engine_routes_schedule_through_sanitizer(self):
-        sim = Simulator(sanitizer=SimSanitizer())
-        with pytest.raises(SanitizeError, match="SAN001"):
+        """Every fired event reaches the sanitizer; a refused time never
+        does, and does not disturb what was queued before it."""
+        san = SimSanitizer()
+        sim = Simulator(sanitizer=san)
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        sim.schedule_at(2.0, fired.append, 2)
+        with pytest.raises(SimulationError, match="inf is not a finite time"):
             sim.schedule_at(math.inf, lambda: None)
+        sim.run()
+        assert fired == [1, 2]
+        assert san.events_checked == sim.events_processed == 2
 
     def test_valid_schedule_passes(self):
         sim = Simulator(sanitizer=SimSanitizer())

@@ -7,7 +7,6 @@ summaries at any ``--jobs`` level.
 """
 
 import io
-import json
 
 import pytest
 
@@ -290,32 +289,6 @@ class TestRunnerIntegration:
             loss_rate_summary(lossy, "cubic", SIZE, iterations=1)
         with pytest.raises(RuntimeError, match="did not complete"):
             fct_summary(lossy, "cubic", SIZE, iterations=1)
-
-    def test_analyze_job_attaches_findings_and_summaries(self):
-        spec = single_flow_job(SCENARIO, "cubic+suss", SIZE, seed=1,
-                               analyze=True, trace_digest=True)
-        value = collect_values(run_campaign([spec]))[0]
-        json.dumps(value)  # the attachment must stay JSON-serialisable
-        analysis = value["analysis"]
-        summary = analysis["flows"]["1"]
-        assert summary["bytes_delivered"] == SIZE
-        assert summary["suss"]["accelerations"] >= 1
-        assert isinstance(analysis["findings"], list)
-        # digest + analyze compose: both attachments on one run
-        from repro.experiments.goldens import DEFAULT_GOLDEN_DIR
-        from repro.obs.golden import load_digests
-        assert value["trace_digest"] == load_digests(DEFAULT_GOLDEN_DIR)[
-            "cubic+suss"]["digest"]
-
-    def test_analyze_flag_does_not_change_job_hash(self):
-        plain = single_flow_job(SCENARIO, "cubic+suss", SIZE, seed=1)
-        analyzed = single_flow_job(SCENARIO, "cubic+suss", SIZE, seed=1,
-                                   analyze=True)
-        assert "analyze" not in plain.params
-        assert analyzed.params["analyze"] is True
-        assert plain.job_hash != analyzed.job_hash  # distinct cache entries
-        without = collect_values(run_campaign([plain]))[0]
-        assert "analysis" not in without
 
     def test_stability_job_roundtrip(self):
         spec = stability_job("cubic", 1.0, 0.05, True, 4_000_000, 500_000,

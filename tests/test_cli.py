@@ -177,6 +177,9 @@ class TestUsageErrors:
          "--cross-load", "nan"],
         ["campaign", "--topo", "parking-lot-3", "--cross-load", "inf"],
         ["campaign", "--topo", "parking-lot-3", "--cross-load", "-1"],
+        ["explain", "trace.jsonl", "--at", "nan"],
+        ["explain", "trace.jsonl", "--at", "inf"],
+        ["explain", "trace.jsonl", "--at", "-1"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_out_of_range_numbers_are_usage_errors(self, argv, capsys):
         """Refused by the parser (exit 2), not by the engine mid-run."""
@@ -190,7 +193,8 @@ class TestUsageErrors:
                     "--bw": "a positive finite number",
                     "--loss": "a probability in [0, 1)",
                     "--tolerance": "a non-negative finite number",
-                    "--cross-load": "a non-negative finite number"}.get(
+                    "--cross-load": "a non-negative finite number",
+                    "--at": "a non-negative finite number"}.get(
                         flag, "a positive integer")
         assert f"repro {argv[0]}: error: argument {flag}: expected " \
                f"{expected}, got {value!r}" in capsys.readouterr().err
@@ -494,8 +498,10 @@ class TestExplain:
         assert report["at"]["chain"]["found"]
 
     def test_at_before_trace_rejected(self):
+        # The trace's first record is the SYN's arrival at t ≈ 0.13 s; a
+        # negative time never gets here (a usage error, exit 2).
         with pytest.raises(SystemExit, match="no records at or before"):
-            main(["explain", _golden_trace_path(), "--at", "-5"])
+            main(["explain", _golden_trace_path(), "--at", "0.05"])
 
     def test_unknown_flow_rejected(self):
         with pytest.raises(SystemExit, match="no flow 99"):

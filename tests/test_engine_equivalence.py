@@ -27,9 +27,10 @@ from repro.analysis.sanitize import SanitizeError, SimSanitizer, from_env
 from repro.experiments import goldens
 from repro.experiments.runner import run_single_flow
 from repro.obs.causal import CausalIndex, explain_event
+from repro.obs.profile import EventProfiler
 from repro.obs.sinks import DigestSink, MemorySink
 from repro.obs.tracer import Observability, Tracer
-from repro.sim import RngRegistry, Simulator
+from repro.sim import RngRegistry, SimulationError, Simulator
 from repro.workloads import INTERNET_SCENARIOS
 from tests.reference_engine import ENGINES
 
@@ -160,11 +161,11 @@ class _Boom(Exception):
     """Raised by a fuzzed callback; the driver catches it and carries on."""
 
 
-def _execute(engine, program, sanitizer):
+def _execute(engine, program, sanitizer, obs=None):
     """Interpret ``program`` on a fresh ``engine``; return everything
     observable: each firing, and the full engine + handle state after
     every top-level step."""
-    sim = engine(sanitizer=sanitizer, obs=None)
+    sim = engine(sanitizer=sanitizer, obs=obs)
     log, handles, tags = [], [], itertools.count()
 
     def perform(action):
@@ -231,18 +232,32 @@ class TestHeapProperties:
             logs.append(log)
         assert logs[0] == logs[1]
 
-    @pytest.mark.parametrize("sanitized", [False, True])
+    @pytest.mark.parametrize("sanitized, profiled",
+                             [(False, False), (True, False), (False, True)],
+                             ids=["False", "True", "profiled"])
     @settings(max_examples=400, deadline=None)
     @given(program=_program)
-    def test_fuzzed_programs_leave_identical_state(self, sanitized, program):
+    def test_fuzzed_programs_leave_identical_state(self, sanitized, profiled,
+                                                   program):
         """Nested scheduling, cancel and ``clear()`` from inside callbacks,
-        ``run()`` / ``run(until)`` interleaved, and callbacks that raise: clock, eids, provenance, handle status and
-        both counters agree after every step.  The sanitized leg drives
-        the generic loop (``note_fire`` / ``check_schedule`` hook order)
-        instead of the specialised ones."""
-        logs = [_execute(engine, program,
-                         SimSanitizer() if sanitized else None)
-                for engine in ENGINES.values()]
+        ``run()`` / ``run(until)`` interleaved, and callbacks that raise:
+        clock, eids, provenance, handle status and both counters agree
+        after every step.  All three legs run the one loop: plain, with
+        ``note_fire`` on every event, and with every callback dispatched
+        through ``profiler.fire``; each hook sees every fired event once."""
+        logs = []
+        for engine in ENGINES.values():
+            sanitizer = SimSanitizer() if sanitized else None
+            profiler = EventProfiler() if profiled else None
+            obs = None if profiler is None else Observability(
+                profiler=profiler)
+            log = _execute(engine, program, sanitizer, obs)
+            fired = sum(entry[0] == "fire" for entry in log)
+            if sanitizer is not None:
+                assert sanitizer.events_checked == fired
+            if profiler is not None:
+                assert profiler.events == fired
+            logs.append(log)
         assert logs[0] == logs[1]
 
     @settings(max_examples=40, deadline=None)
@@ -338,8 +353,8 @@ def _clock_walk(engine, sanitizer):
 class TestEngineAttributes:
     @pytest.mark.parametrize("sanitized", [False, True])
     def test_the_clock_reads_the_same_everywhere(self, sanitized):
-        """The shipped loops write ``sim.now`` beside their cell; the
-        sanitized leg is ``_run_generic``, the other the direct loop."""
+        """The shipped loop writes ``sim.now`` beside its cell, with a
+        sanitizer attached or not."""
         fast, classic = (
             _clock_walk(engine, SimSanitizer() if sanitized else None)
             for engine in (ENGINES["fast"], ENGINES["classic"]))
@@ -389,11 +404,44 @@ class TestEngineAttributes:
 # ----------------------------------------------------------------------
 # sanitizer + error paths on the shipped engine
 # ----------------------------------------------------------------------
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize("sanitized", [False, True],
+                             ids=["plain", "sanitized"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("method, what", [("schedule", "delay"),
+                                              ("schedule_at", "target time")],
+                             ids=["schedule", "schedule_at"])
+    @pytest.mark.parametrize("backend", list(ENGINES))
+    def test_refused_by_the_engine(self, backend, method, what, value,
+                                   sanitized):
+        """Causality (SAN001) is the engine's refusal on every run, with
+        or without a sanitizer: the same ``SimulationError`` on both
+        engines, nothing queued, and the engine carries on."""
+        sim = ENGINES[backend](
+            sanitizer=SimSanitizer() if sanitized else None, obs=None)
+        with pytest.raises(SimulationError) as excinfo:
+            getattr(sim, method)(value, lambda: None)
+        shown = "NaN" if value != value else repr(value)
+        assert str(excinfo.value) == \
+            f"invalid {what}: {shown} is not a finite time"
+        assert sim.pending_events == 0
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        sim.run()
+        assert fired == [1] and sim.now == 1.0
+
+
 class TestSanitizedFastBackend:
     def test_san001_fires_through_fast_schedule(self):
-        sim = Simulator(sanitizer=SimSanitizer())
-        with pytest.raises(SanitizeError, match="SAN001"):
+        """The shipped engine with a sanitizer refuses an infinite time
+        at ``schedule_at`` with its own error and queues nothing."""
+        san = SimSanitizer()
+        sim = Simulator(sanitizer=san)
+        with pytest.raises(SimulationError,
+                           match="invalid target time: inf is not a finite"):
             sim.schedule_at(math.inf, lambda: None)
+        assert sim.pending_events == 0 and san.events_checked == 0
 
     def test_sanitized_transfer_identical_across_backends(self):
         """SAN002-005 hooks run on every event; a clean sanitized run

@@ -277,7 +277,6 @@ SURFACE = {
         "run_validation": "driver",
     },
     "repro.workloads": {
-        "CrossTraffic": "crosstraffic",
         "MB": "flows",
         "FlowSpec": "flows",
         "launch_flows": "flows",

@@ -1,11 +1,15 @@
-"""Tests for the cross-traffic generator."""
+"""Poisson cross traffic on one dumbbell pair: :class:`MixTraffic` with
+the ``crosstraffic`` experiment's mix (``test_net_topogen.py::TestMixes``
+covers the registered mixes on routed topologies)."""
 
 import random
 
 import pytest
 
+from repro.experiments.ext_crosstraffic import CROSS_MIX
 from repro.sim import Simulator
-from repro.workloads import CrossTraffic, FlowSpec, LocalTestbedConfig, launch_flows
+from repro.workloads import FlowSpec, LocalTestbedConfig, launch_flows
+from repro.workloads.mixes import MixTraffic
 
 
 def make_ct(load=0.3, seed=1, bottleneck_mbps=20.0):
@@ -13,25 +17,18 @@ def make_ct(load=0.3, seed=1, bottleneck_mbps=20.0):
     config = LocalTestbedConfig(bottleneck_mbps=bottleneck_mbps,
                                 rtts=(0.05,) * 5)
     net = config.build(sim)
-    ct = CrossTraffic(sim=sim, net=net, pair_index=4, target_load=load,
-                      bottleneck_rate=config.btl_bw,
-                      rng=random.Random(seed))
+    ct = MixTraffic(sim, net.servers[4], net.clients[4], CROSS_MIX, load,
+                    config.btl_bw, random.Random(seed))
     return sim, net, config, ct
 
 
 class TestCrossTraffic:
     def test_load_validation(self):
         sim, net, config, _ = make_ct()
-        with pytest.raises(ValueError):
-            CrossTraffic(sim=sim, net=net, pair_index=0, target_load=1.5,
-                         bottleneck_rate=config.btl_bw)
-
-    def test_generates_flows(self):
-        sim, net, config, ct = make_ct()
-        ct.start()
-        sim.run(until=20.0)
-        assert len(ct.flows) > 5
-        assert ct.completed_flows > 0
+        for load in (0.0, 1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match="target_load"):
+                MixTraffic(sim, net.servers[0], net.clients[0], CROSS_MIX,
+                           load, config.btl_bw, random.Random(1))
 
     def test_offered_load_close_to_target(self):
         sim, net, config, ct = make_ct(load=0.3, seed=7)
@@ -42,13 +39,14 @@ class TestCrossTraffic:
         assert offered == pytest.approx(0.3, abs=0.15)
 
     def test_deterministic_for_seed(self):
-        counts = []
+        runs = []
         for _ in range(2):
             sim, net, config, ct = make_ct(seed=11)
             ct.start()
             sim.run(until=15.0)
-            counts.append((len(ct.flows), ct.offered_bytes()))
-        assert counts[0] == counts[1]
+            runs.append([(f.sender.flow_id, f.sender.total_bytes, f.fct)
+                         for f in ct.flows])
+        assert runs[0] == runs[1] and len(runs[0]) > 5
 
     def test_stop_halts_arrivals(self):
         sim, net, config, ct = make_ct()
@@ -58,6 +56,7 @@ class TestCrossTraffic:
         n = len(ct.flows)
         sim.run(until=15.0)
         assert len(ct.flows) == n
+        assert ct.completed_flows > 0
 
     def test_foreground_flow_survives_cross_traffic(self):
         sim, net, config, ct = make_ct(load=0.4, seed=3)
